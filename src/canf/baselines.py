@@ -1,32 +1,36 @@
-"""Comparison schemes: dense-array near-field, far-field virtual-array,
-and subarray-based near-field localization.
+"""Comparison schemes composed from the stages of :mod:`canf.music`.
 
-All three consume the same snapshot sets and grids as the primary method,
-so swapping the scheme changes nothing about a scenario.
+Dense near-field is the primary pipeline on a dense uniform layout.
+Far-field virtual-array is the sample covariance on the coarray with no
+decoupling, one subspace split, a ``position_scale=1`` angle scan and peak
+detection, with no range stage.  Subarray near-field is
+:func:`canf.music.two_phase` on the two uniform subarrays, fusing their angle
+and range scans pairwise.  All three consume the same snapshot sets and grids
+as the primary method, so swapping the scheme changes nothing about a
+scenario.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import SnapshotSet
-from .covariance import build_bundle, covariance_sample, spatial_smooth, vectorize_to_coarray
+from .covariance import covariance_sample, spatial_smooth, vectorize_to_coarray
 from .geometry import build_subarrays, difference_coarray
-from .music import (
+from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's tracer)
     LocalizationResult,
     MusicConfig,
     Peak,
     PseudoSpectrum,
     SpectrumGrid,
+    Subspace,
     SubspaceRule,
-    angle_spectrum,
-    classify_range_spectrum,
-    detect_peaks,
+    angle_candidates,
     eig_hermitian,
     localize,
-    range_spectrum,
-    signal_rank,
+    two_phase,
+    virtual_steering_matrix,
 )
 
 __all__ = [
@@ -84,37 +88,17 @@ def localize_farfield_virtual(
     layout = snapshots.layout
     coarray = difference_coarray(layout, config.smoothing_segment)
     r_hat = covariance_sample(snapshots)
-    r_tilde = vectorize_to_coarray(r_hat, layout, coarray, config.lag_mode)
-    r_v = spatial_smooth(r_tilde)
+    r_v = spatial_smooth(vectorize_to_coarray(r_hat, layout, coarray, config.lag_mode))
+    w = r_v.shape[0]
+    k = config.k_targets
+    rule = config.angle_rule(w) if k is None else SubspaceRule.fixed(min(k, w - 1))
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
-
-    w_v, _ = eig_hermitian(r_v)
-    if config.k_targets is not None:
-        rule = SubspaceRule.fixed(min(config.k_targets, r_v.shape[0] - 1))
-    else:
-        rule = SubspaceRule.eig_gap(max(r_v.shape[0] // 3, 1), config.gap_ratio)
-    spec = angle_spectrum(
-        r_v,
-        coarray.unit,
-        layout.wavelength,
-        grid.angle_deg,
-        rule,
-        position_scale=1.0,
-    )
-    max_count = config.k_targets if config.k_targets is not None else config.candidate_limit()
-    peaks = detect_peaks(
-        spec,
-        max_count=max_count,
-        prominence_db=config.peak_prominence_db,
-        refine=config.refine,
-        min_separation=config.min_angle_separation_deg,
-    )
-    return AngleOnlyResult(
-        candidates=tuple(peaks),
-        angle_spectrum=spec,
-        virtual_eigvals=w_v,
-        angle_signal_rank=signal_rank(w_v, rule),
-    )
+    axis = np.asarray(grid.angle_deg, dtype=float)
+    virtual = Subspace.split(r_v, rule)
+    manifold = virtual_steering_matrix(w, coarray.unit, layout.wavelength, axis, 1.0)
+    spec = virtual.scan(axis, manifold)
+    peaks = angle_candidates(spec, config.candidate_limit() if k is None else k, config)
+    return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)
 
 
 def localize_subarray(
@@ -123,11 +107,10 @@ def localize_subarray(
     """Decoupled two-phase pipeline run per uniform subarray, then fused.
 
     Each sparse subarray produces a periodically ambiguous angle spectrum;
-    the elementwise minimum over the shared grid keeps only the peaks the
-    two coprime-spaced subarrays agree on.  Range spectra at each common
-    candidate are fused by the geometric mean of the product (the plain
-    product doubles the dB scale and would defeat a single significance
-    threshold).  Diagnostics are concatenated over the two subarrays.
+    :func:`canf.music.two_phase` fuses the two so that only the peaks the
+    coprime-spaced subarrays agree on remain, and fuses their range spectra
+    at each common candidate.  Diagnostics are concatenated over the two
+    subarrays.
     """
     if config is None:
         config = MusicConfig()
@@ -135,84 +118,10 @@ def localize_subarray(
     params = layout.coprime
     if layout.kind != "coprime" or params is None:
         raise ValueError("subarray baseline expects snapshots from a coprime layout")
-    sub1, sub2 = build_subarrays(params)
-    grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
-    bounds = (layout.fresnel_distance, layout.rayleigh_distance)
     parent_index = {g: i for i, g in enumerate(layout.grid)}
-
-    bundles = []
-    angle_specs = []
-    eigvals = []
-    ranks = []
-    for sub, factor in ((sub1, params.n), (sub2, params.m)):
+    inputs = []
+    for sub, factor in zip(build_subarrays(params), (params.n, params.m)):
         rows = [parent_index[g * factor] for g in sub.grid]
-        sub_snaps = SnapshotSet(
-            sub,
-            snapshots.y[rows, :],
-            snapshots.x,
-            snapshots.sigma2,
-            snapshots.snr_db,
-            snapshots.seed,
-            snapshots.model,
-        )
-        coarray = difference_coarray(sub)
-        bundle = build_bundle(sub_snaps, coarray, config.estimator, config.lag_mode)
-        w_v, _ = eig_hermitian(bundle.r_v)
-        rule = config.angle_rule(bundle.r_v.shape[0])
-        spec = angle_spectrum(
-            bundle.r_v, coarray.unit, layout.wavelength, grid.angle_deg, rule
-        )
-        bundles.append((sub, bundle))
-        angle_specs.append(spec)
-        eigvals.append(w_v)
-        ranks.append(signal_rank(w_v, rule))
-
-    axis = np.asarray(grid.angle_deg, dtype=float)
-    fused = PseudoSpectrum(axis, np.minimum(angle_specs[0].values, angle_specs[1].values))
-    peaks = detect_peaks(
-        fused,
-        max_count=config.candidate_limit(),
-        prominence_db=config.peak_prominence_db,
-        refine=config.refine,
-        min_separation=config.min_angle_separation_deg,
-    )
-
-    range_grid = np.asarray(grid.range_m, dtype=float)
-    classified = []
-    spectra = []
-    init_eigvals = []
-    range_ranks = []
-    for sub, bundle in bundles:
-        w_h, _ = eig_hermitian(bundle.r_hat)
-        init_eigvals.append(w_h)
-        range_ranks.append(signal_rank(w_h, config.range_rule(sub.size)))
-    for peak in peaks:
-        per_sub = [
-            range_spectrum(
-                bundle.r_hat,
-                sub,
-                peak.location,
-                range_grid,
-                config.range_rule(sub.size),
-                config.range_model,
-            )
-            for sub, bundle in bundles
-        ]
-        fused_range = PseudoSpectrum(
-            range_grid, np.sqrt(per_sub[0].values * per_sub[1].values)
-        )
-        spectra.append((peak.location, fused_range))
-        classified.extend(
-            classify_range_spectrum(peak.location, fused_range, bounds, config)
-        )
-
-    return LocalizationResult(
-        candidates=tuple(peaks),
-        classified=tuple(classified),
-        angle_spectrum=fused,
-        range_spectra=tuple(spectra),
-        virtual_eigvals=np.concatenate(eigvals),
-        initial_eigvals=np.concatenate(init_eigvals),
-        angle_signal_rank=max(ranks),
-        range_signal_rank=max(range_ranks),
-    )
+        sub_snaps = replace(snapshots, layout=sub, y=snapshots.y[rows, :])
+        inputs.append((sub_snaps, difference_coarray(sub)))
+    return two_phase(inputs, layout, config)

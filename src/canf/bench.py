@@ -126,7 +126,11 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
-    """Outcome of one (method, SNR, trial) cell."""
+    """Outcome of one (method, SNR, trial) cell.
+
+    A trial that raised has ``failed`` set, empty estimates, and ``error``
+    holding the exception as ``"ExcType: message"``.
+    """
 
     method: str
     snr_db: float
@@ -142,6 +146,20 @@ class TrialRecord:
     n_spurious_true: int
     n_cross_leaked: int
     failed: bool = False
+    error: str | None = None
+
+    @classmethod
+    def failure(
+        cls, method: str, snr_db: float, trial: int, seed: int, exc: Exception
+    ) -> "TrialRecord":
+        """Record of a trial that raised ``exc``, as ``"ExcType: message"``."""
+        return cls(
+            method=method, snr_db=snr_db, trial=trial, seed=seed,
+            theta_est=(), range_est=None, labels=(), n_candidates=0,
+            theta_errors=(), range_errors=(), detected=False,
+            n_spurious_true=0, n_cross_leaked=0,
+            failed=True, error=f"{type(exc).__name__}: {exc}",
+        )
 
     def to_json(self) -> str:
         payload = {
@@ -159,6 +177,7 @@ class TrialRecord:
             "n_spurious_true": self.n_spurious_true,
             "n_cross_leaked": self.n_cross_leaked,
             "failed": self.failed,
+            "error": self.error,
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -357,27 +376,14 @@ def run_monte_carlo(config: MonteCarloConfig) -> RmseReport:
             for trial in range(config.q_trials):
                 try:
                     rec = run_trial(method, config.scenario, snr_db, trial, config)
-                except Exception:
+                except Exception as exc:
                     logger.exception(
                         "trial failed: method=%s snr=%s trial=%d", method, snr_db, trial
                     )
                     report.n_failed += 1
                     report.records.append(
-                        TrialRecord(
-                            method=method,
-                            snr_db=snr_db,
-                            trial=trial,
-                            seed=config.base_seed + trial,
-                            theta_est=(),
-                            range_est=None,
-                            labels=(),
-                            n_candidates=0,
-                            theta_errors=(),
-                            range_errors=(),
-                            detected=False,
-                            n_spurious_true=0,
-                            n_cross_leaked=0,
-                            failed=True,
+                        TrialRecord.failure(
+                            method, snr_db, trial, config.base_seed + trial, exc
                         )
                     )
                     continue

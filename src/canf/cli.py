@@ -112,8 +112,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         angle_step_deg=args.angle_step,
         range_step_m=args.range_step,
     )
-    snaps = scenario.snapshots()
-    result = localize(snaps, config)
+    result = localize(scenario.snapshots(), config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -137,12 +136,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     )
 
     if args.dump_covariance:
-        from .covariance import build_bundle
-
-        bundle = build_bundle(snaps, estimator=config.estimator, lag_mode=config.lag_mode)
-        _write_matrix_csv(out_dir / "r_hat.csv", bundle.r_hat)
-        _write_matrix_csv(out_dir / "r_d.csv", bundle.r_d)
-        _write_matrix_csv(out_dir / "r_v.csv", bundle.r_v)
+        _write_matrix_csv(out_dir / "r_hat.csv", result.bundle.r_hat)
+        _write_matrix_csv(out_dir / "r_d.csv", result.bundle.r_d)
+        _write_matrix_csv(out_dir / "r_v.csv", result.bundle.r_v)
     return 0
 
 

@@ -1,12 +1,16 @@
-"""Two-phase MUSIC: angle search on the smoothed virtual covariance,
-then range search and true/cross classification on the initial covariance.
+"""Two-phase MUSIC as one sequence of stages, each computed once.
 
-Phase 1 scans a 1-D angle grid against the noise subspace of the smoothed
-virtual covariance; its peaks contain the true target angles plus spurious
-"cross" angles contributed by target pairs.  Phase 2 scans range at each
-candidate angle against the noise subspace of the initial covariance: true
-angles produce significant range peaks inside the near-field region, cross
-angles do not and are rejected.
+:func:`two_phase` runs them: covariance bundle; one :class:`Subspace` split
+each of the virtual covariance ``r_v`` and the initial covariance ``r_hat``;
+angle scan on the noise subspace of ``r_v``, whose peaks hold the true
+angles plus "cross" angles from target pairs; peak detection
+(:func:`angle_candidates`); then at each candidate a range scan on the noise
+subspace of ``r_hat`` and a true/cross verdict (true angles give significant
+range peaks inside the near-field region, cross angles do not).
+:func:`localize` runs the stages on the whole array, and the schemes in
+:mod:`canf.baselines` are compositions of them.  :func:`angle_spectrum`,
+:func:`range_spectrum` and :func:`classify_and_estimate` start from a bare
+covariance: one subspace split, then one scan stage.
 """
 from __future__ import annotations
 
@@ -17,12 +21,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import find_peaks
 
-from .channel import SnapshotSet, Target, steering_exact
-from .covariance import build_bundle
-from .geometry import SensorLayout, difference_coarray
+from .channel import SnapshotSet, Target, fresnel_phase_terms, steering_exact
+from .covariance import CovarianceBundle, build_bundle
+from .geometry import CoarrayLayout, SensorLayout, difference_coarray
 
 __all__ = [
     "SubspaceRule",
+    "Subspace",
     "SpectrumGrid",
     "Peak",
     "PseudoSpectrum",
@@ -33,9 +38,12 @@ __all__ = [
     "noise_subspace",
     "angle_spectrum",
     "detect_peaks",
+    "angle_candidates",
+    "range_steering_matrix",
     "range_spectrum",
     "classify_range_spectrum",
     "classify_and_estimate",
+    "two_phase",
     "localize",
 ]
 
@@ -188,6 +196,27 @@ class PseudoSpectrum:
         return 10.0 * np.log10(self.values)
 
 
+@dataclass(frozen=True, eq=False)
+class Subspace:
+    """One eigendecomposition, split into signal and noise parts by a rule."""
+
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    rank: int
+
+    @classmethod
+    def split(cls, matrix: np.ndarray, rule: SubspaceRule) -> "Subspace":
+        """Decompose ``matrix`` once and choose its signal rank under ``rule``."""
+        eigvals, eigvecs = eig_hermitian(matrix)
+        return cls(eigvals, eigvecs, signal_rank(eigvals, rule))
+
+    def scan(self, axis: np.ndarray, manifold: np.ndarray) -> PseudoSpectrum:
+        """1 / normalized noise-subspace power of each manifold row, over ``axis``."""
+        proj = manifold.conj() @ self.eigvecs[:, self.rank :]
+        denom = np.einsum("ij,ij->i", proj, proj.conj()).real / manifold.shape[1]
+        return PseudoSpectrum(axis, 1.0 / np.maximum(denom, _DENOM_FLOOR))
+
+
 @lru_cache(maxsize=16)
 def _angle_manifold_cached(
     w: int, unit: float, wavelength: float, position_scale: float, grid_bytes: bytes
@@ -222,13 +251,6 @@ def virtual_steering_matrix(
     )
 
 
-def _inverse_projection(manifold: np.ndarray, noise_basis: np.ndarray) -> np.ndarray:
-    """1 / normalized noise-subspace power for every manifold row."""
-    proj = manifold.conj() @ noise_basis
-    denom = np.einsum("ij,ij->i", proj, proj.conj()).real / manifold.shape[1]
-    return 1.0 / np.maximum(denom, _DENOM_FLOOR)
-
-
 def angle_spectrum(
     r_v: np.ndarray,
     unit: float,
@@ -243,12 +265,10 @@ def angle_spectrum(
     invariant to any positive scaling of ``r_v``.
     """
     grid = np.asarray(angle_grid_deg, dtype=float)
-    w, v = eig_hermitian(r_v)
-    un = noise_subspace(w, v, rule)
     manifold = virtual_steering_matrix(
         r_v.shape[0], unit, wavelength, grid, position_scale
     )
-    return PseudoSpectrum(grid, _inverse_projection(manifold, un))
+    return Subspace.split(r_v, rule).scan(grid, manifold)
 
 
 def _refine_parabolic(y_db: np.ndarray, idx: int, axis: np.ndarray) -> float:
@@ -286,14 +306,12 @@ def detect_peaks(
     if min_separation > 0.0 and spectrum.axis.size > 1:
         step = float(spectrum.axis[1] - spectrum.axis[0])
         distance = max(int(round(min_separation / step)), 1)
-    if include_edges:
-        padded = np.concatenate(([-np.inf], y, [-np.inf]))
-        idx, props = find_peaks(padded, prominence=prominence_db, distance=distance)
-        idx = idx - 1
-        prominences = props["prominences"]
-    else:
-        idx, props = find_peaks(y, prominence=prominence_db, distance=distance)
-        prominences = props["prominences"]
+    pad = [-np.inf] if include_edges else []
+    idx, props = find_peaks(
+        np.concatenate((pad, y, pad)), prominence=prominence_db, distance=distance
+    )
+    idx = idx - len(pad)
+    prominences = props["prominences"]
     peaks = [
         Peak(
             location=_refine_parabolic(y, int(i), spectrum.axis)
@@ -311,6 +329,34 @@ def detect_peaks(
     return peaks
 
 
+def angle_candidates(
+    spectrum: PseudoSpectrum, max_count: int | None, config: "MusicConfig"
+) -> list[Peak]:
+    """Peak detection stage: up to ``max_count`` angle peaks under ``config``."""
+    return detect_peaks(
+        spectrum,
+        max_count=max_count,
+        prominence_db=config.peak_prominence_db,
+        refine=config.refine,
+        min_separation=config.min_angle_separation_deg,
+    )
+
+
+def range_steering_matrix(
+    layout: SensorLayout, theta_deg: float, range_grid_m, model: str = "fresnel"
+) -> np.ndarray:
+    """Steering vectors at one angle, one row per range (``model`` as in
+    :func:`range_spectrum`)."""
+    grid = np.asarray(range_grid_m, dtype=float)
+    theta = math.radians(theta_deg)
+    if model == "fresnel":
+        p, q = fresnel_phase_terms(layout, theta, grid[:, None])
+        return np.exp(1j * (p + q))
+    if model == "exact":
+        return np.stack([steering_exact(layout, Target(theta, float(r))) for r in grid])
+    raise ValueError(f"unknown steering model {model!r}")
+
+
 def range_spectrum(
     r_hat: np.ndarray,
     layout: SensorLayout,
@@ -325,22 +371,8 @@ def range_spectrum(
     switches to spherical distances for sensitivity studies.
     """
     grid = np.asarray(range_grid_m, dtype=float)
-    w, v = eig_hermitian(r_hat)
-    un = noise_subspace(w, v, rule)
-    theta = math.radians(theta_deg)
-    if model == "fresnel":
-        s = layout.positions
-        lam = layout.wavelength
-        p = -s * 2.0 * np.pi * np.sin(theta) / lam
-        q_unit = s**2 * np.pi * np.cos(theta) ** 2 / lam
-        manifold = np.exp(1j * (p[None, :] + q_unit[None, :] / grid[:, None]))
-    elif model == "exact":
-        manifold = np.stack(
-            [steering_exact(layout, Target(theta, float(r))) for r in grid]
-        )
-    else:
-        raise ValueError(f"unknown steering model {model!r}")
-    return PseudoSpectrum(grid, _inverse_projection(manifold, un))
+    manifold = range_steering_matrix(layout, theta_deg, grid, model)
+    return Subspace.split(r_hat, rule).scan(grid, manifold)
 
 
 @dataclass(frozen=True)
@@ -351,13 +383,6 @@ class MusicConfig:
     back to ``k (k + 1) / 2`` signal components (targets plus pairwise cross
     terms), the range stage to ``k``.  When ``k_targets`` is None both
     stages rely on the eigen-gap rule with conservative fallbacks.
-
-    ``significance_mode`` selects the range-peak acceptance statistic:
-    ``"absolute"`` compares the normalized inverse projection itself (in
-    dB) against ``significance_db``; ``"median"`` compares the peak height
-    over the spectrum median.  Absolute is the default: co-located targets
-    raise a high plateau along range that inflates the median and makes
-    genuine peaks look insignificant.
     """
 
     k_targets: int | None = None
@@ -365,11 +390,8 @@ class MusicConfig:
     angle_step_deg: float = 0.05
     range_step_m: float = 0.1
     peak_prominence_db: float = 1.0
-    max_candidates: int | None = None
     significance_db: float = 10.0
-    significance_mode: str = "absolute"
     gap_ratio: float = 3.0
-    range_model: str = "fresnel"
     lag_mode: str = "average"
     smoothing_segment: str = "auto"
     refine: bool = True
@@ -382,8 +404,7 @@ class MusicConfig:
         # unreliable here (the cross components and the smoothed noise floor
         # produce no clean gap) and is used only when K is unknown.
         if self.k_targets is not None:
-            k = self.k_targets * (self.k_targets + 1) // 2
-            return SubspaceRule.fixed(min(k, w - 1))
+            return SubspaceRule.fixed(min(self.candidate_limit(), w - 1))
         return SubspaceRule.eig_gap(max(min(w // 3, w - 1), 1), self.gap_ratio)
 
     def range_rule(self, u: int) -> SubspaceRule:
@@ -391,9 +412,7 @@ class MusicConfig:
             return SubspaceRule.fixed(min(self.k_targets, u - 1))
         return SubspaceRule.eig_gap(max(u // 4, 1), self.gap_ratio)
 
-    def candidate_limit(self) -> int | None:
-        if self.max_candidates is not None:
-            return self.max_candidates
+    def candidate_limit(self) -> int:
         if self.k_targets is not None:
             return self.k_targets * (self.k_targets + 1) // 2
         return 12
@@ -421,7 +440,10 @@ class ClassifiedTarget:
 
 @dataclass(frozen=True, eq=False)
 class LocalizationResult:
-    """Everything the two-phase estimator produced for one snapshot set."""
+    """Everything the two-phase estimator produced for one snapshot set.
+
+    ``bundle`` is the covariance bundle it ran on, None for fused inputs.
+    """
 
     candidates: tuple[Peak, ...]
     classified: tuple[ClassifiedTarget, ...]
@@ -431,6 +453,7 @@ class LocalizationResult:
     initial_eigvals: np.ndarray
     angle_signal_rank: int
     range_signal_rank: int
+    bundle: CovarianceBundle | None
 
     @property
     def candidate_angles_deg(self) -> tuple[float, ...]:
@@ -476,18 +499,13 @@ def classify_range_spectrum(
     """True/cross verdict for one candidate angle from its range spectrum.
 
     The angle is kept as true when the spectrum carries a peak inside
-    ``bounds`` whose significance reaches ``significance_db``; several
-    significant peaks yield several true targets at the same angle.  With
-    no such peak the angle is labeled cross, retaining the best-scoring
-    range for diagnostics and forced-estimate protocols.
+    ``bounds`` whose height (the normalized inverse projection, in dB)
+    reaches ``significance_db``; several significant peaks yield several
+    true targets at the same angle.  With no such peak the angle is labeled
+    cross, retaining the strongest peak (the spectrum maximum: edges count
+    as peaks) for diagnostics and forced-estimate protocols.
     """
     z_f, z_r = bounds
-    if config.significance_mode == "absolute":
-        reference_db = 0.0
-    elif config.significance_mode == "median":
-        reference_db = float(np.median(spec.db))
-    else:
-        raise ValueError(f"unknown significance mode {config.significance_mode!r}")
     peaks = detect_peaks(
         spec,
         max_count=None,
@@ -498,33 +516,42 @@ def classify_range_spectrum(
     significant = [
         p
         for p in peaks
-        if p.height_db - reference_db >= config.significance_db
-        and z_f <= p.location <= z_r
+        if p.height_db >= config.significance_db and z_f <= p.location <= z_r
     ]
-    if significant:
-        return [
-            ClassifiedTarget(
-                theta_deg=theta_deg,
-                range_m=p.location,
-                label="true",
-                significance_db=p.height_db - reference_db,
-            )
-            for p in significant
-        ]
-    best = int(np.argmax(spec.values))
-    best_r = (
-        _refine_parabolic(spec.db, best, spec.axis)
-        if config.refine
-        else float(spec.axis[best])
-    )
+    label, chosen = ("true", significant) if significant else ("cross", peaks[:1])
     return [
         ClassifiedTarget(
             theta_deg=theta_deg,
-            range_m=best_r,
-            label="cross",
-            significance_db=float(spec.db[best]) - reference_db,
+            range_m=p.location,
+            label=label,
+            significance_db=p.height_db,
         )
+        for p in chosen
     ]
+
+
+def _classify_candidates(
+    candidate_angles_deg,
+    initials: list[tuple[SensorLayout, Subspace]],
+    layout: SensorLayout,
+    grid: SpectrumGrid,
+    config: MusicConfig,
+) -> tuple[list[ClassifiedTarget], list[tuple[float, PseudoSpectrum]]]:
+    """Range scans of every (sensor layout, ``r_hat`` subspace) pair at each
+    candidate, fused by their geometric mean and classified in ``layout``."""
+    bounds = (layout.fresnel_distance, layout.rayleigh_distance)
+    range_grid = np.asarray(grid.range_m, dtype=float)
+    classified: list[ClassifiedTarget] = []
+    spectra: list[tuple[float, PseudoSpectrum]] = []
+    for theta_deg in candidate_angles_deg:
+        scans = [
+            sub.scan(range_grid, range_steering_matrix(lay, theta_deg, range_grid)).values
+            for lay, sub in initials
+        ]
+        spec = PseudoSpectrum(range_grid, np.prod(scans, axis=0) ** (1.0 / len(scans)))
+        spectra.append((theta_deg, spec))
+        classified.extend(classify_range_spectrum(theta_deg, spec, bounds, config))
+    return classified, spectra
 
 
 def classify_and_estimate(
@@ -535,57 +562,59 @@ def classify_and_estimate(
     config: MusicConfig,
 ) -> tuple[list[ClassifiedTarget], list[tuple[float, PseudoSpectrum]]]:
     """Range-domain MUSIC at each candidate angle with true/cross labels."""
-    rule = config.range_rule(layout.size)
-    bounds = (layout.fresnel_distance, layout.rayleigh_distance)
-    range_grid = np.asarray(grid.range_m, dtype=float)
-    classified: list[ClassifiedTarget] = []
-    spectra: list[tuple[float, PseudoSpectrum]] = []
-    for theta_deg in candidate_angles_deg:
-        spec = range_spectrum(
-            r_hat, layout, theta_deg, range_grid, rule, config.range_model
-        )
-        spectra.append((theta_deg, spec))
-        classified.extend(classify_range_spectrum(theta_deg, spec, bounds, config))
-    return classified, spectra
+    initial = Subspace.split(r_hat, config.range_rule(layout.size))
+    return _classify_candidates(
+        candidate_angles_deg, [(layout, initial)], layout, grid, config
+    )
 
 
-def localize(snapshots: SnapshotSet, config: MusicConfig | None = None) -> LocalizationResult:
-    """End-to-end two-phase localization of a snapshot set.
+def two_phase(
+    inputs: list[tuple[SnapshotSet, CoarrayLayout]],
+    layout: SensorLayout,
+    config: MusicConfig,
+) -> LocalizationResult:
+    """The staged pipeline on one or more snapshot sets over ``layout``'s grids.
 
-    Deterministic for fixed inputs: covariance chain, angle MUSIC on the
-    smoothed virtual covariance, peak detection, then per-candidate range
-    MUSIC with true/cross classification.
+    Several inputs (the subarray scheme) are fused: angle scans by their
+    elementwise minimum, which keeps the peaks all inputs agree on, range
+    scans by their geometric mean (a plain product would scale the dB axis
+    and defeat one significance threshold).  Eigenvalues are concatenated
+    over the inputs and the largest ranks reported.
     """
-    if config is None:
-        config = MusicConfig()
-    layout = snapshots.layout
-    coarray = difference_coarray(layout, config.smoothing_segment)
-    bundle = build_bundle(snapshots, coarray, config.estimator, config.lag_mode)
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
-
-    w_v, _ = eig_hermitian(bundle.r_v)
-    rule_v = config.angle_rule(bundle.r_v.shape[0])
-    spec_a = angle_spectrum(
-        bundle.r_v, coarray.unit, layout.wavelength, grid.angle_deg, rule_v
+    axis = np.asarray(grid.angle_deg, dtype=float)
+    bundles = [build_bundle(s, c, config.estimator, config.lag_mode) for s, c in inputs]
+    virtual = [Subspace.split(b.r_v, config.angle_rule(b.r_v.shape[0])) for b in bundles]
+    initial = [Subspace.split(b.r_hat, config.range_rule(b.r_hat.shape[0])) for b in bundles]
+    scans = [
+        v.scan(axis, virtual_steering_matrix(v.eigvals.size, c.unit, layout.wavelength, axis))
+        for v, (_, c) in zip(virtual, inputs)
+    ]
+    spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
+    peaks = angle_candidates(spec_a, config.candidate_limit(), config)
+    range_inputs = [(s.layout, h) for (s, _), h in zip(inputs, initial)]
+    classified, spectra = _classify_candidates(
+        [p.location for p in peaks], range_inputs, layout, grid, config
     )
-    peaks = detect_peaks(
-        spec_a,
-        max_count=config.candidate_limit(),
-        prominence_db=config.peak_prominence_db,
-        refine=config.refine,
-        min_separation=config.min_angle_separation_deg,
-    )
-    classified, spectra = classify_and_estimate(
-        [p.location for p in peaks], bundle.r_hat, layout, grid, config
-    )
-    w_h, _ = eig_hermitian(bundle.r_hat)
     return LocalizationResult(
         candidates=tuple(peaks),
         classified=tuple(classified),
         angle_spectrum=spec_a,
         range_spectra=tuple(spectra),
-        virtual_eigvals=w_v,
-        initial_eigvals=w_h,
-        angle_signal_rank=signal_rank(w_v, rule_v),
-        range_signal_rank=signal_rank(w_h, config.range_rule(layout.size)),
+        virtual_eigvals=np.concatenate([v.eigvals for v in virtual]),
+        initial_eigvals=np.concatenate([h.eigvals for h in initial]),
+        angle_signal_rank=max(v.rank for v in virtual),
+        range_signal_rank=max(h.rank for h in initial),
+        bundle=bundles[0] if len(bundles) == 1 else None,
     )
+
+
+def localize(snapshots: SnapshotSet, config: MusicConfig | None = None) -> LocalizationResult:
+    """End-to-end two-phase localization of a snapshot set.
+
+    Deterministic for fixed inputs: :func:`two_phase` on the whole array.
+    """
+    if config is None:
+        config = MusicConfig()
+    coarray = difference_coarray(snapshots.layout, config.smoothing_segment)
+    return two_phase([(snapshots, coarray)], snapshots.layout, config)
