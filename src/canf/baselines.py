@@ -86,18 +86,18 @@ def localize_farfield_virtual(
     if config is None:
         config = MusicConfig()
     layout = snapshots.layout
-    coarray = difference_coarray(layout, config.smoothing_segment)
+    coarray = difference_coarray(layout)
     r_hat = covariance_sample(snapshots)
-    r_v = spatial_smooth(vectorize_to_coarray(r_hat, layout, coarray, config.lag_mode))
+    r_v = spatial_smooth(vectorize_to_coarray(r_hat, layout, coarray))
     w = r_v.shape[0]
     k = config.k_targets
     rule = config.angle_rule(w) if k is None else SubspaceRule.fixed(min(k, w - 1))
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
-    axis = np.asarray(grid.angle_deg, dtype=float)
+    axis = grid.angle_deg
     virtual = Subspace.split(r_v, rule)
     manifold = virtual_steering_matrix(w, coarray.unit, layout.wavelength, axis, 1.0)
     spec = virtual.scan(axis, manifold)
-    peaks = angle_candidates(spec, config.candidate_limit() if k is None else k, config)
+    peaks = angle_candidates(spec, config.candidate_limit() if k is None else k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)
 
 

@@ -114,6 +114,8 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.q_trials < 1:
             raise ValueError("q_trials must be at least 1")
+        if not self.snr_db_list:
+            raise ValueError("snr_db_list must hold at least one SNR")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

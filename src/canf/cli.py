@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -143,18 +144,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _parse_snr_list(text: str) -> tuple[float, ...]:
-    """Either 'start:step:stop' (inclusive) or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise SystemExit("snr range must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0:
-            raise SystemExit("snr step must be positive")
-        n = int(round((stop - start) / step)) + 1
-        values = tuple(start + i * step for i in range(max(n, 1)))
-        return tuple(v for v in values if v <= stop + 1e-9)
-    return tuple(float(p) for p in text.split(","))
+    """Either 'start:step:stop' (inclusive, stepped in decimal so that
+    '0:0.1:1' yields 0.3, not 0.30000000000000004) or a comma-separated list."""
+    try:
+        parts = [Decimal(p) for p in text.split(":" if ":" in text else ",")]
+    except InvalidOperation:
+        raise SystemExit(f"snr list {text!r} holds a value that is not a number") from None
+    if ":" not in text:
+        return tuple(float(p) for p in parts)
+    if len(parts) != 3 or not all(p.is_finite() for p in parts):
+        raise SystemExit("snr range must be start:step:stop with finite numbers")
+    start, step, stop = parts
+    if not (step > 0 and stop >= start):
+        raise SystemExit("snr range needs a positive step and stop >= start")
+    return tuple(float(start + i * step) for i in range(int((stop - start) / step) + 1))
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:

@@ -83,21 +83,18 @@ def decouple(
 
 
 @lru_cache(maxsize=64)
-def _lag_pair_indices(layout: SensorLayout) -> dict[int, np.ndarray]:
-    """Flat indices of covariance entries per coarray lag, row-major order."""
-    g = np.asarray(layout.grid, dtype=int)
+def _segment_lag_indices(
+    grid: tuple[int, ...], segment: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """Row-major flat indices of the covariance entries at each segment lag."""
+    g = np.asarray(grid, dtype=int)
     lag_matrix = (g[:, None] - g[None, :]).ravel()
-    order = np.argsort(lag_matrix, kind="stable")
-    sorted_lags = lag_matrix[order]
-    out: dict[int, np.ndarray] = {}
-    start = 0
-    while start < sorted_lags.size:
-        stop = start
-        while stop < sorted_lags.size and sorted_lags[stop] == sorted_lags[start]:
-            stop += 1
-        idx = np.sort(order[start:stop])
-        out[int(sorted_lags[start])] = idx
-        start = stop
+    out = tuple(np.flatnonzero(lag_matrix == lag) for lag in segment)
+    for lag, idx in zip(segment, out):
+        if idx.size == 0:
+            raise RuntimeError(
+                f"lag {lag} missing from coarray; segment inconsistent with layout"
+            )
     return out
 
 
@@ -105,36 +102,28 @@ def vectorize_to_coarray(
     r_d: np.ndarray,
     layout: SensorLayout,
     coarray: CoarrayLayout | None = None,
-    mode: str = "average",
 ) -> np.ndarray:
     """Collapse a U x U matrix to one sample per coarray lag.
+
+    Each sample is the mean of all the entries at that lag; pooling the
+    redundant entries lowers the variance.
 
     Args:
         r_d: Decoupled covariance (or any U x U matrix to vectorize).
         layout: The physical layout that generated ``r_d``.
         coarray: Coarray whose ``smoothing_segment`` defines the output lags;
             computed from the layout when omitted.
-        mode: ``"average"`` pools all redundant entries per lag (lower
-            variance); ``"first"`` keeps the first entry in row-major order.
 
     Returns:
         Complex vector over the smoothing segment, ascending lag.
     """
-    if mode not in ("average", "first"):
-        raise ValueError(f"unknown redundancy mode {mode!r}")
     if coarray is None:
         coarray = difference_coarray(layout)
-    pairs = _lag_pair_indices(layout)
     flat = r_d.ravel()
-    out = np.empty(len(coarray.smoothing_segment), dtype=complex)
-    for i, lag in enumerate(coarray.smoothing_segment):
-        idx = pairs.get(lag)
-        if idx is None:
-            raise RuntimeError(
-                f"lag {lag} missing from coarray; segment inconsistent with layout"
-            )
-        out[i] = flat[idx].mean() if mode == "average" else flat[idx[0]]
-    return out
+    # One np.mean per lag: a scatter-add (bincount, reduceat) reorders the
+    # sums and moves the smallest eigenvalues of the smoothed covariance.
+    indices = _segment_lag_indices(layout.grid, coarray.smoothing_segment)
+    return np.array([flat[idx].mean() for idx in indices], dtype=complex)
 
 
 def spatial_smooth(r_tilde: np.ndarray) -> np.ndarray:
@@ -168,7 +157,6 @@ def build_bundle(
     snapshots: SnapshotSet,
     coarray: CoarrayLayout | None = None,
     estimator: str = "ls",
-    lag_mode: str = "average",
 ) -> CovarianceBundle:
     """Run the full covariance chain on a snapshot set."""
     if estimator == "ls":
@@ -181,6 +169,6 @@ def build_bundle(
     if coarray is None:
         coarray = difference_coarray(layout)
     r_a, r_d = decouple(r_hat, layout)
-    r_tilde = vectorize_to_coarray(r_d, layout, coarray, lag_mode)
+    r_tilde = vectorize_to_coarray(r_d, layout, coarray)
     r_v = spatial_smooth(r_tilde)
     return CovarianceBundle(r_hat, r_a, r_d, r_tilde, r_v, estimator)

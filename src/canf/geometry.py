@@ -218,20 +218,13 @@ def build_subarrays(params: CoprimeParams) -> tuple[SensorLayout, SensorLayout]:
 
 
 @lru_cache(maxsize=64)
-def difference_coarray(layout: SensorLayout, smoothing: str = "auto") -> CoarrayLayout:
+def difference_coarray(layout: SensorLayout) -> CoarrayLayout:
     """Difference set of a layout with its zero-centered consecutive run.
 
-    Args:
-        layout: Any layout on the integer grid.
-        smoothing: ``"auto"`` selects the central ``2*m*n + 1`` lags for
-            coprime layouts (the guaranteed hole-free span) and the full
-            consecutive run otherwise; ``"full"`` always uses the full run.
-
-    Returns:
-        The coarray with lags in units of ``layout.d``.
+    The smoothing segment is the central ``2*m*n + 1`` lags for coprime
+    layouts (the guaranteed hole-free span) and the full consecutive run
+    otherwise.  Lags are in units of ``layout.d``.
     """
-    if smoothing not in ("auto", "full"):
-        raise ValueError(f"unknown smoothing mode {smoothing!r}")
     g = np.asarray(layout.grid, dtype=int)
     diffs = (g[:, None] - g[None, :]).ravel()
     lags, counts = np.unique(diffs, return_counts=True)
@@ -245,7 +238,7 @@ def difference_coarray(layout: SensorLayout, smoothing: str = "auto") -> Coarray
     consecutive = tuple(range(-half, half + 1))
 
     segment = consecutive
-    if smoothing == "auto" and layout.kind == "coprime" and layout.coprime is not None:
+    if layout.kind == "coprime" and layout.coprime is not None:
         mn = layout.coprime.m * layout.coprime.n
         if half < mn:
             raise AssertionError(

@@ -49,6 +49,10 @@ __all__ = [
 
 _DENOM_FLOOR = 1e-300
 
+PEAK_PROMINENCE_DB = 1.0  # least prominence of an angle or range peak
+SIGNIFICANCE_DB = 10.0  # range-peak height that labels its angle true
+MIN_ANGLE_SEPARATION_DEG = 0.5  # closer angle peaks ride on one lobe
+
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a (nearly) Hermitian matrix, descending order.
@@ -143,23 +147,28 @@ def noise_subspace(
     return eigvecs[:, signal_rank(eigvals, rule):]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumGrid:
-    """Search grids: angles in degrees, ranges in meters."""
+    """Search grids as read-only float arrays: angles in degrees, ranges in meters.
 
-    angle_deg: tuple[float, ...]
-    range_m: tuple[float, ...]
+    :meth:`for_layout` is cached: equal arguments return the same grid.
+    """
+
+    angle_deg: np.ndarray
+    range_m: np.ndarray
 
     def __post_init__(self) -> None:
-        for axis in (self.angle_deg, self.range_m):
-            if len(axis) == 0:
-                raise ValueError("grids must be non-empty")
-            if any(axis[i] >= axis[i + 1] for i in range(len(axis) - 1)):
-                raise ValueError("grids must be strictly increasing")
+        for name in ("angle_deg", "range_m"):
+            axis = np.array(getattr(self, name), dtype=float)
+            if axis.ndim != 1 or axis.size == 0 or not np.all(np.diff(axis) > 0.0):
+                raise ValueError("grids must be non-empty, 1-D and strictly increasing")
+            axis.flags.writeable = False
+            object.__setattr__(self, name, axis)
         if self.angle_deg[0] <= -90.0 or self.angle_deg[-1] >= 90.0:
             raise ValueError("angle grid must lie inside (-90, 90) degrees")
 
     @classmethod
+    @lru_cache(maxsize=16)
     def for_layout(
         cls,
         layout: SensorLayout,
@@ -171,7 +180,7 @@ class SpectrumGrid:
         z_f, z_r = layout.fresnel_distance, layout.rayleigh_distance
         n_r = max(int(math.floor((z_r - z_f) / range_step_m)) + 1, 2)
         ranges = z_f + range_step_m * np.arange(n_r)
-        return cls(tuple(angles), tuple(ranges))
+        return cls(angles, ranges)
 
 
 @dataclass(frozen=True)
@@ -329,16 +338,13 @@ def detect_peaks(
     return peaks
 
 
-def angle_candidates(
-    spectrum: PseudoSpectrum, max_count: int | None, config: "MusicConfig"
-) -> list[Peak]:
-    """Peak detection stage: up to ``max_count`` angle peaks under ``config``."""
+def angle_candidates(spectrum: PseudoSpectrum, max_count: int | None) -> list[Peak]:
+    """Peak detection stage: up to ``max_count`` angle peaks."""
     return detect_peaks(
         spectrum,
         max_count=max_count,
-        prominence_db=config.peak_prominence_db,
-        refine=config.refine,
-        min_separation=config.min_angle_separation_deg,
+        prominence_db=PEAK_PROMINENCE_DB,
+        min_separation=MIN_ANGLE_SEPARATION_DEG,
     )
 
 
@@ -377,25 +383,30 @@ def range_spectrum(
 
 @dataclass(frozen=True)
 class MusicConfig:
-    """Tuning knobs for the two-phase estimator.
+    """The three knobs of the two-phase estimator.
 
-    ``k_targets`` feeds the subspace rules: the virtual (angle) stage falls
-    back to ``k (k + 1) / 2`` signal components (targets plus pairwise cross
-    terms), the range stage to ``k``.  When ``k_targets`` is None both
-    stages rely on the eigen-gap rule with conservative fallbacks.
+    ``k_targets`` feeds the subspace rules: the virtual (angle) stage keeps
+    ``k (k + 1) / 2`` signal components (targets plus pairwise cross terms),
+    the range stage ``k``; when it is None both stages use the eigen-gap rule
+    with conservative fallbacks.  ``angle_step_deg`` and ``range_step_m`` are
+    the steps of :meth:`SpectrumGrid.for_layout`.  The rest of the chain is
+    fixed: the LS covariance, per-lag averaging, the coprime smoothing
+    segment, parabolic peak refinement, an eigen-gap ratio of 3 and the
+    constants ``PEAK_PROMINENCE_DB``, ``SIGNIFICANCE_DB`` and
+    ``MIN_ANGLE_SEPARATION_DEG``.
     """
 
     k_targets: int | None = None
-    estimator: str = "ls"
     angle_step_deg: float = 0.05
     range_step_m: float = 0.1
-    peak_prominence_db: float = 1.0
-    significance_db: float = 10.0
-    gap_ratio: float = 3.0
-    lag_mode: str = "average"
-    smoothing_segment: str = "auto"
-    refine: bool = True
-    min_angle_separation_deg: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.k_targets is not None and self.k_targets < 1:
+            raise ValueError(f"k_targets must be None or at least 1, got {self.k_targets}")
+        for name in ("angle_step_deg", "range_step_m"):
+            step = getattr(self, name)
+            if not (math.isfinite(step) and step > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {step!r}")
 
     def angle_rule(self, w: int) -> SubspaceRule:
         # With K declared, the virtual covariance carries K self components
@@ -405,12 +416,12 @@ class MusicConfig:
         # produce no clean gap) and is used only when K is unknown.
         if self.k_targets is not None:
             return SubspaceRule.fixed(min(self.candidate_limit(), w - 1))
-        return SubspaceRule.eig_gap(max(min(w // 3, w - 1), 1), self.gap_ratio)
+        return SubspaceRule.eig_gap(max(min(w // 3, w - 1), 1))
 
     def range_rule(self, u: int) -> SubspaceRule:
         if self.k_targets is not None:
             return SubspaceRule.fixed(min(self.k_targets, u - 1))
-        return SubspaceRule.eig_gap(max(u // 4, 1), self.gap_ratio)
+        return SubspaceRule.eig_gap(max(u // 4, 1))
 
     def candidate_limit(self) -> int:
         if self.k_targets is not None:
@@ -491,32 +502,21 @@ class LocalizationResult:
 
 
 def classify_range_spectrum(
-    theta_deg: float,
-    spec: PseudoSpectrum,
-    bounds: tuple[float, float],
-    config: MusicConfig,
+    theta_deg: float, spec: PseudoSpectrum, bounds: tuple[float, float]
 ) -> list[ClassifiedTarget]:
     """True/cross verdict for one candidate angle from its range spectrum.
 
     The angle is kept as true when the spectrum carries a peak inside
     ``bounds`` whose height (the normalized inverse projection, in dB)
-    reaches ``significance_db``; several significant peaks yield several
+    reaches :data:`SIGNIFICANCE_DB`; several significant peaks yield several
     true targets at the same angle.  With no such peak the angle is labeled
     cross, retaining the strongest peak (the spectrum maximum: edges count
     as peaks) for diagnostics and forced-estimate protocols.
     """
     z_f, z_r = bounds
-    peaks = detect_peaks(
-        spec,
-        max_count=None,
-        prominence_db=min(config.peak_prominence_db, config.significance_db),
-        refine=config.refine,
-        include_edges=True,
-    )
+    peaks = detect_peaks(spec, prominence_db=PEAK_PROMINENCE_DB, include_edges=True)
     significant = [
-        p
-        for p in peaks
-        if p.height_db >= config.significance_db and z_f <= p.location <= z_r
+        p for p in peaks if p.height_db >= SIGNIFICANCE_DB and z_f <= p.location <= z_r
     ]
     label, chosen = ("true", significant) if significant else ("cross", peaks[:1])
     return [
@@ -535,12 +535,11 @@ def _classify_candidates(
     initials: list[tuple[SensorLayout, Subspace]],
     layout: SensorLayout,
     grid: SpectrumGrid,
-    config: MusicConfig,
 ) -> tuple[list[ClassifiedTarget], list[tuple[float, PseudoSpectrum]]]:
     """Range scans of every (sensor layout, ``r_hat`` subspace) pair at each
     candidate, fused by their geometric mean and classified in ``layout``."""
     bounds = (layout.fresnel_distance, layout.rayleigh_distance)
-    range_grid = np.asarray(grid.range_m, dtype=float)
+    range_grid = grid.range_m
     classified: list[ClassifiedTarget] = []
     spectra: list[tuple[float, PseudoSpectrum]] = []
     for theta_deg in candidate_angles_deg:
@@ -550,7 +549,7 @@ def _classify_candidates(
         ]
         spec = PseudoSpectrum(range_grid, np.prod(scans, axis=0) ** (1.0 / len(scans)))
         spectra.append((theta_deg, spec))
-        classified.extend(classify_range_spectrum(theta_deg, spec, bounds, config))
+        classified.extend(classify_range_spectrum(theta_deg, spec, bounds))
     return classified, spectra
 
 
@@ -563,9 +562,7 @@ def classify_and_estimate(
 ) -> tuple[list[ClassifiedTarget], list[tuple[float, PseudoSpectrum]]]:
     """Range-domain MUSIC at each candidate angle with true/cross labels."""
     initial = Subspace.split(r_hat, config.range_rule(layout.size))
-    return _classify_candidates(
-        candidate_angles_deg, [(layout, initial)], layout, grid, config
-    )
+    return _classify_candidates(candidate_angles_deg, [(layout, initial)], layout, grid)
 
 
 def two_phase(
@@ -582,8 +579,8 @@ def two_phase(
     over the inputs and the largest ranks reported.
     """
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
-    axis = np.asarray(grid.angle_deg, dtype=float)
-    bundles = [build_bundle(s, c, config.estimator, config.lag_mode) for s, c in inputs]
+    axis = grid.angle_deg
+    bundles = [build_bundle(s, c) for s, c in inputs]
     virtual = [Subspace.split(b.r_v, config.angle_rule(b.r_v.shape[0])) for b in bundles]
     initial = [Subspace.split(b.r_hat, config.range_rule(b.r_hat.shape[0])) for b in bundles]
     scans = [
@@ -591,10 +588,10 @@ def two_phase(
         for v, (_, c) in zip(virtual, inputs)
     ]
     spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
-    peaks = angle_candidates(spec_a, config.candidate_limit(), config)
+    peaks = angle_candidates(spec_a, config.candidate_limit())
     range_inputs = [(s.layout, h) for (s, _), h in zip(inputs, initial)]
     classified, spectra = _classify_candidates(
-        [p.location for p in peaks], range_inputs, layout, grid, config
+        [p.location for p in peaks], range_inputs, layout, grid
     )
     return LocalizationResult(
         candidates=tuple(peaks),
@@ -616,5 +613,5 @@ def localize(snapshots: SnapshotSet, config: MusicConfig | None = None) -> Local
     """
     if config is None:
         config = MusicConfig()
-    coarray = difference_coarray(snapshots.layout, config.smoothing_segment)
+    coarray = difference_coarray(snapshots.layout)
     return two_phase([(snapshots, coarray)], snapshots.layout, config)

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import SnapshotSet, Target, TargetSet, synthesize
+from .channel import _MODELS, SnapshotSet, Target, TargetSet, synthesize
 from .geometry import CoprimeParams, SensorLayout, build_coprime_layout, build_dense_layout
+from .geometry import max_targets
 
 __all__ = ["SPEED_OF_LIGHT", "Scenario", "default_benchmark_scenario"]
 
@@ -62,6 +64,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Load a scenario, rejecting an unknown ``model`` and warning when the
+        targets exceed the decoupled capacity ``max_targets(M, N)[0]``."""
         d_mm = data.get("d_mm")
         freq_ghz = data.get("freq_ghz")
         if d_mm is None and freq_ghz is None:
@@ -77,17 +81,25 @@ class Scenario:
                 for t in data["targets"]
             )
         )
+        model = str(data.get("model", "exact"))
+        if model not in _MODELS:
+            raise ValueError(f"model must be one of {_MODELS}, got {model!r}")
+        m, n = int(data["M"]), int(data["N"])
+        k_max = max_targets(m, n)[0]
+        if len(targets) > k_max:
+            msg = f"{len(targets)} targets exceed the capacity {k_max} of M={m}, N={n}"
+            warnings.warn(msg, UserWarning, stacklevel=2)
         snr = data.get("snr_db")
         return cls(
-            m=int(data["M"]),
-            n=int(data["N"]),
+            m=m,
+            n=n,
             d=d,
             wavelength=wavelength,
             targets=targets,
             n_snapshots=int(data.get("T", 100)),
             snr_db=None if snr is None else float(snr),
             seed=int(data.get("seed", 0)),
-            model=str(data.get("model", "exact")),
+            model=model,
         )
 
     def to_dict(self) -> dict:

@@ -138,3 +138,12 @@ def jacobi_eigvalsh(matrix, max_sweeps=100, tol=1e-14):
                 g[q, q] = c
                 a = g.conj().T @ a @ g
     return np.sort(np.diag(a).real)
+
+
+def coarray_vector_reference(matrix, grid, segment):
+    """Mean of the matrix entries at each lag of ``segment``, collected by loops."""
+    by_lag = {}
+    for i, g_i in enumerate(grid):
+        for j, g_j in enumerate(grid):
+            by_lag.setdefault(g_i - g_j, []).append(matrix[i, j])
+    return np.array([np.mean(by_lag[lag]) for lag in segment])

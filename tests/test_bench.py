@@ -2,9 +2,35 @@
 import json
 import logging
 
+import pytest
+
 from canf import bench
-from canf.bench import MonteCarloConfig, run_monte_carlo
+from canf.bench import METHODS, MonteCarloConfig, run_monte_carlo
 from canf.scenario import default_benchmark_scenario
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"snr_db_list": ()}, "snr_db_list"),
+        ({"q_trials": 0}, "q_trials"),
+        ({"methods": ("music",)}, "unknown methods"),
+    ],
+)
+def test_config_rejects_bad_values(kwargs, message):
+    fields = {"scenario": default_benchmark_scenario(), "snr_db_list": (10.0,), **kwargs}
+    with pytest.raises(ValueError, match=message):
+        MonteCarloConfig(**fields)
+
+
+def test_rows_do_not_depend_on_method_order():
+    scenario = default_benchmark_scenario()
+
+    def rows(methods):
+        report = run_monte_carlo(MonteCarloConfig(scenario, (0.0, 20.0), 2, methods))
+        return {(r.method, r.snr_db): r for r in report.rows}
+
+    assert rows(METHODS) == rows(tuple(reversed(METHODS)))
 
 
 def test_failed_trial_is_recorded_with_its_error(monkeypatch, caplog, tmp_path):

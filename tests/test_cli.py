@@ -1,6 +1,18 @@
-"""The command-line interface: repeated runs write byte-identical files."""
-from canf.cli import main
+"""The command-line interface: repeated runs write byte-identical files, and
+the SNR list is checked where it is parsed."""
+import json
+
+import pytest
+
+from canf.cli import _parse_snr_list, main
 from canf.scenario import default_benchmark_scenario
+
+
+@pytest.fixture
+def scenario_file(tmp_path):
+    path = tmp_path / "scenario.json"
+    default_benchmark_scenario(snr_db=10.0, seed=0).save(path)
+    return path
 
 
 def test_spectrum_dump_covariance_is_byte_identical(tmp_path):
@@ -15,3 +27,56 @@ def test_spectrum_dump_covariance_is_byte_identical(tmp_path):
     assert names == sorted(p.name for p in runs[1].iterdir())
     for name in names:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_geometry_is_byte_identical(capsys, fmt):
+    outputs = []
+    for _ in range(2):
+        assert main(["geometry", "--m", "9", "--n", "11", "--freq-ghz", "30", "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    if fmt == "json":
+        assert json.loads(outputs[0])["n_sensors"] == 37
+
+
+@pytest.mark.parametrize("fmt", ["csv", "npz"])
+def test_simulate_is_byte_identical(tmp_path, scenario_file, fmt):
+    outs = [tmp_path / f"snaps{i}.{fmt}" for i in range(2)]
+    for out in outs:
+        argv = ["simulate", "--scenario", str(scenario_file), "--out", str(out)]
+        assert main(argv + ["--format", fmt]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_montecarlo_is_byte_identical(tmp_path, scenario_file):
+    runs = []
+    for i in range(2):
+        csv, raw = tmp_path / f"rmse{i}.csv", tmp_path / f"raw{i}.jsonl"
+        argv = ["montecarlo", "--scenario", str(scenario_file), "--snr", "0,20", "--q", "2"]
+        assert main(argv + ["--out", str(csv), "--raw", str(raw)]) == 0
+        runs.append((csv.read_bytes(), raw.read_bytes()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0].splitlines()) == 1 + 2 * 4
+    assert len(runs[0][1].splitlines()) == 2 * 2 * 4
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0:0.1:1", tuple(i / 10 for i in range(11))),
+        ("0:5:30", (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
+        ("0:0.6:1", (0.0, 0.6)),
+        ("-5:2.5:5", (-5.0, -2.5, 0.0, 2.5, 5.0)),
+        ("10:1:10", (10.0,)),
+        ("10, 0.3", (10.0, 0.3)),
+    ],
+)
+def test_parse_snr_list(text, expected):
+    assert _parse_snr_list(text) == expected
+
+
+@pytest.mark.parametrize("text", ["10,", "", "ten", "10:5:0", "1:2", "0:0:1", "0:-1:3", "nan:1:2"])
+def test_parse_snr_list_rejects(text):
+    with pytest.raises(SystemExit):
+        _parse_snr_list(text)

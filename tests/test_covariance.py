@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from canf import (
+    CoarrayLayout,
     CoprimeParams,
     SensorLayout,
     Target,
@@ -189,20 +190,13 @@ class TestVectorizeToCoarray:
         )
         assert r_t[mid] == pytest.approx(np.mean(np.diag(s_ref + c_ref)), abs=1e-9)
 
-    def test_first_occurrence_mode(self, layout23, rng):
-        u = layout23.size
-        r = rng.standard_normal((u, u)) + 1j * rng.standard_normal((u, u))
+    def test_missing_segment_lag_raises(self, layout23):
         ca = difference_coarray(layout23)
-        r_first = vectorize_to_coarray(r, layout23, ca, mode="first")
-        g = np.array(layout23.grid)
-        lag_matrix = g[:, None] - g[None, :]
-        for idx, lag in enumerate(ca.smoothing_segment):
-            i, j = np.argwhere(lag_matrix == lag)[0]
-            assert r_first[idx] == r[i, j]
-
-    def test_unknown_mode_rejected(self, layout23):
-        with pytest.raises(ValueError, match="redundancy mode"):
-            vectorize_to_coarray(np.eye(7, dtype=complex), layout23, mode="median")
+        segment = tuple(range(-9, 10))
+        wide = CoarrayLayout(ca.lags, ca.multiplicity, ca.consecutive_segment, segment, ca.unit)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="lag -9 missing"):
+                vectorize_to_coarray(np.eye(layout23.size, dtype=complex), layout23, wide)
 
 
 class TestSpatialSmooth:

@@ -135,10 +135,6 @@ class TestDifferenceCoarray:
         assert len(ca.consecutive_segment) >= 199
         assert len(ca.smoothing_segment) == 199
 
-    def test_full_mode_uses_whole_run(self, layout911):
-        ca = difference_coarray(layout911, "full")
-        assert ca.smoothing_segment == ca.consecutive_segment
-
     def test_matches_bruteforce(self, layout911):
         ca = difference_coarray(layout911)
         ref = oracles.difference_set(layout911.grid)

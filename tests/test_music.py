@@ -1,4 +1,6 @@
 """Eigen-subspace machinery and the two-phase MUSIC estimator."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,36 @@ class TestSpectrumGrid:
             SpectrumGrid((0.0, 0.0), (1.0, 2.0))
         with pytest.raises(ValueError):
             SpectrumGrid((-90.0, 0.0), (1.0, 2.0))
+
+    def test_for_layout_is_built_once_as_read_only_arrays(self, layout911):
+        grid = SpectrumGrid.for_layout(layout911, 0.05, 0.1)
+        assert SpectrumGrid.for_layout(layout911, 0.05, 0.1) is grid
+        for axis in (grid.angle_deg, grid.range_m):
+            assert axis.dtype == float and not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis[0] = 0.0
+
+
+class TestMusicConfig:
+    def test_three_knobs(self):
+        names = [f.name for f in dataclasses.fields(MusicConfig)]
+        assert names == ["k_targets", "angle_step_deg", "range_step_m"]
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"angle_step_deg": 0.0}, "angle_step_deg"),
+            ({"angle_step_deg": -0.05}, "angle_step_deg"),
+            ({"angle_step_deg": float("nan")}, "angle_step_deg"),
+            ({"range_step_m": 0.0}, "range_step_m"),
+            ({"range_step_m": float("inf")}, "range_step_m"),
+            ({"k_targets": 0}, "k_targets"),
+            ({"k_targets": -1}, "k_targets"),
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            MusicConfig(**kwargs)
 
 
 class TestDetectPeaks:

@@ -1,0 +1,32 @@
+"""Scenario files: round trips and the checks made when one is loaded."""
+import warnings
+
+import pytest
+
+from canf.scenario import Scenario, default_benchmark_scenario
+
+
+def test_round_trip_of_default_scenario(tmp_path):
+    scenario = default_benchmark_scenario()
+    assert Scenario.from_dict(scenario.to_dict()) == scenario
+    path = tmp_path / "scenario.json"
+    scenario.save(path)
+    assert Scenario.load(path) == scenario
+
+
+def test_unknown_model_rejected_at_load():
+    data = default_benchmark_scenario().to_dict()
+    data["model"] = "planar"
+    with pytest.raises(ValueError, match="planar"):
+        Scenario.from_dict(data)
+
+
+def test_warns_when_targets_exceed_capacity():
+    data = default_benchmark_scenario().to_dict()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Scenario.from_dict(data)
+    # max_targets(2, 3)[0] == 3, and the scenario has 4 targets.
+    data["M"], data["N"] = 2, 3
+    with pytest.warns(UserWarning, match="4 targets exceed the capacity 3"):
+        Scenario.from_dict(data)
