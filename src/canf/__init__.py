@@ -54,7 +54,6 @@ from .music import (
     detect_peaks,
     eig_hermitian,
     localize,
-    noise_subspace,
     range_spectrum,
 )
 from .scenario import Scenario, default_benchmark_scenario
@@ -97,7 +96,6 @@ __all__ = [
     "localize_farfield_virtual",
     "localize_subarray",
     "max_targets",
-    "noise_subspace",
     "range_spectrum",
     "rmse",
     "run_monte_carlo",

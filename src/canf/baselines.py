@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import SnapshotSet
 from .covariance import covariance_sample, spatial_smooth, vectorize_to_coarray
-from .geometry import build_subarrays, difference_coarray
+from .geometry import build_subarrays
 from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's tracer)
     LocalizationResult,
     MusicConfig,
@@ -34,14 +34,11 @@ from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's
 )
 
 __all__ = [
-    "BASELINE_KINDS",
     "AngleOnlyResult",
     "localize_dense",
     "localize_farfield_virtual",
     "localize_subarray",
 ]
-
-BASELINE_KINDS = ("dense_nearfield", "farfield_virtual", "subarray_nearfield")
 
 
 def localize_dense(
@@ -86,16 +83,15 @@ def localize_farfield_virtual(
     if config is None:
         config = MusicConfig()
     layout = snapshots.layout
-    coarray = difference_coarray(layout)
     r_hat = covariance_sample(snapshots)
-    r_v = spatial_smooth(vectorize_to_coarray(r_hat, layout, coarray))
+    r_v = spatial_smooth(vectorize_to_coarray(r_hat, layout))
     w = r_v.shape[0]
     k = config.k_targets
     rule = config.angle_rule(w) if k is None else SubspaceRule.fixed(min(k, w - 1))
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
     axis = grid.angle_deg
     virtual = Subspace.split(r_v, rule)
-    manifold = virtual_steering_matrix(w, coarray.unit, layout.wavelength, axis, 1.0)
+    manifold = virtual_steering_matrix(w, layout.d, layout.wavelength, axis, 1.0)
     spec = virtual.scan(axis, manifold)
     peaks = angle_candidates(spec, config.candidate_limit() if k is None else k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)
@@ -122,6 +118,5 @@ def localize_subarray(
     inputs = []
     for sub, factor in zip(build_subarrays(params), (params.n, params.m)):
         rows = [parent_index[g * factor] for g in sub.grid]
-        sub_snaps = replace(snapshots, layout=sub, y=snapshots.y[rows, :])
-        inputs.append((sub_snaps, difference_coarray(sub)))
+        inputs.append(replace(snapshots, layout=sub, y=snapshots.y[rows, :]))
     return two_phase(inputs, layout, config)

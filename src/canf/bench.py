@@ -12,6 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -93,12 +94,13 @@ def rmse(errors) -> float | None:
 class MonteCarloConfig:
     """Sweep definition: scenario, SNR points, trial count and methods.
 
-    ``force_k_estimates`` makes every trial report exactly K (angle, range)
-    pairs -- significant detections first, then best-effort fills -- which is
-    what a fixed-K RMSE protocol needs (otherwise methods that detect
-    nothing would simply drop out of the error average).  Detection rate is
-    always computed from strict classification, with gates ``theta_gate_deg``
-    and ``range_gate_frac`` (fraction of the reference Rayleigh distance).
+    Every method runs with ``MusicConfig(k_targets=K)``, K the scenario's
+    target count, and every trial reports exactly K (angle, range) pairs --
+    significant detections first, then best-effort fills -- which is what a
+    fixed-K RMSE protocol needs (otherwise methods that detect nothing would
+    simply drop out of the error average).  Detection rate is computed from
+    strict classification, with the gates ``theta_gate_deg`` and
+    ``range_gate_frac`` (fraction of the reference Rayleigh distance).
     """
 
     scenario: Scenario
@@ -106,10 +108,8 @@ class MonteCarloConfig:
     q_trials: int = 100
     methods: tuple[str, ...] = METHODS
     base_seed: int = 0
-    music: MusicConfig | None = None
-    force_k_estimates: bool = True
-    theta_gate_deg: float = 2.0
-    range_gate_frac: float = 0.125
+    theta_gate_deg: ClassVar[float] = 2.0
+    range_gate_frac: ClassVar[float] = 0.125
 
     def __post_init__(self) -> None:
         if self.q_trials < 1:
@@ -119,11 +119,6 @@ class MonteCarloConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-
-    def music_config(self) -> MusicConfig:
-        if self.music is not None:
-            return self.music
-        return MusicConfig(k_targets=len(self.scenario.targets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,20 +179,17 @@ class TrialRecord:
         return json.dumps(payload, sort_keys=True)
 
 
-def _ordered_estimates(result, k: int, force_k: bool):
-    """Estimate list for RMSE: significant detections first, fills after."""
+def _ordered_estimates(result, k: int):
+    """The K estimates for RMSE: significant detections first, fills after."""
     true_entries = sorted(
         (c for c in result.classified if c.is_true),
         key=lambda c: (-c.significance_db, c.theta_deg),
     )
-    if not force_k:
-        chosen = true_entries
-    else:
-        cross_entries = sorted(
-            (c for c in result.classified if not c.is_true),
-            key=lambda c: (-c.significance_db, c.theta_deg),
-        )
-        chosen = (true_entries + cross_entries)[:k]
+    cross_entries = sorted(
+        (c for c in result.classified if not c.is_true),
+        key=lambda c: (-c.significance_db, c.theta_deg),
+    )
+    chosen = (true_entries + cross_entries)[:k]
     return (
         tuple(c.theta_deg for c in chosen),
         tuple(c.range_m for c in chosen),
@@ -214,10 +206,10 @@ def run_trial(
 ) -> TrialRecord:
     """Synthesize, localize and score a single trial."""
     seed = config.base_seed + trial
-    music_cfg = config.music_config()
     truth_theta = np.array([t.theta_deg for t in scenario.targets])
     truth_range = np.array([t.r for t in scenario.targets])
     k = truth_theta.size
+    music_cfg = MusicConfig(k_targets=k)
     reference = scenario.layout()
     range_scale = reference.rayleigh_distance
     range_gate = config.range_gate_frac * range_scale
@@ -251,9 +243,7 @@ def run_trial(
         n_candidates = len(result.candidates)
         detect_theta, detect_range = theta_est, None
     else:
-        theta_est, range_est, labels = _ordered_estimates(
-            result, k, config.force_k_estimates
-        )
+        theta_est, range_est, labels = _ordered_estimates(result, k)
         n_candidates = len(result.candidates)
         true_entries = [c for c in result.classified if c.is_true]
         detect_theta = tuple(c.theta_deg for c in true_entries)

@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, InvalidOperation
+from contextlib import contextmanager
+from decimal import Decimal, InvalidOperation, Overflow
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,17 @@ from .music import MusicConfig, localize
 from .scenario import SPEED_OF_LIGHT, Scenario
 
 __all__ = ["main"]
+
+MAX_SNR_POINTS = 1000  # most SNR values a start:step:stop range may expand to
+
+
+@contextmanager
+def _usage_errors(command: str):
+    """Report a ValueError raised while checking inputs as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"{command}: {exc}") from None
 
 
 def _fmt(value: float) -> str:
@@ -75,7 +87,8 @@ def _cmd_geometry(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = Scenario.load(args.scenario)
+    with _usage_errors("simulate"):
+        scenario = Scenario.load(args.scenario)
     snaps = scenario.snapshots()
     out = Path(args.out)
     if args.format == "npz":
@@ -107,12 +120,13 @@ def _write_spectrum_csv(path: Path, header: str, axis, values_db) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    scenario = Scenario.load(args.scenario)
-    config = MusicConfig(
-        k_targets=len(scenario.targets),
-        angle_step_deg=args.angle_step,
-        range_step_m=args.range_step,
-    )
+    with _usage_errors("spectrum"):
+        scenario = Scenario.load(args.scenario)
+        config = MusicConfig(
+            k_targets=len(scenario.targets),
+            angle_step_deg=args.angle_step,
+            range_step_m=args.range_step,
+        )
     result = localize(scenario.snapshots(), config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -145,7 +159,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _parse_snr_list(text: str) -> tuple[float, ...]:
     """Either 'start:step:stop' (inclusive, stepped in decimal so that
-    '0:0.1:1' yields 0.3, not 0.30000000000000004) or a comma-separated list."""
+    '0:0.1:1' yields 0.3, not 0.30000000000000004, and at most
+    ``MAX_SNR_POINTS`` values) or a comma-separated list."""
     try:
         parts = [Decimal(p) for p in text.split(":" if ":" in text else ",")]
     except InvalidOperation:
@@ -157,19 +172,25 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     start, step, stop = parts
     if not (step > 0 and stop >= start):
         raise SystemExit("snr range needs a positive step and stop >= start")
-    return tuple(float(start + i * step) for i in range(int((stop - start) / step) + 1))
+    try:
+        count = int((stop - start) / step) + 1
+    except Overflow:  # more points than Decimal can count
+        count = MAX_SNR_POINTS + 1
+    if count > MAX_SNR_POINTS:
+        raise SystemExit(f"snr range {text!r} holds more than {MAX_SNR_POINTS} points")
+    return tuple(float(start + i * step) for i in range(count))
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    scenario = Scenario.load(args.scenario)
-    methods = tuple(m.strip() for m in args.methods.split(","))
-    config = MonteCarloConfig(
-        scenario=scenario,
-        snr_db_list=_parse_snr_list(args.snr),
-        q_trials=args.q,
-        methods=methods,
-        base_seed=args.seed if args.seed is not None else scenario.seed,
-    )
+    with _usage_errors("montecarlo"):
+        scenario = Scenario.load(args.scenario)
+        config = MonteCarloConfig(
+            scenario=scenario,
+            snr_db_list=_parse_snr_list(args.snr),
+            q_trials=args.q,
+            methods=tuple(m.strip() for m in args.methods.split(",")),
+            base_seed=args.seed if args.seed is not None else scenario.seed,
+        )
     report = run_monte_carlo(config)
     report.write_csv(args.out)
     if args.raw is not None:

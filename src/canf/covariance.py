@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SnapshotSet
-from .geometry import CoarrayLayout, SensorLayout, difference_coarray
+from .geometry import SensorLayout, difference_coarray
 
 __all__ = [
     "CovarianceBundle",
@@ -98,11 +98,7 @@ def _segment_lag_indices(
     return out
 
 
-def vectorize_to_coarray(
-    r_d: np.ndarray,
-    layout: SensorLayout,
-    coarray: CoarrayLayout | None = None,
-) -> np.ndarray:
+def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
     """Collapse a U x U matrix to one sample per coarray lag.
 
     Each sample is the mean of all the entries at that lag; pooling the
@@ -110,19 +106,18 @@ def vectorize_to_coarray(
 
     Args:
         r_d: Decoupled covariance (or any U x U matrix to vectorize).
-        layout: The physical layout that generated ``r_d``.
-        coarray: Coarray whose ``smoothing_segment`` defines the output lags;
-            computed from the layout when omitted.
+        layout: The physical layout that generated ``r_d``; the
+            ``smoothing_segment`` of its (cached) difference coarray defines
+            the output lags.
 
     Returns:
         Complex vector over the smoothing segment, ascending lag.
     """
-    if coarray is None:
-        coarray = difference_coarray(layout)
     flat = r_d.ravel()
     # One np.mean per lag: a scatter-add (bincount, reduceat) reorders the
     # sums and moves the smallest eigenvalues of the smoothed covariance.
-    indices = _segment_lag_indices(layout.grid, coarray.smoothing_segment)
+    segment = difference_coarray(layout).smoothing_segment
+    indices = _segment_lag_indices(layout.grid, segment)
     return np.array([flat[idx].mean() for idx in indices], dtype=complex)
 
 
@@ -150,25 +145,15 @@ class CovarianceBundle:
     r_d: np.ndarray
     r_tilde: np.ndarray
     r_v: np.ndarray
-    estimator_kind: str
 
 
-def build_bundle(
-    snapshots: SnapshotSet,
-    coarray: CoarrayLayout | None = None,
-    estimator: str = "ls",
-) -> CovarianceBundle:
-    """Run the full covariance chain on a snapshot set."""
-    if estimator == "ls":
-        r_hat = covariance_ls(snapshots)
-    elif estimator == "sample":
-        r_hat = covariance_sample(snapshots)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
+def build_bundle(snapshots: SnapshotSet) -> CovarianceBundle:
+    """Run the full covariance chain on a snapshot set: the LS covariance
+    (:func:`covariance_ls`, which needs the known source waveforms), its
+    decoupling, the coarray vector of the snapshot layout and smoothing."""
     layout = snapshots.layout
-    if coarray is None:
-        coarray = difference_coarray(layout)
+    r_hat = covariance_ls(snapshots)
     r_a, r_d = decouple(r_hat, layout)
-    r_tilde = vectorize_to_coarray(r_d, layout, coarray)
+    r_tilde = vectorize_to_coarray(r_d, layout)
     r_v = spatial_smooth(r_tilde)
-    return CovarianceBundle(r_hat, r_a, r_d, r_tilde, r_v, estimator)
+    return CovarianceBundle(r_hat, r_a, r_d, r_tilde, r_v)

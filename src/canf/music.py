@@ -21,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import find_peaks
 
-from .channel import SnapshotSet, Target, fresnel_phase_terms, steering_exact
+from .channel import SnapshotSet, fresnel_phase_terms
 from .covariance import CovarianceBundle, build_bundle
-from .geometry import CoarrayLayout, SensorLayout, difference_coarray
+from .geometry import SensorLayout
 
 __all__ = [
     "SubspaceRule",
@@ -35,7 +35,6 @@ __all__ = [
     "ClassifiedTarget",
     "LocalizationResult",
     "eig_hermitian",
-    "noise_subspace",
     "angle_spectrum",
     "detect_peaks",
     "angle_candidates",
@@ -52,6 +51,7 @@ _DENOM_FLOOR = 1e-300
 PEAK_PROMINENCE_DB = 1.0  # least prominence of an angle or range peak
 SIGNIFICANCE_DB = 10.0  # range-peak height that labels its angle true
 MIN_ANGLE_SEPARATION_DEG = 0.5  # closer angle peaks ride on one lobe
+EIG_GAP_RATIO = 3.0  # least eigenvalue ratio that counts as a signal/noise gap
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,73 +78,39 @@ def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SubspaceRule:
     """How to split eigenpairs into signal and noise subspaces.
 
-    ``kind="fixed"`` keeps the top ``k_signal`` eigenvectors as signal.
-    ``kind="eig_gap"`` places the split at the largest eigenvalue ratio
-    ``lam_i / lam_{i+1}`` with ``i`` searched up to ``search_limit``
-    (unrestricted tail search latches onto meaningless ratios deep in the
-    noise floor); if no ratio reaches ``gap_ratio`` the rule falls back to
-    ``fixed(fallback_k)``.
+    :meth:`fixed` keeps the top ``rank`` eigenvectors as signal.
+    :meth:`eig_gap` (``search=True``) places the split at the largest
+    eigenvalue ratio ``lam_i / lam_{i+1}`` with ``i`` searched up to
+    ``rank`` (an unrestricted tail search latches onto meaningless ratios
+    deep in the noise floor); if no ratio reaches :data:`EIG_GAP_RATIO` the
+    split falls back to ``rank``.
     """
 
-    kind: str
-    k_signal: int | None = None
-    gap_ratio: float = 3.0
-    fallback_k: int | None = None
-    search_limit: int | None = None
+    rank: int
+    search: bool
 
     @classmethod
-    def fixed(cls, k_signal: int) -> "SubspaceRule":
-        return cls("fixed", k_signal=k_signal)
+    def fixed(cls, rank: int) -> "SubspaceRule":
+        return cls(rank, False)
 
     @classmethod
-    def eig_gap(
-        cls,
-        fallback_k: int,
-        gap_ratio: float = 3.0,
-        search_limit: int | None = None,
-    ) -> "SubspaceRule":
-        if search_limit is None:
-            search_limit = fallback_k
-        return cls(
-            "eig_gap",
-            gap_ratio=gap_ratio,
-            fallback_k=fallback_k,
-            search_limit=search_limit,
-        )
+    def eig_gap(cls, rank: int) -> "SubspaceRule":
+        return cls(rank, True)
 
 
 def signal_rank(eigvals: np.ndarray, rule: SubspaceRule) -> int:
     """The signal dimension ``rule`` selects for a descending spectrum."""
     n = eigvals.size
-    if rule.kind == "fixed":
-        k = rule.k_signal
-        if k is None or not (0 < k < n):
-            raise ValueError(f"fixed rule needs 0 < k_signal < {n}")
-        return int(k)
-    if rule.kind != "eig_gap":
-        raise ValueError(f"unknown subspace rule {rule.kind!r}")
+    if not rule.search:
+        if not (0 < rule.rank < n):
+            raise ValueError(f"fixed rule needs 0 < rank < {n}")
+        return int(rule.rank)
     lam = np.maximum(eigvals, max(eigvals[0], 0.0) * 1e-18 + 1e-300)
-    limit = n - 1 if rule.search_limit is None else min(rule.search_limit, n - 1)
+    limit = min(rule.rank, n - 1)
     ratios = lam[:limit] / lam[1 : limit + 1]
     i_best = int(np.argmax(ratios))
-    if ratios[i_best] >= rule.gap_ratio:
-        k = i_best + 1
-    else:
-        if rule.fallback_k is None:
-            raise ValueError("eigenvalue spectrum has no gap and no fallback set")
-        k = rule.fallback_k
+    k = i_best + 1 if ratios[i_best] >= EIG_GAP_RATIO else rule.rank
     return min(max(k, 1), n - 1)
-
-
-def noise_subspace(
-    eigvals: np.ndarray, eigvecs: np.ndarray, rule: SubspaceRule
-) -> np.ndarray:
-    """Columns spanning the noise subspace under ``rule``.
-
-    ``eigvals`` must be descending (as returned by :func:`eig_hermitian`).
-    Returns the trailing ``n - k_signal`` eigenvectors.
-    """
-    return eigvecs[:, signal_rank(eigvals, rule):]
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,12 +263,11 @@ def _refine_parabolic(y_db: np.ndarray, idx: int, axis: np.ndarray) -> float:
 def detect_peaks(
     spectrum: PseudoSpectrum,
     max_count: int | None = None,
-    prominence_db: float = 1.0,
-    refine: bool = True,
     include_edges: bool = False,
     min_separation: float = 0.0,
 ) -> list[Peak]:
-    """Local maxima above a prominence threshold, strongest first.
+    """Local maxima at least :data:`PEAK_PROMINENCE_DB` prominent, strongest
+    first, each located by a parabolic fit through its neighbours.
 
     Ties in height are broken by ascending axis location.  With
     ``include_edges`` the grid endpoints count as peaks (used for range
@@ -317,15 +282,13 @@ def detect_peaks(
         distance = max(int(round(min_separation / step)), 1)
     pad = [-np.inf] if include_edges else []
     idx, props = find_peaks(
-        np.concatenate((pad, y, pad)), prominence=prominence_db, distance=distance
+        np.concatenate((pad, y, pad)), prominence=PEAK_PROMINENCE_DB, distance=distance
     )
     idx = idx - len(pad)
     prominences = props["prominences"]
     peaks = [
         Peak(
-            location=_refine_parabolic(y, int(i), spectrum.axis)
-            if refine
-            else float(spectrum.axis[int(i)]),
+            location=_refine_parabolic(y, int(i), spectrum.axis),
             height_db=float(y[int(i)]),
             prominence_db=float(p),
             index=int(i),
@@ -340,27 +303,16 @@ def detect_peaks(
 
 def angle_candidates(spectrum: PseudoSpectrum, max_count: int | None) -> list[Peak]:
     """Peak detection stage: up to ``max_count`` angle peaks."""
-    return detect_peaks(
-        spectrum,
-        max_count=max_count,
-        prominence_db=PEAK_PROMINENCE_DB,
-        min_separation=MIN_ANGLE_SEPARATION_DEG,
-    )
+    return detect_peaks(spectrum, max_count, min_separation=MIN_ANGLE_SEPARATION_DEG)
 
 
 def range_steering_matrix(
-    layout: SensorLayout, theta_deg: float, range_grid_m, model: str = "fresnel"
+    layout: SensorLayout, theta_deg: float, range_grid_m
 ) -> np.ndarray:
-    """Steering vectors at one angle, one row per range (``model`` as in
-    :func:`range_spectrum`)."""
+    """Quadratic-phase steering vectors at one angle, one row per range."""
     grid = np.asarray(range_grid_m, dtype=float)
-    theta = math.radians(theta_deg)
-    if model == "fresnel":
-        p, q = fresnel_phase_terms(layout, theta, grid[:, None])
-        return np.exp(1j * (p + q))
-    if model == "exact":
-        return np.stack([steering_exact(layout, Target(theta, float(r))) for r in grid])
-    raise ValueError(f"unknown steering model {model!r}")
+    p, q = fresnel_phase_terms(layout, math.radians(theta_deg), grid[:, None])
+    return np.exp(1j * (p + q))
 
 
 def range_spectrum(
@@ -369,15 +321,15 @@ def range_spectrum(
     theta_deg: float,
     range_grid_m,
     rule: SubspaceRule,
-    model: str = "fresnel",
 ) -> PseudoSpectrum:
     """Range-domain MUSIC at a fixed candidate angle.
 
-    Steering follows the quadratic-phase model by default; ``model="exact"``
-    switches to spherical distances for sensitivity studies.
+    The scan runs on the quadratic-phase (Fresnel) manifold the range stage
+    is derived on; snapshots synthesized with exact spherical wavefronts
+    are scanned with that approximation's model error.
     """
     grid = np.asarray(range_grid_m, dtype=float)
-    manifold = range_steering_matrix(layout, theta_deg, grid, model)
+    manifold = range_steering_matrix(layout, theta_deg, grid)
     return Subspace.split(r_hat, rule).scan(grid, manifold)
 
 
@@ -391,9 +343,9 @@ class MusicConfig:
     with conservative fallbacks.  ``angle_step_deg`` and ``range_step_m`` are
     the steps of :meth:`SpectrumGrid.for_layout`.  The rest of the chain is
     fixed: the LS covariance, per-lag averaging, the coprime smoothing
-    segment, parabolic peak refinement, an eigen-gap ratio of 3 and the
-    constants ``PEAK_PROMINENCE_DB``, ``SIGNIFICANCE_DB`` and
-    ``MIN_ANGLE_SEPARATION_DEG``.
+    segment, parabolic peak refinement, the quadratic-phase range manifold
+    and the constants ``EIG_GAP_RATIO``, ``PEAK_PROMINENCE_DB``,
+    ``SIGNIFICANCE_DB`` and ``MIN_ANGLE_SEPARATION_DEG``.
     """
 
     k_targets: int | None = None
@@ -514,7 +466,7 @@ def classify_range_spectrum(
     as peaks) for diagnostics and forced-estimate protocols.
     """
     z_f, z_r = bounds
-    peaks = detect_peaks(spec, prominence_db=PEAK_PROMINENCE_DB, include_edges=True)
+    peaks = detect_peaks(spec, include_edges=True)
     significant = [
         p for p in peaks if p.height_db >= SIGNIFICANCE_DB and z_f <= p.location <= z_r
     ]
@@ -566,30 +518,31 @@ def classify_and_estimate(
 
 
 def two_phase(
-    inputs: list[tuple[SnapshotSet, CoarrayLayout]],
+    inputs: list[SnapshotSet],
     layout: SensorLayout,
     config: MusicConfig,
 ) -> LocalizationResult:
     """The staged pipeline on one or more snapshot sets over ``layout``'s grids.
 
-    Several inputs (the subarray scheme) are fused: angle scans by their
-    elementwise minimum, which keeps the peaks all inputs agree on, range
-    scans by their geometric mean (a plain product would scale the dB axis
-    and defeat one significance threshold).  Eigenvalues are concatenated
-    over the inputs and the largest ranks reported.
+    Each input's coarray lag step is its own layout's spacing.  Several
+    inputs (the subarray scheme) are fused: angle scans by their elementwise
+    minimum, which keeps the peaks all inputs agree on, range scans by their
+    geometric mean (a plain product would scale the dB axis and defeat one
+    significance threshold).  Eigenvalues are concatenated over the inputs
+    and the largest ranks reported.
     """
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
     axis = grid.angle_deg
-    bundles = [build_bundle(s, c) for s, c in inputs]
+    bundles = [build_bundle(s) for s in inputs]
     virtual = [Subspace.split(b.r_v, config.angle_rule(b.r_v.shape[0])) for b in bundles]
     initial = [Subspace.split(b.r_hat, config.range_rule(b.r_hat.shape[0])) for b in bundles]
     scans = [
-        v.scan(axis, virtual_steering_matrix(v.eigvals.size, c.unit, layout.wavelength, axis))
-        for v, (_, c) in zip(virtual, inputs)
+        v.scan(axis, virtual_steering_matrix(v.eigvals.size, s.layout.d, layout.wavelength, axis))
+        for v, s in zip(virtual, inputs)
     ]
     spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
     peaks = angle_candidates(spec_a, config.candidate_limit())
-    range_inputs = [(s.layout, h) for (s, _), h in zip(inputs, initial)]
+    range_inputs = [(s.layout, h) for s, h in zip(inputs, initial)]
     classified, spectra = _classify_candidates(
         [p.location for p in peaks], range_inputs, layout, grid
     )
@@ -613,5 +566,4 @@ def localize(snapshots: SnapshotSet, config: MusicConfig | None = None) -> Local
     """
     if config is None:
         config = MusicConfig()
-    coarray = difference_coarray(snapshots.layout)
-    return two_phase([(snapshots, coarray)], snapshots.layout, config)
+    return two_phase([snapshots], snapshots.layout, config)

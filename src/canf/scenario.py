@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""Every layer the benchmark traces still resolves in canf.
+"""Every exported name and every layer the benchmark traces resolves in canf.
 
 ``perfbench/spans.py`` names each traced function as ``(module, qualname)``.
 A name that no longer resolves is not an error there: its per-layer metric
@@ -6,6 +6,7 @@ just reads 0 calls.  These tests read that list, unchanged, and fail instead.
 """
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,13 @@ def test_traced_name_resolves(module_name, qualname):
 
 def test_eig_hermitian_is_bound_in_baselines():
     assert canf.baselines.eig_hermitian is canf.music.eig_hermitian
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    ["canf"] + [f"canf.{info.name}" for info in pkgutil.iter_modules(canf.__path__)],
+)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

@@ -1,10 +1,10 @@
 """The command-line interface: repeated runs write byte-identical files, and
-the SNR list is checked where it is parsed."""
+bad inputs end in a usage error, not a traceback."""
 import json
 
 import pytest
 
-from canf.cli import _parse_snr_list, main
+from canf.cli import MAX_SNR_POINTS, _parse_snr_list, main
 from canf.scenario import default_benchmark_scenario
 
 
@@ -70,13 +70,48 @@ def test_montecarlo_is_byte_identical(tmp_path, scenario_file):
         ("-5:2.5:5", (-5.0, -2.5, 0.0, 2.5, 5.0)),
         ("10:1:10", (10.0,)),
         ("10, 0.3", (10.0, 0.3)),
+        (f"1:1:{MAX_SNR_POINTS}", tuple(float(i) for i in range(1, MAX_SNR_POINTS + 1))),
     ],
 )
 def test_parse_snr_list(text, expected):
     assert _parse_snr_list(text) == expected
 
 
-@pytest.mark.parametrize("text", ["10,", "", "ten", "10:5:0", "1:2", "0:0:1", "0:-1:3", "nan:1:2"])
+@pytest.mark.parametrize(
+    "text",
+    # The last three hold more than MAX_SNR_POINTS points (10^30 + 1 for the
+    # first); the count is checked before any point is built.
+    ["10,", "", "ten", "10:5:0", "1:2", "0:0:1", "0:-1:3", "nan:1:2",
+     "0:1e-30:1", "0:1e-999999:1e999999", f"1:1:{MAX_SNR_POINTS + 1}"],
+)
 def test_parse_snr_list_rejects(text):
     with pytest.raises(SystemExit):
         _parse_snr_list(text)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--out-dir", "{tmp}/out", "--angle-step", "0"], "angle_step_deg"),
+        (["spectrum", "--out-dir", "{tmp}/out", "--range-step", "nan"], "range_step_m"),
+        (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--q", "0"], "q_trials"),
+        (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--methods", "foo"], "unknown methods"),
+    ],
+)
+def test_bad_config_is_a_usage_error(tmp_path, scenario_file, argv, message):
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--scenario", str(scenario_file)]
+    with pytest.raises(SystemExit, match=f"^{argv[0]}: .*{message}"):
+        main(argv)
+    assert list(tmp_path.iterdir()) == [scenario_file]
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])
+def test_bad_scenario_is_a_usage_error(tmp_path, command):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"M": 9, "N": 11, "targets": []}), encoding="utf-8")
+    out = {"simulate": "--out", "spectrum": "--out-dir", "montecarlo": "--out"}[command]
+    argv = [command, "--scenario", str(scenario), out, str(tmp_path / "out")]
+    if command == "montecarlo":
+        argv += ["--snr", "10"]
+    with pytest.raises(SystemExit, match=f"^{command}: scenario needs d_mm"):
+        main(argv)

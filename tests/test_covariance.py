@@ -18,6 +18,7 @@ from canf import (
     vectorize_to_coarray,
 )
 from canf.channel import steering_fresnel, steering_matrix
+from canf import covariance
 from canf.covariance import build_bundle, mirror_antidiagonal
 from conftest import random_fresnel_scenario
 
@@ -164,7 +165,7 @@ class TestVectorizeToCoarray:
         targets = TargetSet((Target(theta, 20.0),))
         _, r_d = decouple(ideal_covariance(layout911, targets), layout911)
         ca = difference_coarray(layout911)
-        r_t = vectorize_to_coarray(r_d, layout911, ca)
+        r_t = vectorize_to_coarray(r_d, layout911)
         lags = np.array(ca.smoothing_segment)
         expected = np.exp(
             -1j * 2.0 * np.pi / LAM * 2.0 * lags * layout911.d * np.sin(theta)
@@ -181,7 +182,7 @@ class TestVectorizeToCoarray:
         targets = random_fresnel_scenario(layout911, rng)
         _, r_d = decouple(ideal_covariance(layout911, targets), layout911)
         ca = difference_coarray(layout911)
-        r_t = vectorize_to_coarray(r_d, layout911, ca)
+        r_t = vectorize_to_coarray(r_d, layout911)
         mid = len(ca.smoothing_segment) // 2
         assert r_t[mid] == pytest.approx(np.mean(np.diag(r_d)))
         # noise-free the lag-0 sample equals the defining element sums
@@ -190,13 +191,14 @@ class TestVectorizeToCoarray:
         )
         assert r_t[mid] == pytest.approx(np.mean(np.diag(s_ref + c_ref)), abs=1e-9)
 
-    def test_missing_segment_lag_raises(self, layout23):
+    def test_missing_segment_lag_raises(self, layout23, monkeypatch):
         ca = difference_coarray(layout23)
         segment = tuple(range(-9, 10))
         wide = CoarrayLayout(ca.lags, ca.multiplicity, ca.consecutive_segment, segment, ca.unit)
+        monkeypatch.setattr(covariance, "difference_coarray", lambda layout: wide)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="lag -9 missing"):
-                vectorize_to_coarray(np.eye(layout23.size, dtype=complex), layout23, wide)
+                vectorize_to_coarray(np.eye(layout23.size, dtype=complex), layout23)
 
 
 class TestSpatialSmooth:
@@ -243,16 +245,6 @@ class TestSpatialSmooth:
 
 
 class TestBundle:
-    def test_estimator_selection(self, layout23):
-        targets = TargetSet((Target.from_degrees(8.0, 1.0),))
-        snaps = synthesize(layout23, targets, 32, 10.0, 5)
-        ls = build_bundle(snaps, estimator="ls")
-        sample = build_bundle(snaps, estimator="sample")
-        assert ls.estimator_kind == "ls" and sample.estimator_kind == "sample"
-        assert not np.allclose(ls.r_hat, sample.r_hat)
-        with pytest.raises(ValueError, match="estimator"):
-            build_bundle(snaps, estimator="mle")
-
     def test_stage_shapes(self, layout911, params911):
         targets = TargetSet((Target.from_degrees(8.0, 20.0),))
         snaps = synthesize(layout911, targets, 16, None, 1)

@@ -15,7 +15,6 @@ from canf import (
     difference_coarray,
     eig_hermitian,
     localize,
-    noise_subspace,
     range_spectrum,
     synthesize,
 )
@@ -23,6 +22,7 @@ from canf.channel import steering_fresnel, steering_matrix
 from canf.covariance import build_bundle, decouple, spatial_smooth, vectorize_to_coarray
 from canf.music import (
     PseudoSpectrum,
+    Subspace,
     angle_spectrum,
     classify_and_estimate,
     detect_peaks,
@@ -42,7 +42,7 @@ def ideal_bundle(layout, targets):
     r_hat = b @ b.conj().T
     _, r_d = decouple(r_hat, layout)
     ca = difference_coarray(layout)
-    r_v = spatial_smooth(vectorize_to_coarray(r_d, layout, ca))
+    r_v = spatial_smooth(vectorize_to_coarray(r_d, layout))
     return r_hat, r_v, ca
 
 
@@ -95,43 +95,34 @@ class TestEigHermitian:
 class TestNoiseSubspace:
     def test_fixed_size_and_orthonormality(self, rng):
         a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-        w, v = eig_hermitian(a @ a.conj().T)
-        un = noise_subspace(w, v, SubspaceRule.fixed(3))
+        sub = Subspace.split(a @ a.conj().T, SubspaceRule.fixed(3))
+        un = sub.eigvecs[:, sub.rank :]
         assert un.shape == (10, 7)
         np.testing.assert_allclose(un.conj().T @ un, np.eye(7), atol=1e-10)
 
     @pytest.mark.parametrize("k", [0, 10, 11])
     def test_fixed_rejects_bad_rank(self, rng, k):
         a = rng.standard_normal((10, 10))
-        w, v = eig_hermitian(a + a.T)
+        w, _ = eig_hermitian(a + a.T)
         with pytest.raises(ValueError):
-            noise_subspace(w, v, SubspaceRule.fixed(k))
+            signal_rank(w, SubspaceRule.fixed(k))
 
     def test_gap_rule_finds_noise_free_cliff(self, layout911):
         targets = TargetSet((Target.from_degrees(10.0, 30.0),))
         _, r_v, _ = ideal_bundle(layout911, targets)
-        w, v = eig_hermitian(r_v)
-        un = noise_subspace(w, v, SubspaceRule.eig_gap(5))
-        assert un.shape[1] == r_v.shape[0] - 1
+        w, _ = eig_hermitian(r_v)
+        assert signal_rank(w, SubspaceRule.eig_gap(5)) == 1
 
     def test_gap_rule_flat_spectrum_falls_back(self):
         w = np.linspace(2.0, 1.0, 8)
-        v = np.eye(8, dtype=complex)
-        un = noise_subspace(w, v, SubspaceRule.eig_gap(3, gap_ratio=3.0))
-        assert un.shape[1] == 5
-
-    def test_gap_rule_without_fallback_raises(self):
-        w = np.linspace(2.0, 1.0, 8)
-        rule = SubspaceRule("eig_gap", gap_ratio=3.0)
-        with pytest.raises(ValueError, match="no gap"):
-            noise_subspace(w, np.eye(8, dtype=complex), rule)
+        assert signal_rank(w, SubspaceRule.eig_gap(3)) == 3
 
     def test_gap_rule_search_limit(self):
-        # A huge tail ratio beyond the limit must not capture the split.
-        w = np.array([8.0, 4.1, 4.0, 3.9, 1e-12])
-        v = np.eye(5, dtype=complex)
-        rule = SubspaceRule.eig_gap(2, gap_ratio=1.5, search_limit=2)
-        assert noise_subspace(w, v, rule).shape[1] == 4
+        # A huge tail ratio beyond the fallback rank must not capture the
+        # split; the gap of ratio 30/9 > 3 inside it does.
+        w = np.array([30.0, 9.0, 8.5, 8.0, 1e-12])
+        assert signal_rank(w, SubspaceRule.eig_gap(2)) == 1
+        assert signal_rank(w, SubspaceRule.eig_gap(4)) == 4
 
     def test_gap_rule_on_benchmark_selects_at_least_k(self, benchmark_scenario):
         # Cross components inflate the virtual signal dimension past K.
@@ -197,19 +188,19 @@ class TestDetectPeaks:
     def test_equal_peaks_tie_broken_by_location(self):
         values = np.array([1.0, 10.0, 1.0, 10.0, 1.0])
         spec = PseudoSpectrum(np.arange(5.0), values)
-        peaks = detect_peaks(spec, refine=False)
+        peaks = detect_peaks(spec)
         assert [p.location for p in peaks] == [1.0, 3.0]
 
     def test_max_count_keeps_strongest(self):
         values = np.array([1.0, 5.0, 1.0, 50.0, 1.0, 7.0, 1.0])
         spec = PseudoSpectrum(np.arange(7.0), values)
-        peaks = detect_peaks(spec, max_count=2, refine=False)
+        peaks = detect_peaks(spec, max_count=2)
         assert [p.location for p in peaks] == [3.0, 5.0]
 
     def test_prominence_threshold(self):
         values = 10.0 ** (np.array([0.0, 0.04, 0.0, 1.0, 0.0]))
         spec = PseudoSpectrum(np.arange(5.0), values)
-        assert len(detect_peaks(spec, prominence_db=1.0, refine=False)) == 1
+        assert len(detect_peaks(spec)) == 1
 
     def test_edge_peak_needs_flag(self):
         values = np.linspace(1.0, 100.0, 8)
@@ -221,9 +212,9 @@ class TestDetectPeaks:
     def test_min_separation_merges_ridge(self):
         values = np.array([1.0, 80.0, 60.0, 79.0, 1.0, 1.0, 90.0, 1.0])
         spec = PseudoSpectrum(np.arange(8.0), values)
-        assert len(detect_peaks(spec, refine=False)) == 3
-        merged = detect_peaks(spec, refine=False, min_separation=3.0)
-        assert [p.location for p in merged] == [6.0, 1.0]
+        assert len(detect_peaks(spec)) == 3
+        merged = detect_peaks(spec, min_separation=3.0)
+        assert [p.index for p in merged] == [6, 1]
 
     def test_parabolic_refinement_recovers_offgrid_vertex(self):
         axis = np.linspace(-1.0, 1.0, 21)
@@ -301,24 +292,6 @@ class TestRangeSpectrum:
         spec = range_spectrum(r_hat, layout911, 10.0, grid, SubspaceRule.fixed(1))
         peaks = detect_peaks(spec, max_count=1, include_edges=True)
         assert peaks[0].location == pytest.approx(30.0, abs=0.1)
-
-    def test_exact_model_switch(self, layout911):
-        targets = TargetSet((Target.from_degrees(10.0, 30.0),))
-        b = steering_matrix(layout911, targets, "exact")
-        r_hat = b @ b.conj().T
-        grid = np.arange(0.54, 40.5, 0.1)
-        spec = range_spectrum(
-            r_hat, layout911, 10.0, grid, SubspaceRule.fixed(1), model="exact"
-        )
-        peaks = detect_peaks(spec, max_count=1, include_edges=True)
-        assert peaks[0].location == pytest.approx(30.0, abs=0.1)
-
-    def test_unknown_model_rejected(self, layout911):
-        with pytest.raises(ValueError, match="model"):
-            range_spectrum(
-                np.eye(37, dtype=complex), layout911, 0.0, np.array([1.0, 2.0]),
-                SubspaceRule.fixed(1), model="planar",
-            )
 
     def test_co_angle_pair_resolved_on_ideal_covariance(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
@@ -412,8 +385,8 @@ class TestLocalize:
         layout = benchmark_scenario.layout()
         snaps = synthesize(layout, benchmark_scenario.targets, 100, None, 0, "fresnel")
         bundle = build_bundle(snaps)
-        w, v = eig_hermitian(bundle.r_hat)
-        un = noise_subspace(w, v, SubspaceRule.fixed(4))
+        sub = Subspace.split(bundle.r_hat, SubspaceRule.fixed(4))
+        un = sub.eigvecs[:, sub.rank :]
         for t in benchmark_scenario.targets:
             b = steering_fresnel(layout, t)
             resid = np.linalg.norm(b.conj() @ un) ** 2 / layout.size
@@ -421,8 +394,8 @@ class TestLocalize:
         # angle stage, single target: exact annihilation as well
         t1 = TargetSet((Target.from_degrees(10.0, 30.0),))
         b1 = build_bundle(synthesize(layout, t1, 100, None, 0, "fresnel"))
-        w1, v1 = eig_hermitian(b1.r_v)
-        un1 = noise_subspace(w1, v1, SubspaceRule.eig_gap(1))
+        sub1 = Subspace.split(b1.r_v, SubspaceRule.eig_gap(1))
+        un1 = sub1.eigvecs[:, sub1.rank :]
         ca = difference_coarray(layout)
         row = virtual_steering_matrix(
             b1.r_v.shape[0], ca.unit, layout.wavelength, np.array([10.0])

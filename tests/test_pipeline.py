@@ -7,6 +7,7 @@ into shared stages, from the repository root with
 
 and must not be regenerated to make a later change pass.
 """
+import dataclasses
 import json
 import math
 import sys
@@ -16,7 +17,10 @@ import numpy as np
 import pytest
 
 from canf import (
+    MonteCarloConfig,
     MusicConfig,
+    TargetSet,
+    associate,
     build_bundle,
     localize,
     localize_dense,
@@ -62,6 +66,20 @@ def pipeline_outputs() -> dict:
     }
 
 
+def unknown_k_results() -> dict:
+    """``localize`` with ``MusicConfig()`` (K unknown, so both subspace rules
+    search for an eigen-gap) on the first three benchmark targets."""
+    base = default_benchmark_scenario()
+    scenario = dataclasses.replace(base, targets=TargetSet(tuple(base.targets)[:3]))
+    return {
+        f"{snr_db:g} dB, seed {seed}": localize(
+            scenario.snapshots(snr_db=snr_db, seed=seed), MusicConfig()
+        )
+        for snr_db in (10.0, 20.0, 30.0)
+        for seed in (0, 1, 2)
+    }
+
+
 def assert_matches(actual, expected, path="$"):
     """Exact for labels, counts and ranks; numbers within ``REL_TOL`` relative."""
     if isinstance(expected, dict):
@@ -86,6 +104,31 @@ def test_outputs_match_golden():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     actual = json.loads(json.dumps(pipeline_outputs()))
     assert_matches(actual, expected)
+
+
+def test_unknown_k_finds_the_gap_ranks_and_every_target():
+    # No golden covers this path: the angle rule must find rank 6 (3 targets
+    # plus 3 pairwise cross components), the range rule rank 3, and every
+    # target must pass the Monte Carlo harness's detection gates.
+    scenario = default_benchmark_scenario()
+    truth = tuple(scenario.targets)[:3]
+    theta = [t.theta_deg for t in truth]
+    rng = [t.r for t in truth]
+    z_r = scenario.layout().rayleigh_distance
+    range_gate = MonteCarloConfig.range_gate_frac * z_r
+    for key, res in unknown_k_results().items():
+        assert (res.angle_signal_rank, res.range_signal_rank) == (6, 3), key
+        trues = res.true_targets
+        match = associate(
+            [c.theta_deg for c in trues], [c.range_m for c in trues], theta, rng, z_r
+        )
+        hits = [
+            j
+            for i, j in match.pairs
+            if abs(trues[i].theta_deg - theta[j]) <= MonteCarloConfig.theta_gate_deg
+            and abs(trues[i].range_m - rng[j]) <= range_gate
+        ]
+        assert sorted(hits) == [0, 1, 2], key
 
 
 @pytest.mark.parametrize(
