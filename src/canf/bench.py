@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -116,6 +117,8 @@ class MonteCarloConfig:
             raise ValueError("q_trials must be at least 1")
         if not self.snr_db_list:
             raise ValueError("snr_db_list must hold at least one SNR")
+        if not all(math.isfinite(s) for s in self.snr_db_list):
+            raise ValueError(f"snr_db_list must hold finite SNRs, got {self.snr_db_list}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

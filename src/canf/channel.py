@@ -198,11 +198,13 @@ def synthesize(
 
     Sources are i.i.d. circularly-symmetric complex Gaussian with unit
     variance; noise is CSCG with ``sigma2 = 10**(-snr_db/10)`` (per-source
-    transmit SNR).  ``snr_db=None`` (or +inf) disables noise.  The draw is
-    fully determined by ``seed``.
+    transmit SNR).  ``snr_db=None`` (or +inf) disables noise; NaN and -inf
+    are rejected.  The draw is fully determined by ``seed``.
     """
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
+    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
     k = len(targets)
     b = steering_matrix(layout, targets, model)
     rng = np.random.default_rng(seed)
@@ -210,7 +212,7 @@ def synthesize(
         rng.standard_normal((k, n_snapshots))
         + 1j * rng.standard_normal((k, n_snapshots))
     ) / math.sqrt(2.0)
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db is None or snr_db == math.inf:
         sigma2 = 0.0
         z = 0.0
         snr_db = None

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation, Overflow
@@ -27,10 +28,11 @@ MAX_SNR_POINTS = 1000  # most SNR values a start:step:stop range may expand to
 
 @contextmanager
 def _usage_errors(command: str):
-    """Report a ValueError raised while checking inputs as a usage error."""
+    """Report a ValueError raised while checking inputs, or an OSError raised
+    while reading them, as a usage error."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"{command}: {exc}") from None
 
 
@@ -160,25 +162,30 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _parse_snr_list(text: str) -> tuple[float, ...]:
     """Either 'start:step:stop' (inclusive, stepped in decimal so that
     '0:0.1:1' yields 0.3, not 0.30000000000000004, and at most
-    ``MAX_SNR_POINTS`` values) or a comma-separated list."""
+    ``MAX_SNR_POINTS`` values) or a comma-separated list.  Every value must
+    be finite as a float."""
     try:
         parts = [Decimal(p) for p in text.split(":" if ":" in text else ",")]
     except InvalidOperation:
         raise SystemExit(f"snr list {text!r} holds a value that is not a number") from None
     if ":" not in text:
-        return tuple(float(p) for p in parts)
-    if len(parts) != 3 or not all(p.is_finite() for p in parts):
-        raise SystemExit("snr range must be start:step:stop with finite numbers")
-    start, step, stop = parts
-    if not (step > 0 and stop >= start):
-        raise SystemExit("snr range needs a positive step and stop >= start")
-    try:
-        count = int((stop - start) / step) + 1
-    except Overflow:  # more points than Decimal can count
-        count = MAX_SNR_POINTS + 1
-    if count > MAX_SNR_POINTS:
-        raise SystemExit(f"snr range {text!r} holds more than {MAX_SNR_POINTS} points")
-    return tuple(float(start + i * step) for i in range(count))
+        values = [float(p) for p in parts]
+    else:
+        if len(parts) != 3 or not all(p.is_finite() for p in parts):
+            raise SystemExit("snr range must be start:step:stop with finite numbers")
+        start, step, stop = parts
+        if not (step > 0 and stop >= start):
+            raise SystemExit("snr range needs a positive step and stop >= start")
+        try:
+            count = int((stop - start) / step) + 1
+        except Overflow:  # more points than Decimal can count
+            count = MAX_SNR_POINTS + 1
+        if count > MAX_SNR_POINTS:
+            raise SystemExit(f"snr range {text!r} holds more than {MAX_SNR_POINTS} points")
+        values = [float(start + i * step) for i in range(count)]
+    if not all(math.isfinite(v) for v in values):
+        raise SystemExit(f"snr list {text!r} holds a value that is not a finite float")
+    return tuple(values)
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:

@@ -85,17 +85,29 @@ def decouple(
 @lru_cache(maxsize=64)
 def _segment_lag_indices(
     grid: tuple[int, ...], segment: tuple[int, ...]
-) -> tuple[np.ndarray, ...]:
-    """Row-major flat indices of the covariance entries at each segment lag."""
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The segment lags grouped by their entry count.
+
+    Each group is ``(positions, index)``: the lags' positions in ``segment``
+    and an ``(n_lags, count)`` matrix of the row-major flat indices of their
+    covariance entries, ascending along each row.
+    """
     g = np.asarray(grid, dtype=int)
     lag_matrix = (g[:, None] - g[None, :]).ravel()
-    out = tuple(np.flatnonzero(lag_matrix == lag) for lag in segment)
-    for lag, idx in zip(segment, out):
+    per_lag = [np.flatnonzero(lag_matrix == lag) for lag in segment]
+    for lag, idx in zip(segment, per_lag):
         if idx.size == 0:
             raise RuntimeError(
                 f"lag {lag} missing from coarray; segment inconsistent with layout"
             )
-    return out
+    counts = np.array([idx.size for idx in per_lag])
+    groups = []
+    for count in np.unique(counts):
+        positions = np.flatnonzero(counts == count)
+        index = np.stack([per_lag[i] for i in positions])
+        positions.flags.writeable = index.flags.writeable = False
+        groups.append((positions, index))
+    return tuple(groups)
 
 
 def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
@@ -114,11 +126,15 @@ def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
         Complex vector over the smoothing segment, ascending lag.
     """
     flat = r_d.ravel()
-    # One np.mean per lag: a scatter-add (bincount, reduceat) reorders the
-    # sums and moves the smallest eigenvalues of the smoothed covariance.
+    # Each row of a group's (n_lags, count) gather is reduced on its own, in
+    # the order a per-lag np.mean sums it, so the output is bitwise the
+    # per-lag mean; a scatter-add (bincount, reduceat) would reorder the sums
+    # and move the smallest eigenvalues of the smoothed covariance.
     segment = difference_coarray(layout).smoothing_segment
-    indices = _segment_lag_indices(layout.grid, segment)
-    return np.array([flat[idx].mean() for idx in indices], dtype=complex)
+    out = np.empty(len(segment), dtype=complex)
+    for positions, index in _segment_lag_indices(layout.grid, segment):
+        out[positions] = flat[index].mean(axis=1)
+    return out
 
 
 def spatial_smooth(r_tilde: np.ndarray) -> np.ndarray:

@@ -4,13 +4,20 @@
 each of the virtual covariance ``r_v`` and the initial covariance ``r_hat``;
 angle scan on the noise subspace of ``r_v``, whose peaks hold the true
 angles plus "cross" angles from target pairs; peak detection
-(:func:`angle_candidates`); then at each candidate a range scan on the noise
-subspace of ``r_hat`` and a true/cross verdict (true angles give significant
-range peaks inside the near-field region, cross angles do not).
-:func:`localize` runs the stages on the whole array, and the schemes in
-:mod:`canf.baselines` are compositions of them.  :func:`angle_spectrum`,
-:func:`range_spectrum` and :func:`classify_and_estimate` start from a bare
-covariance: one subspace split, then one scan stage.
+(:func:`angle_candidates`); then one range scan of every candidate angle at
+once on the noise subspace of ``r_hat``, and a true/cross verdict per
+candidate (true angles give significant range peaks inside the near-field
+region, cross angles do not).  :func:`localize` runs the stages on the whole
+array, and the schemes in :mod:`canf.baselines` are compositions of them.
+:func:`angle_spectrum`, :func:`range_spectrum` and
+:func:`classify_and_estimate` start from a bare covariance: one subspace
+split, then one scan stage.
+
+Every scan measures the noise-subspace power of unit-modulus steering
+vectors, so it projects onto whichever basis is narrower: the signal
+subspace when it has fewer columns than the noise subspace (10 of 100 for
+the angle scan of four targets, 4 of 37 for the range scan), with rows near
+cancellation recomputed on the noise basis (:meth:`Subspace.scan`).
 """
 from __future__ import annotations
 
@@ -52,6 +59,7 @@ PEAK_PROMINENCE_DB = 1.0  # least prominence of an angle or range peak
 SIGNIFICANCE_DB = 10.0  # range-peak height that labels its angle true
 MIN_ANGLE_SEPARATION_DEG = 0.5  # closer angle peaks ride on one lobe
 EIG_GAP_RATIO = 3.0  # least eigenvalue ratio that counts as a signal/noise gap
+CANCELLATION_FLOOR = 1e-3  # least noise power trusted from the signal basis
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +169,11 @@ class Peak:
 
 @dataclass(frozen=True, eq=False)
 class PseudoSpectrum:
-    """A 1-D MUSIC pseudospectrum: reciprocal noise-subspace projection."""
+    """A MUSIC pseudospectrum: reciprocal noise-subspace projection.
+
+    ``values`` holds one spectrum over ``axis`` per leading index: 1-D for
+    one scan, ``(C, R)`` for the range scans of ``C`` candidates.
+    """
 
     axis: np.ndarray
     values: np.ndarray
@@ -186,10 +198,32 @@ class Subspace:
         return cls(eigvals, eigvecs, signal_rank(eigvals, rule))
 
     def scan(self, axis: np.ndarray, manifold: np.ndarray) -> PseudoSpectrum:
-        """1 / normalized noise-subspace power of each manifold row, over ``axis``."""
-        proj = manifold.conj() @ self.eigvecs[:, self.rank :]
-        denom = np.einsum("ij,ij->i", proj, proj.conj()).real / manifold.shape[1]
-        return PseudoSpectrum(axis, 1.0 / np.maximum(denom, _DENOM_FLOOR))
+        """1 / normalized noise-subspace power of each manifold row, over ``axis``.
+
+        ``manifold`` is ``(..., W)``; the values take its leading shape.
+        Every manifold here is ``exp(1j * phase)``, so each row has
+        ``||a||^2 = W`` and its noise power ``||a^H U_n||^2 / W`` equals
+        ``1 - ||a^H U_s||^2 / W``.  When ``2 * rank < W`` the scan projects
+        onto the narrower signal basis ``U_s`` by that identity.  Near a peak
+        the difference cancels to roundoff, so rows below
+        :data:`CANCELLATION_FLOOR` are recomputed on the noise basis.
+        """
+        w = manifold.shape[-1]
+        rows = manifold.reshape(-1, w)
+        noise = self.eigvecs[:, self.rank :]
+        if 2 * self.rank < w:
+            denom = 1.0 - _row_power(rows @ self.eigvecs[:, : self.rank].conj()) / w
+            near = np.flatnonzero(denom < CANCELLATION_FLOOR)
+            denom[near] = _row_power(rows[near] @ noise.conj()) / w
+        else:
+            denom = _row_power(rows @ noise.conj()) / w
+        values = 1.0 / np.maximum(denom, _DENOM_FLOOR)
+        return PseudoSpectrum(axis, values.reshape(manifold.shape[:-1]))
+
+
+def _row_power(proj: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a complex matrix."""
+    return np.einsum("ij,ij->i", proj, proj.conj()).real
 
 
 @lru_cache(maxsize=16)
@@ -306,13 +340,28 @@ def angle_candidates(spectrum: PseudoSpectrum, max_count: int | None) -> list[Pe
     return detect_peaks(spectrum, max_count, min_separation=MIN_ANGLE_SEPARATION_DEG)
 
 
-def range_steering_matrix(
-    layout: SensorLayout, theta_deg: float, range_grid_m
-) -> np.ndarray:
-    """Quadratic-phase steering vectors at one angle, one row per range."""
+@lru_cache(maxsize=16)
+def _mirror_fold(grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """One sensor per distinct ``|g|``, and each sensor's index among them."""
+    _, first, unfold = np.unique(np.abs(grid), return_index=True, return_inverse=True)
+    return first, unfold
+
+
+def range_steering_matrix(layout: SensorLayout, theta_deg, range_grid_m) -> np.ndarray:
+    """Quadratic-phase steering vectors ``exp(1j * (p + q))`` over a range grid.
+
+    ``theta_deg`` is a scalar, giving ``(R, U)``, or a 1-D array of ``C``
+    angles, giving ``(C, R, U)``: one row per range, for each angle.  The
+    Fresnel term ``q`` depends on the position only through ``s^2``, so
+    ``exp(1j * q)`` is evaluated once per distinct ``|g|`` (19 of the 37
+    sensors of the (9, 11) array), gathered out to every sensor and
+    multiplied by the per-angle ``exp(1j * p)``.
+    """
+    theta = np.deg2rad(np.asarray(theta_deg, dtype=float))[..., None, None]
     grid = np.asarray(range_grid_m, dtype=float)
-    p, q = fresnel_phase_terms(layout, math.radians(theta_deg), grid[:, None])
-    return np.exp(1j * (p + q))
+    p, q = fresnel_phase_terms(layout, theta, grid[:, None])
+    first, unfold = _mirror_fold(layout.grid)
+    return np.take(np.exp(1j * q[..., first]), unfold, axis=-1) * np.exp(1j * p)
 
 
 def range_spectrum(
@@ -489,17 +538,22 @@ def _classify_candidates(
     grid: SpectrumGrid,
 ) -> tuple[list[ClassifiedTarget], list[tuple[float, PseudoSpectrum]]]:
     """Range scans of every (sensor layout, ``r_hat`` subspace) pair at each
-    candidate, fused by their geometric mean and classified in ``layout``."""
+    candidate, fused by their geometric mean and classified in ``layout``.
+
+    Each pair builds one manifold for all candidates and scans it once.
+    """
     bounds = (layout.fresnel_distance, layout.rayleigh_distance)
     range_grid = grid.range_m
+    thetas = np.asarray(candidate_angles_deg, dtype=float)
+    scans = [
+        sub.scan(range_grid, range_steering_matrix(lay, thetas, range_grid)).values
+        for lay, sub in initials
+    ]
+    fused = np.prod(scans, axis=0) ** (1.0 / len(scans))
     classified: list[ClassifiedTarget] = []
     spectra: list[tuple[float, PseudoSpectrum]] = []
-    for theta_deg in candidate_angles_deg:
-        scans = [
-            sub.scan(range_grid, range_steering_matrix(lay, theta_deg, range_grid)).values
-            for lay, sub in initials
-        ]
-        spec = PseudoSpectrum(range_grid, np.prod(scans, axis=0) ** (1.0 / len(scans)))
+    for theta_deg, values in zip(candidate_angles_deg, fused):
+        spec = PseudoSpectrum(range_grid, values)
         spectra.append((theta_deg, spec))
         classified.extend(classify_range_spectrum(theta_deg, spec, bounds))
     return classified, spectra

@@ -63,8 +63,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Load a scenario, rejecting an unknown ``model`` and warning when the
-        targets exceed the decoupled capacity ``max_targets(M, N)[0]``."""
+        """Load a scenario, rejecting a missing key or an unknown ``model`` and
+        warning when the targets exceed the decoupled capacity
+        ``max_targets(M, N)[0]``."""
+        _require(data, ("M", "N", "targets"), "scenario")
+        for i, t in enumerate(data["targets"]):
+            _require(t, ("theta_deg", "range_m"), f"scenario target {i}")
         d_mm = data.get("d_mm")
         freq_ghz = data.get("freq_ghz")
         if d_mm is None and freq_ghz is None:
@@ -125,6 +129,12 @@ class Scenario:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _require(data: dict, keys: tuple[str, ...], where: str) -> None:
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{where} is missing {', '.join(map(repr, missing))}")
 
 
 def default_benchmark_scenario(snr_db: float | None = 10.0, seed: int = 0) -> Scenario:

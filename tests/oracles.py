@@ -147,3 +147,16 @@ def coarray_vector_reference(matrix, grid, segment):
         for j, g_j in enumerate(grid):
             by_lag.setdefault(g_i - g_j, []).append(matrix[i, j])
     return np.array([np.mean(by_lag[lag]) for lag in segment])
+
+
+def noise_power_reference(noise_basis, manifold):
+    """Normalized noise-subspace power ``||a^H U_n||^2 / W`` of each manifold
+    row ``a`` of length W, summed term by term over the noise columns."""
+    out = []
+    for a in manifold:
+        total = 0.0
+        for col in noise_basis.T:
+            inner = sum(np.conj(a_i) * u_i for a_i, u_i in zip(a, col))
+            total += abs(inner) ** 2
+        out.append(total / len(a))
+    return np.array(out)

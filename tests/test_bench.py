@@ -15,6 +15,9 @@ from canf.scenario import default_benchmark_scenario
         ({"snr_db_list": ()}, "snr_db_list"),
         ({"q_trials": 0}, "q_trials"),
         ({"methods": ("music",)}, "unknown methods"),
+        ({"snr_db_list": (10.0, float("nan"))}, "finite"),
+        ({"snr_db_list": (float("inf"),)}, "finite"),
+        ({"snr_db_list": (float("-inf"),)}, "finite"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):

@@ -148,6 +148,13 @@ class TestSynthesize:
         snaps = synthesize(layout23, targets, 8, np.inf, 0)
         assert snaps.sigma2 == 0.0 and snaps.snr_db is None
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_nan_and_minus_infinite_snr_rejected(self, layout23, snr_db):
+        # -inf dB is infinite noise, not none; NaN has no noise level at all.
+        targets = TargetSet((Target.from_degrees(12, 1.0),))
+        with pytest.raises(ValueError, match="snr_db"):
+            synthesize(layout23, targets, 8, snr_db, 0)
+
     def test_benchmark_scenario_shape(self, benchmark_scenario):
         snaps = benchmark_scenario.snapshots()
         assert snaps.y.shape == (37, 100)

@@ -81,7 +81,9 @@ def test_parse_snr_list(text, expected):
     "text",
     # The last three hold more than MAX_SNR_POINTS points (10^30 + 1 for the
     # first); the count is checked before any point is built.
+    # "1e400" is finite as a Decimal but overflows float.
     ["10,", "", "ten", "10:5:0", "1:2", "0:0:1", "0:-1:3", "nan:1:2",
+     "nan", "10,inf", "1e400", "1e400:1:1e400", "-1e400,0",
      "0:1e-30:1", "0:1e-999999:1e999999", f"1:1:{MAX_SNR_POINTS + 1}"],
 )
 def test_parse_snr_list_rejects(text):
@@ -105,13 +107,31 @@ def test_bad_config_is_a_usage_error(tmp_path, scenario_file, argv, message):
     assert list(tmp_path.iterdir()) == [scenario_file]
 
 
+def _scenario_argv(command, scenario, tmp_path):
+    out = {"simulate": "--out", "spectrum": "--out-dir", "montecarlo": "--out"}[command]
+    argv = [command, "--scenario", str(scenario), out, str(tmp_path / "out")]
+    return argv + ["--snr", "10"] if command == "montecarlo" else argv
+
+
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])
 def test_bad_scenario_is_a_usage_error(tmp_path, command):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"M": 9, "N": 11, "targets": []}), encoding="utf-8")
-    out = {"simulate": "--out", "spectrum": "--out-dir", "montecarlo": "--out"}[command]
-    argv = [command, "--scenario", str(scenario), out, str(tmp_path / "out")]
-    if command == "montecarlo":
-        argv += ["--snr", "10"]
     with pytest.raises(SystemExit, match=f"^{command}: scenario needs d_mm"):
-        main(argv)
+        main(_scenario_argv(command, scenario, tmp_path))
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])
+def test_missing_scenario_key_is_a_usage_error(tmp_path, command):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"M": 9, "N": 11, "d_mm": 2.5}), encoding="utf-8")
+    with pytest.raises(SystemExit, match=f"^{command}: scenario is missing 'targets'"):
+        main(_scenario_argv(command, scenario, tmp_path))
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])
+def test_missing_scenario_file_is_a_usage_error(tmp_path, command):
+    scenario = tmp_path / "absent.json"
+    with pytest.raises(SystemExit, match=f"^{command}: .*No such file"):
+        main(_scenario_argv(command, scenario, tmp_path))
+    assert list(tmp_path.iterdir()) == []

@@ -5,7 +5,12 @@ into shared stages, from the repository root with
 
     PYTHONPATH=src python tests/test_pipeline.py > tests/data/pipeline_golden.json
 
-and must not be regenerated to make a later change pass.
+The high-SNR golden was written at commit c418ffe, before the scans projected
+onto the signal subspace, with
+
+    PYTHONPATH=src python tests/test_pipeline.py --high-snr > tests/data/high_snr_golden.json
+
+Neither file may be regenerated to make a later change pass.
 """
 import dataclasses
 import json
@@ -32,13 +37,14 @@ from canf import baselines, music
 from canf.scenario import default_benchmark_scenario
 
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.json"
+HIGH_SNR_GOLDEN = Path(__file__).parent / "data" / "high_snr_golden.json"
 REL_TOL = 1e-9
 CONFIG = MusicConfig(k_targets=4)
 
 
-def benchmark_inputs():
-    """Coprime and dense snapshot sets of the benchmark scenario at 10 dB."""
-    scenario = default_benchmark_scenario(snr_db=10.0, seed=0)
+def benchmark_inputs(snr_db=10.0, seed=0):
+    """Coprime and dense snapshot sets of the benchmark scenario."""
+    scenario = default_benchmark_scenario(snr_db=snr_db, seed=seed)
     dense_snaps = synthesize(
         scenario.dense_layout(),
         scenario.targets,
@@ -64,6 +70,24 @@ def pipeline_outputs() -> dict:
             "angle_signal_rank": farfield.angle_signal_rank,
         },
     }
+
+
+def high_snr_outputs() -> dict:
+    """Every method's result on the benchmark scenario at noise-free, 60 and
+    40 dB, seeds 0-2: near-noiseless covariances, where the signal-subspace
+    projection is closest to cancellation at the peaks."""
+    out = {}
+    for snr_db in (None, 60.0, 40.0):
+        for seed in (0, 1, 2):
+            snaps, dense_snaps = benchmark_inputs(snr_db, seed)
+            key = f"{'noise-free' if snr_db is None else f'{snr_db:g} dB'}, seed {seed}"
+            out[key] = {
+                "localize": localize(snaps, CONFIG).to_dict(),
+                "localize_dense": localize_dense(dense_snaps, CONFIG).to_dict(),
+                "localize_subarray": localize_subarray(snaps, CONFIG).to_dict(),
+                "farfield_angles_deg": list(localize_farfield_virtual(snaps, CONFIG).angles_deg),
+            }
+    return out
 
 
 def unknown_k_results() -> dict:
@@ -103,6 +127,12 @@ def assert_matches(actual, expected, path="$"):
 def test_outputs_match_golden():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     actual = json.loads(json.dumps(pipeline_outputs()))
+    assert_matches(actual, expected)
+
+
+def test_high_snr_outputs_match_golden():
+    expected = json.loads(HIGH_SNR_GOLDEN.read_text(encoding="utf-8"))
+    actual = json.loads(json.dumps(high_snr_outputs()))
     assert_matches(actual, expected)
 
 
@@ -167,5 +197,6 @@ def test_result_carries_the_bundle_it_ran_on():
 
 
 if __name__ == "__main__":
-    json.dump(pipeline_outputs(), sys.stdout, indent=1, sort_keys=True)
+    outputs = high_snr_outputs() if sys.argv[1:] == ["--high-snr"] else pipeline_outputs()
+    json.dump(outputs, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -1,5 +1,6 @@
 """Property checks on generated inputs: coarray vectorization against its loop
-oracle, spatial smoothing output, and estimate-to-truth association."""
+oracle, the subspace scan against a noise-basis oracle, range-free
+decoupling, spatial smoothing output, and estimate-to-truth association."""
 import math
 
 import numpy as np
@@ -10,12 +11,18 @@ import oracles
 from canf import (
     CoprimeParams,
     SensorLayout,
+    SubspaceRule,
+    Target,
+    TargetSet,
     associate,
     build_coprime_layout,
+    decouple,
     difference_coarray,
     spatial_smooth,
     vectorize_to_coarray,
 )
+from canf.channel import steering_matrix
+from canf.music import Subspace
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 LAM = 10e-3
@@ -44,6 +51,81 @@ def test_vectorize_matches_loop_reference(layout, seed):
     segment = difference_coarray(layout).smoothing_segment
     expected = oracles.coarray_vector_reference(r, layout.grid, segment)
     np.testing.assert_allclose(vectorize_to_coarray(r, layout), expected, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(
+    layout=st.one_of(free_layouts, coprime_layouts),
+    seed=seeds,
+    log_scale=st.integers(-8, 8),
+)
+def test_vectorize_is_bitwise_the_per_lag_mean(layout, seed, log_scale):
+    # The grouped gather reduces each lag's entries in the order np.mean
+    # does, so no tolerance is needed.
+    rng = np.random.default_rng(seed)
+    u = layout.size
+    r = (rng.standard_normal((u, u)) + 1j * rng.standard_normal((u, u))) * 10.0**log_scale
+    segment = difference_coarray(layout).smoothing_segment
+    expected = oracles.coarray_vector_reference(r, layout.grid, segment)
+    np.testing.assert_array_equal(vectorize_to_coarray(r, layout), expected)
+
+
+def _ula_manifold(angles_deg, w):
+    return np.exp(1j * np.pi * np.outer(np.sin(np.deg2rad(angles_deg)), np.arange(w)))
+
+
+@PROPERTY
+@given(
+    w=st.integers(3, 16),
+    seed=seeds,
+    data=st.data(),
+)
+def test_scan_matches_noise_basis_reference(w, seed, data):
+    # Sources sit on scan-grid angles, optionally nudged off them, so some
+    # rows lie in (or a hair from) the signal span: there the signal-basis
+    # identity 1 - ||a^H U_s||^2 / W cancels to roundoff and only the guard's
+    # noise-basis recomputation meets the oracle.  Noise 0 makes the matrix
+    # exactly rank-deficient.
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, w - 1), label="sources")
+    rank = data.draw(st.integers(1, w - 1), label="rank")
+    sigma2 = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]), label="noise")
+    nudge_deg = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), label="nudge")
+    grid = np.linspace(-60.0, 60.0, 61)
+    sources = rng.choice(grid, size=k, replace=False) + nudge_deg * rng.standard_normal(k)
+    a = _ula_manifold(sources, w)
+    matrix = (a.T * rng.uniform(0.1, 10.0, k)) @ a.conj() + sigma2 * np.eye(w)
+    sub = Subspace.split(matrix, SubspaceRule.fixed(rank))
+    manifold = _ula_manifold(grid, w)
+    expected = oracles.noise_power_reference(sub.eigvecs[:, rank:], manifold)
+    # Rows in the signal span have noise power at roundoff (about 1e-30)
+    # on both sides; an unguarded signal-basis value there errs by ~1e-16.
+    np.testing.assert_allclose(
+        1.0 / sub.scan(grid, manifold).values, expected, rtol=1e-9, atol=1e-20
+    )
+
+
+@PROPERTY
+@given(layout=free_layouts, seed=seeds, k=st.integers(1, 3))
+def test_decoupling_leaves_no_range_dependence(layout, seed, k):
+    # Two noise-free quadratic-phase covariances whose targets share angles
+    # but not ranges.  Each target's own term of the decoupled covariance is
+    # range-free; the pairwise cross terms keep q_v - q_w, so they are taken
+    # out with the loop oracle before comparing (for one target there are
+    # none, and the decoupled covariances agree outright).
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-1.2, 1.2, k)
+    z_f, z_r = max(layout.fresnel_distance, 0.05), max(layout.rayleigh_distance, 0.1)
+    positions = list(layout.positions)
+    self_parts = []
+    for ranges in (rng.uniform(z_f, z_r, k), rng.uniform(z_f, z_r, k)):
+        targets = TargetSet(tuple(Target(float(t), float(r)) for t, r in zip(thetas, ranges)))
+        b = steering_matrix(layout, targets, "fresnel")
+        _, r_d = decouple(b @ b.conj().T, layout)
+        _, cross = oracles.self_cross_reference(positions, LAM, thetas, ranges)
+        self_parts.append(r_d - cross)
+    scale = np.max(np.abs(self_parts[0]))
+    np.testing.assert_allclose(self_parts[0], self_parts[1], rtol=0.0, atol=1e-10 * scale)
 
 
 coarray_vectors = st.integers(1, 10).flatmap(

@@ -21,6 +21,26 @@ def test_unknown_model_rejected_at_load():
         Scenario.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        ({"targets"}, "scenario is missing 'targets'"),
+        ({"M", "N"}, "scenario is missing 'M', 'N'"),
+    ],
+)
+def test_missing_key_rejected_at_load(drop, message):
+    data = {k: v for k, v in default_benchmark_scenario().to_dict().items() if k not in drop}
+    with pytest.raises(ValueError, match=message):
+        Scenario.from_dict(data)
+
+
+def test_missing_target_key_rejected_at_load():
+    data = default_benchmark_scenario().to_dict()
+    del data["targets"][0]["range_m"]
+    with pytest.raises(ValueError, match="scenario target 0 is missing 'range_m'"):
+        Scenario.from_dict(data)
+
+
 def test_warns_when_targets_exceed_capacity():
     data = default_benchmark_scenario().to_dict()
     with warnings.catch_warnings():
