@@ -21,7 +21,6 @@ from .channel import (
     TargetSet,
     steering_exact,
     steering_fresnel,
-    steering_selfspectrum,
     synthesize,
 )
 from .covariance import (
@@ -102,7 +101,6 @@ __all__ = [
     "spatial_smooth",
     "steering_exact",
     "steering_fresnel",
-    "steering_selfspectrum",
     "synthesize",
     "vectorize_to_coarray",
 ]

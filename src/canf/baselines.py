@@ -27,10 +27,10 @@ from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's
     Subspace,
     SubspaceRule,
     angle_candidates,
+    angle_spectrum,
     eig_hermitian,
     localize,
     two_phase,
-    virtual_steering_matrix,
 )
 
 __all__ = [
@@ -48,7 +48,9 @@ def localize_dense(
 
     The decoupling only needs layout symmetry, so the primary pipeline runs
     unchanged; the dense array simply brings a much smaller aperture and
-    near-field region.
+    near-field region.  The layout-kind check is what separates this scheme
+    from :func:`canf.music.localize`: without it, coprime snapshots passed
+    here would run the proposed method and be reported as the dense one.
     """
     layout = snapshots.layout
     if layout.kind != "dense":
@@ -88,11 +90,9 @@ def localize_farfield_virtual(
     w = r_v.shape[0]
     k = config.k_targets
     rule = config.angle_rule(w) if k is None else SubspaceRule.fixed(min(k, w - 1))
-    grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
-    axis = grid.angle_deg
+    axis = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m).angle_deg
     virtual = Subspace.split(r_v, rule)
-    manifold = virtual_steering_matrix(w, layout.d, layout.wavelength, axis, 1.0)
-    spec = virtual.scan(axis, manifold)
+    spec = angle_spectrum(virtual, layout.d, layout.wavelength, axis, position_scale=1.0)
     peaks = angle_candidates(spec, config.candidate_limit() if k is None else k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)
 

@@ -55,9 +55,8 @@ def associate(
     true_theta_deg,
     true_range_m,
     range_scale: float,
-    range_weight: float = 1.0,
 ) -> Matching:
-    """Minimum-cost assignment under ``|dtheta| + w * |dr| / range_scale``.
+    """Minimum-cost assignment under ``|dtheta| + |dr| / range_scale``.
 
     ``est_range_m`` may be None (angle-only method); the range term is then
     dropped.  Rectangular problems leave the surplus side unmatched.
@@ -71,7 +70,7 @@ def associate(
     if est_range_m is not None:
         est_r = np.atleast_1d(np.asarray(est_range_m, dtype=float))
         true_r = np.atleast_1d(np.asarray(true_range_m, dtype=float))
-        cost = cost + range_weight * np.abs(est_r[:, None] - true_r[None, :]) / range_scale
+        cost = cost + np.abs(est_r[:, None] - true_r[None, :]) / range_scale
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(sorted(zip(map(int, rows), map(int, cols))))
     matched_e = {i for i, _ in pairs}
@@ -115,6 +114,8 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.q_trials < 1:
             raise ValueError("q_trials must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if not self.snr_db_list:
             raise ValueError("snr_db_list must hold at least one SNR")
         if not all(math.isfinite(s) for s in self.snr_db_list):

@@ -26,7 +26,6 @@ __all__ = [
     "fresnel_phase_terms",
     "steering_exact",
     "steering_fresnel",
-    "steering_selfspectrum",
     "synthesize",
 ]
 
@@ -41,8 +40,8 @@ class Target:
     def __post_init__(self) -> None:
         if not (-math.pi / 2 < self.theta < math.pi / 2):
             raise ValueError("theta must lie in (-pi/2, pi/2)")
-        if self.r <= 0.0:
-            raise ValueError("range must be positive")
+        if not (math.isfinite(self.r) and self.r > 0.0):
+            raise ValueError(f"range must be finite and positive, got {self.r!r}")
 
     @classmethod
     def from_degrees(cls, theta_deg: float, r: float) -> "Target":
@@ -76,22 +75,6 @@ class TargetSet:
     @property
     def ranges(self) -> np.ndarray:
         return np.array([t.r for t in self.targets])
-
-    def fresnel_violations(self, layout: SensorLayout) -> list[str]:
-        """Diagnostics for targets outside [Z_F, Z_R] of ``layout``.
-
-        Out-of-region targets are legitimate inputs (mismatch studies probe
-        them on purpose), so this reports rather than raises.
-        """
-        z_f, z_r = layout.fresnel_distance, layout.rayleigh_distance
-        notes = []
-        for k, t in enumerate(self.targets):
-            if not (z_f <= t.r <= z_r):
-                notes.append(
-                    f"target {k} at r={t.r:g} m outside Fresnel region "
-                    f"[{z_f:g}, {z_r:g}] m"
-                )
-        return notes
 
 
 def fresnel_phase_terms(
@@ -129,17 +112,6 @@ def steering_fresnel(layout: SensorLayout, target: Target) -> np.ndarray:
     """Quadratic-phase (Fresnel) steering vector, ``exp(j*(p_u + q_u))``."""
     p, q = fresnel_phase_terms(layout, target.theta, target.r)
     return np.exp(1j * (p + q))
-
-
-def steering_selfspectrum(layout: SensorLayout, theta: float) -> np.ndarray:
-    """Doubled-position far-field steering, ``exp(-j*(2*pi/lambda)*2*s_u*sin(theta))``.
-
-    This is the manifold the decoupled covariance lives on: its (i, j) entry
-    carries the angle-only phase of the lag ``s_i - s_j`` at doubled spacing,
-    which is why the base spacing must satisfy d <= lambda/4.
-    """
-    s = layout.positions
-    return np.exp(-1j * 2.0 * np.pi / layout.wavelength * 2.0 * s * np.sin(theta))
 
 
 _MODELS = ("exact", "fresnel")
@@ -180,10 +152,6 @@ class SnapshotSet:
     @property
     def n_sensors(self) -> int:
         return self.y.shape[0]
-
-    @property
-    def n_sources(self) -> int:
-        return self.x.shape[0]
 
 
 def synthesize(

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-def _check_spacing(d: float, wavelength: float, strict: bool) -> None:
+def _check_spacing(d: float, wavelength: float) -> None:
     # Spacing above lambda/4 aliases the doubled-position (self-spectrum)
     # steering; kept as a warning so the ambiguity can be studied on purpose.
     if d > wavelength / 4.0 * (1.0 + 1e-12):
@@ -33,8 +33,6 @@ def _check_spacing(d: float, wavelength: float, strict: bool) -> None:
             f"spacing d={d:g} m exceeds lambda/4={wavelength / 4.0:g} m; "
             "angle estimates may be ambiguous"
         )
-        if strict:
-            raise ValueError(msg)
         warnings.warn(msg, UserWarning, stacklevel=3)
 
 
@@ -44,15 +42,13 @@ class CoprimeParams:
 
     ``m`` and ``n`` are normalized so that ``m < n``.  ``d`` is the minimum
     inter-sensor spacing in meters; ``wavelength`` is the carrier wavelength
-    in meters.  ``strict_spacing=True`` turns the d > lambda/4 diagnostic
-    into a hard error.
+    in meters.  A spacing above lambda/4 warns; it does not raise.
     """
 
     m: int
     n: int
     d: float
     wavelength: float
-    strict_spacing: bool = False
 
     def __post_init__(self) -> None:
         m, n = int(self.m), int(self.n)
@@ -66,9 +62,9 @@ class CoprimeParams:
             raise ValueError("coprime pair must be two distinct integers")
         if math.gcd(m, n) != 1:
             raise ValueError(f"m={m} and n={n} are not coprime")
-        if not (self.d > 0.0 and self.wavelength > 0.0):
-            raise ValueError("spacing and wavelength must be positive")
-        _check_spacing(self.d, self.wavelength, self.strict_spacing)
+        if not (0.0 < self.d < math.inf and 0.0 < self.wavelength < math.inf):
+            raise ValueError("spacing and wavelength must be finite and positive")
+        _check_spacing(self.d, self.wavelength)
 
 
 @dataclass(frozen=True)
@@ -92,24 +88,6 @@ class SensorLayout:
         if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
             raise ValueError("grid positions must be strictly ascending")
 
-    @classmethod
-    def from_positions(
-        cls,
-        positions_m,
-        d: float,
-        wavelength: float,
-        kind: str = "dense",
-    ) -> "SensorLayout":
-        """Build a layout from positions in meters, validating the d-grid.
-
-        Positions must sit on the integer grid of ``d`` within ``1e-9 * d``.
-        """
-        pos = np.asarray(positions_m, dtype=float)
-        grid = np.round(pos / d)
-        if np.any(np.abs(pos - grid * d) > 1e-9 * d):
-            raise ValueError("positions are not integer multiples of d")
-        return cls(tuple(int(v) for v in grid), float(d), float(wavelength), kind)
-
     @property
     def positions(self) -> np.ndarray:
         """Sensor positions in meters, ascending."""
@@ -118,11 +96,6 @@ class SensorLayout:
     @property
     def size(self) -> int:
         return len(self.grid)
-
-    @property
-    def half_count(self) -> int:
-        """V such that a symmetric odd layout has 2V - 1 sensors."""
-        return (len(self.grid) + 1) // 2
 
     @property
     def is_symmetric(self) -> bool:
@@ -162,10 +135,6 @@ class CoarrayLayout:
     smoothing_segment: tuple[int, ...]
     unit: float
 
-    @property
-    def segment_length(self) -> int:
-        return len(self.consecutive_segment)
-
 
 def build_coprime_layout(params: CoprimeParams) -> SensorLayout:
     """Symmetric coprime array: {m*k*d, |k| < n} union {n*k*d, |k| < m}.
@@ -180,18 +149,13 @@ def build_coprime_layout(params: CoprimeParams) -> SensorLayout:
     return SensorLayout(tuple(grid), params.d, params.wavelength, "coprime", params)
 
 
-def build_dense_layout(
-    u: int,
-    d: float,
-    wavelength: float,
-    strict_spacing: bool = False,
-) -> SensorLayout:
+def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
     """Uniform symmetric array with an odd number ``u`` of sensors."""
     if u < 1 or u % 2 == 0:
         raise ValueError("dense layout needs an odd, positive sensor count")
     if not (d > 0.0 and wavelength > 0.0):
         raise ValueError("spacing and wavelength must be positive")
-    _check_spacing(d, wavelength, strict_spacing)
+    _check_spacing(d, wavelength)
     half = (u - 1) // 2
     return SensorLayout(tuple(range(-half, half + 1)), d, wavelength, "dense")
 

@@ -9,9 +9,10 @@ once on the noise subspace of ``r_hat``, and a true/cross verdict per
 candidate (true angles give significant range peaks inside the near-field
 region, cross angles do not).  :func:`localize` runs the stages on the whole
 array, and the schemes in :mod:`canf.baselines` are compositions of them.
-:func:`angle_spectrum`, :func:`range_spectrum` and
-:func:`classify_and_estimate` start from a bare covariance: one subspace
-split, then one scan stage.
+The two scan stages are :func:`angle_spectrum` and :func:`range_spectrum`:
+each takes a :class:`Subspace` already split from its covariance, so a
+covariance is decomposed once however many scans read it, and they are the
+only code that pairs a steering manifold with a subspace.
 
 Every scan measures the noise-subspace power of unit-modulus steering
 vectors, so it projects onto whichever basis is narrower: the signal
@@ -48,7 +49,6 @@ __all__ = [
     "range_steering_matrix",
     "range_spectrum",
     "classify_range_spectrum",
-    "classify_and_estimate",
     "two_phase",
     "localize",
 ]
@@ -261,23 +261,23 @@ def virtual_steering_matrix(
 
 
 def angle_spectrum(
-    r_v: np.ndarray,
+    virtual: Subspace,
     unit: float,
     wavelength: float,
     angle_grid_deg,
-    rule: SubspaceRule,
     position_scale: float = 2.0,
 ) -> PseudoSpectrum:
-    """Angle-domain MUSIC over the smoothed virtual covariance.
+    """Angle-domain MUSIC scan of a split virtual covariance.
 
     ``unit`` is the coarray lag step in meters.  Peak locations are
-    invariant to any positive scaling of ``r_v``.
+    invariant to any positive scaling of the covariance ``virtual`` was
+    split from.
     """
     grid = np.asarray(angle_grid_deg, dtype=float)
     manifold = virtual_steering_matrix(
-        r_v.shape[0], unit, wavelength, grid, position_scale
+        virtual.eigvals.size, unit, wavelength, grid, position_scale
     )
-    return Subspace.split(r_v, rule).scan(grid, manifold)
+    return virtual.scan(grid, manifold)
 
 
 def _refine_parabolic(y_db: np.ndarray, idx: int, axis: np.ndarray) -> float:
@@ -365,21 +365,18 @@ def range_steering_matrix(layout: SensorLayout, theta_deg, range_grid_m) -> np.n
 
 
 def range_spectrum(
-    r_hat: np.ndarray,
-    layout: SensorLayout,
-    theta_deg: float,
-    range_grid_m,
-    rule: SubspaceRule,
+    initial: Subspace, layout: SensorLayout, theta_deg, range_grid_m
 ) -> PseudoSpectrum:
-    """Range-domain MUSIC at a fixed candidate angle.
+    """Range-domain MUSIC scan of a split initial covariance at fixed angles.
 
+    ``theta_deg`` is a scalar, giving one spectrum, or a 1-D array of
+    candidate angles, giving one spectrum per candidate (values ``(C, R)``).
     The scan runs on the quadratic-phase (Fresnel) manifold the range stage
     is derived on; snapshots synthesized with exact spherical wavefronts
     are scanned with that approximation's model error.
     """
     grid = np.asarray(range_grid_m, dtype=float)
-    manifold = range_steering_matrix(layout, theta_deg, grid)
-    return Subspace.split(r_hat, rule).scan(grid, manifold)
+    return initial.scan(grid, range_steering_matrix(layout, theta_deg, grid))
 
 
 @dataclass(frozen=True)
@@ -545,10 +542,7 @@ def _classify_candidates(
     bounds = (layout.fresnel_distance, layout.rayleigh_distance)
     range_grid = grid.range_m
     thetas = np.asarray(candidate_angles_deg, dtype=float)
-    scans = [
-        sub.scan(range_grid, range_steering_matrix(lay, thetas, range_grid)).values
-        for lay, sub in initials
-    ]
+    scans = [range_spectrum(sub, lay, thetas, range_grid).values for lay, sub in initials]
     fused = np.prod(scans, axis=0) ** (1.0 / len(scans))
     classified: list[ClassifiedTarget] = []
     spectra: list[tuple[float, PseudoSpectrum]] = []
@@ -557,18 +551,6 @@ def _classify_candidates(
         spectra.append((theta_deg, spec))
         classified.extend(classify_range_spectrum(theta_deg, spec, bounds))
     return classified, spectra
-
-
-def classify_and_estimate(
-    candidate_angles_deg,
-    r_hat: np.ndarray,
-    layout: SensorLayout,
-    grid: SpectrumGrid,
-    config: MusicConfig,
-) -> tuple[list[ClassifiedTarget], list[tuple[float, PseudoSpectrum]]]:
-    """Range-domain MUSIC at each candidate angle with true/cross labels."""
-    initial = Subspace.split(r_hat, config.range_rule(layout.size))
-    return _classify_candidates(candidate_angles_deg, [(layout, initial)], layout, grid)
 
 
 def two_phase(
@@ -591,8 +573,7 @@ def two_phase(
     virtual = [Subspace.split(b.r_v, config.angle_rule(b.r_v.shape[0])) for b in bundles]
     initial = [Subspace.split(b.r_hat, config.range_rule(b.r_hat.shape[0])) for b in bundles]
     scans = [
-        v.scan(axis, virtual_steering_matrix(v.eigvals.size, s.layout.d, layout.wavelength, axis))
-        for v, s in zip(virtual, inputs)
+        angle_spectrum(v, s.layout.d, layout.wavelength, axis) for v, s in zip(virtual, inputs)
     ]
     spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
     peaks = angle_candidates(spec_a, config.candidate_limit())

@@ -37,6 +37,15 @@ class Scenario:
     seed: int
     model: str = "exact"
 
+    def __post_init__(self) -> None:
+        # Checked here so that a bad file fails when it is loaded, not
+        # later inside synthesis or in every Monte Carlo trial.
+        CoprimeParams(self.m, self.n, self.d, self.wavelength)
+        if self.n_snapshots < 1:
+            raise ValueError(f"T must be at least 1, got {self.n_snapshots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
     @property
     def params(self) -> CoprimeParams:
         return CoprimeParams(self.m, self.n, self.d, self.wavelength)
@@ -51,7 +60,11 @@ class Scenario:
     def snapshots(
         self, snr_db: float | None = None, seed: int | None = None
     ) -> SnapshotSet:
-        """Synthesize on the coprime layout, optionally overriding noise/seed."""
+        """Synthesize on the coprime layout, optionally overriding noise/seed.
+
+        ``snr_db=None`` keeps the scenario's own SNR, so a noise-free draw
+        asks for ``snr_db=math.inf``.
+        """
         return synthesize(
             self.layout(),
             self.targets,
@@ -63,9 +76,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Load a scenario, rejecting a missing key or an unknown ``model`` and
-        warning when the targets exceed the decoupled capacity
-        ``max_targets(M, N)[0]``."""
+        """Load a scenario, rejecting a missing key, an unknown ``model`` or a
+        value the constructor rejects, and warning when the targets exceed
+        the decoupled capacity ``max_targets(M, N)[0]``."""
         _require(data, ("M", "N", "targets"), "scenario")
         for i, t in enumerate(data["targets"]):
             _require(t, ("theta_deg", "range_m"), f"scenario target {i}")
@@ -74,6 +87,8 @@ class Scenario:
         if d_mm is None and freq_ghz is None:
             raise ValueError("scenario needs d_mm and/or freq_ghz")
         if freq_ghz is not None:
+            if float(freq_ghz) == 0.0:
+                raise ValueError("freq_ghz must be positive, got 0")
             wavelength = SPEED_OF_LIGHT / (float(freq_ghz) * 1e9)
         else:
             wavelength = 4.0 * float(d_mm) * 1e-3

@@ -19,7 +19,7 @@ from canf import (
 )
 from canf.channel import SnapshotSet
 from canf.covariance import build_bundle
-from canf.music import angle_spectrum, detect_peaks
+from canf.music import Subspace, angle_spectrum, detect_peaks
 
 LAM = 10e-3
 
@@ -110,11 +110,10 @@ class TestSubarrayBaseline:
         coarray = difference_coarray(sub1)
         bundle = build_bundle(sub_snaps)
         spec = angle_spectrum(
-            bundle.r_v,
+            Subspace.split(bundle.r_v, SubspaceRule.fixed(1)),
             coarray.unit,
             sub1.wavelength,
             np.linspace(-89.95, 89.95, 3599),
-            SubspaceRule.fixed(1),
         )
         peaks = detect_peaks(spec, max_count=10, min_separation=0.5)
         # grating-lobe peaks recur at multiples of 2/n in the sine domain

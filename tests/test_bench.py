@@ -18,6 +18,7 @@ from canf.scenario import default_benchmark_scenario
         ({"snr_db_list": (10.0, float("nan"))}, "finite"),
         ({"snr_db_list": (float("inf"),)}, "finite"),
         ({"snr_db_list": (float("-inf"),)}, "finite"),
+        ({"base_seed": -1}, "base_seed"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):

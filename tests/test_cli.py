@@ -98,6 +98,7 @@ def test_parse_snr_list_rejects(text):
         (["spectrum", "--out-dir", "{tmp}/out", "--range-step", "nan"], "range_step_m"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--q", "0"], "q_trials"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--methods", "foo"], "unknown methods"),
+        (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--seed", "-1"], "base_seed"),
     ],
 )
 def test_bad_config_is_a_usage_error(tmp_path, scenario_file, argv, message):
@@ -119,6 +120,29 @@ def test_bad_scenario_is_a_usage_error(tmp_path, command):
     scenario.write_text(json.dumps({"M": 9, "N": 11, "targets": []}), encoding="utf-8")
     with pytest.raises(SystemExit, match=f"^{command}: scenario needs d_mm"):
         main(_scenario_argv(command, scenario, tmp_path))
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("T", 0, "T must be at least 1"),
+        ("d_mm", -2.5, "spacing and wavelength must be finite and positive"),
+        ("d_mm", float("inf"), "spacing and wavelength must be finite and positive"),
+        ("freq_ghz", 0, "freq_ghz must be positive"),
+        ("seed", -1, "seed must be non-negative"),
+        ("range_m", float("nan"), "range must be finite and positive"),
+    ],
+)
+def test_bad_scenario_value_is_a_usage_error(tmp_path, command, key, value, message):
+    # Each value used to pass the load and fail only inside synthesis.
+    data = default_benchmark_scenario().to_dict()
+    (data["targets"][0] if key == "range_m" else data)[key] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SystemExit, match=f"^{command}: {message}"):
+        main(_scenario_argv(command, scenario, tmp_path))
+    assert list(tmp_path.iterdir()) == [scenario]
 
 
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])

@@ -101,7 +101,7 @@ class TestDecouple:
                 assert r_a[i, j] == r[u - 1 - j, u - 1 - i]
 
     def test_requires_symmetric_layout(self):
-        asymmetric = SensorLayout.from_positions([0.0, 1e-3, 3e-3], 1e-3, LAM)
+        asymmetric = SensorLayout((0, 1, 3), 1e-3, LAM, "dense")
         with pytest.raises(ValueError, match="symmetric"):
             decouple(np.eye(3, dtype=complex), asymmetric)
 

@@ -23,8 +23,8 @@ from canf.covariance import build_bundle, decouple, spatial_smooth, vectorize_to
 from canf.music import (
     PseudoSpectrum,
     Subspace,
+    _classify_candidates,
     angle_spectrum,
-    classify_and_estimate,
     detect_peaks,
     signal_rank,
     virtual_steering_matrix,
@@ -230,7 +230,7 @@ class TestAngleSpectrum:
         targets = TargetSet((Target.from_degrees(10.0, 30.0),))
         _, r_v, ca = ideal_bundle(layout911, targets)
         grid = np.linspace(-89.95, 89.95, 3599)
-        spec = angle_spectrum(r_v, ca.unit, LAM, grid, SubspaceRule.fixed(1))
+        spec = angle_spectrum(Subspace.split(r_v, SubspaceRule.fixed(1)), ca.unit, LAM, grid)
         peaks = detect_peaks(spec, max_count=1)
         assert peaks[0].location == pytest.approx(10.0, abs=0.05)
 
@@ -240,8 +240,8 @@ class TestAngleSpectrum:
         bundle = build_bundle(snaps)
         ca = difference_coarray(layout911)
         spec = angle_spectrum(
-            bundle.r_v, ca.unit, LAM, np.linspace(-89.95, 89.95, 720),
-            SubspaceRule.fixed(1),
+            Subspace.split(bundle.r_v, SubspaceRule.fixed(1)),
+            ca.unit, LAM, np.linspace(-89.95, 89.95, 720),
         )
         assert np.all(np.isfinite(spec.values)) and np.all(spec.values > 0)
 
@@ -251,11 +251,11 @@ class TestAngleSpectrum:
         grid = np.linspace(-89.95, 89.95, 3599)
         rule = SubspaceRule.fixed(10)
         lam = layout.wavelength
-        p1 = detect_peaks(
-            angle_spectrum(r_v, ca.unit, lam, grid, rule), 10, min_separation=0.5
-        )
-        p2 = detect_peaks(
-            angle_spectrum(4.0 * r_v, ca.unit, lam, grid, rule), 10, min_separation=0.5
+        p1, p2 = (
+            detect_peaks(
+                angle_spectrum(Subspace.split(r, rule), ca.unit, lam, grid), 10, min_separation=0.5
+            )
+            for r in (r_v, 4.0 * r_v)
         )
         assert [p.location for p in p1] == [p.location for p in p2]
 
@@ -265,11 +265,11 @@ class TestAngleSpectrum:
         grid = np.linspace(-89.95, 89.95, 3599)
         rule = SubspaceRule.fixed(10)
         lam = layout.wavelength
-        p1 = detect_peaks(
-            angle_spectrum(r_v, ca.unit, lam, grid, rule), 10, min_separation=0.5
-        )
-        p3 = detect_peaks(
-            angle_spectrum(3.7 * r_v, ca.unit, lam, grid, rule), 10, min_separation=0.5
+        p1, p3 = (
+            detect_peaks(
+                angle_spectrum(Subspace.split(r, rule), ca.unit, lam, grid), 10, min_separation=0.5
+            )
+            for r in (r_v, 3.7 * r_v)
         )
         assert [p.index for p in p1] == [p.index for p in p3]
         np.testing.assert_allclose(
@@ -289,7 +289,7 @@ class TestRangeSpectrum:
         targets = TargetSet((Target.from_degrees(10.0, 30.0),))
         r_hat, _, _ = ideal_bundle(layout911, targets)
         grid = np.arange(0.54, 40.5, 0.1)
-        spec = range_spectrum(r_hat, layout911, 10.0, grid, SubspaceRule.fixed(1))
+        spec = range_spectrum(Subspace.split(r_hat, SubspaceRule.fixed(1)), layout911, 10.0, grid)
         peaks = detect_peaks(spec, max_count=1, include_edges=True)
         assert peaks[0].location == pytest.approx(30.0, abs=0.1)
 
@@ -297,11 +297,24 @@ class TestRangeSpectrum:
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
-        spec = range_spectrum(r_hat, layout, 30.0, grid, SubspaceRule.fixed(4))
+        initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
+        spec = range_spectrum(initial, layout, 30.0, grid)
         peaks = detect_peaks(spec, max_count=2, include_edges=True)
         locs = sorted(p.location for p in peaks)
         assert locs[0] == pytest.approx(20.0, abs=0.1)
         assert locs[1] == pytest.approx(40.0, abs=0.1)
+
+    def test_angle_array_gives_one_scan_per_angle(self, benchmark_scenario):
+        layout = benchmark_scenario.layout()
+        r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
+        grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
+        initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
+        thetas = np.array([-35.0, 10.0, 30.0])
+        stacked = range_spectrum(initial, layout, thetas, grid)
+        assert stacked.values.shape == (3, grid.size)
+        for theta, row in zip(thetas, stacked.values):
+            single = range_spectrum(initial, layout, float(theta), grid)
+            np.testing.assert_allclose(row, single.values, rtol=1e-9)
 
 
 class TestClassification:
@@ -312,16 +325,15 @@ class TestClassification:
         r_hat, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
         cfg = MusicConfig(k_targets=4)
         grid = SpectrumGrid.for_layout(layout)
-        spec = angle_spectrum(
-            r_v, ca.unit, layout.wavelength, np.asarray(grid.angle_deg),
-            cfg.angle_rule(r_v.shape[0]),
-        )
+        virtual = Subspace.split(r_v, cfg.angle_rule(r_v.shape[0]))
+        spec = angle_spectrum(virtual, ca.unit, layout.wavelength, grid.angle_deg)
         peaks = detect_peaks(spec, cfg.candidate_limit(), min_separation=0.5)
         found = sorted(p.location for p in peaks[:6])
         for truth in (-35.0, 10.0, 30.0):
             assert min(abs(f - truth) for f in found) < 0.05
-        classified, _ = classify_and_estimate(
-            [p.location for p in peaks], r_hat, layout, grid, cfg
+        initial = Subspace.split(r_hat, cfg.range_rule(layout.size))
+        classified, _ = _classify_candidates(
+            [p.location for p in peaks], [(layout, initial)], layout, grid
         )
         trues = sorted((c.theta_deg, c.range_m) for c in classified if c.is_true)
         assert len(trues) == 4
@@ -336,9 +348,9 @@ class TestClassification:
     def test_no_candidates_gives_empty_result(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
-        cfg = MusicConfig(k_targets=4)
-        classified, spectra = classify_and_estimate(
-            [], r_hat, layout, SpectrumGrid.for_layout(layout), cfg
+        initial = Subspace.split(r_hat, MusicConfig(k_targets=4).range_rule(layout.size))
+        classified, spectra = _classify_candidates(
+            [], [(layout, initial)], layout, SpectrumGrid.for_layout(layout)
         )
         assert classified == [] and spectra == []
 

@@ -187,6 +187,38 @@ def test_one_decomposition_per_covariance(monkeypatch, method, expected):
     assert len(calls) == expected, calls
 
 
+@pytest.mark.parametrize(
+    "method, expected",
+    [
+        (localize, {"angle_spectrum": 1, "range_spectrum": 1}),
+        (localize_subarray, {"angle_spectrum": 2, "range_spectrum": 2}),
+        (localize_farfield_virtual, {"angle_spectrum": 1, "range_spectrum": 0}),
+    ],
+)
+def test_one_scan_stage_call_per_input(monkeypatch, method, expected):
+    # angle_spectrum and range_spectrum are the only scan stages: each runs
+    # once per (sub)array input, with every candidate angle in one range call.
+    snaps, _ = benchmark_inputs()
+    calls = {name: 0 for name in expected}
+
+    def counting(name):
+        original = getattr(music, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in expected:
+        wrapper = counting(name)
+        for module in (music, baselines):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    method(snaps, CONFIG)
+    assert calls == expected
+
+
 def test_result_carries_the_bundle_it_ran_on():
     snaps, _ = benchmark_inputs()
     expected = build_bundle(snaps)

@@ -1,4 +1,5 @@
 """Scenario files: round trips and the checks made when one is loaded."""
+import math
 import warnings
 
 import pytest
@@ -50,3 +51,11 @@ def test_warns_when_targets_exceed_capacity():
     data["M"], data["N"] = 2, 3
     with pytest.warns(UserWarning, match="4 targets exceed the capacity 3"):
         Scenario.from_dict(data)
+
+
+def test_infinite_snr_override_is_noise_free():
+    # snr_db=None keeps the scenario's own SNR; math.inf is the noise-free override.
+    scenario = default_benchmark_scenario(snr_db=10.0)
+    assert scenario.snapshots().sigma2 == 0.1
+    snaps = scenario.snapshots(snr_db=math.inf)
+    assert snaps.sigma2 == 0.0 and snaps.snr_db is None
