@@ -2,8 +2,8 @@
 
 Dense near-field is the primary pipeline on a dense uniform layout.
 Far-field virtual-array is the sample covariance on the coarray with no
-decoupling, one subspace split, a ``position_scale=1`` angle scan and peak
-detection, with no range stage.  Subarray near-field is
+decoupling, one subspace split of its real form, a ``position_scale=1``
+angle scan and peak detection, with no range stage.  Subarray near-field is
 :func:`canf.music.two_phase` on the two uniform subarrays, fusing their angle
 and range scans pairwise.  All three consume the same snapshot sets and grids
 as the primary method, so swapping the scheme changes nothing about a
@@ -30,6 +30,7 @@ from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's
     angle_spectrum,
     eig_hermitian,
     localize,
+    real_form,
     two_phase,
 )
 
@@ -91,7 +92,7 @@ def localize_farfield_virtual(
     k = config.k_targets
     rule = config.angle_rule(w) if k is None else SubspaceRule.fixed(min(k, w - 1))
     axis = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m).angle_deg
-    virtual = Subspace.split(r_v, rule)
+    virtual = Subspace.split(real_form(r_v), rule)
     spec = angle_spectrum(virtual, layout.d, layout.wavelength, axis, position_scale=1.0)
     peaks = angle_candidates(spec, config.candidate_limit() if k is None else k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)

@@ -49,6 +49,9 @@ class Matching:
     unmatched_truths: tuple[int, ...]
 
 
+TIE_RTOL = 1e-9  # assignment costs this close, relative to the largest pair cost, tie
+
+
 def associate(
     est_theta_deg,
     est_range_m,
@@ -59,20 +62,30 @@ def associate(
     """Minimum-cost assignment under ``|dtheta| + |dr| / range_scale``.
 
     ``est_range_m`` may be None (angle-only method); the range term is then
-    dropped.  Rectangular problems leave the surplus side unmatched.
+    dropped.  Rectangular problems leave the surplus side unmatched.  The
+    cost is separable, so swapping two estimates often costs exactly the
+    same; totals within :data:`TIE_RTOL` count as tied and are decided by
+    the least squared error ``dtheta^2 + (dr / range_scale)^2``, then by the
+    lexicographically smallest pairs, so roundoff in the estimates never
+    picks the assignment.
     """
     est_theta = np.atleast_1d(np.asarray(est_theta_deg, dtype=float))
     true_theta = np.atleast_1d(np.asarray(true_theta_deg, dtype=float))
     n_e, n_t = est_theta.size, true_theta.size
     if n_e == 0 or n_t == 0:
         return Matching((), tuple(range(n_e)), tuple(range(n_t)))
-    cost = np.abs(est_theta[:, None] - true_theta[None, :])
+    terms = [np.abs(est_theta[:, None] - true_theta[None, :])]
     if est_range_m is not None:
         est_r = np.atleast_1d(np.asarray(est_range_m, dtype=float))
         true_r = np.atleast_1d(np.asarray(true_range_m, dtype=float))
-        cost = cost + np.abs(est_r[:, None] - true_r[None, :]) / range_scale
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple(sorted(zip(map(int, rows), map(int, cols))))
+        terms.append(np.abs(est_r[:, None] - true_r[None, :]) / range_scale)
+    tied = _tied_assignments(sum(terms))
+    if len(tied) > 1:
+        squared = sum(t**2 for t in terms)
+        totals = [sum(squared[i, j] for i, j in pairs) for pairs in tied]
+        window = TIE_RTOL * max(1.0, float(np.max(squared)))
+        tied = [pairs for pairs, total in zip(tied, totals) if total <= min(totals) + window]
+    pairs = min(tied)
     matched_e = {i for i, _ in pairs}
     matched_t = {j for _, j in pairs}
     return Matching(
@@ -80,6 +93,43 @@ def associate(
         tuple(i for i in range(n_e) if i not in matched_e),
         tuple(j for j in range(n_t) if j not in matched_t),
     )
+
+
+def _tied_assignments(cost: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """Every assignment whose total is within the tie window of the least.
+
+    Murty's partition (Murty, Operations Research 1968): the best assignment
+    of a subproblem splits the rest of it into one subproblem per pair,
+    keeping the pairs before that one and forbidding it.  A subproblem whose
+    best total misses the window holds no tied assignment and is dropped.
+    """
+    window = TIE_RTOL * max(1.0, float(np.max(cost)))
+    limit = math.inf
+    tied = []
+    pending = [cost]
+    while pending:
+        sub = pending.pop()
+        try:
+            rows, cols = linear_sum_assignment(sub)
+        except ValueError:
+            if not tied:  # the cost itself is invalid, e.g. NaN
+                raise
+            continue  # every assignment left uses a forbidden pair
+        total = sub[rows, cols].sum()
+        if not tied:
+            limit = total + window
+        elif total > limit:
+            continue
+        tied.append(tuple(sorted(zip(map(int, rows), map(int, cols)))))
+        for i, j in zip(rows, cols):
+            branch = sub.copy()
+            branch[i, j] = math.inf
+            pending.append(branch)
+            sub = sub.copy()
+            keep = sub[i, j]
+            sub[i, :] = sub[:, j] = math.inf
+            sub[i, j] = keep
+    return tied
 
 
 def rmse(errors) -> float | None:

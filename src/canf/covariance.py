@@ -38,26 +38,36 @@ def covariance_ls(snapshots: SnapshotSet) -> np.ndarray:
     ``B_t = y(t) x(t)^H / (x(t)^H x(t))``; the estimate is the average of
     ``B_t B_t^H``, which reduces to the power-normalized outer product
     ``y y^H / (x^H x)`` per snapshot.  Requires the known source waveforms
-    carried by the snapshot set.
+    carried by the snapshot set, with finite, nonzero power in every
+    snapshot, and finite snapshots.
     """
     y, x = snapshots.y, snapshots.x
     power = np.einsum("kt,kt->t", x.conj(), x).real
+    if not np.all(np.isfinite(power)):
+        raise ValueError("source waveforms x have non-finite entries; LS fit undefined")
     if np.any(power == 0.0):
         raise ValueError("a snapshot has zero source power; LS fit undefined")
-    z = y / np.sqrt(power)[None, :]
-    return _hermitian_part(z @ z.conj().T / snapshots.n_snapshots)
+    return _gram(y / np.sqrt(power)[None, :], snapshots.n_snapshots)
 
 
 def covariance_sample(snapshots: SnapshotSet) -> np.ndarray:
-    """Plain sample covariance ``(1/T) sum_t y(t) y(t)^H``."""
-    y = snapshots.y
-    return _hermitian_part(y @ y.conj().T / snapshots.n_snapshots)
+    """Plain sample covariance ``(1/T) sum_t y(t) y(t)^H`` of finite snapshots."""
+    return _gram(snapshots.y, snapshots.n_snapshots)
 
 
-def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
+def _gram(z: np.ndarray, n_snapshots: int) -> np.ndarray:
+    """``z z^H / T``, made exactly Hermitian, rejecting non-finite snapshots.
+
+    A non-finite entry of ``z`` makes its row's diagonal entry ``sum |z|^2``
+    non-finite, so the U-entry diagonal stands in for an O(U T) scan.
+    """
+    gram = z @ z.conj().T
+    if not np.all(np.isfinite(np.diagonal(gram))):
+        raise ValueError("snapshots y have non-finite entries")
     # Gram products are Hermitian analytically but not bitwise under BLAS;
     # downstream code relies on exact Hermiticity.
-    return 0.5 * (matrix + matrix.conj().T)
+    gram = gram / n_snapshots
+    return 0.5 * (gram + gram.conj().T)
 
 
 def mirror_antidiagonal(r_hat: np.ndarray) -> np.ndarray:

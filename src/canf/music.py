@@ -1,18 +1,35 @@
 """Two-phase MUSIC as one sequence of stages, each computed once.
 
 :func:`two_phase` runs them: covariance bundle; one :class:`Subspace` split
-each of the virtual covariance ``r_v`` and the initial covariance ``r_hat``;
-angle scan on the noise subspace of ``r_v``, whose peaks hold the true
-angles plus "cross" angles from target pairs; peak detection
-(:func:`angle_candidates`); then one range scan of every candidate angle at
-once on the noise subspace of ``r_hat``, and a true/cross verdict per
-candidate (true angles give significant range peaks inside the near-field
-region, cross angles do not).  :func:`localize` runs the stages on the whole
-array, and the schemes in :mod:`canf.baselines` are compositions of them.
-The two scan stages are :func:`angle_spectrum` and :func:`range_spectrum`:
-each takes a :class:`Subspace` already split from its covariance, so a
-covariance is decomposed once however many scans read it, and they are the
-only code that pairs a steering manifold with a subspace.
+each of the virtual covariance ``r_v`` (in its real form, below) and the
+initial covariance ``r_hat``; angle scan on the noise subspace of ``r_v``,
+whose peaks hold the true angles plus "cross" angles from target pairs; peak
+detection (:func:`angle_candidates`); then one range scan of every candidate
+angle at once on the noise subspace of ``r_hat``, and a true/cross verdict
+per candidate (true angles give significant range peaks inside the
+near-field region, cross angles do not).  :func:`localize` runs the stages
+on the whole array, and the schemes in :mod:`canf.baselines` are
+compositions of them.  The two scan stages are :func:`angle_spectrum` and
+:func:`range_spectrum`: each takes a :class:`Subspace` already split from
+its covariance, so a covariance is decomposed once however many scans read
+it, and they are the only code that pairs a steering manifold with a
+subspace.
+
+Both scans use the mirror symmetry of the symmetric array:
+
+- ``r_v`` is a smoothed Toeplitz-like covariance of a conjugate-symmetric
+  coarray vector, so it is centro-Hermitian, ``J r_v J = conj(r_v)``.  The
+  sparse unitary ``Q`` of the unitary-transformation method (Huarng & Yeh,
+  IEEE Trans. ASSP 1991; used by Unitary ESPRIT, Haardt & Nossek 1995, and
+  unitary root-MUSIC, Pesavento, Gershman & Haardt 2000) maps it to the
+  real symmetric :func:`real_form` ``S = Re(Q^H r_v Q)`` with the same
+  eigenvalues, and maps the centred ULA steering vector to a real one.  The
+  angle stage decomposes and scans in real arithmetic.
+- In the range manifold ``exp(1j * (p + q))`` the linear phase ``p`` is odd
+  and the Fresnel phase ``q`` even in the sensor position, so a mirror pair
+  shares one ``exp(1j * q)``.  The range stage folds each noise or signal
+  basis per candidate angle onto the ``F`` distinct ``|g|`` (19 of the 37
+  sensors of the (9, 11) array) and never builds the full manifold.
 
 Every scan measures the noise-subspace power of unit-modulus steering
 vectors, so it projects onto whichever basis is narrower: the signal
@@ -43,10 +60,10 @@ __all__ = [
     "ClassifiedTarget",
     "LocalizationResult",
     "eig_hermitian",
+    "real_form",
     "angle_spectrum",
     "detect_peaks",
     "angle_candidates",
-    "range_steering_matrix",
     "range_spectrum",
     "classify_range_spectrum",
     "two_phase",
@@ -67,12 +84,13 @@ def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized as ``(A + A^H)/2`` before decomposition; it
     must be Hermitian within ``1e-9 * |trace|`` and free of non-finite
-    entries.
+    entries.  A real input (the :func:`real_form` of ``r_v``) is decomposed
+    by the real symmetric solver and gives real eigenvectors.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     scale = max(abs(np.trace(a)), 1.0)
     if np.max(np.abs(a - a.conj().T)) > 1e-9 * scale:
@@ -80,6 +98,43 @@ def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sym = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(sym)
     return w[::-1], v[:, ::-1]
+
+
+_HALF_SQRT2 = math.sqrt(0.5)
+
+
+def _unitary_fold(a: np.ndarray) -> np.ndarray:
+    """``Q^H a`` along the first axis, by flips and sums.
+
+    ``Q`` is the sparse unitary of the unitary-transformation method: for
+    ``W = 2n`` it is ``[[I, 1j I], [J, -1j J]] / sqrt(2)``, and for
+    ``W = 2n + 1`` the same blocks around a middle row and column holding 1.
+    """
+    w = a.shape[0]
+    n = w // 2
+    top, flip = a[:n], a[::-1][:n]
+    return np.concatenate(
+        ((top + flip) * _HALF_SQRT2, a[n : w - n], (top - flip) * (-1j * _HALF_SQRT2))
+    )
+
+
+def real_form(matrix: np.ndarray) -> np.ndarray:
+    """The real symmetric ``S = Re(Q^H R Q)`` of a centro-Hermitian ``R``.
+
+    ``Q`` is unitary, so ``S`` has the eigenvalues of ``R`` and ``Q`` maps
+    its eigenvectors back; ``Q^H R Q`` is real exactly when
+    ``J R J = conj(R)``.  ``R`` must be centro-Hermitian within
+    ``1e-9 * |trace|``, the tolerance :func:`eig_hermitian` allows on
+    Hermiticity (Huarng & Yeh, IEEE Trans. ASSP 1991).
+    """
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    scale = max(abs(np.trace(a)), 1.0)
+    if np.max(np.abs(a[::-1, ::-1] - a.conj())) > 1e-9 * scale:
+        raise ValueError("matrix is not centro-Hermitian within tolerance")
+    # Q^H R Q = (Q^H (Q^H R)^H)^H, and Re(X^H) = Re(X)^T.
+    return _unitary_fold(_unitary_fold(a).conj().T).real.T
 
 
 @dataclass(frozen=True)
@@ -197,67 +252,68 @@ class Subspace:
         eigvals, eigvecs = eig_hermitian(matrix)
         return cls(eigvals, eigvecs, signal_rank(eigvals, rule))
 
-    def scan(self, axis: np.ndarray, manifold: np.ndarray) -> PseudoSpectrum:
+    def scan(
+        self, axis: np.ndarray, manifold: np.ndarray, fold: np.ndarray | None = None
+    ) -> PseudoSpectrum:
         """1 / normalized noise-subspace power of each manifold row, over ``axis``.
 
-        ``manifold`` is ``(..., W)``; the values take its leading shape.
-        Every manifold here is ``exp(1j * phase)``, so each row has
-        ``||a||^2 = W`` and its noise power ``||a^H U_n||^2 / W`` equals
-        ``1 - ||a^H U_s||^2 / W``.  When ``2 * rank < W`` the scan projects
-        onto the narrower signal basis ``U_s`` by that identity.  Near a peak
-        the difference cancels to roundoff, so rows below
-        :data:`CANCELLATION_FLOOR` are recomputed on the noise basis.
+        ``manifold`` is ``(..., W)`` in the basis of the decomposed matrix;
+        the values take its leading shape.  With ``fold`` (``(..., F, W)``),
+        ``manifold`` is ``(..., R, F)`` and row ``r`` of spectrum ``c`` stands
+        for the length-W vector ``manifold[c, r] @ fold[c]``: each basis is
+        folded to ``fold @ basis`` instead of the manifold being unfolded
+        (the range stage's mirror pairs).  Every steering vector here has
+        ``||a||^2 = W``: ``exp(1j * phase)`` in the range stage, and in the
+        angle stage the real ``Q^H a`` of a centred one (:func:`real_form`,
+        ``Q`` the unitary of Huarng & Yeh 1991).  So its noise power
+        ``||a^H U_n||^2 / W`` equals ``1 - ||a^H U_s||^2 / W``.  When
+        ``2 * rank < W`` the scan projects onto the narrower signal basis
+        ``U_s`` by that identity.  Near a peak the difference cancels to
+        roundoff, so rows below :data:`CANCELLATION_FLOOR` are recomputed on
+        the noise basis, each on its own spectrum's folded basis.
         """
-        w = manifold.shape[-1]
-        rows = manifold.reshape(-1, w)
-        noise = self.eigvecs[:, self.rank :]
+        w = self.eigvecs.shape[0]
+
+        def folded(basis: np.ndarray) -> np.ndarray:
+            return basis.conj() if fold is None else fold @ basis.conj()
+
+        signal, noise = self.eigvecs[:, : self.rank], self.eigvecs[:, self.rank :]
         if 2 * self.rank < w:
-            denom = 1.0 - _row_power(rows @ self.eigvecs[:, : self.rank].conj()) / w
-            near = np.flatnonzero(denom < CANCELLATION_FLOOR)
-            denom[near] = _row_power(rows[near] @ noise.conj()) / w
+            denom = 1.0 - _row_power(manifold @ folded(signal)) / w
+            near = np.nonzero(denom < CANCELLATION_FLOOR)
+            if near[0].size:
+                # Each near row against its own spectrum's folded noise basis.
+                rows = manifold[near][..., None, :] @ folded(noise)[near[:-1]]
+                denom[near] = _row_power(rows[..., 0, :]) / w
         else:
-            denom = _row_power(rows @ noise.conj()) / w
+            denom = _row_power(manifold @ folded(noise)) / w
         values = 1.0 / np.maximum(denom, _DENOM_FLOOR)
-        return PseudoSpectrum(axis, values.reshape(manifold.shape[:-1]))
+        return PseudoSpectrum(axis, values)
 
 
 def _row_power(proj: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of a complex matrix."""
-    return np.einsum("ij,ij->i", proj, proj.conj()).real
+    """Squared norm along the last axis."""
+    return np.einsum("...j,...j->...", proj, proj.conj()).real
 
 
 @lru_cache(maxsize=16)
-def _angle_manifold_cached(
+def _real_angle_manifold(
     w: int, unit: float, wavelength: float, position_scale: float, grid_bytes: bytes
 ) -> np.ndarray:
+    """``Q^H a`` of the centred W-element ULA manifold, one row per angle:
+    ``[sqrt(2) cos(psi), 1 (odd W only), sqrt(2) sin(psi)]`` with ``psi`` the
+    phases of the first ``W // 2`` elements."""
     grid_deg = np.frombuffer(grid_bytes, dtype=float)
-    positions = position_scale * unit * np.arange(w)
-    phase = (
-        -2.0
-        * np.pi
-        / wavelength
-        * np.outer(np.sin(np.deg2rad(grid_deg)), positions)
+    n = w // 2
+    centred = position_scale * unit * (np.arange(n) - 0.5 * (w - 1))
+    psi = -2.0 * np.pi / wavelength * np.outer(np.sin(np.deg2rad(grid_deg)), centred)
+    scaled = math.sqrt(2.0)
+    manifold = np.concatenate(
+        (scaled * np.cos(psi), np.ones((grid_deg.size, w - 2 * n)), scaled * np.sin(psi)),
+        axis=1,
     )
-    return np.exp(1j * phase)
-
-
-def virtual_steering_matrix(
-    w: int,
-    unit: float,
-    wavelength: float,
-    angle_grid_deg: np.ndarray,
-    position_scale: float = 2.0,
-) -> np.ndarray:
-    """Steering manifold of a W-element virtual ULA over an angle grid.
-
-    ``position_scale=2`` gives the doubled-position manifold the decoupled
-    covariance lives on; ``position_scale=1`` is the plain physical-lag
-    manifold used by far-field coarray processing.
-    """
-    grid = np.ascontiguousarray(np.asarray(angle_grid_deg, dtype=float))
-    return _angle_manifold_cached(
-        int(w), float(unit), float(wavelength), float(position_scale), grid.tobytes()
-    )
+    manifold.flags.writeable = False
+    return manifold
 
 
 def angle_spectrum(
@@ -269,13 +325,24 @@ def angle_spectrum(
 ) -> PseudoSpectrum:
     """Angle-domain MUSIC scan of a split virtual covariance.
 
-    ``unit`` is the coarray lag step in meters.  Peak locations are
-    invariant to any positive scaling of the covariance ``virtual`` was
-    split from.
+    ``virtual`` must be split from ``real_form(r_v)``.  The scan is of the
+    W-element virtual ULA ``exp(-2j pi / wavelength * position_scale * unit
+    * k * sin(theta))``, ``k = 0 .. W-1``: ``position_scale=2`` gives the
+    doubled-position manifold the decoupled covariance lives on,
+    ``position_scale=1`` the plain physical-lag manifold of far-field
+    coarray processing.  Centring the positions on the array changes each
+    row by a unit phase only, and ``Q^H`` maps the centred row to the real
+    row ``[sqrt(2) cos(psi), 1 (odd W only), sqrt(2) sin(psi)]`` the scan
+    uses (cached per grid), so the scan is real matrix arithmetic: the
+    unitary-transformation method of Huarng & Yeh (IEEE Trans. ASSP 1991).  ``unit`` is the coarray lag step in meters.  Peak
+    locations are invariant to any positive scaling of ``r_v``.
     """
-    grid = np.asarray(angle_grid_deg, dtype=float)
-    manifold = virtual_steering_matrix(
-        virtual.eigvals.size, unit, wavelength, grid, position_scale
+    if np.iscomplexobj(virtual.eigvecs):
+        raise ValueError("angle_spectrum scans a subspace split from real_form(r_v)")
+    grid = np.ascontiguousarray(np.asarray(angle_grid_deg, dtype=float))
+    manifold = _real_angle_manifold(
+        virtual.eigvals.size, float(unit), float(wavelength), float(position_scale),
+        grid.tobytes(),
     )
     return virtual.scan(grid, manifold)
 
@@ -340,30 +407,6 @@ def angle_candidates(spectrum: PseudoSpectrum, max_count: int | None) -> list[Pe
     return detect_peaks(spectrum, max_count, min_separation=MIN_ANGLE_SEPARATION_DEG)
 
 
-@lru_cache(maxsize=16)
-def _mirror_fold(grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """One sensor per distinct ``|g|``, and each sensor's index among them."""
-    _, first, unfold = np.unique(np.abs(grid), return_index=True, return_inverse=True)
-    return first, unfold
-
-
-def range_steering_matrix(layout: SensorLayout, theta_deg, range_grid_m) -> np.ndarray:
-    """Quadratic-phase steering vectors ``exp(1j * (p + q))`` over a range grid.
-
-    ``theta_deg`` is a scalar, giving ``(R, U)``, or a 1-D array of ``C``
-    angles, giving ``(C, R, U)``: one row per range, for each angle.  The
-    Fresnel term ``q`` depends on the position only through ``s^2``, so
-    ``exp(1j * q)`` is evaluated once per distinct ``|g|`` (19 of the 37
-    sensors of the (9, 11) array), gathered out to every sensor and
-    multiplied by the per-angle ``exp(1j * p)``.
-    """
-    theta = np.deg2rad(np.asarray(theta_deg, dtype=float))[..., None, None]
-    grid = np.asarray(range_grid_m, dtype=float)
-    p, q = fresnel_phase_terms(layout, theta, grid[:, None])
-    first, unfold = _mirror_fold(layout.grid)
-    return np.take(np.exp(1j * q[..., first]), unfold, axis=-1) * np.exp(1j * p)
-
-
 def range_spectrum(
     initial: Subspace, layout: SensorLayout, theta_deg, range_grid_m
 ) -> PseudoSpectrum:
@@ -371,12 +414,27 @@ def range_spectrum(
 
     ``theta_deg`` is a scalar, giving one spectrum, or a 1-D array of
     candidate angles, giving one spectrum per candidate (values ``(C, R)``).
-    The scan runs on the quadratic-phase (Fresnel) manifold the range stage
-    is derived on; snapshots synthesized with exact spherical wavefronts
-    are scanned with that approximation's model error.
+    The scan runs on the quadratic-phase (Fresnel) manifold
+    ``exp(1j * (p + q))`` the range stage is derived on; snapshots
+    synthesized with exact spherical wavefronts are scanned with that
+    approximation's model error.  ``p`` is odd and ``q`` even in the sensor
+    position, so each basis is folded per angle onto the ``F`` distinct
+    ``|g|`` (a mirror pair's rows weighted by ``exp(+-1j * p)``), and only
+    the ``(C, R, F)`` factor ``exp(1j * q)`` is evaluated.
     """
     grid = np.asarray(range_grid_m, dtype=float)
-    return initial.scan(grid, range_steering_matrix(layout, theta_deg, grid))
+    theta = np.deg2rad(np.asarray(theta_deg, dtype=float))
+    _, first, unfold = np.unique(np.abs(layout.grid), return_index=True, return_inverse=True)
+    # q scales as 1 / r: evaluate both terms at r = 1, then q per range.
+    p, q_unit = fresnel_phase_terms(layout, theta[..., None], 1.0)
+    fold = np.zeros(theta.shape + (first.size, layout.size), dtype=complex)
+    fold[..., unfold, np.arange(layout.size)] = np.exp(1j * p)
+    q = q_unit[..., None, first] / grid[:, None]
+    # exp(1j * q), bit for bit, at half the cost of the complex exp.
+    manifold = np.empty(q.shape, dtype=complex)
+    np.cos(q, out=manifold.real)
+    np.sin(q, out=manifold.imag)
+    return initial.scan(grid, manifold, fold)
 
 
 @dataclass(frozen=True)
@@ -570,7 +628,9 @@ def two_phase(
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
     axis = grid.angle_deg
     bundles = [build_bundle(s) for s in inputs]
-    virtual = [Subspace.split(b.r_v, config.angle_rule(b.r_v.shape[0])) for b in bundles]
+    virtual = [
+        Subspace.split(real_form(b.r_v), config.angle_rule(b.r_v.shape[0])) for b in bundles
+    ]
     initial = [Subspace.split(b.r_hat, config.range_rule(b.r_hat.shape[0])) for b in bundles]
     scans = [
         angle_spectrum(v, s.layout.d, layout.wavelength, axis) for v, s in zip(virtual, inputs)

@@ -160,3 +160,50 @@ def noise_power_reference(noise_basis, manifold):
             total += abs(inner) ** 2
         out.append(total / len(a))
     return np.array(out)
+
+
+def virtual_steering_matrix(w, unit, wavelength, angle_grid_deg, position_scale=2.0):
+    """Complex W-element virtual ULA manifold, one row per angle, element by
+    element: ``exp(-2j pi / wavelength * position_scale * unit * k * sin(theta))``."""
+    rows = []
+    for theta_deg in np.atleast_1d(angle_grid_deg):
+        s = np.sin(np.deg2rad(theta_deg))
+        rows.append(
+            [
+                np.exp(-2j * np.pi / wavelength * position_scale * unit * k * s)
+                for k in range(w)
+            ]
+        )
+    return np.array(rows)
+
+
+def range_steering_matrix(layout, theta_deg, range_grid_m):
+    """Quadratic-phase manifold ``exp(1j * (p + q))``, one row per range, for
+    a scalar angle ``(R, U)`` or each of several angles ``(C, R, U)``."""
+    thetas = np.atleast_1d(theta_deg)
+    lam = layout.wavelength
+    out = np.zeros((thetas.size, len(range_grid_m), layout.size), dtype=complex)
+    for c, theta_deg_c in enumerate(thetas):
+        theta = np.deg2rad(theta_deg_c)
+        for i, r in enumerate(range_grid_m):
+            for u, s in enumerate(layout.positions):
+                p = -s * 2.0 * np.pi * np.sin(theta) / lam
+                q = s**2 * np.pi * np.cos(theta) ** 2 / (lam * r)
+                out[c, i, u] = np.exp(1j * (p + q))
+    return out[0] if np.ndim(theta_deg) == 0 else out
+
+
+def unitary_q(w):
+    """The sparse unitary that makes centro-Hermitian matrices real: for
+    ``W = 2n``, ``[[I, 1j I], [J, -1j J]] / sqrt(2)``; for odd W the same
+    blocks around a middle row and column holding 1."""
+    n = w // 2
+    q = np.zeros((w, w), dtype=complex)
+    for k in range(n):
+        q[k, k] = 1.0 / np.sqrt(2.0)
+        q[k, w - n + k] = 1j / np.sqrt(2.0)
+        q[w - 1 - k, k] = 1.0 / np.sqrt(2.0)
+        q[w - 1 - k, w - n + k] = -1j / np.sqrt(2.0)
+    if w % 2:
+        q[n, n] = 1.0
+    return q

@@ -1,11 +1,13 @@
-"""The Monte Carlo harness: failed trials are counted and keep their error."""
+"""The Monte Carlo harness: failed trials are counted and keep their error,
+and tied assignments are decided the same way whatever the roundoff."""
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from canf import bench
-from canf.bench import METHODS, MonteCarloConfig, run_monte_carlo
+from canf.bench import METHODS, MonteCarloConfig, associate, run_monte_carlo
 from canf.scenario import default_benchmark_scenario
 
 
@@ -69,3 +71,30 @@ def test_failed_trial_is_recorded_with_its_error(monkeypatch, caplog, tmp_path):
         None,
         None,
     ]
+
+
+@pytest.mark.parametrize(
+    "est_theta, est_range, true_range, expected",
+    [
+        # L1 20 either way and squared error 104 either way: the
+        # lexicographically smaller pairs win.
+        ((4.0, 6.0), (16.0, 14.0), (10.0, 20.0), ((0, 0), (1, 1))),
+        # Angle-only, L1 16 either way: the squared error (160 < 200) picks
+        # the swapped pairs.
+        ((14.0, 12.0), None, None, ((0, 1), (1, 0))),
+    ],
+)
+def test_associate_breaks_exact_ties_deterministically(est_theta, est_range, true_range, expected):
+    # Truths at 0 and 10 degrees.  Roundoff-sized changes of the estimates
+    # must not flip a tie: every 1e-12 relative perturbation gives the same pairs.
+    rng = np.random.default_rng(0)
+
+    def perturbed(values):
+        if values is None:
+            return None
+        return np.asarray(values) * (1.0 + 1e-12 * rng.choice([-1.0, 1.0], len(values)))
+
+    assert associate(est_theta, est_range, (0.0, 10.0), true_range, 1.0).pairs == expected
+    for _ in range(20):
+        match = associate(perturbed(est_theta), perturbed(est_range), (0.0, 10.0), true_range, 1.0)
+        assert match.pairs == expected

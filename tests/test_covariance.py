@@ -63,8 +63,33 @@ class TestCovarianceLS:
         with pytest.raises(ValueError, match="zero source power"):
             covariance_ls(snaps)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_waveform_rejected(self, layout23, bad):
+        # An infinite source power would otherwise zero its snapshot silently.
+        t = TargetSet((Target.from_degrees(0, 1.0),))
+        snaps = synthesize(layout23, t, 4, None, 0)
+        snaps.x[0, 1] = bad
+        with pytest.raises(ValueError, match="waveforms x have non-finite"):
+            covariance_ls(snaps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_snapshot_rejected(self, layout23, bad):
+        t = TargetSet((Target.from_degrees(0, 1.0),))
+        snaps = synthesize(layout23, t, 4, 10.0, 0)
+        snaps.y[1, 3] = bad
+        with pytest.raises(ValueError, match="snapshots y have non-finite"):
+            covariance_ls(snaps)
+
 
 class TestCovarianceSample:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_snapshot_rejected(self, layout23, bad):
+        t = TargetSet((Target.from_degrees(0, 1.0),))
+        snaps = synthesize(layout23, t, 4, 10.0, 0)
+        snaps.y[0, 0] = bad
+        with pytest.raises(ValueError, match="snapshots y have non-finite"):
+            covariance_sample(snaps)
+
     def test_hermitian_exact(self, layout23):
         t = TargetSet((Target.from_degrees(10, 1.0),))
         snaps = synthesize(layout23, t, 50, 0.0, 3)

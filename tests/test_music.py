@@ -24,10 +24,11 @@ from canf.music import (
     PseudoSpectrum,
     Subspace,
     _classify_candidates,
+    _real_angle_manifold,
     angle_spectrum,
     detect_peaks,
+    real_form,
     signal_rank,
-    virtual_steering_matrix,
 )
 from canf.bench import associate
 
@@ -230,7 +231,9 @@ class TestAngleSpectrum:
         targets = TargetSet((Target.from_degrees(10.0, 30.0),))
         _, r_v, ca = ideal_bundle(layout911, targets)
         grid = np.linspace(-89.95, 89.95, 3599)
-        spec = angle_spectrum(Subspace.split(r_v, SubspaceRule.fixed(1)), ca.unit, LAM, grid)
+        spec = angle_spectrum(
+            Subspace.split(real_form(r_v), SubspaceRule.fixed(1)), ca.unit, LAM, grid
+        )
         peaks = detect_peaks(spec, max_count=1)
         assert peaks[0].location == pytest.approx(10.0, abs=0.05)
 
@@ -240,7 +243,7 @@ class TestAngleSpectrum:
         bundle = build_bundle(snaps)
         ca = difference_coarray(layout911)
         spec = angle_spectrum(
-            Subspace.split(bundle.r_v, SubspaceRule.fixed(1)),
+            Subspace.split(real_form(bundle.r_v), SubspaceRule.fixed(1)),
             ca.unit, LAM, np.linspace(-89.95, 89.95, 720),
         )
         assert np.all(np.isfinite(spec.values)) and np.all(spec.values > 0)
@@ -253,7 +256,9 @@ class TestAngleSpectrum:
         lam = layout.wavelength
         p1, p2 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(r, rule), ca.unit, lam, grid), 10, min_separation=0.5
+                angle_spectrum(Subspace.split(real_form(r), rule), ca.unit, lam, grid),
+                10,
+                min_separation=0.5,
             )
             for r in (r_v, 4.0 * r_v)
         )
@@ -267,7 +272,9 @@ class TestAngleSpectrum:
         lam = layout.wavelength
         p1, p3 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(r, rule), ca.unit, lam, grid), 10, min_separation=0.5
+                angle_spectrum(Subspace.split(real_form(r), rule), ca.unit, lam, grid),
+                10,
+                min_separation=0.5,
             )
             for r in (r_v, 3.7 * r_v)
         )
@@ -277,11 +284,17 @@ class TestAngleSpectrum:
         )
 
     def test_manifold_unit_scale_matches_single_position_phase(self):
-        man = virtual_steering_matrix(4, 1e-3, LAM, np.array([20.0]), 1.0)
-        expected = np.exp(
-            -1j * 2 * np.pi / LAM * 1e-3 * np.arange(4) * np.sin(np.deg2rad(20.0))
-        )
-        np.testing.assert_allclose(man[0], expected, atol=1e-12)
+        # The cached real row is Q^H of the single-position phase vector,
+        # centred on the array (a unit phase factor), for even and odd W.
+        grid = np.array([20.0])
+        phase = -1j * 2 * np.pi / LAM * 1e-3 * np.sin(np.deg2rad(20.0))
+        for w in (4, 5):
+            man = _real_angle_manifold(w, 1e-3, LAM, 1.0, grid.tobytes())
+            centred = np.exp(phase * np.arange(w)) * np.exp(-phase * 0.5 * (w - 1))
+            rotated = oracles.unitary_q(w).conj().T @ centred
+            np.testing.assert_allclose(rotated.imag, 0.0, atol=1e-12)
+            np.testing.assert_allclose(man[0], rotated.real, atol=1e-12)
+            assert not man.flags.writeable
 
 
 class TestRangeSpectrum:
@@ -325,7 +338,7 @@ class TestClassification:
         r_hat, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
         cfg = MusicConfig(k_targets=4)
         grid = SpectrumGrid.for_layout(layout)
-        virtual = Subspace.split(r_v, cfg.angle_rule(r_v.shape[0]))
+        virtual = Subspace.split(real_form(r_v), cfg.angle_rule(r_v.shape[0]))
         spec = angle_spectrum(virtual, ca.unit, layout.wavelength, grid.angle_deg)
         peaks = detect_peaks(spec, cfg.candidate_limit(), min_separation=0.5)
         found = sorted(p.location for p in peaks[:6])
@@ -409,7 +422,7 @@ class TestLocalize:
         sub1 = Subspace.split(b1.r_v, SubspaceRule.eig_gap(1))
         un1 = sub1.eigvecs[:, sub1.rank :]
         ca = difference_coarray(layout)
-        row = virtual_steering_matrix(
+        row = oracles.virtual_steering_matrix(
             b1.r_v.shape[0], ca.unit, layout.wavelength, np.array([10.0])
         )[0]
         assert np.linalg.norm(row.conj() @ un1) ** 2 / b1.r_v.shape[0] <= 1e-6

