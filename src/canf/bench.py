@@ -101,9 +101,17 @@ def _tied_assignments(cost: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
     Murty's partition (Murty, Operations Research 1968): the best assignment
     of a subproblem splits the rest of it into one subproblem per pair,
     keeping the pairs before that one and forbidding it.  A subproblem whose
-    best total misses the window holds no tied assignment and is dropped.
+    best total misses the window holds no tied assignment and is dropped:
+    unsolved, and never copied, when a lower bound on its total
+    (:func:`_assignment_bound`) already misses the window by more than the
+    roundoff of either sum, so an untied cost takes one solver call.
     """
-    window = TIE_RTOL * max(1.0, float(np.max(cost)))
+    scale = max(1.0, float(np.max(cost)))
+    window = TIE_RTOL * scale
+    # A bound and a solver total each add up n terms of at most ``scale``,
+    # so each is off its exact value by less than n * n * eps * scale.
+    n = min(cost.shape)
+    roundoff = 2.0 * n * n * np.finfo(float).eps * scale
     limit = math.inf
     tied = []
     pending = [cost]
@@ -121,15 +129,30 @@ def _tied_assignments(cost: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
         elif total > limit:
             continue
         tied.append(tuple(sorted(zip(map(int, rows), map(int, cols)))))
+        sub = sub.copy()
         for i, j in zip(rows, cols):
-            branch = sub.copy()
-            branch[i, j] = math.inf
-            pending.append(branch)
-            sub = sub.copy()
             keep = sub[i, j]
+            sub[i, j] = math.inf
+            if _assignment_bound(sub) <= limit + roundoff:
+                pending.append(sub.copy())
             sub[i, :] = sub[:, j] = math.inf
             sub[i, j] = keep
     return tied
+
+
+def _assignment_bound(cost: np.ndarray) -> float:
+    """A lower bound on the least assignment total: the sum of the row
+    minima when every row is assigned, of the column minima when every
+    column is (the larger of the two for a square cost).  Plain Python:
+    on costs this small it is a few times faster than numpy reductions."""
+    n_rows, n_cols = cost.shape
+    rows = cost.tolist()
+    bound = -math.inf
+    if n_rows <= n_cols:
+        bound = sum(map(min, rows))
+    if n_cols <= n_rows:
+        bound = max(bound, sum(map(min, zip(*rows))))
+    return bound
 
 
 def rmse(errors) -> float | None:

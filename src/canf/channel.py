@@ -154,6 +154,9 @@ class SnapshotSet:
         return self.y.shape[0]
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # one ulp below math.sqrt(0.5); see synthesize
+
+
 def synthesize(
     layout: SensorLayout,
     targets: TargetSet,
@@ -166,29 +169,43 @@ def synthesize(
 
     Sources are i.i.d. circularly-symmetric complex Gaussian with unit
     variance; noise is CSCG with ``sigma2 = 10**(-snr_db/10)`` (per-source
-    transmit SNR).  ``snr_db=None`` (or +inf) disables noise; NaN and -inf
-    are rejected.  The draw is fully determined by ``seed``.
+    transmit SNR).  ``snr_db=None`` (or +inf) disables noise; NaN, -inf and
+    an SNR so low that ``sigma2`` overflows are rejected.
+
+    The draw is fully determined by ``seed``, in a fixed order that keeps
+    every output bitwise stable: one ``standard_normal`` call of
+    ``(2K + 2U, T)`` normals (``(2K, T)`` when noise-free), whose row blocks
+    are, in order, the real and imaginary parts of ``x`` and then of ``z``.
+    ``x`` is its block times ``1 / sqrt(2)`` (the float ``1.0 /
+    math.sqrt(2.0)``: complex division by ``sqrt(2)`` multiplies by it), and
+    ``y`` is ``B @ x`` with ``sqrt(sigma2 / 2)`` times each noise block
+    added to its real or imaginary part.  Apart from the draw itself, only
+    ``x`` and ``y`` are allocated at full size.
     """
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
     if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
-    k = len(targets)
+    if snr_db is None or snr_db == math.inf:
+        sigma2, snr_db = 0.0, None
+    else:
+        try:
+            sigma2 = 10.0 ** (-float(snr_db) / 10.0)
+        except OverflowError:
+            raise ValueError(
+                f"snr_db={snr_db!r} is too low: its noise power overflows a float"
+            ) from None
+    k, u = len(targets), layout.size
     b = steering_matrix(layout, targets, model)
     rng = np.random.default_rng(seed)
-    x = (
-        rng.standard_normal((k, n_snapshots))
-        + 1j * rng.standard_normal((k, n_snapshots))
-    ) / math.sqrt(2.0)
-    if snr_db is None or snr_db == math.inf:
-        sigma2 = 0.0
-        z = 0.0
-        snr_db = None
-    else:
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        z = math.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal((layout.size, n_snapshots))
-            + 1j * rng.standard_normal((layout.size, n_snapshots))
-        )
-    y = b @ x + z
+    draws = rng.standard_normal((2 * k + (0 if snr_db is None else 2 * u), n_snapshots))
+    x = np.empty((k, n_snapshots), dtype=complex)
+    np.multiply(draws[:k], _INV_SQRT2, out=x.real)
+    np.multiply(draws[k : 2 * k], _INV_SQRT2, out=x.imag)
+    y = b @ x
+    if snr_db is not None:
+        noise = draws[2 * k :]
+        noise *= math.sqrt(sigma2 / 2.0)
+        y.real += noise[:u]
+        y.imag += noise[u:]
     return SnapshotSet(layout, y, x, sigma2, snr_db, seed, model)

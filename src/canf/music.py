@@ -270,7 +270,8 @@ class Subspace:
         ``2 * rank < W`` the scan projects onto the narrower signal basis
         ``U_s`` by that identity.  Near a peak the difference cancels to
         roundoff, so rows below :data:`CANCELLATION_FLOOR` are recomputed on
-        the noise basis, each on its own spectrum's folded basis.
+        the noise basis: with ``fold``, by one product per spectrum that has
+        such rows, against that spectrum's folded noise basis.
         """
         w = self.eigvecs.shape[0]
 
@@ -278,15 +279,24 @@ class Subspace:
             return basis.conj() if fold is None else fold @ basis.conj()
 
         signal, noise = self.eigvecs[:, : self.rank], self.eigvecs[:, self.rank :]
-        if 2 * self.rank < w:
-            denom = 1.0 - _row_power(manifold @ folded(signal)) / w
-            near = np.nonzero(denom < CANCELLATION_FLOOR)
-            if near[0].size:
-                # Each near row against its own spectrum's folded noise basis.
-                rows = manifold[near][..., None, :] @ folded(noise)[near[:-1]]
-                denom[near] = _row_power(rows[..., 0, :]) / w
-        else:
+        if 2 * self.rank >= w:
             denom = _row_power(manifold @ folded(noise)) / w
+        else:
+            denom = 1.0 - _row_power(manifold @ folded(signal)) / w
+            near = denom < CANCELLATION_FLOOR
+            if fold is None:
+                if near.any():
+                    rows = manifold[near][..., None, :] @ noise.conj()
+                    denom[near] = _row_power(rows[..., 0, :]) / w
+            else:
+                # One product per spectrum: its near rows against its own
+                # folded noise basis, folded only when some row needs it.
+                noise_conj = noise.conj()
+                for c in np.ndindex(near.shape[:-1]):
+                    rows = near[c]
+                    if rows.any():
+                        proj = manifold[c][rows] @ (fold[c] @ noise_conj)
+                        denom[c][rows] = _row_power(proj) / w
         values = 1.0 / np.maximum(denom, _DENOM_FLOOR)
         return PseudoSpectrum(axis, values)
 

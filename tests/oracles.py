@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here is written as plain loops over the defining formulas, on
-purpose: these must stay independent of the vectorized library code they
-check.
+Everything here except :func:`gram_one_matmul` is written as plain loops
+over the defining formulas, on purpose: these must stay independent of the
+vectorized library code they check.
 """
 import numpy as np
 
@@ -101,6 +101,16 @@ def ls_covariance_reference(y, x):
         bt = np.outer(yt, xt.conj()) / (xt.conj() @ xt)
         acc = acc + bt @ bt.conj().T
     return acc / t
+
+
+def gram_one_matmul(y, weight=None):
+    """``c c^H / T`` of ``c = y * weight`` (columnwise) as one matrix product,
+    made exactly Hermitian.  Unlike the loop oracles this is vectorized on
+    purpose: it is the unblocked product the blocked Gram must reproduce
+    bitwise when one block holds every snapshot."""
+    c = y if weight is None else y * weight[None, :]
+    gram = c @ c.conj().T / y.shape[1]
+    return 0.5 * (gram + gram.conj().T)
 
 
 def jacobi_eigvalsh(matrix, max_sweeps=100, tol=1e-14):

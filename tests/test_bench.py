@@ -98,3 +98,23 @@ def test_associate_breaks_exact_ties_deterministically(est_theta, est_range, tru
     for _ in range(20):
         match = associate(perturbed(est_theta), perturbed(est_range), (0.0, 10.0), true_range, 1.0)
         assert match.pairs == expected
+
+
+def test_untied_assignment_takes_one_solver_call(monkeypatch):
+    # Each estimate sits near its own truth, so every branch of the
+    # partition has a row-minimum bound above the tie window and is
+    # dropped unsolved.
+    calls = []
+    solve = bench.linear_sum_assignment
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(bench, "linear_sum_assignment", counting)
+    truth_theta, truth_range = (-35.0, 10.0, 30.0, 50.0), (25.0, 30.0, 20.0, 40.0)
+    match = associate(
+        (30.4, -34.8, 49.1, 10.2), (19.0, 26.0, 41.0, 31.5), truth_theta, truth_range, 20.0
+    )
+    assert match.pairs == ((0, 2), (1, 0), (2, 3), (3, 1))
+    assert calls == [(4, 4)]

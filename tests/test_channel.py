@@ -1,4 +1,10 @@
 """Steering vectors and synthetic snapshot generation."""
+import hashlib
+import json
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,9 @@ from canf import (
     synthesize,
 )
 from canf.channel import fresnel_phase_terms, steering_matrix
+from canf.scenario import default_benchmark_scenario
+
+SYNTHESIS_SHA256 = Path(__file__).parent / "data" / "synthesis_sha256.json"
 
 
 def random_targets(rng, n=20):
@@ -159,6 +168,37 @@ class TestSynthesize:
         targets = TargetSet((Target.from_degrees(12, 1.0),))
         with pytest.raises(ValueError, match="snr_db"):
             synthesize(layout23, targets, 8, snr_db, 0)
+
+    @pytest.mark.parametrize("snr_db", [-3100.0, -1e6, np.float64(-3100.0)])
+    def test_snr_whose_noise_power_overflows_rejected(self, layout23, snr_db):
+        targets = TargetSet((Target.from_degrees(12, 1.0),))
+        with pytest.raises(ValueError, match=re.escape(f"snr_db={snr_db!r}")):
+            synthesize(layout23, targets, 8, snr_db, 0)
+
+    @pytest.mark.parametrize("n_snapshots", [1, 7, 100, 20000])
+    def test_draw_is_bitwise_pinned(self, n_snapshots):
+        # The SHA-256 of y and x for every case was recorded from the tree
+        # that drew its normals in four calls and built y = B x + z out of
+        # place; the one-call, in-place synthesis must reproduce each byte.
+        # The pin is of this numpy and BLAS build: B x sums K products.
+        pinned = json.loads(SYNTHESIS_SHA256.read_text(encoding="utf-8"))["cases"]
+        scenario = default_benchmark_scenario()
+        layout = scenario.layout()
+        mismatched = []
+        for snr_db in (0.0, 10.0, 37.3, math.inf):
+            for model in ("exact", "fresnel"):
+                for k in (1, 4):
+                    targets = TargetSet(scenario.targets.targets[:k])
+                    for seed in (0, 5, 123):
+                        snaps = synthesize(layout, targets, n_snapshots, snr_db, seed, model)
+                        key = f"T={n_snapshots} snr={snr_db} model={model} K={k} seed={seed}"
+                        digests = [
+                            hashlib.sha256(a.tobytes()).hexdigest() for a in (snaps.y, snaps.x)
+                        ]
+                        if digests != pinned.pop(key):
+                            mismatched.append(key)
+        assert mismatched == []
+        assert not any(key.startswith(f"T={n_snapshots} ") for key in pinned)
 
     def test_benchmark_scenario_shape(self, benchmark_scenario):
         snaps = benchmark_scenario.snapshots()

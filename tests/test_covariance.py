@@ -63,6 +63,7 @@ class TestCovarianceLS:
         with pytest.raises(ValueError, match="zero source power"):
             covariance_ls(snaps)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
     def test_non_finite_waveform_rejected(self, layout23, bad):
         # An infinite source power would otherwise zero its snapshot silently.
@@ -72,6 +73,7 @@ class TestCovarianceLS:
         with pytest.raises(ValueError, match="waveforms x have non-finite"):
             covariance_ls(snaps)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
     def test_non_finite_snapshot_rejected(self, layout23, bad):
         t = TargetSet((Target.from_degrees(0, 1.0),))
@@ -81,7 +83,44 @@ class TestCovarianceLS:
             covariance_ls(snaps)
 
 
+class TestGram:
+    """The Gram product summed over snapshot blocks against one product."""
+
+    @pytest.mark.parametrize("n_snapshots", [1, 100, covariance._GRAM_BLOCK])
+    def test_one_block_is_bitwise_the_single_product(self, layout911, n_snapshots):
+        t = TargetSet((Target.from_degrees(5, 10), Target.from_degrees(-25, 20)))
+        snaps = synthesize(layout911, t, n_snapshots, 10.0, 3)
+        weight = 1.0 / np.sqrt(np.sum(np.abs(snaps.x) ** 2, axis=0))
+        for w in (None, weight):
+            np.testing.assert_array_equal(
+                covariance._gram(snaps.y, w), oracles.gram_one_matmul(snaps.y, w)
+            )
+
+    def test_many_blocks_match_the_single_product(self, layout911):
+        t = TargetSet((Target.from_degrees(5, 10), Target.from_degrees(-25, 20)))
+        snaps = synthesize(layout911, t, 20_000, 10.0, 3)
+        assert snaps.n_snapshots > 2 * covariance._GRAM_BLOCK
+        weight = 1.0 / np.sqrt(np.sum(np.abs(snaps.x) ** 2, axis=0))
+        for w in (None, weight):
+            expected = oracles.gram_one_matmul(snaps.y, w)
+            gram = covariance._gram(snaps.y, w)
+            assert np.max(np.abs(gram - expected)) <= 1e-14 * np.max(np.abs(expected))
+            np.testing.assert_array_equal(gram, gram.conj().T)
+
+    def test_ls_weight_is_bitwise_the_division(self, layout911):
+        # covariance_ls multiplies by 1 / sqrt(power) where the definition
+        # divides by sqrt(power); numpy's complex-by-real division is that
+        # product, bit for bit.
+        t = TargetSet((Target.from_degrees(5, 10),))
+        snaps = synthesize(layout911, t, 100, 10.0, 3)
+        root = np.sqrt(np.einsum("kt,kt->t", snaps.x.conj(), snaps.x).real)
+        np.testing.assert_array_equal(
+            covariance_ls(snaps), oracles.gram_one_matmul(snaps.y / root[None, :])
+        )
+
+
 class TestCovarianceSample:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_snapshot_rejected(self, layout23, bad):
         t = TargetSet((Target.from_degrees(0, 1.0),))

@@ -21,6 +21,7 @@ from canf import (
 from canf.channel import steering_fresnel, steering_matrix
 from canf.covariance import build_bundle, decouple, spatial_smooth, vectorize_to_coarray
 from canf.music import (
+    CANCELLATION_FLOOR,
     PseudoSpectrum,
     Subspace,
     _classify_candidates,
@@ -328,6 +329,26 @@ class TestRangeSpectrum:
         for theta, row in zip(thetas, stacked.values):
             single = range_spectrum(initial, layout, float(theta), grid)
             np.testing.assert_allclose(row, single.values, rtol=1e-9)
+
+    def test_near_rows_of_several_candidates_match_the_full_manifold(self, layout911):
+        # One source on a grid range at each of three candidate angles: every
+        # candidate has rows below CANCELLATION_FLOOR on the signal basis,
+        # and each must be recomputed on its own candidate's noise basis.
+        u = layout911.size
+        grid = np.linspace(layout911.fresnel_distance, layout911.rayleigh_distance, 12)
+        thetas = np.array([-20.0, 15.0, 40.0])
+        full = oracles.range_steering_matrix(layout911, thetas, grid)
+        columns = full[[0, 1, 2], [3, 8, 5]].T
+        power = np.array([1.0, 2.0, 0.5])
+        matrix = (columns * power) @ columns.conj().T + 1e-6 * np.eye(u)
+        sub = Subspace.split(matrix, SubspaceRule.fixed(3))
+        signal = sub.eigvecs[:, :3]
+        from_signal = 1.0 - np.sum(np.abs(full @ signal.conj()) ** 2, axis=-1) / u
+        near = from_signal < CANCELLATION_FLOOR
+        assert np.count_nonzero(near.any(axis=1)) == 3
+        expected = oracles.noise_power_reference(sub.eigvecs[:, 3:], full.reshape(-1, u))
+        spec = range_spectrum(sub, layout911, thetas, grid)
+        np.testing.assert_allclose(1.0 / spec.values.ravel(), expected, rtol=1e-9, atol=1e-20)
 
 
 class TestClassification:
