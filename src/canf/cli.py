@@ -19,7 +19,7 @@ import numpy as np
 from .bench import METHODS, MonteCarloConfig, run_monte_carlo
 from .geometry import CoprimeParams, build_coprime_layout, difference_coarray, max_targets
 from .music import MusicConfig, localize
-from .scenario import SPEED_OF_LIGHT, Scenario
+from .scenario import Scenario, _spacing_and_wavelength
 
 __all__ = ["main"]
 
@@ -69,14 +69,11 @@ def _geometry_summary(params: CoprimeParams) -> dict:
 
 
 def _cmd_geometry(args: argparse.Namespace) -> int:
-    if args.freq_ghz is not None:
-        wavelength = SPEED_OF_LIGHT / (args.freq_ghz * 1e9)
-    elif args.d_mm is not None:
-        wavelength = 4.0 * args.d_mm * 1e-3
-    else:
+    if args.freq_ghz is None and args.d_mm is None:
         raise SystemExit("geometry: provide --freq-ghz and/or --d-mm")
-    d = args.d_mm * 1e-3 if args.d_mm is not None else wavelength / 4.0
-    info = _geometry_summary(CoprimeParams(args.m, args.n, d, wavelength))
+    with _usage_errors("geometry"):
+        d, wavelength = _spacing_and_wavelength(args.d_mm, args.freq_ghz)
+        info = _geometry_summary(CoprimeParams(args.m, args.n, d, wavelength))
     if args.format == "json":
         print(json.dumps(info, indent=2, sort_keys=True))
     else:

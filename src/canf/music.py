@@ -27,15 +27,15 @@ Both scans use the mirror symmetry of the symmetric array:
   angle stage decomposes and scans in real arithmetic.
 - In the range manifold ``exp(1j * (p + q))`` the linear phase ``p`` is odd
   and the Fresnel phase ``q`` even in the sensor position, so a mirror pair
-  shares one ``exp(1j * q)``.  The range stage folds each noise or signal
-  basis per candidate angle onto the ``F`` distinct ``|g|`` (19 of the 37
-  sensors of the (9, 11) array) and never builds the full manifold.
+  shares one ``exp(1j * q)``.  The range stage folds the signal basis per
+  candidate angle onto the ``F`` distinct ``|g|`` (19 of the 37 sensors of
+  the (9, 11) array) and never builds the full manifold.
 
-Every scan measures the noise-subspace power of unit-modulus steering
-vectors, so it projects onto whichever basis is narrower: the signal
-subspace when it has fewer columns than the noise subspace (10 of 100 for
-the angle scan of four targets, 4 of 37 for the range scan), with rows near
-cancellation recomputed on the noise basis (:meth:`Subspace.scan`).
+Every scan measures the noise-subspace power of steering vectors of norm
+``sqrt(W)`` by projecting them onto the signal subspace alone, as
+``1 - ||U_s^H a||^2 / W``; rows near cancellation are recomputed as the
+norm of the residual ``a - U_s U_s^H a`` (:meth:`Subspace.scan`).  The
+noise basis is never read.
 """
 from __future__ import annotations
 
@@ -260,43 +260,31 @@ class Subspace:
         ``manifold`` is ``(..., W)`` in the basis of the decomposed matrix;
         the values take its leading shape.  With ``fold`` (``(..., F, W)``),
         ``manifold`` is ``(..., R, F)`` and row ``r`` of spectrum ``c`` stands
-        for the length-W vector ``manifold[c, r] @ fold[c]``: each basis is
-        folded to ``fold @ basis`` instead of the manifold being unfolded
-        (the range stage's mirror pairs).  Every steering vector here has
-        ``||a||^2 = W``: ``exp(1j * phase)`` in the range stage, and in the
-        angle stage the real ``Q^H a`` of a centred one (:func:`real_form`,
-        ``Q`` the unitary of Huarng & Yeh 1991).  So its noise power
-        ``||a^H U_n||^2 / W`` equals ``1 - ||a^H U_s||^2 / W``.  When
-        ``2 * rank < W`` the scan projects onto the narrower signal basis
-        ``U_s`` by that identity.  Near a peak the difference cancels to
-        roundoff, so rows below :data:`CANCELLATION_FLOOR` are recomputed on
-        the noise basis: with ``fold``, by one product per spectrum that has
-        such rows, against that spectrum's folded noise basis.
+        for the length-W vector ``manifold[c, r] @ fold[c]``: the signal
+        basis is folded to ``fold @ U_s`` instead of the manifold being
+        unfolded (the range stage's mirror pairs).  Every steering vector
+        here has ``||a||^2 = W``: ``exp(1j * phase)`` in the range stage, and
+        in the angle stage the real ``Q^H a`` of a centred one
+        (:func:`real_form`, ``Q`` the unitary of Huarng & Yeh 1991).  So its
+        noise power ``||(I - U_s U_s^H) a||^2 / W`` equals
+        ``1 - ||U_s^H a||^2 / W``, and the scan projects onto the signal
+        basis ``U_s`` only.  Near a peak that difference cancels to roundoff,
+        so each row below :data:`CANCELLATION_FLOOR` is recomputed as the
+        norm of its residual ``a - U_s (U_s^H a)``, from the coefficients the
+        projection already holds; with ``fold``, its ``a`` is unfolded first.
+        The noise columns ``eigvecs[:, rank:]`` are never read.
         """
         w = self.eigvecs.shape[0]
-
-        def folded(basis: np.ndarray) -> np.ndarray:
-            return basis.conj() if fold is None else fold @ basis.conj()
-
-        signal, noise = self.eigvecs[:, : self.rank], self.eigvecs[:, self.rank :]
-        if 2 * self.rank >= w:
-            denom = _row_power(manifold @ folded(noise)) / w
-        else:
-            denom = 1.0 - _row_power(manifold @ folded(signal)) / w
-            near = denom < CANCELLATION_FLOOR
-            if fold is None:
-                if near.any():
-                    rows = manifold[near][..., None, :] @ noise.conj()
-                    denom[near] = _row_power(rows[..., 0, :]) / w
-            else:
-                # One product per spectrum: its near rows against its own
-                # folded noise basis, folded only when some row needs it.
-                noise_conj = noise.conj()
-                for c in np.ndindex(near.shape[:-1]):
-                    rows = near[c]
-                    if rows.any():
-                        proj = manifold[c][rows] @ (fold[c] @ noise_conj)
-                        denom[c][rows] = _row_power(proj) / w
+        signal = self.eigvecs[:, : self.rank]
+        basis = signal.conj() if fold is None else fold @ signal.conj()
+        proj = manifold @ basis
+        denom = 1.0 - _row_power(proj) / w
+        near = denom < CANCELLATION_FLOOR
+        for c in np.ndindex(near.shape[:-1]):
+            rows = near[c]
+            if rows.any():
+                a = manifold[c][rows] if fold is None else manifold[c][rows] @ fold[c]
+                denom[c][rows] = _row_power(a - proj[c][rows] @ signal.T) / w
         values = 1.0 / np.maximum(denom, _DENOM_FLOOR)
         return PseudoSpectrum(axis, values)
 

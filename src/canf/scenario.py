@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,13 +87,7 @@ class Scenario:
         freq_ghz = data.get("freq_ghz")
         if d_mm is None and freq_ghz is None:
             raise ValueError("scenario needs d_mm and/or freq_ghz")
-        if freq_ghz is not None:
-            if float(freq_ghz) == 0.0:
-                raise ValueError("freq_ghz must be positive, got 0")
-            wavelength = SPEED_OF_LIGHT / (float(freq_ghz) * 1e9)
-        else:
-            wavelength = 4.0 * float(d_mm) * 1e-3
-        d = float(d_mm) * 1e-3 if d_mm is not None else wavelength / 4.0
+        d, wavelength = _spacing_and_wavelength(d_mm, freq_ghz)
         targets = TargetSet(
             tuple(
                 Target.from_degrees(float(t["theta_deg"]), float(t["range_m"]))
@@ -144,6 +139,19 @@ class Scenario:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _spacing_and_wavelength(d_mm, freq_ghz) -> tuple[float, float]:
+    """Spacing and wavelength in meters: the wavelength from the carrier, else
+    four spacings; the spacing from ``d_mm``, else a quarter wavelength."""
+    if freq_ghz is None:
+        wavelength = 4.0 * float(d_mm) * 1e-3
+    elif 0.0 < float(freq_ghz) < math.inf:
+        wavelength = SPEED_OF_LIGHT / (float(freq_ghz) * 1e9)
+    else:
+        raise ValueError(f"freq_ghz must be positive and finite, got {freq_ghz!r}")
+    d = wavelength / 4.0 if d_mm is None else float(d_mm) * 1e-3
+    return d, wavelength
 
 
 def _require(data: dict, keys: tuple[str, ...], where: str) -> None:

@@ -94,6 +94,23 @@ def test_parse_snr_list_rejects(text):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["--freq-ghz", "0"], "freq_ghz must be positive"),
+        (["--freq-ghz", "-30"], "freq_ghz must be positive"),
+        (["--freq-ghz", "nan"], "freq_ghz must be positive"),
+        (["--d-mm", "0"], "spacing and wavelength must be finite and positive"),
+        (["--d-mm", "-2.5"], "spacing and wavelength must be finite and positive"),
+        (["--m", "4", "--n", "6", "--freq-ghz", "30"], "m=4 and n=6 are not coprime"),
+    ],
+)
+def test_bad_geometry_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit, match=f"^geometry: {message}"):
+        main(["geometry", "--m", "9", "--n", "11"] + argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["spectrum", "--out-dir", "{tmp}/out", "--angle-step", "0"], "angle_step_deg"),
         (["spectrum", "--out-dir", "{tmp}/out", "--range-step", "nan"], "range_step_m"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--q", "0"], "q_trials"),

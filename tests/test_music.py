@@ -12,6 +12,7 @@ from canf import (
     Target,
     TargetSet,
     build_coprime_layout,
+    build_subarrays,
     difference_coarray,
     eig_hermitian,
     localize,
@@ -333,7 +334,8 @@ class TestRangeSpectrum:
     def test_near_rows_of_several_candidates_match_the_full_manifold(self, layout911):
         # One source on a grid range at each of three candidate angles: every
         # candidate has rows below CANCELLATION_FLOOR on the signal basis,
-        # and each must be recomputed on its own candidate's noise basis.
+        # and each must be recomputed as the residual of its own candidate's
+        # unfolded steering vector.
         u = layout911.size
         grid = np.linspace(layout911.fresnel_distance, layout911.rayleigh_distance, 12)
         thetas = np.array([-20.0, 15.0, 40.0])
@@ -349,6 +351,51 @@ class TestRangeSpectrum:
         expected = oracles.noise_power_reference(sub.eigvecs[:, 3:], full.reshape(-1, u))
         spec = range_spectrum(sub, layout911, thetas, grid)
         np.testing.assert_allclose(1.0 / spec.values.ravel(), expected, rtol=1e-9, atol=1e-20)
+
+
+def _without_noise_columns(sub):
+    eigvecs = sub.eigvecs.copy()
+    eigvecs[:, sub.rank :] = np.nan
+    return Subspace(sub.eigvals, eigvecs, sub.rank)
+
+
+@pytest.mark.parametrize("case", ["angle", "range", "subarray-1 angle"])
+def test_scans_never_read_the_noise_columns(benchmark_scenario, case):
+    # NaN noise columns: every scan must still return the intact split's
+    # finite values, near rows included.  Subarray 1 (W = 17, rank 10) has
+    # the wider signal basis.
+    snaps = benchmark_scenario.snapshots()
+    layout = snaps.layout
+    if case == "subarray-1 angle":
+        sub1 = build_subarrays(layout.coprime)[0]
+        index = {g: i for i, g in enumerate(layout.grid)}
+        rows = [index[g * layout.coprime.n] for g in sub1.grid]
+        snaps = dataclasses.replace(snaps, layout=sub1, y=snaps.y[rows])
+    bundle = build_bundle(snaps)
+    config = MusicConfig(k_targets=4)
+    grid = SpectrumGrid.for_layout(layout)
+    if case == "range":
+        sub = Subspace.split(bundle.r_hat, config.range_rule(layout.size))
+        thetas = np.array([-35.0, 10.0, 30.0])
+
+        def scan(s):
+            return range_spectrum(s, layout, thetas, grid.range_m).values
+
+    else:
+        w = bundle.r_v.shape[0]
+        sub = Subspace.split(real_form(bundle.r_v), config.angle_rule(w))
+
+        def scan(s):
+            return angle_spectrum(s, snaps.layout.d, layout.wavelength, grid.angle_deg).values
+
+    expected = scan(sub)
+    if case == "subarray-1 angle":
+        assert 2 * sub.rank >= sub.eigvals.size
+    else:
+        assert np.any(1.0 / expected < CANCELLATION_FLOOR)
+    got = scan(_without_noise_columns(sub))
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, expected)
 
 
 class TestClassification:

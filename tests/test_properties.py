@@ -88,8 +88,8 @@ def test_scan_matches_noise_basis_reference(w, seed, data):
     # Sources sit on scan-grid angles, optionally nudged off them, so some
     # rows lie in (or a hair from) the signal span: there the signal-basis
     # identity 1 - ||a^H U_s||^2 / W cancels to roundoff and only the guard's
-    # noise-basis recomputation meets the oracle.  Noise 0 makes the matrix
-    # exactly rank-deficient.
+    # residual recomputation ||a - U_s U_s^H a||^2 / W meets the oracle.
+    # Noise 0 makes the matrix exactly rank-deficient.
     rng = np.random.default_rng(seed)
     k = data.draw(st.integers(1, w - 1), label="sources")
     rank = data.draw(st.integers(1, w - 1), label="rank")
