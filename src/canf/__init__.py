@@ -1,8 +1,9 @@
 """canf: near-field multi-target localization with symmetric coprime arrays.
 
 The pipeline decouples angle and range through an anti-diagonal covariance
-product, restores rank on the difference coarray by spatial smoothing, and
-localizes with a two-phase MUSIC search (angles first, then ranges with
+product, restores rank on the difference coarray by decomposing its Toeplitz
+matrix (the spatially smoothed covariance's eigenpairs, without smoothing),
+and localizes with a two-phase MUSIC search (angles first, then ranges with
 true/cross classification).  Dense-array, far-field virtual-array and
 subarray baselines plus a Monte Carlo RMSE harness ride on the same
 primitives.

@@ -2,12 +2,12 @@
 
 Dense near-field is the primary pipeline on a dense uniform layout.
 Far-field virtual-array is the sample covariance on the coarray with no
-decoupling, one subspace split of its real form, a ``position_scale=1``
-angle scan and peak detection, with no range stage.  Subarray near-field is
-:func:`canf.music.two_phase` on the two uniform subarrays, fusing their angle
-and range scans pairwise.  All three consume the same snapshot sets and grids
-as the primary method, so swapping the scheme changes nothing about a
-scenario.
+decoupling, one :meth:`canf.music.Subspace.split_coarray` of its coarray
+vector, a ``position_scale=1`` angle scan and peak detection, with no range
+stage.  Subarray near-field is :func:`canf.music.two_phase` on the two
+uniform subarrays, fusing their angle and range scans pairwise.  All three
+consume the same snapshot sets and grids as the primary method, so swapping
+the scheme changes nothing about a scenario.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import SnapshotSet
-from .covariance import covariance_sample, spatial_smooth, vectorize_to_coarray
+from .covariance import covariance_sample, vectorize_to_coarray
 from .geometry import build_subarrays
 from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's tracer)
     LocalizationResult,
@@ -30,7 +30,6 @@ from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's
     angle_spectrum,
     eig_hermitian,
     localize,
-    real_form,
     two_phase,
 )
 
@@ -79,20 +78,21 @@ def localize_farfield_virtual(
     """Classic far-field coarray MUSIC on the plain sample covariance.
 
     The sample covariance is vectorized over the physical difference
-    coarray (single-position phase), smoothed, and scanned in angle.  No
-    range estimation: the scheme assumes planar wavefronts, which is
-    exactly the model mismatch it exhibits on near-field data.
+    coarray (single-position phase), split as its smoothed covariance
+    (:meth:`canf.music.Subspace.split_coarray`, which never forms it) and
+    scanned in angle.  No range estimation: the scheme assumes planar
+    wavefronts, which is exactly the model mismatch it exhibits on
+    near-field data.
     """
     if config is None:
         config = MusicConfig()
     layout = snapshots.layout
-    r_hat = covariance_sample(snapshots)
-    r_v = spatial_smooth(vectorize_to_coarray(r_hat, layout))
-    w = r_v.shape[0]
+    r_tilde = vectorize_to_coarray(covariance_sample(snapshots), layout)
+    w = (r_tilde.size + 1) // 2
     k = config.k_targets
     rule = config.angle_rule(w) if k is None else SubspaceRule.fixed(min(k, w - 1))
     axis = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m).angle_deg
-    virtual = Subspace.split(real_form(r_v), rule)
+    virtual = Subspace.split_coarray(r_tilde, rule)
     spec = angle_spectrum(virtual, layout.d, layout.wavelength, axis, position_scale=1.0)
     peaks = angle_candidates(spec, config.candidate_limit() if k is None else k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)

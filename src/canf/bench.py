@@ -83,8 +83,8 @@ def associate(
     if len(tied) > 1:
         squared = sum(t**2 for t in terms)
         totals = [sum(squared[i, j] for i, j in pairs) for pairs in tied]
-        window = TIE_RTOL * max(1.0, float(np.max(squared)))
-        tied = [pairs for pairs, total in zip(tied, totals) if total <= min(totals) + window]
+        limit = min(totals) + TIE_RTOL * max(1.0, float(np.max(squared)))
+        tied = [pairs for pairs, total in zip(tied, totals) if total <= limit]
     pairs = min(tied)
     matched_e = {i for i, _ in pairs}
     matched_t = {j for _, j in pairs}

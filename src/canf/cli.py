@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import METHODS, MonteCarloConfig, run_monte_carlo
+from .covariance import spatial_smooth
 from .geometry import CoprimeParams, build_coprime_layout, difference_coarray, max_targets
 from .music import MusicConfig, localize
 from .scenario import Scenario, _spacing_and_wavelength
@@ -152,7 +153,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.dump_covariance:
         _write_matrix_csv(out_dir / "r_hat.csv", result.bundle.r_hat)
         _write_matrix_csv(out_dir / "r_d.csv", result.bundle.r_d)
-        _write_matrix_csv(out_dir / "r_v.csv", result.bundle.r_v)
+        _write_matrix_csv(out_dir / "r_v.csv", spatial_smooth(result.bundle.r_tilde))
     return 0
 
 

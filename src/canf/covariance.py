@@ -1,17 +1,17 @@
-"""Covariance construction: initial estimate, anti-diagonal decoupling,
-coarray vectorization and spatial smoothing.
+"""Covariance construction: initial estimate, anti-diagonal decoupling and
+coarray vectorization.
 
 For a symmetric layout, mirroring the covariance across its anti-diagonal
 flips the sign of the range-dependent quadratic phase while preserving the
 angle-dependent linear phase.  The Hadamard product of the matrix with its
 mirror therefore cancels range out of every entry (self-spectrum) at the
 cost of extra pairwise cross terms; the result lives on the difference
-coarray and can be smoothed back to a full-rank angle-only covariance.
+coarray, whose Hermitian Toeplitz matrix the angle stage decomposes in
+place of its smoothed square (:func:`spatial_smooth`, now a diagnostic).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -117,67 +117,40 @@ def decouple(
     return r_a, r_hat * r_a
 
 
-@lru_cache(maxsize=64)
-def _segment_lag_indices(
-    grid: tuple[int, ...], segment: tuple[int, ...]
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The segment lags grouped by their entry count.
-
-    Each group is ``(positions, index)``: the lags' positions in ``segment``
-    and an ``(n_lags, count)`` matrix of the row-major flat indices of their
-    covariance entries, ascending along each row.
-    """
-    g = np.asarray(grid, dtype=int)
-    lag_matrix = (g[:, None] - g[None, :]).ravel()
-    per_lag = [np.flatnonzero(lag_matrix == lag) for lag in segment]
-    for lag, idx in zip(segment, per_lag):
-        if idx.size == 0:
-            raise RuntimeError(
-                f"lag {lag} missing from coarray; segment inconsistent with layout"
-            )
-    counts = np.array([idx.size for idx in per_lag])
-    groups = []
-    for count in np.unique(counts):
-        positions = np.flatnonzero(counts == count)
-        index = np.stack([per_lag[i] for i in positions])
-        positions.flags.writeable = index.flags.writeable = False
-        groups.append((positions, index))
-    return tuple(groups)
-
-
 def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
-    """Collapse a U x U matrix to one sample per coarray lag.
+    """Collapse a U x U matrix (``r_d``, or any) to one sample per lag of
+    the ``smoothing_segment``, a zero-centred run, of the (cached)
+    difference coarray of ``layout``, in ascending lag.
 
     Each sample is the mean of all the entries at that lag; pooling the
-    redundant entries lowers the variance.
-
-    Args:
-        r_d: Decoupled covariance (or any U x U matrix to vectorize).
-        layout: The physical layout that generated ``r_d``; the
-            ``smoothing_segment`` of its (cached) difference coarray defines
-            the output lags.
-
-    Returns:
-        Complex vector over the smoothing segment, ascending lag.
+    redundant entries lowers the variance.  One ``np.bincount`` per real and
+    imaginary part sums them, within a few ulps of a per-lag ``np.mean``.
     """
-    flat = r_d.ravel()
-    # Each row of a group's (n_lags, count) gather is reduced on its own, in
-    # the order a per-lag np.mean sums it, so the output is bitwise the
-    # per-lag mean; a scatter-add (bincount, reduceat) would reorder the sums
-    # and move the smallest eigenvalues of the smoothed covariance.
     segment = difference_coarray(layout).smoothing_segment
-    out = np.empty(len(segment), dtype=complex)
-    for positions, index in _segment_lag_indices(layout.grid, segment):
-        out[positions] = flat[index].mean(axis=1)
-    return out
+    n = len(segment)
+    g = np.asarray(layout.grid)
+    lag = (g[:, None] - g[None, :]).ravel() - segment[0]
+    # Lags outside the segment all fall in the extra last bin.
+    index = np.where((lag >= 0) & (lag < n), lag, n)
+    counts = np.bincount(index, minlength=n + 1)[:n]
+    if not np.all(counts):
+        missing = segment[int(np.argmin(counts))]
+        raise RuntimeError(
+            f"lag {missing} missing from coarray; segment inconsistent with layout"
+        )
+    re = np.bincount(index, weights=r_d.real.ravel(), minlength=n + 1)[:n]
+    im = np.bincount(index, weights=r_d.imag.ravel(), minlength=n + 1)[:n]
+    return (re + 1j * im) / counts
 
 
 def spatial_smooth(r_tilde: np.ndarray) -> np.ndarray:
-    """Rank-restoring smoothing of the coarray vector.
+    """Rank-restoring smoothing of the coarray vector, kept as a diagnostic.
 
     A length 2W - 1 vector is split into W overlapping windows of W
     entries; the output is the average of the window outer products, a
-    W x W Hermitian PSD matrix.
+    W x W Hermitian PSD matrix, ``T T^H / W`` for the Toeplitz ``T`` that
+    :meth:`canf.music.Subspace.split_coarray` decomposes instead.
+    ``canf spectrum --dump-covariance`` writes it as ``r_v.csv``.
     """
     r = np.asarray(r_tilde)
     if r.ndim != 1 or r.size % 2 == 0:
@@ -189,22 +162,20 @@ def spatial_smooth(r_tilde: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceBundle:
-    """Every covariance stage of the pipeline, kept for diagnostics."""
+    """Every covariance stage of the pipeline, kept for diagnostics; the
+    angle stage decomposes the Toeplitz matrix of ``r_tilde``."""
 
     r_hat: np.ndarray
     r_a: np.ndarray
     r_d: np.ndarray
     r_tilde: np.ndarray
-    r_v: np.ndarray
 
 
 def build_bundle(snapshots: SnapshotSet) -> CovarianceBundle:
-    """Run the full covariance chain on a snapshot set: the LS covariance
+    """Run the covariance chain on a snapshot set: the LS covariance
     (:func:`covariance_ls`, which needs the known source waveforms), its
-    decoupling, the coarray vector of the snapshot layout and smoothing."""
+    decoupling and the coarray vector of the snapshot layout, unsmoothed."""
     layout = snapshots.layout
     r_hat = covariance_ls(snapshots)
     r_a, r_d = decouple(r_hat, layout)
-    r_tilde = vectorize_to_coarray(r_d, layout)
-    r_v = spatial_smooth(r_tilde)
-    return CovarianceBundle(r_hat, r_a, r_d, r_tilde, r_v)
+    return CovarianceBundle(r_hat, r_a, r_d, vectorize_to_coarray(r_d, layout))

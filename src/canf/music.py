@@ -1,14 +1,14 @@
 """Two-phase MUSIC as one sequence of stages, each computed once.
 
 :func:`two_phase` runs them: covariance bundle; one :class:`Subspace` split
-each of the virtual covariance ``r_v`` (in its real form, below) and the
-initial covariance ``r_hat``; angle scan on the noise subspace of ``r_v``,
-whose peaks hold the true angles plus "cross" angles from target pairs; peak
-detection (:func:`angle_candidates`); then one range scan of every candidate
-angle at once on the noise subspace of ``r_hat``, and a true/cross verdict
-per candidate (true angles give significant range peaks inside the
-near-field region, cross angles do not).  :func:`localize` runs the stages
-on the whole array, and the schemes in :mod:`canf.baselines` are
+each of the smoothed coarray covariance (:meth:`Subspace.split_coarray`) and
+the initial covariance ``r_hat``; angle scan on the noise subspace of the
+former, whose peaks hold the true angles plus "cross" angles from target
+pairs; peak detection (:func:`angle_candidates`); then one range scan of
+every candidate angle at once on the noise subspace of ``r_hat``, and a
+true/cross verdict per candidate (true angles give significant range peaks
+inside the near-field region, cross angles do not).  :func:`localize` runs
+the stages on the whole array, and the schemes in :mod:`canf.baselines` are
 compositions of them.  The two scan stages are :func:`angle_spectrum` and
 :func:`range_spectrum`: each takes a :class:`Subspace` already split from
 its covariance, so a covariance is decomposed once however many scans read
@@ -17,12 +17,12 @@ subspace.
 
 Both scans use the mirror symmetry of the symmetric array:
 
-- ``r_v`` is a smoothed Toeplitz-like covariance of a conjugate-symmetric
-  coarray vector, so it is centro-Hermitian, ``J r_v J = conj(r_v)``.  The
-  sparse unitary ``Q`` of the unitary-transformation method (Huarng & Yeh,
-  IEEE Trans. ASSP 1991; used by Unitary ESPRIT, Haardt & Nossek 1995, and
+- ``T`` is the Hermitian Toeplitz matrix of a conjugate-symmetric coarray
+  vector, so it is centro-Hermitian, ``J T J = conj(T)``.  The sparse
+  unitary ``Q`` of the unitary-transformation method (Huarng & Yeh, IEEE
+  Trans. ASSP 1991; used by Unitary ESPRIT, Haardt & Nossek 1995, and
   unitary root-MUSIC, Pesavento, Gershman & Haardt 2000) maps it to the
-  real symmetric :func:`real_form` ``S = Re(Q^H r_v Q)`` with the same
+  real symmetric :func:`real_form` ``S = Re(Q^H T Q)`` with the same
   eigenvalues, and maps the centred ULA steering vector to a real one.  The
   angle stage decomposes and scans in real arithmetic.
 - In the range manifold ``exp(1j * (p + q))`` the linear phase ``p`` is odd
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import find_peaks
 
 from .channel import SnapshotSet, fresnel_phase_terms
@@ -84,8 +85,8 @@ def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized as ``(A + A^H)/2`` before decomposition; it
     must be Hermitian within ``1e-9 * |trace|`` and free of non-finite
-    entries.  A real input (the :func:`real_form` of ``r_v``) is decomposed
-    by the real symmetric solver and gives real eigenvectors.
+    entries.  A real input (a :func:`real_form`) is decomposed by the real
+    symmetric solver and gives real eigenvectors.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -252,6 +253,26 @@ class Subspace:
         eigvals, eigvecs = eig_hermitian(matrix)
         return cls(eigvals, eigvecs, signal_rank(eigvals, rule))
 
+    @classmethod
+    def split_coarray(cls, r_tilde: np.ndarray, rule: SubspaceRule) -> "Subspace":
+        """The split of the paper's smoothed covariance of a conjugate-symmetric
+        coarray vector of length ``2W - 1``, without forming it.
+
+        :func:`canf.covariance.spatial_smooth` is ``T T^H / W`` for the
+        Hermitian Toeplitz ``T[i, j] = r_tilde[W - 1 + i - j]`` (Pal &
+        Vaidyanathan, IEEE TSP 2010; Liu & Vaidyanathan, IEEE SPL 2015), so
+        one decomposition of the :func:`real_form` of ``T`` gives its
+        eigenvectors without squaring the condition number.  Signal
+        eigenvalues of ``T`` may be negative: the eigenpairs are ordered by
+        ``lam_T^2`` and ``eigvals`` holds ``lam_T^2 / W``, the smoothed
+        matrix's eigenvalues, which the rule reads.
+        """
+        w = (np.size(r_tilde) + 1) // 2
+        lam, eigvecs = eig_hermitian(real_form(sliding_window_view(r_tilde, w)[:, ::-1]))
+        power = lam**2 / w
+        order = np.argsort(-power, kind="stable")
+        return cls(power[order], eigvecs[:, order], signal_rank(power[order], rule))
+
     def scan(
         self, axis: np.ndarray, manifold: np.ndarray, fold: np.ndarray | None = None
     ) -> PseudoSpectrum:
@@ -323,20 +344,22 @@ def angle_spectrum(
 ) -> PseudoSpectrum:
     """Angle-domain MUSIC scan of a split virtual covariance.
 
-    ``virtual`` must be split from ``real_form(r_v)``.  The scan is of the
-    W-element virtual ULA ``exp(-2j pi / wavelength * position_scale * unit
-    * k * sin(theta))``, ``k = 0 .. W-1``: ``position_scale=2`` gives the
-    doubled-position manifold the decoupled covariance lives on,
-    ``position_scale=1`` the plain physical-lag manifold of far-field
-    coarray processing.  Centring the positions on the array changes each
-    row by a unit phase only, and ``Q^H`` maps the centred row to the real
-    row ``[sqrt(2) cos(psi), 1 (odd W only), sqrt(2) sin(psi)]`` the scan
-    uses (cached per grid), so the scan is real matrix arithmetic: the
-    unitary-transformation method of Huarng & Yeh (IEEE Trans. ASSP 1991).  ``unit`` is the coarray lag step in meters.  Peak
-    locations are invariant to any positive scaling of ``r_v``.
+    ``virtual`` must be real, as :meth:`Subspace.split_coarray` gives it.
+    The scan is of the W-element virtual ULA ``exp(-2j pi / wavelength *
+    position_scale * unit * k * sin(theta))``, ``k = 0 .. W-1``:
+    ``position_scale=2`` gives the doubled-position manifold the decoupled
+    covariance lives on, ``position_scale=1`` the plain physical-lag
+    manifold of far-field coarray processing.  Centring the positions on the
+    array changes each row by a unit phase only, and ``Q^H`` maps the
+    centred row to the real row ``[sqrt(2) cos(psi), 1 (odd W only),
+    sqrt(2) sin(psi)]`` the scan uses (cached per grid), so the scan is real
+    matrix arithmetic: the unitary-transformation method of Huarng & Yeh
+    (IEEE Trans. ASSP 1991).  ``unit`` is the coarray lag step in meters.
+    Peak locations are invariant to any positive scaling of the coarray
+    vector.
     """
     if np.iscomplexobj(virtual.eigvecs):
-        raise ValueError("angle_spectrum scans a subspace split from real_form(r_v)")
+        raise ValueError("angle_spectrum scans a real subspace (Subspace.split_coarray)")
     grid = np.ascontiguousarray(np.asarray(angle_grid_deg, dtype=float))
     manifold = _real_angle_manifold(
         virtual.eigvals.size, float(unit), float(wavelength), float(position_scale),
@@ -445,9 +468,10 @@ class MusicConfig:
     with conservative fallbacks.  ``angle_step_deg`` and ``range_step_m`` are
     the steps of :meth:`SpectrumGrid.for_layout`.  The rest of the chain is
     fixed: the LS covariance, per-lag averaging, the coprime smoothing
-    segment, parabolic peak refinement, the quadratic-phase range manifold
-    and the constants ``EIG_GAP_RATIO``, ``PEAK_PROMINENCE_DB``,
-    ``SIGNIFICANCE_DB`` and ``MIN_ANGLE_SEPARATION_DEG``.
+    segment, :meth:`Subspace.split_coarray`, parabolic peak refinement, the
+    quadratic-phase range manifold and the constants ``EIG_GAP_RATIO``,
+    ``PEAK_PROMINENCE_DB``, ``SIGNIFICANCE_DB`` and
+    ``MIN_ANGLE_SEPARATION_DEG``.
     """
 
     k_targets: int | None = None
@@ -627,7 +651,8 @@ def two_phase(
     axis = grid.angle_deg
     bundles = [build_bundle(s) for s in inputs]
     virtual = [
-        Subspace.split(real_form(b.r_v), config.angle_rule(b.r_v.shape[0])) for b in bundles
+        Subspace.split_coarray(b.r_tilde, config.angle_rule((b.r_tilde.size + 1) // 2))
+        for b in bundles
     ]
     initial = [Subspace.split(b.r_hat, config.range_rule(b.r_hat.shape[0])) for b in bundles]
     scans = [

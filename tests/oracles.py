@@ -217,3 +217,24 @@ def unitary_q(w):
     if w % 2:
         q[n, n] = 1.0
     return q
+
+
+def smoothed_eigvalsh_mp(r_tilde, dps=34):
+    """Descending eigenvalues of the window-average smoothed matrix of a
+    length ``2W - 1`` coarray vector, built and decomposed in ``mpmath`` at
+    ``dps`` digits: ``sum_k w_k w_k^H / W`` over the windows
+    ``w_k = r_tilde[k : k + W]``, entry by entry.  Every double converts to
+    ``mpmath`` exactly, so the only rounding is at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r = [mpmath.mpc(complex(v).real, complex(v).imag) for v in r_tilde]
+        w = (len(r) + 1) // 2
+        smoothed = mpmath.zeros(w, w)
+        for k in range(w):
+            window = r[k : k + w]
+            for i in range(w):
+                for j in range(w):
+                    smoothed[i, j] += window[i] * mpmath.conj(window[j])
+        eigvals = mpmath.eighe(smoothed / w, eigvals_only=True)
+        return np.array(sorted((float(v) for v in eigvals), reverse=True))

@@ -18,7 +18,7 @@ from canf import (
     synthesize,
 )
 from canf.channel import SnapshotSet
-from canf.covariance import build_bundle
+from canf.covariance import build_bundle, spatial_smooth
 from canf.music import Subspace, angle_spectrum, detect_peaks, real_form
 
 LAM = 10e-3
@@ -110,7 +110,7 @@ class TestSubarrayBaseline:
         coarray = difference_coarray(sub1)
         bundle = build_bundle(sub_snaps)
         spec = angle_spectrum(
-            Subspace.split(real_form(bundle.r_v), SubspaceRule.fixed(1)),
+            Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), SubspaceRule.fixed(1)),
             coarray.unit,
             sub1.wavelength,
             np.linspace(-89.95, 89.95, 3599),

@@ -2,10 +2,12 @@
 bad inputs end in a usage error, not a traceback."""
 import json
 
+import numpy as np
 import pytest
 
-from canf.cli import MAX_SNR_POINTS, _parse_snr_list, main
-from canf.scenario import default_benchmark_scenario
+from canf.cli import MAX_SNR_POINTS, _fmt, _parse_snr_list, main
+from canf.covariance import build_bundle, spatial_smooth
+from canf.scenario import Scenario, default_benchmark_scenario
 
 
 @pytest.fixture
@@ -27,6 +29,18 @@ def test_spectrum_dump_covariance_is_byte_identical(tmp_path):
     assert names == sorted(p.name for p in runs[1].iterdir())
     for name in names:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_dumped_r_v_is_the_smoothed_coarray_vector(tmp_path, scenario_file):
+    # The pipeline never smooths; r_v.csv is spatial_smooth of the bundle's
+    # coarray vector, entry by entry in the CLI's number format.
+    argv = ["spectrum", "--scenario", str(scenario_file), "--out-dir", str(tmp_path)]
+    assert main(argv + ["--dump-covariance"]) == 0
+    r_v = spatial_smooth(build_bundle(Scenario.load(scenario_file).snapshots()).r_tilde)
+    expected = ["row,col,re,im"] + [
+        f"{i},{j},{_fmt(v.real)},{_fmt(v.imag)}" for (i, j), v in np.ndenumerate(r_v)
+    ]
+    assert (tmp_path / "r_v.csv").read_text(encoding="utf-8").splitlines() == expected
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

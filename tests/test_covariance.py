@@ -269,7 +269,7 @@ class TestSpatialSmooth:
     def test_single_target_rank_one(self, layout911):
         targets = TargetSet((Target.from_degrees(25.0, 15.0),))
         bundle = build_bundle(synthesize(layout911, targets, 20, None, 0, "fresnel"))
-        ev = np.linalg.eigvalsh(bundle.r_v)[::-1]
+        ev = np.linalg.eigvalsh(spatial_smooth(bundle.r_tilde))[::-1]
         assert np.sum(ev > 1e-9 * ev[0]) == 1
 
     def test_two_targets_rank_at_least_two(self, layout911):
@@ -277,14 +277,14 @@ class TestSpatialSmooth:
             (Target.from_degrees(-20.0, 15.0), Target.from_degrees(35.0, 25.0))
         )
         bundle = build_bundle(synthesize(layout911, targets, 20, None, 0, "fresnel"))
-        ev = np.linalg.eigvalsh(bundle.r_v)[::-1]
+        ev = np.linalg.eigvalsh(spatial_smooth(bundle.r_tilde))[::-1]
         assert np.sum(ev > 1e-9 * ev[0]) >= 2
 
     def test_hermitian_psd(self, layout911, rng):
         targets = random_fresnel_scenario(layout911, rng)
         snaps = synthesize(layout911, targets, 60, 5.0, 8)
         bundle = build_bundle(snaps)
-        r_v = bundle.r_v
+        r_v = spatial_smooth(bundle.r_tilde)
         assert np.max(np.abs(r_v - r_v.conj().T)) < 1e-12 * np.abs(np.trace(r_v))
         assert np.linalg.eigvalsh(r_v).min() >= -1e-9 * np.abs(np.trace(r_v))
 
@@ -319,4 +319,4 @@ class TestBundle:
         assert bundle.r_a.shape == (u, u)
         assert bundle.r_d.shape == (u, u)
         assert bundle.r_tilde.shape == (2 * mn + 1,)
-        assert bundle.r_v.shape == (mn + 1, mn + 1)
+        assert spatial_smooth(bundle.r_tilde).shape == (mn + 1, mn + 1)

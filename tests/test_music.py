@@ -245,7 +245,7 @@ class TestAngleSpectrum:
         bundle = build_bundle(snaps)
         ca = difference_coarray(layout911)
         spec = angle_spectrum(
-            Subspace.split(real_form(bundle.r_v), SubspaceRule.fixed(1)),
+            Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), SubspaceRule.fixed(1)),
             ca.unit, LAM, np.linspace(-89.95, 89.95, 720),
         )
         assert np.all(np.isfinite(spec.values)) and np.all(spec.values > 0)
@@ -382,8 +382,8 @@ def test_scans_never_read_the_noise_columns(benchmark_scenario, case):
             return range_spectrum(s, layout, thetas, grid.range_m).values
 
     else:
-        w = bundle.r_v.shape[0]
-        sub = Subspace.split(real_form(bundle.r_v), config.angle_rule(w))
+        r_v = spatial_smooth(bundle.r_tilde)
+        sub = Subspace.split(real_form(r_v), config.angle_rule(r_v.shape[0]))
 
         def scan(s):
             return angle_spectrum(s, snaps.layout.d, layout.wavelength, grid.angle_deg).values
@@ -487,13 +487,14 @@ class TestLocalize:
         # angle stage, single target: exact annihilation as well
         t1 = TargetSet((Target.from_degrees(10.0, 30.0),))
         b1 = build_bundle(synthesize(layout, t1, 100, None, 0, "fresnel"))
-        sub1 = Subspace.split(b1.r_v, SubspaceRule.eig_gap(1))
+        r_v1 = spatial_smooth(b1.r_tilde)
+        sub1 = Subspace.split(r_v1, SubspaceRule.eig_gap(1))
         un1 = sub1.eigvecs[:, sub1.rank :]
         ca = difference_coarray(layout)
         row = oracles.virtual_steering_matrix(
-            b1.r_v.shape[0], ca.unit, layout.wavelength, np.array([10.0])
+            r_v1.shape[0], ca.unit, layout.wavelength, np.array([10.0])
         )[0]
-        assert np.linalg.norm(row.conj() @ un1) ** 2 / b1.r_v.shape[0] <= 1e-6
+        assert np.linalg.norm(row.conj() @ un1) ** 2 / r_v1.shape[0] <= 1e-6
 
     def test_capacity_overload_fails_visibly(self):
         # One target past the pairwise-component budget of the (3, 4) array:

@@ -2,6 +2,7 @@
 oracle, the subspace scan, the real angle scan and the folded range scan
 against a noise-basis oracle on the complex manifolds, the real form of a
 centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
+the Toeplitz split of the coarray against the split of its smoothed matrix,
 and estimate-to-truth association."""
 import math
 
@@ -63,15 +64,17 @@ def test_vectorize_matches_loop_reference(layout, seed):
     seed=seeds,
     log_scale=st.integers(-8, 8),
 )
-def test_vectorize_is_bitwise_the_per_lag_mean(layout, seed, log_scale):
-    # The grouped gather reduces each lag's entries in the order np.mean
-    # does, so no tolerance is needed.
+def test_vectorize_is_the_per_lag_mean_within_ulps(layout, seed, log_scale):
+    # The bincount sums each lag's entries in another order than np.mean,
+    # so the two differ by roundoff only: a few ulps of the largest entry,
+    # at every scale.
     rng = np.random.default_rng(seed)
     u = layout.size
     r = (rng.standard_normal((u, u)) + 1j * rng.standard_normal((u, u))) * 10.0**log_scale
     segment = difference_coarray(layout).smoothing_segment
     expected = oracles.coarray_vector_reference(r, layout.grid, segment)
-    np.testing.assert_array_equal(vectorize_to_coarray(r, layout), expected)
+    ulp = np.spacing(np.max(np.abs(r)))
+    np.testing.assert_allclose(vectorize_to_coarray(r, layout), expected, rtol=0.0, atol=4 * ulp)
 
 
 def _ula_manifold(angles_deg, w):
@@ -256,6 +259,42 @@ coarray_vectors = st.integers(1, 10).flatmap(
         max_size=2 * w - 1,
     )
 )
+
+
+# Conjugate-symmetric coarray vectors, r[W - 1 - k] = conj(r[W - 1 + k]),
+# of odd and even W: lag 0 and W - 1 positive lags drawn, the rest mirrored.
+conjugate_symmetric_vectors = st.integers(2, 12).flatmap(
+    lambda w: st.tuples(
+        st.floats(-100.0, 100.0),
+        st.lists(
+            st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False),
+            min_size=w - 1,
+            max_size=w - 1,
+        ),
+    )
+).map(lambda drawn: np.array(np.conj(drawn[1][::-1]).tolist() + [drawn[0]] + drawn[1]))
+
+
+@PROPERTY
+@given(r=conjugate_symmetric_vectors, data=st.data())
+def test_split_coarray_is_the_split_of_the_smoothed_matrix(r, data):
+    # spatial_smooth(r) = T T^H / W for the Hermitian Toeplitz T of r, so
+    # splitting T gives the smoothed matrix's eigenvalues and, across any
+    # real gap at the rank, its signal subspace (within the Davis-Kahan
+    # bound of the smoothed route's roundoff).
+    w = (r.size + 1) // 2
+    rule = SubspaceRule.fixed(data.draw(st.integers(1, w - 1), label="rank"))
+    got = Subspace.split_coarray(r, rule)
+    expected = Subspace.split(real_form(spatial_smooth(r)), rule)
+    lam_max = expected.eigvals[0]
+    np.testing.assert_allclose(got.eigvals, expected.eigvals, rtol=0.0, atol=1e-12 * lam_max)
+    assert got.rank == expected.rank
+    k = got.rank
+    lam_k, lam_next = got.eigvals[k - 1], got.eigvals[k]
+    if lam_k > 1.01 * lam_next:
+        projectors = [s.eigvecs[:, :k] @ s.eigvecs[:, :k].T for s in (got, expected)]
+        bound = 1e-12 * lam_max / (lam_k - lam_next)
+        assert np.max(np.abs(projectors[0] - projectors[1])) <= bound
 
 
 @PROPERTY
