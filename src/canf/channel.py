@@ -155,6 +155,7 @@ class SnapshotSet:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # one ulp below math.sqrt(0.5); see synthesize
+DRAW_BLOCK = 1 << 14  # most normals synthesize draws per call into its buffer
 
 
 def synthesize(
@@ -173,14 +174,16 @@ def synthesize(
     an SNR so low that ``sigma2`` overflows are rejected.
 
     The draw is fully determined by ``seed``, in a fixed order that keeps
-    every output bitwise stable: one ``standard_normal`` call of
-    ``(2K + 2U, T)`` normals (``(2K, T)`` when noise-free), whose row blocks
-    are, in order, the real and imaginary parts of ``x`` and then of ``z``.
-    ``x`` is its block times ``1 / sqrt(2)`` (the float ``1.0 /
-    math.sqrt(2.0)``: complex division by ``sqrt(2)`` multiplies by it), and
-    ``y`` is ``B @ x`` with ``sqrt(sigma2 / 2)`` times each noise block
-    added to its real or imaginary part.  Apart from the draw itself, only
-    ``x`` and ``y`` are allocated at full size.
+    every output bitwise stable: the rows of one ``(2K + 2U, T)`` array of
+    standard normals (``(2K, T)`` when noise-free), whose row blocks are, in
+    order, the real and imaginary parts of ``x`` and then of ``z``.  ``x`` is
+    its block times ``1 / sqrt(2)`` (the float ``1.0 / math.sqrt(2.0)``:
+    complex division by ``sqrt(2)`` multiplies by it), and ``y`` is ``B @ x``
+    with ``sqrt(sigma2 / 2)`` times each noise block added to its real or
+    imaginary part.  The rows are drawn in order into one reused buffer of
+    at most :data:`DRAW_BLOCK` normals (one row when ``T`` is larger), which
+    draws the same bits as one bulk call, so only ``x`` and ``y`` are
+    allocated at full size.
     """
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
@@ -198,14 +201,25 @@ def synthesize(
     k, u = len(targets), layout.size
     b = steering_matrix(layout, targets, model)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((2 * k + (0 if snr_db is None else 2 * u), n_snapshots))
+    per_draw = max(DRAW_BLOCK // n_snapshots, 1)
+    buffer = np.empty((min(per_draw, max(k, u)), n_snapshots))
+
+    def normals(part: np.ndarray):
+        # The next part.shape[0] rows of the stream, as (rows of part, normals).
+        for start in range(0, part.shape[0], per_draw):
+            block = buffer[: min(per_draw, part.shape[0] - start)]
+            rng.standard_normal(out=block)
+            yield part[start : start + block.shape[0]], block
+
     x = np.empty((k, n_snapshots), dtype=complex)
-    np.multiply(draws[:k], _INV_SQRT2, out=x.real)
-    np.multiply(draws[k : 2 * k], _INV_SQRT2, out=x.imag)
+    for part in (x.real, x.imag):
+        for rows, block in normals(part):
+            np.multiply(block, _INV_SQRT2, out=rows)
     y = b @ x
     if snr_db is not None:
-        noise = draws[2 * k :]
-        noise *= math.sqrt(sigma2 / 2.0)
-        y.real += noise[:u]
-        y.imag += noise[u:]
+        scale = math.sqrt(sigma2 / 2.0)
+        for part in (y.real, y.imag):
+            for rows, block in normals(part):
+                block *= scale
+                rows += block
     return SnapshotSet(layout, y, x, sigma2, snr_db, seed, model)

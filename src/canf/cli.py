@@ -112,6 +112,17 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_coarray_csv(path: Path, r_tilde: np.ndarray) -> None:
+    """The coarray vector the angle stage decomposes, one lag per line, each
+    part written by ``repr`` so that it reads back to the same float."""
+    half = (r_tilde.size - 1) // 2
+    lines = ["lag,re,im"] + [
+        f"{lag},{float(v.real)!r},{float(v.imag)!r}"
+        for lag, v in zip(range(-half, half + 1), r_tilde)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_spectrum_csv(path: Path, header: str, axis, values_db) -> None:
     lines = [header]
     for a, v in zip(axis, values_db):
@@ -154,6 +165,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         _write_matrix_csv(out_dir / "r_hat.csv", result.bundle.r_hat)
         _write_matrix_csv(out_dir / "r_d.csv", result.bundle.r_d)
         _write_matrix_csv(out_dir / "r_v.csv", spatial_smooth(result.bundle.r_tilde))
+        _write_coarray_csv(out_dir / "r_tilde.csv", result.bundle.r_tilde)
     return 0
 
 

@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here except :func:`gram_one_matmul` is written as plain loops
-over the defining formulas, on purpose: these must stay independent of the
-vectorized library code they check.
+Everything here except :func:`gram_one_matmul` and :func:`synthesize_bulk`
+is written as plain loops over the defining formulas, on purpose: these must
+stay independent of the vectorized library code they check.
 """
 import numpy as np
 
@@ -238,3 +238,21 @@ def smoothed_eigvalsh_mp(r_tilde, dps=34):
                     smoothed[i, j] += window[i] * mpmath.conj(window[j])
         eigvals = mpmath.eighe(smoothed / w, eigvals_only=True)
         return np.array(sorted((float(v) for v in eigvals), reverse=True))
+
+
+def synthesize_bulk(b, n_snapshots, sigma2, seed):
+    """``(x, y)`` from one bulk ``standard_normal`` call of ``(2K + 2U, T)``
+    normals (``(2K, T)`` when ``sigma2`` is 0), the draw order and arithmetic
+    :func:`canf.synthesize` documents."""
+    u, k = b.shape
+    rows = 2 * k + (2 * u if sigma2 > 0.0 else 0)
+    draws = np.random.default_rng(seed).standard_normal((rows, n_snapshots))
+    x = np.empty((k, n_snapshots), dtype=complex)
+    x.real = draws[:k] * (1.0 / np.sqrt(2.0))
+    x.imag = draws[k : 2 * k] * (1.0 / np.sqrt(2.0))
+    y = b @ x
+    if sigma2 > 0.0:
+        noise = draws[2 * k :] * np.sqrt(sigma2 / 2.0)
+        y.real += noise[:u]
+        y.imag += noise[u:]
+    return x, y

@@ -16,8 +16,10 @@ from canf import (
     steering_fresnel,
     synthesize,
 )
-from canf.channel import fresnel_phase_terms, steering_matrix
+from canf.channel import DRAW_BLOCK, fresnel_phase_terms, steering_matrix
 from canf.scenario import default_benchmark_scenario
+
+import oracles
 
 SYNTHESIS_SHA256 = Path(__file__).parent / "data" / "synthesis_sha256.json"
 
@@ -175,11 +177,24 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=re.escape(f"snr_db={snr_db!r}")):
             synthesize(layout23, targets, 8, snr_db, 0)
 
+    @pytest.mark.parametrize("n_snapshots", [1, DRAW_BLOCK // 37, 3001, DRAW_BLOCK + 1])
+    @pytest.mark.parametrize("snr_db", [10.0, math.inf])
+    def test_streamed_draw_equals_one_bulk_draw(self, n_snapshots, snr_db):
+        # Blocks of several rows, a part ending inside a block, and one row
+        # per draw: each must draw the bits of one (2K + 2U, T) call.
+        scenario = default_benchmark_scenario()
+        layout = scenario.layout()
+        snaps = synthesize(layout, scenario.targets, n_snapshots, snr_db, 9)
+        b = steering_matrix(layout, scenario.targets, "exact")
+        x, y = oracles.synthesize_bulk(b, n_snapshots, snaps.sigma2, 9)
+        np.testing.assert_array_equal(snaps.x, x)
+        np.testing.assert_array_equal(snaps.y, y)
+
     @pytest.mark.parametrize("n_snapshots", [1, 7, 100, 20000])
     def test_draw_is_bitwise_pinned(self, n_snapshots):
         # The SHA-256 of y and x for every case was recorded from the tree
         # that drew its normals in four calls and built y = B x + z out of
-        # place; the one-call, in-place synthesis must reproduce each byte.
+        # place; the streamed, in-place synthesis must reproduce each byte.
         # The pin is of this numpy and BLAS build: B x sums K products.
         pinned = json.loads(SYNTHESIS_SHA256.read_text(encoding="utf-8"))["cases"]
         scenario = default_benchmark_scenario()

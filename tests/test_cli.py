@@ -7,6 +7,7 @@ import pytest
 
 from canf.cli import MAX_SNR_POINTS, _fmt, _parse_snr_list, main
 from canf.covariance import build_bundle, spatial_smooth
+from canf.music import Subspace, SubspaceRule
 from canf.scenario import Scenario, default_benchmark_scenario
 
 
@@ -25,7 +26,8 @@ def test_spectrum_dump_covariance_is_byte_identical(tmp_path):
         argv = ["spectrum", "--scenario", str(scenario), "--out-dir", str(out_dir)]
         assert main(argv + ["--dump-covariance"]) == 0
     names = sorted(p.name for p in runs[0].iterdir())
-    assert {"r_hat.csv", "r_d.csv", "r_v.csv", "result.json", "angle_spectrum.csv"} <= set(names)
+    dumped = {"r_hat.csv", "r_d.csv", "r_v.csv", "r_tilde.csv", "result.json"}
+    assert dumped | {"angle_spectrum.csv"} <= set(names)
     assert names == sorted(p.name for p in runs[1].iterdir())
     for name in names:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
@@ -41,6 +43,22 @@ def test_dumped_r_v_is_the_smoothed_coarray_vector(tmp_path, scenario_file):
         f"{i},{j},{_fmt(v.real)},{_fmt(v.imag)}" for (i, j), v in np.ndenumerate(r_v)
     ]
     assert (tmp_path / "r_v.csv").read_text(encoding="utf-8").splitlines() == expected
+
+
+def test_dumped_r_tilde_reproduces_the_virtual_eigenvalues(tmp_path, scenario_file):
+    # r_tilde.csv is the vector the angle stage decomposes, at round-trip
+    # precision: its split gives result.json's eigenvalues.
+    argv = ["spectrum", "--scenario", str(scenario_file), "--out-dir", str(tmp_path)]
+    assert main(argv + ["--dump-covariance"]) == 0
+    lines = (tmp_path / "r_tilde.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "lag,re,im"
+    rows = [line.split(",") for line in lines[1:]]
+    half = (len(rows) - 1) // 2
+    assert [int(lag) for lag, _, _ in rows] == list(range(-half, half + 1))
+    r_tilde = np.array([complex(float(re), float(im)) for _, re, im in rows])
+    eigvals = Subspace.split_coarray(r_tilde, SubspaceRule.fixed(1)).eigvals
+    result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    np.testing.assert_allclose(eigvals, result["virtual_eigvals"], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

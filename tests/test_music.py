@@ -12,6 +12,7 @@ from canf import (
     Target,
     TargetSet,
     build_coprime_layout,
+    build_dense_layout,
     build_subarrays,
     difference_coarray,
     eig_hermitian,
@@ -19,13 +20,16 @@ from canf import (
     range_spectrum,
     synthesize,
 )
-from canf.channel import steering_fresnel, steering_matrix
+from canf.channel import fresnel_phase_terms, steering_fresnel, steering_matrix
 from canf.covariance import build_bundle, decouple, spatial_smooth, vectorize_to_coarray
 from canf.music import (
     CANCELLATION_FLOOR,
+    CHIRP_RESTART,
     PseudoSpectrum,
     Subspace,
+    _chirp_plan,
     _classify_candidates,
+    _fresnel_chirp,
     _real_angle_manifold,
     angle_spectrum,
     detect_peaks,
@@ -351,6 +355,84 @@ class TestRangeSpectrum:
         expected = oracles.noise_power_reference(sub.eigvecs[:, 3:], full.reshape(-1, u))
         spec = range_spectrum(sub, layout911, thetas, grid)
         np.testing.assert_allclose(1.0 / spec.values.ravel(), expected, rtol=1e-9, atol=1e-20)
+
+
+def _chirp_layout(params911, case):
+    sub1, sub2 = build_subarrays(params911)
+    d, lam = params911.d, params911.wavelength
+    return {
+        "coprime": build_coprime_layout(params911),
+        "subarray-1": sub1,
+        "subarray-2": sub2,
+        "dense-37": build_dense_layout(37, d, lam),
+        "dense-201": build_dense_layout(201, d, lam),
+    }[case]
+
+
+class TestFresnelChirp:
+    @pytest.mark.parametrize(
+        "case, runs",
+        [
+            ("coprime", ((9, 10), (11, 8))),
+            ("subarray-1", ((1, 8),)),
+            ("subarray-2", ((1, 10),)),
+            ("dense-37", ((1, 18),)),
+            ("dense-201", ((1, 100),)),
+        ],
+    )
+    def test_runs_cover_each_folded_sensor_once(self, params911, case, runs):
+        layout = _chirp_layout(params911, case)
+        plan = _chirp_plan(layout.grid)
+        assert plan.runs == runs
+        mags = np.abs(np.asarray(layout.grid))[plan.first]
+        covered = [plan.index[j, m - 1] for j, (_, n) in enumerate(runs) for m in range(1, n + 1)]
+        assert sorted(covered + [plan.zero]) == list(range(plan.first.size))
+        for j, (stride, n) in enumerate(runs):
+            np.testing.assert_array_equal(mags[plan.index[j, :n]], stride * np.arange(1, n + 1))
+        assert _chirp_plan(layout.grid) is plan
+
+    @pytest.mark.parametrize(
+        "case", ["coprime", "subarray-1", "subarray-2", "dense-37", "dense-201"]
+    )
+    def test_matches_the_direct_fresnel_factor(self, params911, case):
+        # The chirp against exp(1j * q) of every sensor at every grid range;
+        # the 100-element run of dense-201 crosses several restarts.
+        layout = _chirp_layout(params911, case)
+        grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
+        theta = np.deg2rad(np.array([-70.0, -35.0, 0.0, 10.0, 30.0, 55.0]))
+        plan = _chirp_plan(layout.grid)
+        _, q_unit = fresnel_phase_terms(layout, theta[:, None], 1.0)
+        chirp = _fresnel_chirp(plan, q_unit[:, plan.first], grid)
+        assert chirp.shape == (theta.size, grid.size, plan.first.size)
+        _, q = fresnel_phase_terms(layout, theta[:, None, None], grid[:, None])
+        np.testing.assert_allclose(chirp[..., plan.unfold], np.exp(1j * q), rtol=0, atol=1e-13)
+        if case == "dense-201":
+            assert plan.runs[0][1] > 6 * CHIRP_RESTART
+
+    def test_cos_and_sin_run_per_range_and_run_not_per_sensor(
+        self, benchmark_scenario, monkeypatch
+    ):
+        layout = benchmark_scenario.layout()
+        r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
+        initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
+        grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
+        thetas = np.linspace(-60.0, 60.0, 10)
+        expected = range_spectrum(initial, layout, thetas, grid).values
+        evaluated = {"cos": 0, "sin": 0}
+        for name in evaluated:
+
+            def counting(x, *args, _ufunc=getattr(np, name), _name=name, **kwargs):
+                evaluated[_name] += np.size(x)
+                return _ufunc(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        got = range_spectrum(initial, layout, thetas, grid).values
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, expected)
+        c, r = thetas.size, grid.size
+        runs = len(_chirp_plan(layout.grid).runs)
+        # One per (candidate, range, run), plus the angle terms of each candidate.
+        assert evaluated == {"cos": runs * c * r + c, "sin": runs * c * r + c}
 
 
 def _without_noise_columns(sub):
