@@ -42,6 +42,21 @@ Every scan measures the noise-subspace power of steering vectors of norm
 ``1 - ||U_s^H a||^2 / W``; rows near cancellation are recomputed as the
 norm of the residual ``a - U_s U_s^H a`` (:meth:`Subspace.scan`).  The
 noise basis is never read.
+
+Each phase finds its peaks in one ``scipy.signal.find_peaks`` call: the
+angle stage on its one spectrum (:func:`detect_peaks`), the range stage on
+the spectra of all candidates at once (:func:`classify_range_spectrum`).
+The ``(C, R)`` dB rows are laid end to end as ``[pad, row, pad]``, ``pad``
+being ``-inf`` when the grid endpoints count as peaks and absent otherwise,
+with one ``+inf`` sample between consecutive rows and none after the last.
+A prominence is the peak height over the higher of the two least values met
+on each side before a higher sample or the array's end, so the ``+inf``
+separator ends each side's search where the end of a single row would: every
+prominence, and so every peak kept, is the one a call per row gives.  (A
+``-inf`` separator would instead join every row to its neighbours' searches
+and make each prominence infinite.)  The separators are peaks themselves and
+are dropped by position.  A ``distance`` between peaks would let a separator
+suppress real peaks near it, so it is applied to single spectra only.
 """
 from __future__ import annotations
 
@@ -304,8 +319,12 @@ class Subspace:
         """
         w = self.eigvecs.shape[0]
         signal = self.eigvecs[:, : self.rank]
-        basis = signal.conj() if fold is None else fold @ signal.conj()
-        proj = manifold @ basis
+        if fold is None:
+            # A sensor-major manifold (the angle stage's) is read along its
+            # rows by the (r, W) x (W, A) product.
+            proj = (signal.conj().T @ manifold.mT).mT
+        else:
+            proj = manifold @ (fold @ signal.conj())
         denom = 1.0 - _row_power(proj) / w
         near = denom < CANCELLATION_FLOOR
         for c in np.ndindex(near.shape[:-1]):
@@ -328,18 +347,24 @@ def _real_angle_manifold(
 ) -> np.ndarray:
     """``Q^H a`` of the centred W-element ULA manifold, one row per angle:
     ``[sqrt(2) cos(psi), 1 (odd W only), sqrt(2) sin(psi)]`` with ``psi`` the
-    phases of the first ``W // 2`` elements."""
+    phases of the first ``W // 2`` elements.
+
+    The cached array is sensor-major, a read-only C-contiguous ``(W, A)``
+    filled in place; the ``(A, W)`` transposed view is returned.
+    """
     grid_deg = np.frombuffer(grid_bytes, dtype=float)
     n = w // 2
     centred = position_scale * unit * (np.arange(n) - 0.5 * (w - 1))
-    psi = -2.0 * np.pi / wavelength * np.outer(np.sin(np.deg2rad(grid_deg)), centred)
-    scaled = math.sqrt(2.0)
-    manifold = np.concatenate(
-        (scaled * np.cos(psi), np.ones((grid_deg.size, w - 2 * n)), scaled * np.sin(psi)),
-        axis=1,
-    )
+    psi = -2.0 * np.pi / wavelength * np.outer(centred, np.sin(np.deg2rad(grid_deg)))
+    manifold = np.empty((w, grid_deg.size))
+    cos, middle, sin = manifold[:n], manifold[n : w - n], manifold[w - n :]
+    np.cos(psi, out=cos)
+    cos *= math.sqrt(2.0)
+    middle[:] = 1.0
+    np.sin(psi, out=sin)
+    sin *= math.sqrt(2.0)
     manifold.flags.writeable = False
-    return manifold
+    return manifold.T
 
 
 def angle_spectrum(
@@ -359,9 +384,11 @@ def angle_spectrum(
     manifold of far-field coarray processing.  Centring the positions on the
     array changes each row by a unit phase only, and ``Q^H`` maps the
     centred row to the real row ``[sqrt(2) cos(psi), 1 (odd W only),
-    sqrt(2) sin(psi)]`` the scan uses (cached per grid), so the scan is real
-    matrix arithmetic: the unitary-transformation method of Huarng & Yeh
-    (IEEE Trans. ASSP 1991).  ``unit`` is the coarray lag step in meters.
+    sqrt(2) sin(psi)]`` the scan uses, so the scan is real matrix
+    arithmetic: the unitary-transformation method of Huarng & Yeh (IEEE
+    Trans. ASSP 1991).  The manifold is cached per grid sensor-major, as a
+    ``(W, A)`` array, and projected as ``(r, W) x (W, A)``, which reads it
+    along its rows.  ``unit`` is the coarray lag step in meters.
     Peak locations are invariant to any positive scaling of the coarray
     vector.
     """
@@ -375,18 +402,56 @@ def angle_spectrum(
     return virtual.scan(grid, manifold)
 
 
-def _refine_parabolic(y_db: np.ndarray, idx: int, axis: np.ndarray) -> float:
-    """3-point parabolic vertex around an interior peak, in axis units."""
-    if idx <= 0 or idx >= y_db.size - 1:
-        return float(axis[idx])
-    y0, y1, y2 = y_db[idx - 1], y_db[idx], y_db[idx + 1]
+def _refine_parabolic(
+    db: np.ndarray, row: np.ndarray, col: np.ndarray, axis: np.ndarray
+) -> np.ndarray:
+    """3-point parabolic vertex around each peak ``db[row, col]``, in axis
+    units; a grid endpoint, or a fit that opens upward, keeps the grid point."""
+    loc = axis[col]
+    inner = np.flatnonzero((col > 0) & (col < axis.size - 1))
+    r, i = row[inner], col[inner]
+    y0, y1, y2 = db[r, i - 1], db[r, i], db[r, i + 1]
     denom = y0 - 2.0 * y1 + y2
-    if denom >= 0.0 or not np.isfinite(denom):
-        return float(axis[idx])
-    delta = 0.5 * (y0 - y2) / denom
-    delta = float(np.clip(delta, -1.0, 1.0))
-    step = axis[idx + 1] - axis[idx] if delta >= 0 else axis[idx] - axis[idx - 1]
-    return float(axis[idx] + delta * step)
+    fit = (denom < 0.0) & np.isfinite(denom)
+    inner, i = inner[fit], i[fit]
+    delta = np.clip(0.5 * (y0[fit] - y2[fit]) / denom[fit], -1.0, 1.0)
+    step = np.where(delta >= 0, axis[i + 1] - axis[i], axis[i] - axis[i - 1])
+    loc[inner] = axis[i] + delta * step
+    return loc
+
+
+def _row_peaks(
+    db: np.ndarray, axis: np.ndarray, include_edges: bool, distance: int | None = None
+) -> tuple[np.ndarray, ...]:
+    """The peaks of every row of a ``(C, R)`` dB array, by one ``find_peaks``
+    call over the rows laid out as the module docstring describes.
+
+    Returns ``(row, index, location, height, prominence)`` arrays, ordered
+    by row and within a row by ``(-height, location)``, ties in the order
+    of ``index``: each row's peaks as a ``find_peaks`` call on that row
+    alone gives them, bit for bit.  ``distance`` is allowed for one row
+    only.
+    """
+    c, r = db.shape
+    if distance is not None and c > 1:
+        raise ValueError("a peak distance applies to a single row only")
+    pad = 1 if include_edges else 0
+    stride = r + 2 * pad + 1
+    laid = np.full((c, stride), -np.inf)
+    laid[:, -1] = np.inf
+    laid[:, pad : pad + r] = db
+    pos, props = find_peaks(
+        laid.ravel()[:-1], prominence=PEAK_PROMINENCE_DB, distance=distance
+    )
+    row, col = np.divmod(pos, stride)
+    col -= pad
+    real = col < r  # the +inf separators are peaks too
+    row, col = row[real], col[real]
+    prominence = props["prominences"][real]
+    height = db[row, col]
+    location = _refine_parabolic(db, row, col, axis)
+    order = np.lexsort((location, -height, row))
+    return row[order], col[order], location[order], height[order], prominence[order]
 
 
 def detect_peaks(
@@ -398,33 +463,27 @@ def detect_peaks(
     """Local maxima at least :data:`PEAK_PROMINENCE_DB` prominent, strongest
     first, each located by a parabolic fit through its neighbours.
 
-    Ties in height are broken by ascending axis location.  With
-    ``include_edges`` the grid endpoints count as peaks (used for range
-    spectra, where a target near a region boundary must not be lost).
-    ``min_separation`` (in axis units) suppresses duplicate peaks riding
-    on one lobe.
+    The one-row case of the stage's row-wise peak finder (see the module
+    docstring).  ``spectrum`` must hold one 1-D spectrum.  Ties in height
+    are broken by ascending axis location.  With ``include_edges`` the grid
+    endpoints count as peaks (used for range spectra, where a target near a
+    region boundary must not be lost).  ``min_separation`` (in axis units)
+    suppresses duplicate peaks riding on one lobe.
     """
     y = spectrum.db
+    if y.ndim != 1:
+        raise ValueError("detect_peaks takes one 1-D spectrum")
     distance = None
     if min_separation > 0.0 and spectrum.axis.size > 1:
         step = float(spectrum.axis[1] - spectrum.axis[0])
         distance = max(int(round(min_separation / step)), 1)
-    pad = [-np.inf] if include_edges else []
-    idx, props = find_peaks(
-        np.concatenate((pad, y, pad)), prominence=PEAK_PROMINENCE_DB, distance=distance
+    _, index, location, height, prominence = _row_peaks(
+        y[None], spectrum.axis, include_edges, distance
     )
-    idx = idx - len(pad)
-    prominences = props["prominences"]
     peaks = [
-        Peak(
-            location=_refine_parabolic(y, int(i), spectrum.axis),
-            height_db=float(y[int(i)]),
-            prominence_db=float(p),
-            index=int(i),
-        )
-        for i, p in zip(idx, prominences)
+        Peak(location=float(x), height_db=float(h), prominence_db=float(p), index=int(i))
+        for x, h, p, i in zip(location, height, prominence, index)
     ]
-    peaks.sort(key=lambda p: (-p.height_db, p.location))
     if max_count is not None:
         peaks = peaks[:max_count]
     return peaks
@@ -681,31 +740,41 @@ class LocalizationResult:
 
 
 def classify_range_spectrum(
-    theta_deg: float, spec: PseudoSpectrum, bounds: tuple[float, float]
+    theta_deg, spec: PseudoSpectrum, bounds: tuple[float, float]
 ) -> list[ClassifiedTarget]:
-    """True/cross verdict for one candidate angle from its range spectrum.
+    """True/cross verdicts for candidate angles from their range spectra.
 
-    The angle is kept as true when the spectrum carries a peak inside
-    ``bounds`` whose height (the normalized inverse projection, in dB)
-    reaches :data:`SIGNIFICANCE_DB`; several significant peaks yield several
-    true targets at the same angle.  With no such peak the angle is labeled
-    cross, retaining the strongest peak (the spectrum maximum: edges count
-    as peaks) for diagnostics and forced-estimate protocols.
+    ``theta_deg`` is a scalar with a 1-D ``spec``, or a 1-D array of ``C``
+    candidate angles with ``spec.values`` of shape ``(C, R)``; the range
+    peaks of every candidate are found by one pass of the stage's row-wise
+    peak finder (see the module docstring), with the grid endpoints counted
+    as peaks.  An angle is kept as true when its spectrum carries a peak
+    inside ``bounds`` whose height (the normalized inverse projection, in
+    dB) reaches :data:`SIGNIFICANCE_DB`; several significant peaks yield
+    several true targets at the same angle.  With no such peak the angle is
+    labeled cross, retaining its strongest peak (the spectrum maximum) for
+    diagnostics and forced-estimate protocols.  The verdicts come in
+    candidate order, each candidate's strongest first.
     """
+    thetas = np.asarray(theta_deg, dtype=float).reshape(-1)
+    db = spec.db.reshape(-1, spec.axis.size)
+    if thetas.size != db.shape[0]:
+        raise ValueError(f"{thetas.size} angles for {db.shape[0]} range spectra")
     z_f, z_r = bounds
-    peaks = detect_peaks(spec, include_edges=True)
-    significant = [
-        p for p in peaks if p.height_db >= SIGNIFICANCE_DB and z_f <= p.location <= z_r
-    ]
-    label, chosen = ("true", significant) if significant else ("cross", peaks[:1])
+    row, _, location, height, _ = _row_peaks(db, spec.axis, include_edges=True)
+    significant = (height >= SIGNIFICANCE_DB) & (z_f <= location) & (location <= z_r)
+    is_true = np.bincount(row[significant], minlength=thetas.size) > 0
+    strongest = np.ones(row.size, dtype=bool)
+    strongest[1:] = row[1:] != row[:-1]
+    chosen = np.where(is_true[row], significant, strongest)
     return [
         ClassifiedTarget(
-            theta_deg=theta_deg,
-            range_m=p.location,
-            label=label,
-            significance_db=p.height_db,
+            theta_deg=float(thetas[k]),
+            range_m=float(x),
+            label="true" if is_true[k] else "cross",
+            significance_db=float(h),
         )
-        for p in chosen
+        for k, x, h in zip(row[chosen], location[chosen], height[chosen])
     ]
 
 
@@ -718,19 +787,19 @@ def _classify_candidates(
     """Range scans of every (sensor layout, ``r_hat`` subspace) pair at each
     candidate, fused by their geometric mean and classified in ``layout``.
 
-    Each pair builds one manifold for all candidates and scans it once.
+    Each pair builds one manifold for all candidates and scans it once, and
+    one :func:`classify_range_spectrum` call classifies every candidate.
     """
     bounds = (layout.fresnel_distance, layout.rayleigh_distance)
     range_grid = grid.range_m
     thetas = np.asarray(candidate_angles_deg, dtype=float)
     scans = [range_spectrum(sub, lay, thetas, range_grid).values for lay, sub in initials]
     fused = np.prod(scans, axis=0) ** (1.0 / len(scans))
-    classified: list[ClassifiedTarget] = []
-    spectra: list[tuple[float, PseudoSpectrum]] = []
-    for theta_deg, values in zip(candidate_angles_deg, fused):
-        spec = PseudoSpectrum(range_grid, values)
-        spectra.append((theta_deg, spec))
-        classified.extend(classify_range_spectrum(theta_deg, spec, bounds))
+    classified = classify_range_spectrum(thetas, PseudoSpectrum(range_grid, fused), bounds)
+    spectra = [
+        (theta_deg, PseudoSpectrum(range_grid, values))
+        for theta_deg, values in zip(candidate_angles_deg, fused)
+    ]
     return classified, spectra
 
 

@@ -1,10 +1,23 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here except :func:`gram_one_matmul` and :func:`synthesize_bulk`
-is written as plain loops over the defining formulas, on purpose: these must
-stay independent of the vectorized library code they check.
+Everything here except :func:`gram_one_matmul`, :func:`synthesize_bulk` and
+the peak finder (:func:`detect_peaks`, :func:`classify_range_spectrum`) is
+written as plain loops over the defining formulas, on purpose: these must
+stay independent of the vectorized library code they check.  The peak
+finder is the library's code as it was before its ``find_peaks`` call
+covered every row at once: one call and one scalar parabolic fit per
+spectrum, which the row-wise finder must reproduce bit for bit.
 """
 import numpy as np
+from scipy.signal import find_peaks
+
+from canf.music import (
+    PEAK_PROMINENCE_DB,
+    SIGNIFICANCE_DB,
+    ClassifiedTarget,
+    Peak,
+    PseudoSpectrum,
+)
 
 
 def difference_set(grid):
@@ -256,3 +269,77 @@ def synthesize_bulk(b, n_snapshots, sigma2, seed):
         y.real += noise[:u]
         y.imag += noise[u:]
     return x, y
+
+
+def _refine_parabolic(y_db: np.ndarray, idx: int, axis: np.ndarray) -> float:
+    """3-point parabolic vertex around an interior peak, in axis units."""
+    if idx <= 0 or idx >= y_db.size - 1:
+        return float(axis[idx])
+    y0, y1, y2 = y_db[idx - 1], y_db[idx], y_db[idx + 1]
+    denom = y0 - 2.0 * y1 + y2
+    if denom >= 0.0 or not np.isfinite(denom):
+        return float(axis[idx])
+    delta = 0.5 * (y0 - y2) / denom
+    delta = float(np.clip(delta, -1.0, 1.0))
+    step = axis[idx + 1] - axis[idx] if delta >= 0 else axis[idx] - axis[idx - 1]
+    return float(axis[idx] + delta * step)
+
+
+def detect_peaks(
+    spectrum: PseudoSpectrum,
+    max_count: int | None = None,
+    include_edges: bool = False,
+    min_separation: float = 0.0,
+) -> list[Peak]:
+    """Local maxima at least :data:`PEAK_PROMINENCE_DB` prominent, strongest
+    first, each located by a parabolic fit through its neighbours.
+
+    Ties in height are broken by ascending axis location.  With
+    ``include_edges`` the grid endpoints count as peaks (used for range
+    spectra, where a target near a region boundary must not be lost).
+    ``min_separation`` (in axis units) suppresses duplicate peaks riding
+    on one lobe.
+    """
+    y = spectrum.db
+    distance = None
+    if min_separation > 0.0 and spectrum.axis.size > 1:
+        step = float(spectrum.axis[1] - spectrum.axis[0])
+        distance = max(int(round(min_separation / step)), 1)
+    pad = [-np.inf] if include_edges else []
+    idx, props = find_peaks(
+        np.concatenate((pad, y, pad)), prominence=PEAK_PROMINENCE_DB, distance=distance
+    )
+    idx = idx - len(pad)
+    prominences = props["prominences"]
+    peaks = [
+        Peak(
+            location=_refine_parabolic(y, int(i), spectrum.axis),
+            height_db=float(y[int(i)]),
+            prominence_db=float(p),
+            index=int(i),
+        )
+        for i, p in zip(idx, prominences)
+    ]
+    peaks.sort(key=lambda p: (-p.height_db, p.location))
+    if max_count is not None:
+        peaks = peaks[:max_count]
+    return peaks
+
+
+def classify_range_spectrum(theta_deg, spec, bounds):
+    """The one-candidate true/cross verdict, on :func:`detect_peaks` above."""
+    z_f, z_r = bounds
+    peaks = detect_peaks(spec, include_edges=True)
+    significant = [
+        p for p in peaks if p.height_db >= SIGNIFICANCE_DB and z_f <= p.location <= z_r
+    ]
+    label, chosen = ("true", significant) if significant else ("cross", peaks[:1])
+    return [
+        ClassifiedTarget(
+            theta_deg=theta_deg,
+            range_m=p.location,
+            label=label,
+            significance_db=p.height_db,
+        )
+        for p in chosen
+    ]

@@ -32,6 +32,7 @@ from canf.music import (
     _fresnel_chirp,
     _real_angle_manifold,
     angle_spectrum,
+    classify_range_spectrum,
     detect_peaks,
     real_form,
     signal_rank,
@@ -223,6 +224,24 @@ class TestDetectPeaks:
         merged = detect_peaks(spec, min_separation=3.0)
         assert [p.index for p in merged] == [6, 1]
 
+    @pytest.mark.parametrize("include_edges", [False, True])
+    def test_min_separation_keeps_a_peak_near_the_last_sample(self, include_edges):
+        # A +inf separator after the last row, followed by any sample, would
+        # be a peak within the 10-sample distance min_separation sets, and
+        # would suppress this one.
+        axis = np.linspace(-89.95, 89.95, 3599)
+        values = np.ones(axis.size)
+        values[-4] = 100.0
+        values[1000] = 50.0
+        spec = PseudoSpectrum(axis, values)
+        peaks = detect_peaks(spec, min_separation=0.5, include_edges=include_edges)
+        assert [p.index for p in peaks] == [axis.size - 4, 1000]
+
+    def test_one_spectrum_only(self):
+        spec = PseudoSpectrum(np.arange(5.0), np.ones((2, 5)))
+        with pytest.raises(ValueError, match="1-D"):
+            detect_peaks(spec)
+
     def test_parabolic_refinement_recovers_offgrid_vertex(self):
         axis = np.linspace(-1.0, 1.0, 21)
         vertex = 0.137
@@ -301,6 +320,34 @@ class TestAngleSpectrum:
             np.testing.assert_allclose(rotated.imag, 0.0, atol=1e-12)
             np.testing.assert_allclose(man[0], rotated.real, atol=1e-12)
             assert not man.flags.writeable
+
+    def test_manifold_is_cached_sensor_major_and_read_only(self):
+        grid = np.linspace(-89.95, 89.95, 3599)
+        man = _real_angle_manifold(100, 1e-3, LAM, 2.0, grid.tobytes())
+        assert man.shape == (3599, 100)
+        assert man.T.flags.c_contiguous and not man.flags.writeable
+        assert _real_angle_manifold(100, 1e-3, LAM, 2.0, grid.tobytes()) is man
+
+    def test_scan_matches_an_angle_major_product(self, benchmark_scenario):
+        # The (r, W) x (W, A) projection of the sensor-major manifold agrees
+        # with the plain (A, W) x (W, r) one on the benchmark input.
+        snaps = benchmark_scenario.snapshots()
+        bundle = build_bundle(snaps)
+        cfg = MusicConfig(k_targets=4)
+        w = (bundle.r_tilde.size + 1) // 2
+        virtual = Subspace.split_coarray(bundle.r_tilde, cfg.angle_rule(w))
+        layout = snaps.layout
+        grid = SpectrumGrid.for_layout(layout).angle_deg
+        spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid)
+        man = np.ascontiguousarray(
+            _real_angle_manifold(w, layout.d, layout.wavelength, 2.0, grid.tobytes())
+        )
+        signal = virtual.eigvecs[:, : virtual.rank]
+        proj = man @ signal
+        denom = 1.0 - np.sum(proj**2, axis=1) / w
+        near = denom < CANCELLATION_FLOOR
+        denom[near] = np.sum((man[near] - proj[near] @ signal.T) ** 2, axis=1) / w
+        np.testing.assert_allclose(spec.values, 1.0 / denom, rtol=1e-12, atol=0.0)
 
 
 class TestRangeSpectrum:
@@ -507,6 +554,18 @@ class TestClassification:
         crosses = [c for c in classified if not c.is_true]
         assert len(crosses) >= 3
         assert all(c.significance_db < 10.0 for c in crosses)
+
+    def test_scalar_angle_classifies_one_spectrum(self, benchmark_scenario):
+        layout = benchmark_scenario.layout()
+        r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
+        initial = Subspace.split(r_hat, MusicConfig(k_targets=4).range_rule(layout.size))
+        spec = range_spectrum(initial, layout, 30.0, SpectrumGrid.for_layout(layout).range_m)
+        bounds = (layout.fresnel_distance, layout.rayleigh_distance)
+        got = classify_range_spectrum(30.0, spec, bounds)
+        assert got == oracles.classify_range_spectrum(30.0, spec, bounds)
+        assert [c.label for c in got] == ["true", "true"]
+        with pytest.raises(ValueError, match="2 angles for 1 range spectra"):
+            classify_range_spectrum([30.0, 10.0], spec, bounds)
 
     def test_no_candidates_gives_empty_result(self, benchmark_scenario):
         layout = benchmark_scenario.layout()

@@ -222,6 +222,38 @@ def test_one_decomposition_per_covariance(monkeypatch, method, expected):
 
 
 @pytest.mark.parametrize(
+    "method, expected",
+    [
+        (localize, (1, 1)),
+        (localize_dense, (1, 1)),
+        (localize_farfield_virtual, (1, 0)),
+        (localize_subarray, (1, 1)),
+    ],
+)
+def test_one_peak_search_per_phase(monkeypatch, method, expected):
+    # The angle spectrum is searched once, and every candidate's range
+    # spectrum in one classification call.
+    snaps, dense_snaps = benchmark_inputs()
+    calls = {"detect_peaks": 0, "classify_range_spectrum": 0}
+
+    def counting(name):
+        original = getattr(music, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(music, name, counting(name))
+    result = method(dense_snaps if method is localize_dense else snaps, CONFIG)
+    assert (calls["detect_peaks"], calls["classify_range_spectrum"]) == expected
+    if expected[1]:
+        assert len(result.candidates) > 1
+
+
+@pytest.mark.parametrize(
     "method, n_inputs",
     [(localize, 1), (localize_dense, 1), (localize_farfield_virtual, 1), (localize_subarray, 2)],
 )

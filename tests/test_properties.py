@@ -3,7 +3,8 @@ oracle, the subspace scan, the real angle scan and the folded range scan
 against a noise-basis oracle on the complex manifolds, the real form of a
 centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
 the Toeplitz split of the coarray against the split of its smoothed matrix,
-and estimate-to-truth association."""
+estimate-to-truth association, and the row-wise peak finder against one
+peak search per spectrum."""
 import math
 
 import numpy as np
@@ -27,7 +28,17 @@ from canf import (
     vectorize_to_coarray,
 )
 from canf.channel import steering_matrix
-from canf.music import Subspace, angle_spectrum, range_spectrum, real_form
+from canf.music import (
+    Peak,
+    PseudoSpectrum,
+    Subspace,
+    _row_peaks,
+    angle_spectrum,
+    classify_range_spectrum,
+    detect_peaks,
+    range_spectrum,
+    real_form,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 LAM = 10e-3
@@ -362,3 +373,59 @@ def test_associate_ties_do_not_depend_on_roundoff(n_est, n_true, with_range, see
         jitter = 1.0 + 1e-12 * rng.choice([-1.0, 1.0], n_est)
         ranges = est_r * jitter if with_range else None
         assert associate(est_theta * jitter, ranges, true_theta, true_r, 20.0) == base
+
+
+@st.composite
+def peak_spectra(draw):
+    """A ``(C, R)`` stack of positive spectra, 1e-3 to 1e12, over a drawn
+    increasing axis.  Values come from a small palette or anywhere in the
+    range, so plateaus, exact ties between and within rows, and maxima on
+    the grid endpoints are all common."""
+    c, r = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    values = st.floats(1e-3, 1e12)
+    palette = draw(st.lists(values, min_size=1, max_size=5))
+    cell = st.one_of(st.sampled_from(palette), values)
+    row = st.lists(cell, min_size=r, max_size=r)
+    rows = np.array(draw(st.lists(row, min_size=c, max_size=c)))
+    steps = draw(st.lists(st.floats(0.01, 2.0), min_size=r, max_size=r))
+    return np.cumsum(steps), rows
+
+
+def _bits(peaks):
+    return [
+        (p.location.hex(), p.height_db.hex(), p.prominence_db.hex(), p.index) for p in peaks
+    ]
+
+
+@PROPERTY
+@given(spectra=peak_spectra(), include_edges=st.booleans(), data=st.data())
+def test_row_peaks_match_one_search_per_row(spectra, include_edges, data):
+    # Every row's peaks, from one find_peaks call over the +inf-separated
+    # rows, are the per-row search's bit for bit and in the same order.
+    axis, values = spectra
+    db = PseudoSpectrum(axis, values).db
+    row, index, location, height, prominence = _row_peaks(db, axis, include_edges)
+    for k, row_values in enumerate(values):
+        mine = row == k
+        got = [
+            Peak(float(x), float(h), float(p), int(i))
+            for x, h, p, i in zip(location[mine], height[mine], prominence[mine], index[mine])
+        ]
+        expected = oracles.detect_peaks(PseudoSpectrum(axis, row_values), None, include_edges)
+        assert _bits(got) == _bits(expected)
+    # One spectrum keeps min_separation, and classification reads every row.
+    single = PseudoSpectrum(axis, values[0])
+    separation = data.draw(st.floats(0.0, 5.0))
+    assert _bits(detect_peaks(single, None, include_edges, separation)) == _bits(
+        oracles.detect_peaks(single, None, include_edges, separation)
+    )
+    thetas = np.linspace(-60.0, 60.0, len(values))
+    bounds = (float(axis[0]), data.draw(st.sampled_from([float(axis[-1]), float(axis[-1]) / 2])))
+    expected = [
+        c
+        for theta, row_values in zip(thetas, values)
+        for c in oracles.classify_range_spectrum(
+            float(theta), PseudoSpectrum(axis, row_values), bounds
+        )
+    ]
+    assert classify_range_spectrum(thetas, PseudoSpectrum(axis, values), bounds) == expected
