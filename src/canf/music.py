@@ -55,8 +55,13 @@ separator ends each side's search where the end of a single row would: every
 prominence, and so every peak kept, is the one a call per row gives.  (A
 ``-inf`` separator would instead join every row to its neighbours' searches
 and make each prominence infinite.)  The separators are peaks themselves and
-are dropped by position.  A ``distance`` between peaks would let a separator
-suppress real peaks near it, so it is applied to single spectra only.
+are dropped by position.  Nothing is higher than a separator, so its own
+search would walk the whole array, making the pass quadratic in the number
+of rows; every search is capped at one laid-out row's length either side
+(``wlen``), and a real peak's search meets a separator or the array's end
+within that length, so the cap changes no real prominence.  A ``distance``
+between peaks would let a separator suppress real peaks near it, so it is
+applied to single spectra only.
 """
 from __future__ import annotations
 
@@ -322,7 +327,7 @@ class Subspace:
         if fold is None:
             # A sensor-major manifold (the angle stage's) is read along its
             # rows by the (r, W) x (W, A) product.
-            proj = (signal.conj().T @ manifold.mT).mT
+            proj = np.swapaxes(signal.conj().T @ np.swapaxes(manifold, -1, -2), -1, -2)
         else:
             proj = manifold @ (fold @ signal.conj())
         denom = 1.0 - _row_power(proj) / w
@@ -407,7 +412,7 @@ def _refine_parabolic(
 ) -> np.ndarray:
     """3-point parabolic vertex around each peak ``db[row, col]``, in axis
     units; a grid endpoint, or a fit that opens upward, keeps the grid point."""
-    loc = axis[col]
+    loc = axis[col].astype(float)
     inner = np.flatnonzero((col > 0) & (col < axis.size - 1))
     r, i = row[inner], col[inner]
     y0, y1, y2 = db[r, i - 1], db[r, i], db[r, i + 1]
@@ -440,8 +445,14 @@ def _row_peaks(
     laid = np.full((c, stride), -np.inf)
     laid[:, -1] = np.inf
     laid[:, pad : pad + r] = db
+    # A real peak's base search ends at a separator within ``stride``
+    # samples, so ``wlen`` leaves its prominence as is; it bounds the search
+    # of each separator, which nothing stops, to its neighbouring rows.
     pos, props = find_peaks(
-        laid.ravel()[:-1], prominence=PEAK_PROMINENCE_DB, distance=distance
+        laid.ravel()[:-1],
+        prominence=PEAK_PROMINENCE_DB,
+        distance=distance,
+        wlen=2 * stride + 1,
     )
     row, col = np.divmod(pos, stride)
     col -= pad

@@ -250,6 +250,13 @@ class TestDetectPeaks:
         peaks = detect_peaks(spec)
         assert peaks[0].location == pytest.approx(vertex, abs=1e-9)
 
+    def test_parabolic_refinement_on_an_integer_axis_is_not_truncated(self):
+        axis = np.arange(21)
+        vertex = 10.37
+        db = -0.4 * (axis - vertex) ** 2
+        peaks = detect_peaks(PseudoSpectrum(axis, 10.0 ** (db / 10.0)))
+        assert peaks[0].location == pytest.approx(vertex, abs=1e-9)
+
 
 class TestAngleSpectrum:
     def test_single_target_peak_at_truth(self, layout911):

@@ -380,14 +380,16 @@ def peak_spectra(draw):
     """A ``(C, R)`` stack of positive spectra, 1e-3 to 1e12, over a drawn
     increasing axis.  Values come from a small palette or anywhere in the
     range, so plateaus, exact ties between and within rows, and maxima on
-    the grid endpoints are all common."""
+    the grid endpoints are all common.  The axis is an integer array at
+    times, as a caller's ``np.arange`` grid would be."""
     c, r = draw(st.integers(1, 12)), draw(st.integers(1, 30))
     values = st.floats(1e-3, 1e12)
     palette = draw(st.lists(values, min_size=1, max_size=5))
     cell = st.one_of(st.sampled_from(palette), values)
     row = st.lists(cell, min_size=r, max_size=r)
     rows = np.array(draw(st.lists(row, min_size=c, max_size=c)))
-    steps = draw(st.lists(st.floats(0.01, 2.0), min_size=r, max_size=r))
+    step = draw(st.sampled_from([st.floats(0.01, 2.0), st.integers(1, 3)]))
+    steps = draw(st.lists(step, min_size=r, max_size=r))
     return np.cumsum(steps), rows
 
 
