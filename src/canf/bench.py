@@ -5,13 +5,18 @@ Trial ``q`` always uses seed ``base_seed + q``, so every (method, SNR)
 cell sees the same draws and the whole report is a pure function of the
 configuration.  Per-trial failures are logged and counted, never abort a
 sweep.
+
+The report's schema is read from the dataclasses: the CSV columns are the
+:class:`RmseRow` fields in order, and the ``--raw`` JSONL keys are the
+:class:`TrialRecord` fields, with ``_deg`` or ``_m`` appended to the
+estimate and error fields.  A new column or key is one new field.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -202,23 +207,23 @@ class MonteCarloConfig:
 class TrialRecord:
     """Outcome of one (method, SNR, trial) cell.
 
-    A trial that raised has ``failed`` set, empty estimates, and ``error``
-    holding the exception as ``"ExcType: message"``.
+    A trial that raised has ``failed`` set, the empty outcome defaults, and
+    ``error`` holding the exception as ``"ExcType: message"``.
     """
 
     method: str
     snr_db: float
     trial: int
     seed: int
-    theta_est: tuple[float, ...]
-    range_est: tuple[float, ...] | None
-    labels: tuple[str, ...]
-    n_candidates: int
-    theta_errors: tuple[float, ...]
-    range_errors: tuple[float, ...]
-    detected: bool
-    n_spurious_true: int
-    n_cross_leaked: int
+    theta_est: tuple[float, ...] = ()
+    range_est: tuple[float, ...] | None = None
+    labels: tuple[str, ...] = ()
+    n_candidates: int = 0
+    theta_errors: tuple[float, ...] = ()
+    range_errors: tuple[float, ...] = ()
+    detected: bool = False
+    n_spurious_true: int = 0
+    n_cross_leaked: int = 0
     failed: bool = False
     error: str | None = None
 
@@ -227,46 +232,22 @@ class TrialRecord:
         cls, method: str, snr_db: float, trial: int, seed: int, exc: Exception
     ) -> "TrialRecord":
         """Record of a trial that raised ``exc``, as ``"ExcType: message"``."""
-        return cls(
-            method=method, snr_db=snr_db, trial=trial, seed=seed,
-            theta_est=(), range_est=None, labels=(), n_candidates=0,
-            theta_errors=(), range_errors=(), detected=False,
-            n_spurious_true=0, n_cross_leaked=0,
-            failed=True, error=f"{type(exc).__name__}: {exc}",
-        )
+        return cls(method, snr_db, trial, seed, failed=True, error=f"{type(exc).__name__}: {exc}")
 
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "snr_db": self.snr_db,
-            "trial": self.trial,
-            "seed": self.seed,
-            "theta_est_deg": list(self.theta_est),
-            "range_est_m": None if self.range_est is None else list(self.range_est),
-            "labels": list(self.labels),
-            "n_candidates": self.n_candidates,
-            "theta_errors_deg": list(self.theta_errors),
-            "range_errors_m": list(self.range_errors),
-            "detected": self.detected,
-            "n_spurious_true": self.n_spurious_true,
-            "n_cross_leaked": self.n_cross_leaked,
-            "failed": self.failed,
-            "error": self.error,
+        """One JSONL line: the fields, with the estimates and errors keyed by unit."""
+        units = {
+            "theta_est": "_deg", "range_est": "_m", "theta_errors": "_deg", "range_errors": "_m"
         }
+        payload = {name + units.get(name, ""): value for name, value in asdict(self).items()}
         return json.dumps(payload, sort_keys=True)
 
 
 def _ordered_estimates(result, k: int):
     """The K estimates for RMSE: significant detections first, fills after."""
-    true_entries = sorted(
-        (c for c in result.classified if c.is_true),
-        key=lambda c: (-c.significance_db, c.theta_deg),
-    )
-    cross_entries = sorted(
-        (c for c in result.classified if not c.is_true),
-        key=lambda c: (-c.significance_db, c.theta_deg),
-    )
-    chosen = (true_entries + cross_entries)[:k]
+    chosen = sorted(
+        result.classified, key=lambda c: (not c.is_true, -c.significance_db, c.theta_deg)
+    )[:k]
     return (
         tuple(c.theta_deg for c in chosen),
         tuple(c.range_m for c in chosen),
@@ -282,46 +263,36 @@ def run_trial(
     config: MonteCarloConfig,
 ) -> TrialRecord:
     """Synthesize, localize and score a single trial."""
+    # Looked up at call time, so a patched module global is the one that runs.
+    localizers = {
+        "proposed": localize,
+        "dense": localize_dense,
+        "farfield": localize_farfield_virtual,
+        "subarray": localize_subarray,
+    }
+    if method not in localizers:
+        raise ValueError(f"unknown method {method!r}")
     seed = config.base_seed + trial
     truth_theta = np.array([t.theta_deg for t in scenario.targets])
     truth_range = np.array([t.r for t in scenario.targets])
     k = truth_theta.size
-    music_cfg = MusicConfig(k_targets=k)
     reference = scenario.layout()
     range_scale = reference.rayleigh_distance
     range_gate = config.range_gate_frac * range_scale
 
-    if method == "proposed":
-        snaps = scenario.snapshots(snr_db=snr_db, seed=seed)
-        result = localize(snaps, music_cfg)
-    elif method == "dense":
-        snaps = synthesize(
-            scenario.dense_layout(),
-            scenario.targets,
-            scenario.n_snapshots,
-            snr_db,
-            seed,
-            scenario.model,
-        )
-        result = localize_dense(snaps, music_cfg)
-    elif method == "subarray":
-        snaps = scenario.snapshots(snr_db=snr_db, seed=seed)
-        result = localize_subarray(snaps, music_cfg)
-    elif method == "farfield":
-        snaps = scenario.snapshots(snr_db=snr_db, seed=seed)
-        result = localize_farfield_virtual(snaps, music_cfg)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    layout = scenario.dense_layout() if method == "dense" else reference
+    snaps = synthesize(
+        layout, scenario.targets, scenario.n_snapshots, snr_db, seed, scenario.model
+    )
+    result = localizers[method](snaps, MusicConfig(k_targets=k))
+    n_candidates = len(result.candidates)
     if method == "farfield":
         theta_est = result.angles_deg
         range_est = None
         labels = ("angle",) * len(theta_est)
-        n_candidates = len(result.candidates)
         detect_theta, detect_range = theta_est, None
     else:
         theta_est, range_est, labels = _ordered_estimates(result, k)
-        n_candidates = len(result.candidates)
         true_entries = [c for c in result.classified if c.is_true]
         detect_theta = tuple(c.theta_deg for c in true_entries)
         detect_range = tuple(c.range_m for c in true_entries)
@@ -339,17 +310,13 @@ def run_trial(
 
     # Detection bookkeeping over strictly classified entries only.
     det_match = associate(detect_theta, detect_range, truth_theta, truth_range, range_scale)
-    hits = 0
-    spurious = len(detect_theta)
-    for i, j in det_match.pairs:
-        ok_theta = abs(detect_theta[i] - truth_theta[j]) <= config.theta_gate_deg
-        ok_range = (
-            detect_range is None
-            or abs(detect_range[i] - truth_range[j]) <= range_gate
-        )
-        if ok_theta and ok_range:
-            hits += 1
-            spurious -= 1
+    hits = sum(
+        1
+        for i, j in det_match.pairs
+        if abs(detect_theta[i] - truth_theta[j]) <= config.theta_gate_deg
+        and (detect_range is None or abs(detect_range[i] - truth_range[j]) <= range_gate)
+    )
+    spurious = len(detect_theta) - hits
     detected = hits == k
     # A leaked cross: a true-labeled entry whose angle matches no target.
     leaked = sum(
@@ -377,6 +344,8 @@ def run_trial(
 
 @dataclass(frozen=True)
 class RmseRow:
+    """One (method, SNR) cell of the report; the fields are the CSV columns."""
+
     method: str
     snr_db: float
     theta_rmse_deg: float | None
@@ -391,7 +360,10 @@ class RmseReport:
 
     rows: list[RmseRow] = field(default_factory=list)
     records: list[TrialRecord] = field(default_factory=list)
-    n_failed: int = 0
+
+    @property
+    def n_failed(self) -> int:
+        return sum(rec.failed for rec in self.records)
 
     def row(self, method: str, snr_db: float) -> RmseRow:
         for r in self.rows:
@@ -400,20 +372,9 @@ class RmseReport:
         raise KeyError((method, snr_db))
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["method,snr_db,theta_rmse_deg,r_rmse_m,detection_rate,mean_candidates"]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        r.method,
-                        _fmt(r.snr_db),
-                        _fmt(r.theta_rmse_deg),
-                        _fmt(r.r_rmse_m),
-                        _fmt(r.detection_rate),
-                        _fmt(r.mean_candidates),
-                    )
-                )
-            )
+        names = [f.name for f in fields(RmseRow)]
+        lines = [",".join(names)]
+        lines += [",".join(_fmt(getattr(r, name)) for name in names) for r in self.rows]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def write_raw_jsonl(self, path: str | Path) -> None:
@@ -422,9 +383,11 @@ class RmseReport:
                 fh.write(rec.to_json() + "\n")
 
 
-def _fmt(value: float | None) -> str:
+def _fmt(value: str | float | None) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     return f"{float(value):.10g}"
 
 
@@ -437,11 +400,7 @@ def run_monte_carlo(config: MonteCarloConfig) -> RmseReport:
     report = RmseReport()
     for method in config.methods:
         for snr_db in config.snr_db_list:
-            theta_errors: list[float] = []
-            range_errors: list[float] = []
-            detected = 0
-            candidates = 0
-            completed = 0
+            done: list[TrialRecord] = []
             for trial in range(config.q_trials):
                 try:
                     rec = run_trial(method, config.scenario, snr_db, trial, config)
@@ -449,28 +408,19 @@ def run_monte_carlo(config: MonteCarloConfig) -> RmseReport:
                     logger.exception(
                         "trial failed: method=%s snr=%s trial=%d", method, snr_db, trial
                     )
-                    report.n_failed += 1
-                    report.records.append(
-                        TrialRecord.failure(
-                            method, snr_db, trial, config.base_seed + trial, exc
-                        )
-                    )
-                    continue
+                    rec = TrialRecord.failure(method, snr_db, trial, config.base_seed + trial, exc)
+                else:
+                    done.append(rec)
                 report.records.append(rec)
-                theta_errors.extend(rec.theta_errors)
-                range_errors.extend(rec.range_errors)
-                detected += int(rec.detected)
-                candidates += rec.n_candidates
-                completed += 1
-            denom = max(completed, 1)
+            denom = max(len(done), 1)
             report.rows.append(
                 RmseRow(
                     method=method,
                     snr_db=snr_db,
-                    theta_rmse_deg=rmse(theta_errors),
-                    r_rmse_m=rmse(range_errors),
-                    detection_rate=detected / denom,
-                    mean_candidates=candidates / denom,
+                    theta_rmse_deg=rmse(e for rec in done for e in rec.theta_errors),
+                    r_rmse_m=rmse(e for rec in done for e in rec.range_errors),
+                    detection_rate=sum(rec.detected for rec in done) / denom,
+                    mean_candidates=sum(rec.n_candidates for rec in done) / denom,
                 )
             )
     return report

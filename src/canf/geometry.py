@@ -153,8 +153,8 @@ def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
     """Uniform symmetric array with an odd number ``u`` of sensors."""
     if u < 1 or u % 2 == 0:
         raise ValueError("dense layout needs an odd, positive sensor count")
-    if not (d > 0.0 and wavelength > 0.0):
-        raise ValueError("spacing and wavelength must be positive")
+    if not (0.0 < d < math.inf and 0.0 < wavelength < math.inf):
+        raise ValueError("spacing and wavelength must be finite and positive")
     _check_spacing(d, wavelength)
     half = (u - 1) // 2
     return SensorLayout(tuple(range(-half, half + 1)), d, wavelength, "dense")

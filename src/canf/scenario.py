@@ -46,6 +46,8 @@ class Scenario:
             raise ValueError(f"T must be at least 1, got {self.n_snapshots}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.model not in _MODELS:
+            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
 
     @property
     def params(self) -> CoprimeParams:
@@ -77,9 +79,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Load a scenario, rejecting a missing key, an unknown ``model`` or a
-        value the constructor rejects, and warning when the targets exceed
-        the decoupled capacity ``max_targets(M, N)[0]``."""
+        """Load a scenario, rejecting a missing key or a value the
+        constructor rejects (an unknown ``model``, say), and warning when the
+        targets exceed the decoupled capacity ``max_targets(M, N)[0]``."""
         _require(data, ("M", "N", "targets"), "scenario")
         for i, t in enumerate(data["targets"]):
             _require(t, ("theta_deg", "range_m"), f"scenario target {i}")
@@ -94,9 +96,6 @@ class Scenario:
                 for t in data["targets"]
             )
         )
-        model = str(data.get("model", "exact"))
-        if model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}, got {model!r}")
         m, n = int(data["M"]), int(data["N"])
         k_max = max_targets(m, n)[0]
         if len(targets) > k_max:
@@ -112,7 +111,7 @@ class Scenario:
             n_snapshots=int(data.get("T", 100)),
             snr_db=None if snr is None else float(snr),
             seed=int(data.get("seed", 0)),
-            model=model,
+            model=str(data.get("model", "exact")),
         )
 
     def to_dict(self) -> dict:

@@ -73,6 +73,53 @@ def test_failed_trial_is_recorded_with_its_error(monkeypatch, caplog, tmp_path):
     ]
 
 
+RAW_KEYS = {
+    "method", "snr_db", "trial", "seed", "theta_est_deg", "range_est_m", "labels",
+    "n_candidates", "theta_errors_deg", "range_errors_m", "detected",
+    "n_spurious_true", "n_cross_leaked", "failed", "error",
+}
+
+
+def test_report_schema_is_pinned(monkeypatch, tmp_path):
+    # The CSV columns and JSONL keys are read from the dataclass fields, so
+    # renaming a field changes the report; this test is what notices.
+    def boom(snapshots, config=None):
+        raise RuntimeError("covariance exploded")
+
+    monkeypatch.setattr(bench, "localize", boom)
+    config = MonteCarloConfig(
+        default_benchmark_scenario(), (10.0,), q_trials=1, methods=("proposed", "farfield")
+    )
+    report = run_monte_carlo(config)
+    csv, raw = tmp_path / "rmse.csv", tmp_path / "raw.jsonl"
+    report.write_csv(csv)
+    report.write_raw_jsonl(raw)
+
+    header, *rows = csv.read_text(encoding="utf-8").splitlines()
+    assert header == "method,snr_db,theta_rmse_deg,r_rmse_m,detection_rate,mean_candidates"
+    assert [row.split(",")[:2] for row in rows] == [["proposed", "10"], ["farfield", "10"]]
+    failed, completed = [json.loads(line) for line in raw.read_text(encoding="utf-8").splitlines()]
+    assert failed["failed"] and not completed["failed"]
+    assert set(failed) == RAW_KEYS
+    assert set(completed) == RAW_KEYS
+
+
+def test_unknown_method_is_rejected_before_synthesis(monkeypatch):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran for an unknown method")
+
+    monkeypatch.setattr(bench, "synthesize", no_synthesis)
+    config = MonteCarloConfig(default_benchmark_scenario(), (10.0,))
+    with pytest.raises(ValueError, match="unknown method 'music'"):
+        bench.run_trial("music", config.scenario, 10.0, 0, config)
+
+
+@pytest.mark.parametrize("est_range", [None, (25.0, 30.0)])
+def test_associate_rejects_a_nan_estimate(est_range):
+    with pytest.raises(ValueError):
+        associate((np.nan, 10.0), est_range, (-35.0, 10.0), (25.0, 30.0), 20.0)
+
+
 @pytest.mark.parametrize(
     "est_theta, est_range, true_range, expected",
     [

@@ -83,6 +83,11 @@ class TestSteeringVectors:
             errs.append(np.max(err))
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
+    def test_unknown_model_rejected(self, layout911):
+        targets = TargetSet((Target.from_degrees(12, 1.0),))
+        with pytest.raises(ValueError, match="model must be one of .*'planar'"):
+            steering_matrix(layout911, targets, "planar")
+
     def test_phase_term_parity(self, layout911, rng):
         # p is odd and q is even in the sensor coordinate; the layout is
         # symmetric so reversing the array realizes the mirror.
@@ -170,6 +175,12 @@ class TestSynthesize:
         targets = TargetSet((Target.from_degrees(12, 1.0),))
         with pytest.raises(ValueError, match="snr_db"):
             synthesize(layout23, targets, 8, snr_db, 0)
+
+    @pytest.mark.parametrize("n_snapshots", [0, -1])
+    def test_fewer_than_one_snapshot_rejected(self, layout23, n_snapshots):
+        targets = TargetSet((Target.from_degrees(12, 1.0),))
+        with pytest.raises(ValueError, match="at least one snapshot"):
+            synthesize(layout23, targets, n_snapshots, 10.0, 0)
 
     @pytest.mark.parametrize("snr_db", [-3100.0, -1e6, np.float64(-3100.0)])
     def test_snr_whose_noise_power_overflows_rejected(self, layout23, snr_db):

@@ -6,6 +6,7 @@ import pytest
 
 from canf import (
     CoprimeParams,
+    SensorLayout,
     build_coprime_layout,
     build_dense_layout,
     build_subarrays,
@@ -69,6 +70,20 @@ class TestCoprimeLayout:
         assert layout.size == 2 * (m + n - 1) - 1
 
 
+class TestSensorLayout:
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((), "at least one sensor"),
+            ((0, 2, 1), "strictly ascending"),
+            ((-1, 0, 0, 1), "strictly ascending"),
+        ],
+    )
+    def test_grid_must_be_nonempty_and_strictly_ascending(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            SensorLayout(grid, LAM / 4.0, LAM, "dense")
+
+
 class TestDenseLayout:
     def test_grid(self):
         layout = build_dense_layout(7, LAM / 4.0, LAM)
@@ -88,6 +103,14 @@ class TestDenseLayout:
             cop = build_coprime_layout(CoprimeParams(m, n, LAM / 4.0, LAM))
             dense = build_dense_layout(cop.size, LAM / 4.0, LAM)
             assert dense.aperture < cop.aperture
+
+    @pytest.mark.parametrize(
+        "d, wavelength",
+        [(math.inf, 1.0), (1e-3, math.inf), (0.0, LAM), (LAM / 4.0, -LAM), (math.nan, LAM)],
+    )
+    def test_spacing_and_wavelength_must_be_finite_and_positive(self, d, wavelength):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_dense_layout(5, d, wavelength)
 
 
 class TestSubarrays:

@@ -1,4 +1,5 @@
 """Scenario files: round trips and the checks made when one is loaded."""
+import dataclasses
 import math
 import warnings
 
@@ -20,6 +21,12 @@ def test_unknown_model_rejected_at_load():
     data["model"] = "planar"
     with pytest.raises(ValueError, match="planar"):
         Scenario.from_dict(data)
+
+
+def test_unknown_model_rejected_at_construction():
+    # A sweep over a directly built scenario must refuse it, not fail every trial.
+    with pytest.raises(ValueError, match="model must be one of .*'bogus'"):
+        dataclasses.replace(default_benchmark_scenario(), model="bogus")
 
 
 @pytest.mark.parametrize(
