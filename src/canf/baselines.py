@@ -26,8 +26,8 @@ from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's
     SpectrumGrid,
     Subspace,
     SubspaceRule,
-    angle_candidates,
     angle_spectrum,
+    detect_peaks,
     eig_hermitian,
     localize,
     two_phase,
@@ -94,7 +94,7 @@ def localize_farfield_virtual(
     axis = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m).angle_deg
     virtual = Subspace.split_coarray(r_tilde, rule)
     spec = angle_spectrum(virtual, layout.d, layout.wavelength, axis, position_scale=1.0)
-    peaks = angle_candidates(spec, config.candidate_limit() if k is None else k)
+    peaks = detect_peaks(spec, config.candidate_limit() if k is None else k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)
 
 

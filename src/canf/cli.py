@@ -92,7 +92,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     snaps = scenario.snapshots()
     out = Path(args.out)
     if args.format == "npz":
-        np.savez(out, y=snaps.y, x=snaps.x, sigma2=snaps.sigma2, seed=snaps.seed)
+        with open(out, "wb") as fh:  # given a path, np.savez may append ".npz"
+            np.savez(fh, y=snaps.y, x=snaps.x, sigma2=snaps.sigma2, seed=snaps.seed)
     else:
         lines = ["sensor,t,re,im"]
         for u in range(snaps.n_sensors):
@@ -124,9 +125,7 @@ def _write_coarray_csv(path: Path, r_tilde: np.ndarray) -> None:
 
 
 def _write_spectrum_csv(path: Path, header: str, axis, values_db) -> None:
-    lines = [header]
-    for a, v in zip(axis, values_db):
-        lines.append(f"{_fmt(a)},{_fmt(v)}")
+    lines = [header] + [f"{_fmt(a)},{_fmt(v)}" for a, v in zip(axis, values_db)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -142,21 +141,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_spectrum_csv(
-        out_dir / "angle_spectrum.csv",
-        "theta_deg,p_db",
-        result.angle_spectrum.axis,
-        result.angle_spectrum.db,
-    )
-    for idx, (theta_deg, spec) in enumerate(result.range_spectra):
-        _write_spectrum_csv(
-            out_dir / f"range_spectrum_{idx:02d}.csv",
-            "range_m,p_db",
-            spec.axis,
-            spec.db,
-        )
+    angle, ranges = result.angle_spectrum, result.range_spectrum
+    _write_spectrum_csv(out_dir / "angle_spectrum.csv", "theta_deg,p_db", angle.axis, angle.db)
+    for idx, row_db in enumerate(ranges.db):
+        path = out_dir / f"range_spectrum_{idx:02d}.csv"
+        _write_spectrum_csv(path, "range_m,p_db", ranges.axis, row_db)
     payload = result.to_dict()
-    payload["range_spectrum_angles_deg"] = [t for t, _ in result.range_spectra]
+    payload["range_spectrum_angles_deg"] = list(result.candidate_angles_deg)
     (out_dir / "result.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -240,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="angle/range spectra and result JSON")
     p_spec.add_argument("--scenario", required=True)
     p_spec.add_argument("--out-dir", required=True)
-    p_spec.add_argument("--angle-step", type=float, default=0.05)
-    p_spec.add_argument("--range-step", type=float, default=0.1)
+    p_spec.add_argument("--angle-step", type=float, default=MusicConfig.angle_step_deg)
+    p_spec.add_argument("--range-step", type=float, default=MusicConfig.range_step_m)
     p_spec.add_argument("--dump-covariance", action="store_true")
     p_spec.set_defaults(func=_cmd_spectrum)
 

@@ -4,16 +4,16 @@
 each of the smoothed coarray covariance (:meth:`Subspace.split_coarray`) and
 the initial covariance ``r_hat``; angle scan on the noise subspace of the
 former, whose peaks hold the true angles plus "cross" angles from target
-pairs; peak detection (:func:`angle_candidates`); then one range scan of
-every candidate angle at once on the noise subspace of ``r_hat``, and a
-true/cross verdict per candidate (true angles give significant range peaks
-inside the near-field region, cross angles do not).  :func:`localize` runs
-the stages on the whole array, and the schemes in :mod:`canf.baselines` are
-compositions of them.  The two scan stages are :func:`angle_spectrum` and
-:func:`range_spectrum`: each takes a :class:`Subspace` already split from
-its covariance, so a covariance is decomposed once however many scans read
-it, and they are the only code that pairs a steering manifold with a
-subspace.
+pairs; the angle-peak stage (:func:`detect_peaks`); then the range phase,
+one ``(C, R)`` array from scan to result: one range scan of every candidate
+angle at once on the noise subspace of ``r_hat``, and a true/cross verdict
+per row (true angles give significant range peaks inside the near-field
+region, cross angles do not).  :func:`localize` runs the stages on the whole
+array, and the schemes in :mod:`canf.baselines` are compositions of them.
+The two scan stages are :func:`angle_spectrum` and :func:`range_spectrum`:
+each takes a :class:`Subspace` already split from its covariance, so a
+covariance is decomposed once however many scans read it, and they are the
+only code that pairs a steering manifold with a subspace.
 
 Both scans use the mirror symmetry of the symmetric array:
 
@@ -44,9 +44,10 @@ norm of the residual ``a - U_s U_s^H a`` (:meth:`Subspace.scan`).  The
 noise basis is never read.
 
 Each phase finds its peaks in one ``scipy.signal.find_peaks`` call: the
-angle stage on its one spectrum (:func:`detect_peaks`), the range stage on
-the spectra of all candidates at once (:func:`classify_range_spectrum`).
-The ``(C, R)`` dB rows are laid end to end as ``[pad, row, pad]``, ``pad``
+angle stage on its one spectrum (:func:`detect_peaks`, grid endpoints never
+peaks), the range stage on the spectra of all candidates at once
+(:func:`classify_range_spectrum`, grid endpoints always peaks).  The
+``(C, R)`` dB rows are laid end to end as ``[pad, row, pad]``, ``pad``
 being ``-inf`` when the grid endpoints count as peaks and absent otherwise,
 with one ``+inf`` sample between consecutive rows and none after the last.
 A prominence is the peak height over the higher of the two least values met
@@ -66,7 +67,7 @@ applied to single spectra only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -90,7 +91,6 @@ __all__ = [
     "real_form",
     "angle_spectrum",
     "detect_peaks",
-    "angle_candidates",
     "range_spectrum",
     "classify_range_spectrum",
     "two_phase",
@@ -465,44 +465,29 @@ def _row_peaks(
     return row[order], col[order], location[order], height[order], prominence[order]
 
 
-def detect_peaks(
-    spectrum: PseudoSpectrum,
-    max_count: int | None = None,
-    include_edges: bool = False,
-    min_separation: float = 0.0,
-) -> list[Peak]:
-    """Local maxima at least :data:`PEAK_PROMINENCE_DB` prominent, strongest
-    first, each located by a parabolic fit through its neighbours.
+def detect_peaks(spectrum: PseudoSpectrum, max_count: int | None = None) -> list[Peak]:
+    """The angle-peak stage: up to ``max_count`` local maxima at least
+    :data:`PEAK_PROMINENCE_DB` prominent, strongest first, each located by a
+    parabolic fit through its neighbours.
 
     The one-row case of the stage's row-wise peak finder (see the module
-    docstring).  ``spectrum`` must hold one 1-D spectrum.  Ties in height
-    are broken by ascending axis location.  With ``include_edges`` the grid
-    endpoints count as peaks (used for range spectra, where a target near a
-    region boundary must not be lost).  ``min_separation`` (in axis units)
-    suppresses duplicate peaks riding on one lobe.
+    docstring).  ``spectrum`` must hold one 1-D spectrum.  Peaks closer than
+    :data:`MIN_ANGLE_SEPARATION_DEG` ride on one lobe, and only the highest
+    is kept; the grid endpoints never count as peaks.  Ties in height are
+    broken by ascending axis location.
     """
     y = spectrum.db
     if y.ndim != 1:
         raise ValueError("detect_peaks takes one 1-D spectrum")
     distance = None
-    if min_separation > 0.0 and spectrum.axis.size > 1:
+    if spectrum.axis.size > 1:
         step = float(spectrum.axis[1] - spectrum.axis[0])
-        distance = max(int(round(min_separation / step)), 1)
-    _, index, location, height, prominence = _row_peaks(
-        y[None], spectrum.axis, include_edges, distance
-    )
-    peaks = [
+        distance = max(int(round(MIN_ANGLE_SEPARATION_DEG / step)), 1)
+    _, index, location, height, prominence = _row_peaks(y[None], spectrum.axis, False, distance)
+    return [
         Peak(location=float(x), height_db=float(h), prominence_db=float(p), index=int(i))
         for x, h, p, i in zip(location, height, prominence, index)
-    ]
-    if max_count is not None:
-        peaks = peaks[:max_count]
-    return peaks
-
-
-def angle_candidates(spectrum: PseudoSpectrum, max_count: int | None) -> list[Peak]:
-    """Peak detection stage: up to ``max_count`` angle peaks."""
-    return detect_peaks(spectrum, max_count, min_separation=MIN_ANGLE_SEPARATION_DEG)
+    ][:max_count]
 
 
 @dataclass(frozen=True, eq=False)
@@ -702,13 +687,16 @@ class ClassifiedTarget:
 class LocalizationResult:
     """Everything the two-phase estimator produced for one snapshot set.
 
-    ``bundle`` is the covariance bundle it ran on, None for fused inputs.
+    ``range_spectrum`` holds one range scan per entry of ``candidates``
+    (values ``(C, R)``, fused over the inputs), the array ``classified`` was
+    read from.  ``bundle`` is the covariance bundle it ran on, None for
+    fused inputs.
     """
 
     candidates: tuple[Peak, ...]
     classified: tuple[ClassifiedTarget, ...]
     angle_spectrum: PseudoSpectrum
-    range_spectra: tuple[tuple[float, PseudoSpectrum], ...]
+    range_spectrum: PseudoSpectrum
     virtual_eigvals: np.ndarray
     initial_eigvals: np.ndarray
     angle_signal_rank: int
@@ -727,22 +715,10 @@ class LocalizationResult:
         """JSON-ready summary (deterministic for fixed inputs)."""
         return {
             "candidates": [
-                {
-                    "theta_deg": p.location,
-                    "height_db": p.height_db,
-                    "prominence_db": p.prominence_db,
-                }
+                dict(theta_deg=p.location, height_db=p.height_db, prominence_db=p.prominence_db)
                 for p in self.candidates
             ],
-            "classified": [
-                {
-                    "theta_deg": c.theta_deg,
-                    "range_m": c.range_m,
-                    "label": c.label,
-                    "significance_db": c.significance_db,
-                }
-                for c in self.classified
-            ],
+            "classified": [asdict(c) for c in self.classified],
             "angle_signal_rank": self.angle_signal_rank,
             "range_signal_rank": self.range_signal_rank,
             "virtual_eigvals": [float(v) for v in self.virtual_eigvals],
@@ -789,31 +765,6 @@ def classify_range_spectrum(
     ]
 
 
-def _classify_candidates(
-    candidate_angles_deg,
-    initials: list[tuple[SensorLayout, Subspace]],
-    layout: SensorLayout,
-    grid: SpectrumGrid,
-) -> tuple[list[ClassifiedTarget], list[tuple[float, PseudoSpectrum]]]:
-    """Range scans of every (sensor layout, ``r_hat`` subspace) pair at each
-    candidate, fused by their geometric mean and classified in ``layout``.
-
-    Each pair builds one manifold for all candidates and scans it once, and
-    one :func:`classify_range_spectrum` call classifies every candidate.
-    """
-    bounds = (layout.fresnel_distance, layout.rayleigh_distance)
-    range_grid = grid.range_m
-    thetas = np.asarray(candidate_angles_deg, dtype=float)
-    scans = [range_spectrum(sub, lay, thetas, range_grid).values for lay, sub in initials]
-    fused = np.prod(scans, axis=0) ** (1.0 / len(scans))
-    classified = classify_range_spectrum(thetas, PseudoSpectrum(range_grid, fused), bounds)
-    spectra = [
-        (theta_deg, PseudoSpectrum(range_grid, values))
-        for theta_deg, values in zip(candidate_angles_deg, fused)
-    ]
-    return classified, spectra
-
-
 def two_phase(
     inputs: list[SnapshotSet],
     layout: SensorLayout,
@@ -825,8 +776,11 @@ def two_phase(
     inputs (the subarray scheme) are fused: angle scans by their elementwise
     minimum, which keeps the peaks all inputs agree on, range scans by their
     geometric mean (a plain product would scale the dB axis and defeat one
-    significance threshold).  Eigenvalues are concatenated over the inputs
-    and the largest ranks reported.
+    significance threshold).  Each input's range scan covers every candidate
+    at once, and one :func:`classify_range_spectrum` call labels the fused
+    ``(C, R)`` array, which the result keeps as ``range_spectrum``.
+    Eigenvalues are concatenated over the inputs and the largest ranks
+    reported.
     """
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
     axis = grid.angle_deg
@@ -840,16 +794,18 @@ def two_phase(
         angle_spectrum(v, s.layout.d, layout.wavelength, axis) for v, s in zip(virtual, inputs)
     ]
     spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
-    peaks = angle_candidates(spec_a, config.candidate_limit())
-    range_inputs = [(s.layout, h) for s, h in zip(inputs, initial)]
-    classified, spectra = _classify_candidates(
-        [p.location for p in peaks], range_inputs, layout, grid
-    )
+    peaks = detect_peaks(spec_a, config.candidate_limit())
+    thetas = np.array([p.location for p in peaks], dtype=float)
+    range_scans = [
+        range_spectrum(h, s.layout, thetas, grid.range_m).values for s, h in zip(inputs, initial)
+    ]
+    spec_r = PseudoSpectrum(grid.range_m, np.prod(range_scans, axis=0) ** (1.0 / len(inputs)))
+    bounds = (layout.fresnel_distance, layout.rayleigh_distance)
     return LocalizationResult(
         candidates=tuple(peaks),
-        classified=tuple(classified),
+        classified=tuple(classify_range_spectrum(thetas, spec_r, bounds)),
         angle_spectrum=spec_a,
-        range_spectra=tuple(spectra),
+        range_spectrum=spec_r,
         virtual_eigvals=np.concatenate([v.eigvals for v in virtual]),
         initial_eigvals=np.concatenate([h.eigvals for h in initial]),
         angle_signal_rank=max(v.rank for v in virtual),

@@ -79,9 +79,10 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Load a scenario, rejecting a missing key or a value the
-        constructor rejects (an unknown ``model``, say), and warning when the
-        targets exceed the decoupled capacity ``max_targets(M, N)[0]``."""
+        """Load a scenario, rejecting a missing key, an ``M``, ``N``, ``T`` or
+        ``seed`` that is not an integer, or a value the constructor rejects
+        (an unknown ``model``, say), and warning when the targets exceed the
+        decoupled capacity ``max_targets(M, N)[0]``."""
         _require(data, ("M", "N", "targets"), "scenario")
         for i, t in enumerate(data["targets"]):
             _require(t, ("theta_deg", "range_m"), f"scenario target {i}")
@@ -96,7 +97,7 @@ class Scenario:
                 for t in data["targets"]
             )
         )
-        m, n = int(data["M"]), int(data["N"])
+        m, n = _integer(data, "M"), _integer(data, "N")
         k_max = max_targets(m, n)[0]
         if len(targets) > k_max:
             msg = f"{len(targets)} targets exceed the capacity {k_max} of M={m}, N={n}"
@@ -108,9 +109,9 @@ class Scenario:
             d=d,
             wavelength=wavelength,
             targets=targets,
-            n_snapshots=int(data.get("T", 100)),
+            n_snapshots=_integer(data, "T", 100),
             snr_db=None if snr is None else float(snr),
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data, "seed", 0),
             model=str(data.get("model", "exact")),
         )
 
@@ -151,6 +152,14 @@ def _spacing_and_wavelength(d_mm, freq_ghz) -> tuple[float, float]:
         raise ValueError(f"freq_ghz must be positive and finite, got {freq_ghz!r}")
     d = wavelength / 4.0 if d_mm is None else float(d_mm) * 1e-3
     return d, wavelength
+
+
+def _integer(data: dict, key: str, default: int | None = None) -> int:
+    """``data[key]``, else ``default``, if an int or an integral float (not a bool)."""
+    value = data.get(key, default)
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require(data: dict, keys: tuple[str, ...], where: str) -> None:

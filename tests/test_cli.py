@@ -81,6 +81,19 @@ def test_simulate_is_byte_identical(tmp_path, scenario_file, fmt):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "npz"])
+def test_simulate_writes_exactly_the_out_path(tmp_path, scenario_file, fmt):
+    # np.savez appends ".npz" to a path without it; the file must be --out.
+    out = tmp_path / "snaps"
+    argv = ["simulate", "--scenario", str(scenario_file), "--out", str(out), "--format", fmt]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "snaps"]
+    if fmt == "npz":
+        with np.load(out) as saved:
+            expected = Scenario.load(scenario_file).snapshots().y
+            np.testing.assert_array_equal(saved["y"], expected)
+
+
 def test_montecarlo_is_byte_identical(tmp_path, scenario_file):
     runs = []
     for i in range(2):
@@ -181,6 +194,11 @@ def test_bad_scenario_is_a_usage_error(tmp_path, command):
         ("freq_ghz", 0, "freq_ghz must be positive"),
         ("seed", -1, "seed must be non-negative"),
         ("range_m", float("nan"), "range must be finite and positive"),
+        ("T", 50.7, "T must be an integer, got 50.7"),
+        ("T", True, "T must be an integer, got True"),
+        ("seed", 1.9, "seed must be an integer, got 1.9"),
+        ("M", 9.5, "M must be an integer, got 9.5"),
+        ("N", False, "N must be an integer, got False"),
     ],
 )
 def test_bad_scenario_value_is_a_usage_error(tmp_path, command, key, value, message):

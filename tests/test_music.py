@@ -20,17 +20,20 @@ from canf import (
     range_spectrum,
     synthesize,
 )
+from canf import music
+from canf.baselines import localize_subarray
 from canf.channel import fresnel_phase_terms, steering_fresnel, steering_matrix
 from canf.covariance import build_bundle, decouple, spatial_smooth, vectorize_to_coarray
 from canf.music import (
     CANCELLATION_FLOOR,
     CHIRP_RESTART,
+    MIN_ANGLE_SEPARATION_DEG,
     PseudoSpectrum,
     Subspace,
     _chirp_plan,
-    _classify_candidates,
     _fresnel_chirp,
     _real_angle_manifold,
+    _row_peaks,
     angle_spectrum,
     classify_range_spectrum,
     detect_peaks,
@@ -52,6 +55,12 @@ def ideal_bundle(layout, targets):
     ca = difference_coarray(layout)
     r_v = spatial_smooth(vectorize_to_coarray(r_d, layout))
     return r_hat, r_v, ca
+
+
+def row_peak_indices(spec, include_edges, distance=None):
+    """Grid indices of one spectrum's peaks, strongest first, from the
+    row-wise finder with the given edge setting and sample distance."""
+    return [int(i) for i in _row_peaks(spec.db[None], spec.axis, include_edges, distance)[1]]
 
 
 class TestEigHermitian:
@@ -213,29 +222,41 @@ class TestDetectPeaks:
     def test_edge_peak_needs_flag(self):
         values = np.linspace(1.0, 100.0, 8)
         spec = PseudoSpectrum(np.arange(8.0), values)
+        # The angle-peak stage never counts an endpoint; the range stage does.
         assert detect_peaks(spec) == []
-        edge = detect_peaks(spec, include_edges=True)
-        assert len(edge) == 1 and edge[0].location == 7.0
+        assert row_peak_indices(spec, include_edges=False) == []
+        assert row_peak_indices(spec, include_edges=True) == [7]
 
     def test_min_separation_merges_ridge(self):
         values = np.array([1.0, 80.0, 60.0, 79.0, 1.0, 1.0, 90.0, 1.0])
         spec = PseudoSpectrum(np.arange(8.0), values)
         assert len(detect_peaks(spec)) == 3
-        merged = detect_peaks(spec, min_separation=3.0)
-        assert [p.index for p in merged] == [6, 1]
+        assert row_peak_indices(spec, False, distance=3) == [6, 1]
+
+    def test_angle_peaks_closer_than_the_separation_merge(self):
+        # Two lobes 0.3 degrees apart on a 0.05-degree grid are one angle
+        # peak under MIN_ANGLE_SEPARATION_DEG; without a distance both count.
+        axis = np.linspace(-89.95, 89.95, 3599)
+        values = np.ones(axis.size)
+        values[[2000, 2006]] = [100.0, 90.0]
+        spec = PseudoSpectrum(axis, values)
+        assert MIN_ANGLE_SEPARATION_DEG > 0.3
+        assert [p.index for p in detect_peaks(spec)] == [2000]
+        assert row_peak_indices(spec, False) == [2000, 2006]
 
     @pytest.mark.parametrize("include_edges", [False, True])
     def test_min_separation_keeps_a_peak_near_the_last_sample(self, include_edges):
         # A +inf separator after the last row, followed by any sample, would
-        # be a peak within the 10-sample distance min_separation sets, and
-        # would suppress this one.
+        # be a peak within the 10-sample distance MIN_ANGLE_SEPARATION_DEG
+        # sets on this grid, and would suppress this one.
         axis = np.linspace(-89.95, 89.95, 3599)
         values = np.ones(axis.size)
         values[-4] = 100.0
         values[1000] = 50.0
         spec = PseudoSpectrum(axis, values)
-        peaks = detect_peaks(spec, min_separation=0.5, include_edges=include_edges)
-        assert [p.index for p in peaks] == [axis.size - 4, 1000]
+        assert row_peak_indices(spec, include_edges, distance=10) == [axis.size - 4, 1000]
+        if not include_edges:
+            assert [p.index for p in detect_peaks(spec)] == [axis.size - 4, 1000]
 
     def test_one_spectrum_only(self):
         spec = PseudoSpectrum(np.arange(5.0), np.ones((2, 5)))
@@ -290,7 +311,6 @@ class TestAngleSpectrum:
             detect_peaks(
                 angle_spectrum(Subspace.split(real_form(r), rule), ca.unit, lam, grid),
                 10,
-                min_separation=0.5,
             )
             for r in (r_v, 4.0 * r_v)
         )
@@ -306,7 +326,6 @@ class TestAngleSpectrum:
             detect_peaks(
                 angle_spectrum(Subspace.split(real_form(r), rule), ca.unit, lam, grid),
                 10,
-                min_separation=0.5,
             )
             for r in (r_v, 3.7 * r_v)
         )
@@ -363,8 +382,8 @@ class TestRangeSpectrum:
         r_hat, _, _ = ideal_bundle(layout911, targets)
         grid = np.arange(0.54, 40.5, 0.1)
         spec = range_spectrum(Subspace.split(r_hat, SubspaceRule.fixed(1)), layout911, 10.0, grid)
-        peaks = detect_peaks(spec, max_count=1, include_edges=True)
-        assert peaks[0].location == pytest.approx(30.0, abs=0.1)
+        location = _row_peaks(spec.db[None], grid, include_edges=True)[2]
+        assert location[0] == pytest.approx(30.0, abs=0.1)
 
     def test_co_angle_pair_resolved_on_ideal_covariance(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
@@ -372,8 +391,7 @@ class TestRangeSpectrum:
         grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
         initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
         spec = range_spectrum(initial, layout, 30.0, grid)
-        peaks = detect_peaks(spec, max_count=2, include_edges=True)
-        locs = sorted(p.location for p in peaks)
+        locs = sorted(_row_peaks(spec.db[None], grid, include_edges=True)[2][:2])
         assert locs[0] == pytest.approx(20.0, abs=0.1)
         assert locs[1] == pytest.approx(40.0, abs=0.1)
 
@@ -544,13 +562,15 @@ class TestClassification:
         grid = SpectrumGrid.for_layout(layout)
         virtual = Subspace.split(real_form(r_v), cfg.angle_rule(r_v.shape[0]))
         spec = angle_spectrum(virtual, ca.unit, layout.wavelength, grid.angle_deg)
-        peaks = detect_peaks(spec, cfg.candidate_limit(), min_separation=0.5)
+        peaks = detect_peaks(spec, cfg.candidate_limit())
         found = sorted(p.location for p in peaks[:6])
         for truth in (-35.0, 10.0, 30.0):
             assert min(abs(f - truth) for f in found) < 0.05
         initial = Subspace.split(r_hat, cfg.range_rule(layout.size))
-        classified, _ = _classify_candidates(
-            [p.location for p in peaks], [(layout, initial)], layout, grid
+        thetas = np.array([p.location for p in peaks])
+        bounds = (layout.fresnel_distance, layout.rayleigh_distance)
+        classified = classify_range_spectrum(
+            thetas, range_spectrum(initial, layout, thetas, grid.range_m), bounds
         )
         trues = sorted((c.theta_deg, c.range_m) for c in classified if c.is_true)
         assert len(trues) == 4
@@ -574,14 +594,58 @@ class TestClassification:
         with pytest.raises(ValueError, match="2 angles for 1 range spectra"):
             classify_range_spectrum([30.0, 10.0], spec, bounds)
 
-    def test_no_candidates_gives_empty_result(self, benchmark_scenario):
-        layout = benchmark_scenario.layout()
-        r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
-        initial = Subspace.split(r_hat, MusicConfig(k_targets=4).range_rule(layout.size))
-        classified, spectra = _classify_candidates(
-            [], [(layout, initial)], layout, SpectrumGrid.for_layout(layout)
-        )
-        assert classified == [] and spectra == []
+    def test_no_candidates_gives_empty_result(self, benchmark_scenario, monkeypatch):
+        # An angle stage that finds nothing leaves an empty range phase: no
+        # labels and a (0, R) range spectrum, for one input or two fused.
+        snaps = benchmark_scenario.snapshots()
+        grid = SpectrumGrid.for_layout(snaps.layout)
+        monkeypatch.setattr(music, "detect_peaks", lambda spectrum, max_count: [])
+        for method in (localize, localize_subarray):
+            res = method(snaps, MusicConfig(k_targets=4))
+            assert res.candidates == () and res.classified == ()
+            assert res.range_spectrum.values.shape == (0, grid.range_m.size)
+
+
+def _range_phase_inputs(method, snaps, config):
+    """The (layout, ``r_hat`` split) of every input whose range scans
+    ``method`` fuses: the whole array, or the two uniform subarrays."""
+    layout = snaps.layout
+    inputs = [snaps]
+    if method is localize_subarray:
+        params = layout.coprime
+        index = {g: i for i, g in enumerate(layout.grid)}
+        inputs = [
+            dataclasses.replace(snaps, layout=sub, y=snaps.y[[index[g * f] for g in sub.grid]])
+            for sub, f in zip(build_subarrays(params), (params.n, params.m))
+        ]
+    return [
+        (s.layout, Subspace.split(build_bundle(s).r_hat, config.range_rule(s.layout.size)))
+        for s in inputs
+    ]
+
+
+@pytest.mark.parametrize("method", [localize, localize_subarray])
+def test_range_spectrum_holds_one_fused_scan_per_candidate(benchmark_scenario, method):
+    # Row k of the result's range spectrum is the scan at candidate k, the
+    # geometric mean over the inputs, and the labels are read from it.
+    snaps = benchmark_scenario.snapshots()
+    layout = snaps.layout
+    config = MusicConfig(k_targets=4)
+    res = method(snaps, config)
+    grid = SpectrumGrid.for_layout(layout).range_m
+    spec = res.range_spectrum
+    assert len(res.candidates) > 1
+    assert spec.values.shape == (len(res.candidates), grid.size)
+    np.testing.assert_array_equal(spec.axis, grid)
+    inputs = _range_phase_inputs(method, snaps, config)
+    for row, peak in zip(spec.values, res.candidates):
+        scans = [range_spectrum(sub, lay, peak.location, grid).values for lay, sub in inputs]
+        expected = np.prod(scans, axis=0) ** (1.0 / len(scans))
+        np.testing.assert_allclose(row, expected, rtol=1e-9, atol=0.0)
+    bounds = (layout.fresnel_distance, layout.rayleigh_distance)
+    assert res.classified == tuple(
+        classify_range_spectrum(res.candidate_angles_deg, spec, bounds)
+    )
 
 
 class TestLocalize:

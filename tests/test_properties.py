@@ -29,6 +29,7 @@ from canf import (
 )
 from canf.channel import steering_matrix
 from canf.music import (
+    MIN_ANGLE_SEPARATION_DEG,
     Peak,
     PseudoSpectrum,
     Subspace,
@@ -393,6 +394,13 @@ def peak_spectra(draw):
     return np.cumsum(steps), rows
 
 
+def _as_peaks(index, location, height, prominence):
+    return [
+        Peak(float(x), float(h), float(p), int(i))
+        for x, h, p, i in zip(location, height, prominence, index)
+    ]
+
+
 def _bits(peaks):
     return [
         (p.location.hex(), p.height_db.hex(), p.prominence_db.hex(), p.index) for p in peaks
@@ -409,18 +417,20 @@ def test_row_peaks_match_one_search_per_row(spectra, include_edges, data):
     row, index, location, height, prominence = _row_peaks(db, axis, include_edges)
     for k, row_values in enumerate(values):
         mine = row == k
-        got = [
-            Peak(float(x), float(h), float(p), int(i))
-            for x, h, p, i in zip(location[mine], height[mine], prominence[mine], index[mine])
-        ]
+        got = _as_peaks(index[mine], location[mine], height[mine], prominence[mine])
         expected = oracles.detect_peaks(PseudoSpectrum(axis, row_values), None, include_edges)
         assert _bits(got) == _bits(expected)
-    # One spectrum keeps min_separation, and classification reads every row.
+    # One spectrum takes a peak distance, with either edge setting; the
+    # angle-peak stage is the no-edge case at MIN_ANGLE_SEPARATION_DEG.
     single = PseudoSpectrum(axis, values[0])
-    separation = data.draw(st.floats(0.0, 5.0))
-    assert _bits(detect_peaks(single, None, include_edges, separation)) == _bits(
-        oracles.detect_peaks(single, None, include_edges, separation)
+    distance = data.draw(st.integers(1, 12))
+    separation = distance * float(axis[1] - axis[0]) if axis.size > 1 else 0.0
+    got = _as_peaks(*_row_peaks(db[:1], axis, include_edges, distance)[1:])
+    assert _bits(got) == _bits(oracles.detect_peaks(single, None, include_edges, separation))
+    assert _bits(detect_peaks(single)) == _bits(
+        oracles.detect_peaks(single, None, False, MIN_ANGLE_SEPARATION_DEG)
     )
+    # Classification reads every row.
     thetas = np.linspace(-60.0, 60.0, len(values))
     bounds = (float(axis[0]), data.draw(st.sampled_from([float(axis[-1]), float(axis[-1]) / 2])))
     expected = [

@@ -1,5 +1,6 @@
 """Scenario files: round trips and the checks made when one is loaded."""
 import dataclasses
+import json
 import math
 import warnings
 
@@ -47,6 +48,18 @@ def test_missing_target_key_rejected_at_load():
     del data["targets"][0]["range_m"]
     with pytest.raises(ValueError, match="scenario target 0 is missing 'range_m'"):
         Scenario.from_dict(data)
+
+
+def test_integral_floats_load_as_integers(tmp_path):
+    # JSON has one number type: 1e3 and 9.0 are integers, 50.7 is not
+    # (test_cli::test_bad_scenario_value_is_a_usage_error).
+    path = tmp_path / "scenario.json"
+    text = default_benchmark_scenario().to_dict()
+    text.update({"M": 9.0, "N": 11.0, "T": 1000, "seed": 2.0})
+    path.write_text(json.dumps(text).replace('"T": 1000', '"T": 1e3'), encoding="utf-8")
+    scenario = Scenario.load(path)
+    loaded = (scenario.m, scenario.n, scenario.n_snapshots, scenario.seed)
+    assert loaded == (9, 11, 1000, 2) and all(type(v) is int for v in loaded)
 
 
 def test_warns_when_targets_exceed_capacity():
