@@ -373,9 +373,8 @@ class RmseReport:
 
     def write_csv(self, path: str | Path) -> None:
         names = [f.name for f in fields(RmseRow)]
-        lines = [",".join(names)]
-        lines += [",".join(_fmt(getattr(r, name)) for name in names) for r in self.rows]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = (",".join(_fmt(getattr(r, name)) for name in names) for r in self.rows)
+        _write_lines(path, ",".join(names), rows)
 
     def write_raw_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -389,6 +388,10 @@ def _fmt(value: str | float | None) -> str:
     if isinstance(value, str):
         return value
     return f"{float(value):.10g}"
+
+
+def _write_lines(path: str | Path, header: str, lines) -> None:
+    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
 def run_monte_carlo(config: MonteCarloConfig) -> RmseReport:

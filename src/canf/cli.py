@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import METHODS, MonteCarloConfig, run_monte_carlo
-from .covariance import spatial_smooth
+from .bench import METHODS, MonteCarloConfig, _fmt, _write_lines, run_monte_carlo
 from .geometry import CoprimeParams, build_coprime_layout, difference_coarray, max_targets
 from .music import MusicConfig, localize
 from .scenario import Scenario, _spacing_and_wavelength
@@ -35,10 +34,6 @@ def _usage_errors(command: str):
         yield
     except (ValueError, OSError) as exc:
         raise SystemExit(f"{command}: {exc}") from None
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.10g}"
 
 
 def _geometry_summary(params: CoprimeParams) -> dict:
@@ -95,38 +90,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with open(out, "wb") as fh:  # given a path, np.savez may append ".npz"
             np.savez(fh, y=snaps.y, x=snaps.x, sigma2=snaps.sigma2, seed=snaps.seed)
     else:
-        lines = ["sensor,t,re,im"]
-        for u in range(snaps.n_sensors):
-            for t in range(snaps.n_snapshots):
-                v = snaps.y[u, t]
-                lines.append(f"{u},{t},{_fmt(v.real)},{_fmt(v.imag)}")
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_matrix_csv(out, "sensor,t,re,im", snaps.y)
     return 0
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    lines = ["row,col,re,im"]
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            v = matrix[i, j]
-            lines.append(f"{i},{j},{_fmt(v.real)},{_fmt(v.imag)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_matrix_csv(path: Path, header: str, matrix: np.ndarray) -> None:
+    """One ``i,j,re,im`` line per entry of a complex matrix, row by row."""
+    lines = (f"{i},{j},{_fmt(v.real)},{_fmt(v.imag)}" for (i, j), v in np.ndenumerate(matrix))
+    _write_lines(path, header, lines)
 
 
 def _write_coarray_csv(path: Path, r_tilde: np.ndarray) -> None:
     """The coarray vector the angle stage decomposes, one lag per line, each
     part written by ``repr`` so that it reads back to the same float."""
     half = (r_tilde.size - 1) // 2
-    lines = ["lag,re,im"] + [
-        f"{lag},{float(v.real)!r},{float(v.imag)!r}"
-        for lag, v in zip(range(-half, half + 1), r_tilde)
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lags = range(-half, half + 1)
+    lines = (f"{lag},{float(v.real)!r},{float(v.imag)!r}" for lag, v in zip(lags, r_tilde))
+    _write_lines(path, "lag,re,im", lines)
 
 
 def _write_spectrum_csv(path: Path, header: str, axis, values_db) -> None:
-    lines = [header] + [f"{_fmt(a)},{_fmt(v)}" for a, v in zip(axis, values_db)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, header, (f"{_fmt(a)},{_fmt(v)}" for a, v in zip(axis, values_db)))
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -153,10 +137,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     )
 
     if args.dump_covariance:
-        _write_matrix_csv(out_dir / "r_hat.csv", result.bundle.r_hat)
-        _write_matrix_csv(out_dir / "r_d.csv", result.bundle.r_d)
-        _write_matrix_csv(out_dir / "r_v.csv", spatial_smooth(result.bundle.r_tilde))
-        _write_coarray_csv(out_dir / "r_tilde.csv", result.bundle.r_tilde)
+        bundle = result.bundle
+        _write_matrix_csv(out_dir / "r_hat.csv", "row,col,re,im", bundle.r_hat)
+        _write_matrix_csv(out_dir / "r_d.csv", "row,col,re,im", bundle.r_d)
+        _write_coarray_csv(out_dir / "r_tilde.csv", bundle.r_tilde)
     return 0
 
 

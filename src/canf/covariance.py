@@ -7,7 +7,8 @@ angle-dependent linear phase.  The Hadamard product of the matrix with its
 mirror therefore cancels range out of every entry (self-spectrum) at the
 cost of extra pairwise cross terms; the result lives on the difference
 coarray, whose Hermitian Toeplitz matrix the angle stage decomposes in
-place of its smoothed square (:func:`spatial_smooth`, now a diagnostic).
+place of its smoothed square (:func:`spatial_smooth`, which no stage calls;
+the tests compare against it).
 """
 from __future__ import annotations
 
@@ -100,21 +101,18 @@ def mirror_antidiagonal(r_hat: np.ndarray) -> np.ndarray:
     return r_hat.T[::-1, ::-1]
 
 
-def decouple(
-    r_hat: np.ndarray, layout: SensorLayout
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anti-diagonal mirror and the decoupled (Hadamard) covariance.
+def decouple(r_hat: np.ndarray, layout: SensorLayout) -> np.ndarray:
+    """The decoupled (Hadamard) covariance
+    ``R_d = R * mirror_antidiagonal(R)`` elementwise.
 
-    Returns ``(R_a, R_d)`` with ``R_d = R * R_a`` elementwise.  The identity
-    that makes ``R_d`` range-free requires a symmetric layout.
+    The identity that makes ``R_d`` range-free requires a symmetric layout.
     """
     u = layout.size
     if r_hat.shape != (u, u):
         raise ValueError(f"covariance shape {r_hat.shape} does not match U={u}")
     if not layout.is_symmetric:
         raise ValueError("decoupling requires a symmetric layout")
-    r_a = mirror_antidiagonal(r_hat)
-    return r_a, r_hat * r_a
+    return r_hat * mirror_antidiagonal(r_hat)
 
 
 def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
@@ -144,13 +142,14 @@ def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
 
 
 def spatial_smooth(r_tilde: np.ndarray) -> np.ndarray:
-    """Rank-restoring smoothing of the coarray vector, kept as a diagnostic.
+    """Rank-restoring smoothing of the coarray vector: the paper's smoothed
+    covariance, kept as the tests' reference for the Toeplitz split.
 
     A length 2W - 1 vector is split into W overlapping windows of W
     entries; the output is the average of the window outer products, a
     W x W Hermitian PSD matrix, ``T T^H / W`` for the Toeplitz ``T`` that
-    :meth:`canf.music.Subspace.split_coarray` decomposes instead.
-    ``canf spectrum --dump-covariance`` writes it as ``r_v.csv``.
+    :meth:`canf.music.Subspace.split_coarray` decomposes instead.  No stage
+    and no CLI output uses it.
     """
     r = np.asarray(r_tilde)
     if r.ndim != 1 or r.size % 2 == 0:
@@ -162,11 +161,12 @@ def spatial_smooth(r_tilde: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceBundle:
-    """Every covariance stage of the pipeline, kept for diagnostics; the
-    angle stage decomposes the Toeplitz matrix of ``r_tilde``."""
+    """Each covariance stage of the pipeline once: the range stage scans
+    ``r_hat``, the angle stage decomposes the Toeplitz matrix of ``r_tilde``,
+    and ``r_d`` is kept for diagnostics.  ``canf spectrum --dump-covariance``
+    writes exactly these three."""
 
     r_hat: np.ndarray
-    r_a: np.ndarray
     r_d: np.ndarray
     r_tilde: np.ndarray
 
@@ -177,5 +177,5 @@ def build_bundle(snapshots: SnapshotSet) -> CovarianceBundle:
     decoupling and the coarray vector of the snapshot layout, unsmoothed."""
     layout = snapshots.layout
     r_hat = covariance_ls(snapshots)
-    r_a, r_d = decouple(r_hat, layout)
-    return CovarianceBundle(r_hat, r_a, r_d, vectorize_to_coarray(r_d, layout))
+    r_d = decouple(r_hat, layout)
+    return CovarianceBundle(r_hat, r_d, vectorize_to_coarray(r_d, layout))

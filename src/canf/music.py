@@ -227,10 +227,7 @@ class SpectrumGrid:
     @classmethod
     @lru_cache(maxsize=16)
     def for_layout(
-        cls,
-        layout: SensorLayout,
-        angle_step_deg: float = 0.05,
-        range_step_m: float = 0.1,
+        cls, layout: SensorLayout, angle_step_deg: float, range_step_m: float
     ) -> "SpectrumGrid":
         n_a = int(round((180.0 - 2.0 * angle_step_deg) / angle_step_deg)) + 1
         angles = np.linspace(-90.0 + angle_step_deg, 90.0 - angle_step_deg, n_a)
@@ -285,7 +282,8 @@ class Subspace:
         """The split of the paper's smoothed covariance of a conjugate-symmetric
         coarray vector of length ``2W - 1``, without forming it.
 
-        :func:`canf.covariance.spatial_smooth` is ``T T^H / W`` for the
+        That covariance, :func:`canf.covariance.spatial_smooth`, which only
+        the tests form as this split's reference, is ``T T^H / W`` for the
         Hermitian Toeplitz ``T[i, j] = r_tilde[W - 1 + i - j]`` (Pal &
         Vaidyanathan, IEEE TSP 2010; Liu & Vaidyanathan, IEEE SPL 2015), so
         one decomposition of the :func:`real_form` of ``T`` gives its

@@ -80,20 +80,21 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         """Load a scenario, rejecting a missing key, an ``M``, ``N``, ``T`` or
-        ``seed`` that is not an integer, or a value the constructor rejects
-        (an unknown ``model``, say), and warning when the targets exceed the
-        decoupled capacity ``max_targets(M, N)[0]``."""
+        ``seed`` that is not an integer, a ``d_mm``, ``freq_ghz``, ``snr_db``,
+        ``theta_deg`` or ``range_m`` that is not a number, or a value the
+        constructor rejects (an unknown ``model``, say), and warning when the
+        targets exceed the decoupled capacity ``max_targets(M, N)[0]``."""
         _require(data, ("M", "N", "targets"), "scenario")
         for i, t in enumerate(data["targets"]):
             _require(t, ("theta_deg", "range_m"), f"scenario target {i}")
-        d_mm = data.get("d_mm")
-        freq_ghz = data.get("freq_ghz")
+        d_mm = _number(data, "d_mm", nullable=True)
+        freq_ghz = _number(data, "freq_ghz", nullable=True)
         if d_mm is None and freq_ghz is None:
             raise ValueError("scenario needs d_mm and/or freq_ghz")
         d, wavelength = _spacing_and_wavelength(d_mm, freq_ghz)
         targets = TargetSet(
             tuple(
-                Target.from_degrees(float(t["theta_deg"]), float(t["range_m"]))
+                Target.from_degrees(_number(t, "theta_deg"), _number(t, "range_m"))
                 for t in data["targets"]
             )
         )
@@ -102,7 +103,6 @@ class Scenario:
         if len(targets) > k_max:
             msg = f"{len(targets)} targets exceed the capacity {k_max} of M={m}, N={n}"
             warnings.warn(msg, UserWarning, stacklevel=2)
-        snr = data.get("snr_db")
         return cls(
             m=m,
             n=n,
@@ -110,7 +110,7 @@ class Scenario:
             wavelength=wavelength,
             targets=targets,
             n_snapshots=_integer(data, "T", 100),
-            snr_db=None if snr is None else float(snr),
+            snr_db=_number(data, "snr_db", nullable=True),
             seed=_integer(data, "seed", 0),
             model=str(data.get("model", "exact")),
         )
@@ -160,6 +160,17 @@ def _integer(data: dict, key: str, default: int | None = None) -> int:
     if type(value) is not int and not (type(value) is float and value.is_integer()):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(data: dict, key: str, nullable: bool = False) -> float | None:
+    """``data[key]`` as a float if an int or a float (not a bool); an absent or
+    null key gives ``None`` where ``nullable``."""
+    value = data.get(key)
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _require(data: dict, keys: tuple[str, ...], where: str) -> None:

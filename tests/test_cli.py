@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from canf.cli import MAX_SNR_POINTS, _fmt, _parse_snr_list, main
-from canf.covariance import build_bundle, spatial_smooth
-from canf.music import Subspace, SubspaceRule
+from canf.covariance import mirror_antidiagonal
+from canf.music import MusicConfig, Subspace, SubspaceRule, localize
 from canf.scenario import Scenario, default_benchmark_scenario
 
 
@@ -26,23 +26,29 @@ def test_spectrum_dump_covariance_is_byte_identical(tmp_path):
         argv = ["spectrum", "--scenario", str(scenario), "--out-dir", str(out_dir)]
         assert main(argv + ["--dump-covariance"]) == 0
     names = sorted(p.name for p in runs[0].iterdir())
-    dumped = {"r_hat.csv", "r_d.csv", "r_v.csv", "r_tilde.csv", "result.json"}
+    dumped = {"r_hat.csv", "r_d.csv", "r_tilde.csv", "result.json"}
     assert dumped | {"angle_spectrum.csv"} <= set(names)
     assert names == sorted(p.name for p in runs[1].iterdir())
     for name in names:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
-def test_dumped_r_v_is_the_smoothed_coarray_vector(tmp_path, scenario_file):
-    # The pipeline never smooths; r_v.csv is spatial_smooth of the bundle's
-    # coarray vector, entry by entry in the CLI's number format.
+def test_dumped_matrices_are_the_bundle(tmp_path, scenario_file):
+    # The dump writes exactly the bundle's stages; r_hat.csv and r_d.csv hold
+    # its matrices entry by entry in the CLI's number format.
     argv = ["spectrum", "--scenario", str(scenario_file), "--out-dir", str(tmp_path)]
     assert main(argv + ["--dump-covariance"]) == 0
-    r_v = spatial_smooth(build_bundle(Scenario.load(scenario_file).snapshots()).r_tilde)
-    expected = ["row,col,re,im"] + [
-        f"{i},{j},{_fmt(v.real)},{_fmt(v.imag)}" for (i, j), v in np.ndenumerate(r_v)
-    ]
-    assert (tmp_path / "r_v.csv").read_text(encoding="utf-8").splitlines() == expected
+    dumped = sorted(p.name for p in tmp_path.glob("r_*.csv"))
+    assert dumped == ["r_d.csv", "r_hat.csv", "r_tilde.csv"]
+    scenario = Scenario.load(scenario_file)
+    bundle = localize(scenario.snapshots(), MusicConfig(k_targets=len(scenario.targets))).bundle
+    r_hat = bundle.r_hat
+    assert bundle.r_d.tobytes() == (r_hat * mirror_antidiagonal(r_hat)).tobytes()
+    for name, matrix in (("r_hat.csv", r_hat), ("r_d.csv", bundle.r_d)):
+        expected = ["row,col,re,im"] + [
+            f"{i},{j},{_fmt(v.real)},{_fmt(v.imag)}" for (i, j), v in np.ndenumerate(matrix)
+        ]
+        assert (tmp_path / name).read_text(encoding="utf-8").splitlines() == expected, name
 
 
 def test_dumped_r_tilde_reproduces_the_virtual_eigenvalues(tmp_path, scenario_file):
@@ -199,12 +205,18 @@ def test_bad_scenario_is_a_usage_error(tmp_path, command):
         ("seed", 1.9, "seed must be an integer, got 1.9"),
         ("M", 9.5, "M must be an integer, got 9.5"),
         ("N", False, "N must be an integer, got False"),
+        ("snr_db", True, "snr_db must be a number, got True"),
+        ("freq_ghz", True, "freq_ghz must be a number, got True"),
+        ("d_mm", "2.5", "d_mm must be a number, got '2.5'"),
+        ("theta_deg", "30", "theta_deg must be a number, got '30'"),
+        ("range_m", None, "range_m must be a number, got None"),
     ],
 )
 def test_bad_scenario_value_is_a_usage_error(tmp_path, command, key, value, message):
-    # Each value used to pass the load and fail only inside synthesis.
+    # Each value used to pass the load, to fail inside synthesis or to load as
+    # a number it is not (True as 1, '30' as 30).
     data = default_benchmark_scenario().to_dict()
-    (data["targets"][0] if key == "range_m" else data)[key] = value
+    (data["targets"][0] if key in ("theta_deg", "range_m") else data)[key] = value
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(SystemExit, match=f"^{command}: {message}"):

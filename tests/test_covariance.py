@@ -1,4 +1,6 @@
 """Covariance chain: estimators, decoupling identities, coarray, smoothing."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,7 @@ class TestDecouple:
     def test_single_target_phase_is_doubled_first_order(self, layout911):
         theta, r = np.deg2rad(22.0), 17.0
         targets = TargetSet((Target(theta, r),))
-        _, r_d = decouple(ideal_covariance(layout911, targets), layout911)
+        r_d = decouple(ideal_covariance(layout911, targets), layout911)
         p_mat, _ = oracles.first_second_order_terms(
             layout911.positions, LAM, theta, r
         )
@@ -194,7 +196,7 @@ class TestDecouple:
     def test_lemma_self_plus_cross(self, layout911, rng):
         targets = random_fresnel_scenario(layout911, rng, k_max=3)
         r_hat = ideal_covariance(layout911, targets)
-        _, r_d = decouple(r_hat, layout911)
+        r_d = decouple(r_hat, layout911)
         s_ref, c_ref = oracles.self_cross_reference(
             layout911.positions, LAM, targets.thetas, targets.ranges
         )
@@ -204,7 +206,7 @@ class TestDecouple:
         for _ in range(8):
             targets = random_fresnel_scenario(layout911, rng)
             r_hat = ideal_covariance(layout911, targets)
-            r_a, _ = decouple(r_hat, layout911)
+            r_a = mirror_antidiagonal(r_hat)
             ref = oracles.mirror_reference(
                 layout911.positions, LAM, targets.thetas, targets.ranges
             )
@@ -227,7 +229,7 @@ class TestVectorizeToCoarray:
     def test_single_target_pure_exponential(self, layout911):
         theta = np.deg2rad(10.0)
         targets = TargetSet((Target(theta, 20.0),))
-        _, r_d = decouple(ideal_covariance(layout911, targets), layout911)
+        r_d = decouple(ideal_covariance(layout911, targets), layout911)
         ca = difference_coarray(layout911)
         r_t = vectorize_to_coarray(r_d, layout911)
         lags = np.array(ca.smoothing_segment)
@@ -238,13 +240,13 @@ class TestVectorizeToCoarray:
 
     def test_conjugate_symmetry_single_target(self, layout911):
         targets = TargetSet((Target.from_degrees(-12.0, 30.0),))
-        _, r_d = decouple(ideal_covariance(layout911, targets), layout911)
+        r_d = decouple(ideal_covariance(layout911, targets), layout911)
         r_t = vectorize_to_coarray(r_d, layout911)
         np.testing.assert_allclose(r_t, r_t[::-1].conj(), atol=1e-12)
 
     def test_lag_zero_is_diag_mean(self, layout911, rng):
         targets = random_fresnel_scenario(layout911, rng)
-        _, r_d = decouple(ideal_covariance(layout911, targets), layout911)
+        r_d = decouple(ideal_covariance(layout911, targets), layout911)
         ca = difference_coarray(layout911)
         r_t = vectorize_to_coarray(r_d, layout911)
         mid = len(ca.smoothing_segment) // 2
@@ -316,7 +318,7 @@ class TestBundle:
         u = layout911.size
         mn = params911.m * params911.n
         assert bundle.r_hat.shape == (u, u)
-        assert bundle.r_a.shape == (u, u)
+        assert [f.name for f in dataclasses.fields(bundle)] == ["r_hat", "r_d", "r_tilde"]
         assert bundle.r_d.shape == (u, u)
         assert bundle.r_tilde.shape == (2 * mn + 1,)
         assert spatial_smooth(bundle.r_tilde).shape == (mn + 1, mn + 1)

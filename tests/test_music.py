@@ -45,15 +45,15 @@ from canf.bench import associate
 import oracles
 
 LAM = 10e-3
+STEPS = (MusicConfig().angle_step_deg, MusicConfig().range_step_m)  # the default grid
 
 
 def ideal_bundle(layout, targets):
     """Analysis covariances built directly from the quadratic-phase model."""
     b = steering_matrix(layout, targets, "fresnel")
     r_hat = b @ b.conj().T
-    _, r_d = decouple(r_hat, layout)
     ca = difference_coarray(layout)
-    r_v = spatial_smooth(vectorize_to_coarray(r_d, layout))
+    r_v = spatial_smooth(vectorize_to_coarray(decouple(r_hat, layout), layout))
     return r_hat, r_v, ca
 
 
@@ -152,7 +152,7 @@ class TestNoiseSubspace:
 
 class TestSpectrumGrid:
     def test_for_layout(self, layout911):
-        grid = SpectrumGrid.for_layout(layout911)
+        grid = SpectrumGrid.for_layout(layout911, *STEPS)
         assert grid.angle_deg[0] == pytest.approx(-89.95)
         assert grid.angle_deg[-1] == pytest.approx(89.95)
         assert grid.range_m[0] == pytest.approx(layout911.fresnel_distance)
@@ -363,7 +363,7 @@ class TestAngleSpectrum:
         w = (bundle.r_tilde.size + 1) // 2
         virtual = Subspace.split_coarray(bundle.r_tilde, cfg.angle_rule(w))
         layout = snaps.layout
-        grid = SpectrumGrid.for_layout(layout).angle_deg
+        grid = SpectrumGrid.for_layout(layout, *STEPS).angle_deg
         spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid)
         man = np.ascontiguousarray(
             _real_angle_manifold(w, layout.d, layout.wavelength, 2.0, grid.tobytes())
@@ -388,7 +388,7 @@ class TestRangeSpectrum:
     def test_co_angle_pair_resolved_on_ideal_covariance(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
-        grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
+        grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
         initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
         spec = range_spectrum(initial, layout, 30.0, grid)
         locs = sorted(_row_peaks(spec.db[None], grid, include_edges=True)[2][:2])
@@ -398,7 +398,7 @@ class TestRangeSpectrum:
     def test_angle_array_gives_one_scan_per_angle(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
-        grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
+        grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
         initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
         thetas = np.array([-35.0, 10.0, 30.0])
         stacked = range_spectrum(initial, layout, thetas, grid)
@@ -470,7 +470,7 @@ class TestFresnelChirp:
         # The chirp against exp(1j * q) of every sensor at every grid range;
         # the 100-element run of dense-201 crosses several restarts.
         layout = _chirp_layout(params911, case)
-        grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
+        grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
         theta = np.deg2rad(np.array([-70.0, -35.0, 0.0, 10.0, 30.0, 55.0]))
         plan = _chirp_plan(layout.grid)
         _, q_unit = fresnel_phase_terms(layout, theta[:, None], 1.0)
@@ -487,7 +487,7 @@ class TestFresnelChirp:
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
         initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
-        grid = np.asarray(SpectrumGrid.for_layout(layout).range_m)
+        grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
         thetas = np.linspace(-60.0, 60.0, 10)
         expected = range_spectrum(initial, layout, thetas, grid).values
         evaluated = {"cos": 0, "sin": 0}
@@ -527,7 +527,7 @@ def test_scans_never_read_the_noise_columns(benchmark_scenario, case):
         snaps = dataclasses.replace(snaps, layout=sub1, y=snaps.y[rows])
     bundle = build_bundle(snaps)
     config = MusicConfig(k_targets=4)
-    grid = SpectrumGrid.for_layout(layout)
+    grid = SpectrumGrid.for_layout(layout, *STEPS)
     if case == "range":
         sub = Subspace.split(bundle.r_hat, config.range_rule(layout.size))
         thetas = np.array([-35.0, 10.0, 30.0])
@@ -559,7 +559,7 @@ class TestClassification:
         layout = benchmark_scenario.layout()
         r_hat, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
         cfg = MusicConfig(k_targets=4)
-        grid = SpectrumGrid.for_layout(layout)
+        grid = SpectrumGrid.for_layout(layout, *STEPS)
         virtual = Subspace.split(real_form(r_v), cfg.angle_rule(r_v.shape[0]))
         spec = angle_spectrum(virtual, ca.unit, layout.wavelength, grid.angle_deg)
         peaks = detect_peaks(spec, cfg.candidate_limit())
@@ -586,7 +586,8 @@ class TestClassification:
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
         initial = Subspace.split(r_hat, MusicConfig(k_targets=4).range_rule(layout.size))
-        spec = range_spectrum(initial, layout, 30.0, SpectrumGrid.for_layout(layout).range_m)
+        grid = SpectrumGrid.for_layout(layout, *STEPS).range_m
+        spec = range_spectrum(initial, layout, 30.0, grid)
         bounds = (layout.fresnel_distance, layout.rayleigh_distance)
         got = classify_range_spectrum(30.0, spec, bounds)
         assert got == oracles.classify_range_spectrum(30.0, spec, bounds)
@@ -598,7 +599,7 @@ class TestClassification:
         # An angle stage that finds nothing leaves an empty range phase: no
         # labels and a (0, R) range spectrum, for one input or two fused.
         snaps = benchmark_scenario.snapshots()
-        grid = SpectrumGrid.for_layout(snaps.layout)
+        grid = SpectrumGrid.for_layout(snaps.layout, *STEPS)
         monkeypatch.setattr(music, "detect_peaks", lambda spectrum, max_count: [])
         for method in (localize, localize_subarray):
             res = method(snaps, MusicConfig(k_targets=4))
@@ -632,7 +633,7 @@ def test_range_spectrum_holds_one_fused_scan_per_candidate(benchmark_scenario, m
     layout = snaps.layout
     config = MusicConfig(k_targets=4)
     res = method(snaps, config)
-    grid = SpectrumGrid.for_layout(layout).range_m
+    grid = SpectrumGrid.for_layout(layout, *STEPS).range_m
     spec = res.range_spectrum
     assert len(res.candidates) > 1
     assert spec.values.shape == (len(res.candidates), grid.size)

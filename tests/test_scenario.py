@@ -79,3 +79,12 @@ def test_infinite_snr_override_is_noise_free():
     assert scenario.snapshots().sigma2 == 0.1
     snaps = scenario.snapshots(snr_db=math.inf)
     assert snaps.sigma2 == 0.0 and snaps.snr_db is None
+
+
+def test_null_snr_and_integer_numbers_load():
+    # A null snr_db is noise-free, and a JSON integer is a number.
+    data = default_benchmark_scenario().to_dict()
+    del data["d_mm"]
+    data.update({"snr_db": None, "freq_ghz": 30})
+    data["targets"][0]["theta_deg"] = -35
+    assert Scenario.from_dict(data) == default_benchmark_scenario(snr_db=None)
