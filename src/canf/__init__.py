@@ -49,7 +49,6 @@ from .music import (
     MusicConfig,
     PseudoSpectrum,
     SpectrumGrid,
-    SubspaceRule,
     angle_spectrum,
     detect_peaks,
     eig_hermitian,
@@ -75,7 +74,6 @@ __all__ = [
     "SensorLayout",
     "SnapshotSet",
     "SpectrumGrid",
-    "SubspaceRule",
     "Target",
     "TargetSet",
     "angle_spectrum",

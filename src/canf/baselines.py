@@ -25,7 +25,6 @@ from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's
     PseudoSpectrum,
     SpectrumGrid,
     Subspace,
-    SubspaceRule,
     angle_spectrum,
     detect_peaks,
     eig_hermitian,
@@ -82,19 +81,18 @@ def localize_farfield_virtual(
     (:meth:`canf.music.Subspace.split_coarray`, which never forms it) and
     scanned in angle.  No range estimation: the scheme assumes planar
     wavefronts, which is exactly the model mismatch it exhibits on
-    near-field data.
+    near-field data.  With K known waveforms, the split keeps ``K`` signal
+    components (at most ``W - 1``) and the scan reports up to ``K`` angles.
     """
     if config is None:
         config = MusicConfig()
+    k = config.target_count(snapshots)
     layout = snapshots.layout
     r_tilde = vectorize_to_coarray(covariance_sample(snapshots), layout)
-    w = (r_tilde.size + 1) // 2
-    k = config.k_targets
-    rule = config.angle_rule(w) if k is None else SubspaceRule.fixed(min(k, w - 1))
     axis = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m).angle_deg
-    virtual = Subspace.split_coarray(r_tilde, rule)
+    virtual = Subspace.split_coarray(r_tilde, min(k, (r_tilde.size - 1) // 2))
     spec = angle_spectrum(virtual, layout.d, layout.wavelength, axis, position_scale=1.0)
-    peaks = detect_peaks(spec, config.candidate_limit() if k is None else k)
+    peaks = detect_peaks(spec, k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)
 
 

@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .baselines import localize_dense, localize_farfield_virtual, localize_subarray
 from .channel import synthesize
-from .music import MusicConfig, localize
+from .music import localize
 from .scenario import Scenario
 
 __all__ = [
@@ -172,8 +172,9 @@ def rmse(errors) -> float | None:
 class MonteCarloConfig:
     """Sweep definition: scenario, SNR points, trial count and methods.
 
-    Every method runs with ``MusicConfig(k_targets=K)``, K the scenario's
-    target count, and every trial reports exactly K (angle, range) pairs --
+    Every method runs with the default ``MusicConfig``, so it takes K, the
+    scenario's target count, from the known waveforms of each trial's
+    snapshots, and every trial reports exactly K (angle, range) pairs --
     significant detections first, then best-effort fills -- which is what a
     fixed-K RMSE protocol needs (otherwise methods that detect nothing would
     simply drop out of the error average).  Detection rate is computed from
@@ -262,7 +263,7 @@ def run_trial(
     trial: int,
     config: MonteCarloConfig,
 ) -> TrialRecord:
-    """Synthesize, localize and score a single trial."""
+    """Synthesize, localize (K read from the waveforms) and score a single trial."""
     # Looked up at call time, so a patched module global is the one that runs.
     localizers = {
         "proposed": localize,
@@ -284,7 +285,7 @@ def run_trial(
     snaps = synthesize(
         layout, scenario.targets, scenario.n_snapshots, snr_db, seed, scenario.model
     )
-    result = localizers[method](snaps, MusicConfig(k_targets=k))
+    result = localizers[method](snaps)
     n_candidates = len(result.candidates)
     if method == "farfield":
         theta_est = result.angles_deg

@@ -116,11 +116,7 @@ def _write_spectrum_csv(path: Path, header: str, axis, values_db) -> None:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     with _usage_errors("spectrum"):
         scenario = Scenario.load(args.scenario)
-        config = MusicConfig(
-            k_targets=len(scenario.targets),
-            angle_step_deg=args.angle_step,
-            range_step_m=args.range_step,
-        )
+        config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
     result = localize(scenario.snapshots(), config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -79,7 +79,6 @@ from .covariance import CovarianceBundle, build_bundle
 from .geometry import SensorLayout
 
 __all__ = [
-    "SubspaceRule",
     "Subspace",
     "SpectrumGrid",
     "Peak",
@@ -102,7 +101,6 @@ _DENOM_FLOOR = 1e-300
 PEAK_PROMINENCE_DB = 1.0  # least prominence of an angle or range peak
 SIGNIFICANCE_DB = 10.0  # range-peak height that labels its angle true
 MIN_ANGLE_SEPARATION_DEG = 0.5  # closer angle peaks ride on one lobe
-EIG_GAP_RATIO = 3.0  # least eigenvalue ratio that counts as a signal/noise gap
 CANCELLATION_FLOOR = 1e-3  # least noise power trusted from the signal basis
 CHIRP_RESTART = 16  # run elements per exact cos/sin restart of a Fresnel chirp
 
@@ -163,45 +161,6 @@ def real_form(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is not centro-Hermitian within tolerance")
     # Q^H R Q = (Q^H (Q^H R)^H)^H, and Re(X^H) = Re(X)^T.
     return _unitary_fold(_unitary_fold(a).conj().T).real.T
-
-
-@dataclass(frozen=True)
-class SubspaceRule:
-    """How to split eigenpairs into signal and noise subspaces.
-
-    :meth:`fixed` keeps the top ``rank`` eigenvectors as signal.
-    :meth:`eig_gap` (``search=True``) places the split at the largest
-    eigenvalue ratio ``lam_i / lam_{i+1}`` with ``i`` searched up to
-    ``rank`` (an unrestricted tail search latches onto meaningless ratios
-    deep in the noise floor); if no ratio reaches :data:`EIG_GAP_RATIO` the
-    split falls back to ``rank``.
-    """
-
-    rank: int
-    search: bool
-
-    @classmethod
-    def fixed(cls, rank: int) -> "SubspaceRule":
-        return cls(rank, False)
-
-    @classmethod
-    def eig_gap(cls, rank: int) -> "SubspaceRule":
-        return cls(rank, True)
-
-
-def signal_rank(eigvals: np.ndarray, rule: SubspaceRule) -> int:
-    """The signal dimension ``rule`` selects for a descending spectrum."""
-    n = eigvals.size
-    if not rule.search:
-        if not (0 < rule.rank < n):
-            raise ValueError(f"fixed rule needs 0 < rank < {n}")
-        return int(rule.rank)
-    lam = np.maximum(eigvals, max(eigvals[0], 0.0) * 1e-18 + 1e-300)
-    limit = min(rule.rank, n - 1)
-    ratios = lam[:limit] / lam[1 : limit + 1]
-    i_best = int(np.argmax(ratios))
-    k = i_best + 1 if ratios[i_best] >= EIG_GAP_RATIO else rule.rank
-    return min(max(k, 1), n - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,20 +224,25 @@ class PseudoSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """One eigendecomposition, split into signal and noise parts by a rule."""
+    """One eigendecomposition, split into the top ``rank`` eigenvectors (the
+    signal subspace) and the rest (the noise subspace), ``0 < rank < n``."""
 
     eigvals: np.ndarray
     eigvecs: np.ndarray
     rank: int
 
-    @classmethod
-    def split(cls, matrix: np.ndarray, rule: SubspaceRule) -> "Subspace":
-        """Decompose ``matrix`` once and choose its signal rank under ``rule``."""
-        eigvals, eigvecs = eig_hermitian(matrix)
-        return cls(eigvals, eigvecs, signal_rank(eigvals, rule))
+    def __post_init__(self) -> None:
+        n = self.eigvals.size
+        if not (0 < self.rank < n):
+            raise ValueError(f"signal rank must satisfy 0 < rank < {n}, got {self.rank}")
 
     @classmethod
-    def split_coarray(cls, r_tilde: np.ndarray, rule: SubspaceRule) -> "Subspace":
+    def split(cls, matrix: np.ndarray, rank: int) -> "Subspace":
+        """Decompose ``matrix`` once and keep its top ``rank`` eigenvectors as signal."""
+        return cls(*eig_hermitian(matrix), rank)
+
+    @classmethod
+    def split_coarray(cls, r_tilde: np.ndarray, rank: int) -> "Subspace":
         """The split of the paper's smoothed covariance of a conjugate-symmetric
         coarray vector of length ``2W - 1``, without forming it.
 
@@ -290,13 +254,13 @@ class Subspace:
         eigenvectors without squaring the condition number.  Signal
         eigenvalues of ``T`` may be negative: the eigenpairs are ordered by
         ``lam_T^2`` and ``eigvals`` holds ``lam_T^2 / W``, the smoothed
-        matrix's eigenvalues, which the rule reads.
+        matrix's eigenvalues.
         """
         w = (np.size(r_tilde) + 1) // 2
         lam, eigvecs = eig_hermitian(real_form(sliding_window_view(r_tilde, w)[:, ::-1]))
         power = lam**2 / w
         order = np.argsort(-power, kind="stable")
-        return cls(power[order], eigvecs[:, order], signal_rank(power[order], rule))
+        return cls(power[order], eigvecs[:, order], rank)
 
     def scan(
         self, axis: np.ndarray, manifold: np.ndarray, fold: np.ndarray | None = None
@@ -614,16 +578,17 @@ def range_spectrum(
 
 @dataclass(frozen=True)
 class MusicConfig:
-    """The three knobs of the two-phase estimator.
+    """The grid steps of the two-phase estimator.
 
-    ``k_targets`` feeds the subspace rules: the virtual (angle) stage keeps
-    ``k (k + 1) / 2`` signal components (targets plus pairwise cross terms),
-    the range stage ``k``; when it is None both stages use the eigen-gap rule
-    with conservative fallbacks.  ``angle_step_deg`` and ``range_step_m`` are
-    the steps of :meth:`SpectrumGrid.for_layout`.  The rest of the chain is
-    fixed: the LS covariance, per-lag averaging, the coprime smoothing
-    segment, :meth:`Subspace.split_coarray`, parabolic peak refinement, the
-    quadratic-phase range manifold and the constants ``EIG_GAP_RATIO``,
+    ``angle_step_deg`` and ``range_step_m`` are the steps of
+    :meth:`SpectrumGrid.for_layout`.  The target count K is not a knob:
+    :meth:`target_count` reads it from the known waveforms, one row of the
+    snapshots' ``x`` per target, and ``k_targets``, if given, must equal
+    it.  K sets the subspace ranks and the number of angle candidates (see
+    :func:`two_phase`).  The rest of the chain is fixed: the LS covariance,
+    per-lag averaging, the coprime smoothing segment,
+    :meth:`Subspace.split_coarray`, parabolic peak refinement, the
+    quadratic-phase range manifold and the constants
     ``PEAK_PROMINENCE_DB``, ``SIGNIFICANCE_DB`` and
     ``MIN_ANGLE_SEPARATION_DEG``.
     """
@@ -640,25 +605,12 @@ class MusicConfig:
             if not (math.isfinite(step) and step > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {step!r}")
 
-    def angle_rule(self, w: int) -> SubspaceRule:
-        # With K declared, the virtual covariance carries K self components
-        # plus K(K-1) ordered cross components on K(K-1)/2 distinct angles:
-        # fix the signal dimension at K(K+1)/2.  An eigen-gap search is
-        # unreliable here (the cross components and the smoothed noise floor
-        # produce no clean gap) and is used only when K is unknown.
-        if self.k_targets is not None:
-            return SubspaceRule.fixed(min(self.candidate_limit(), w - 1))
-        return SubspaceRule.eig_gap(max(min(w // 3, w - 1), 1))
-
-    def range_rule(self, u: int) -> SubspaceRule:
-        if self.k_targets is not None:
-            return SubspaceRule.fixed(min(self.k_targets, u - 1))
-        return SubspaceRule.eig_gap(max(u // 4, 1))
-
-    def candidate_limit(self) -> int:
-        if self.k_targets is not None:
-            return self.k_targets * (self.k_targets + 1) // 2
-        return 12
+    def target_count(self, snapshots: SnapshotSet) -> int:
+        """K, the number of known waveforms (rows of ``snapshots.x``)."""
+        k = snapshots.x.shape[0]
+        if self.k_targets is not None and self.k_targets != k:
+            raise ValueError(f"k_targets={self.k_targets}, but the snapshots carry {k} waveforms")
+        return k
 
 
 @dataclass(frozen=True)
@@ -777,22 +729,28 @@ def two_phase(
     significance threshold).  Each input's range scan covers every candidate
     at once, and one :func:`classify_range_spectrum` call labels the fused
     ``(C, R)`` array, which the result keeps as ``range_spectrum``.
-    Eigenvalues are concatenated over the inputs and the largest ranks
-    reported.
+    With K known waveforms (:meth:`MusicConfig.target_count`), each angle
+    split keeps ``K (K + 1) / 2`` signal components, the K targets plus
+    their pairwise cross terms (at most ``W - 1``), each range split ``K``
+    (at most ``U - 1``), and the angle stage passes up to ``K (K + 1) / 2``
+    candidates.  Eigenvalues are concatenated over
+    the inputs and the largest ranks reported.
     """
+    k = config.target_count(inputs[0])
+    pairs = k * (k + 1) // 2
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
     axis = grid.angle_deg
     bundles = [build_bundle(s) for s in inputs]
     virtual = [
-        Subspace.split_coarray(b.r_tilde, config.angle_rule((b.r_tilde.size + 1) // 2))
+        Subspace.split_coarray(b.r_tilde, min(pairs, (b.r_tilde.size - 1) // 2))
         for b in bundles
     ]
-    initial = [Subspace.split(b.r_hat, config.range_rule(b.r_hat.shape[0])) for b in bundles]
+    initial = [Subspace.split(b.r_hat, min(k, b.r_hat.shape[0] - 1)) for b in bundles]
     scans = [
         angle_spectrum(v, s.layout.d, layout.wavelength, axis) for v, s in zip(virtual, inputs)
     ]
     spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
-    peaks = detect_peaks(spec_a, config.candidate_limit())
+    peaks = detect_peaks(spec_a, pairs)
     thetas = np.array([p.location for p in peaks], dtype=float)
     range_scans = [
         range_spectrum(h, s.layout, thetas, grid.range_m).values for s, h in zip(inputs, initial)

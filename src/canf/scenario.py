@@ -79,13 +79,20 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Load a scenario, rejecting a missing key, an ``M``, ``N``, ``T`` or
-        ``seed`` that is not an integer, a ``d_mm``, ``freq_ghz``, ``snr_db``,
-        ``theta_deg`` or ``range_m`` that is not a number, or a value the
-        constructor rejects (an unknown ``model``, say), and warning when the
-        targets exceed the decoupled capacity ``max_targets(M, N)[0]``."""
+        """Load a scenario, rejecting data that is not an object, a missing
+        key, ``targets`` that are not a list of objects, an ``M``, ``N``,
+        ``T`` or ``seed`` that is not an integer, a ``d_mm``, ``freq_ghz``,
+        ``snr_db``, ``theta_deg`` or ``range_m`` that is not a number, or a
+        value the constructor rejects (an unknown ``model``, say), and
+        warning when the targets exceed the decoupled capacity
+        ``max_targets(M, N)[0]``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"scenario must be an object, got {data!r}")
         _require(data, ("M", "N", "targets"), "scenario")
-        for i, t in enumerate(data["targets"]):
+        entries = data["targets"]
+        if not (isinstance(entries, list) and all(isinstance(t, dict) for t in entries)):
+            raise ValueError(f"targets must be a list of objects, got {entries!r}")
+        for i, t in enumerate(entries):
             _require(t, ("theta_deg", "range_m"), f"scenario target {i}")
         d_mm = _number(data, "d_mm", nullable=True)
         freq_ghz = _number(data, "freq_ghz", nullable=True)
@@ -95,7 +102,7 @@ class Scenario:
         targets = TargetSet(
             tuple(
                 Target.from_degrees(_number(t, "theta_deg"), _number(t, "range_m"))
-                for t in data["targets"]
+                for t in entries
             )
         )
         m, n = _integer(data, "M"), _integer(data, "N")

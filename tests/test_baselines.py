@@ -5,7 +5,6 @@ import pytest
 from canf import (
     CoprimeParams,
     MusicConfig,
-    SubspaceRule,
     Target,
     TargetSet,
     build_coprime_layout,
@@ -110,7 +109,7 @@ class TestSubarrayBaseline:
         coarray = difference_coarray(sub1)
         bundle = build_bundle(sub_snaps)
         spec = angle_spectrum(
-            Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), SubspaceRule.fixed(1)),
+            Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), 1),
             coarray.unit,
             sub1.wavelength,
             np.linspace(-89.95, 89.95, 3599),

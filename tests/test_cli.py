@@ -7,7 +7,7 @@ import pytest
 
 from canf.cli import MAX_SNR_POINTS, _fmt, _parse_snr_list, main
 from canf.covariance import mirror_antidiagonal
-from canf.music import MusicConfig, Subspace, SubspaceRule, localize
+from canf.music import MusicConfig, Subspace, localize
 from canf.scenario import Scenario, default_benchmark_scenario
 
 
@@ -62,7 +62,7 @@ def test_dumped_r_tilde_reproduces_the_virtual_eigenvalues(tmp_path, scenario_fi
     half = (len(rows) - 1) // 2
     assert [int(lag) for lag, _, _ in rows] == list(range(-half, half + 1))
     r_tilde = np.array([complex(float(re), float(im)) for _, re, im in rows])
-    eigvals = Subspace.split_coarray(r_tilde, SubspaceRule.fixed(1)).eigvals
+    eigvals = Subspace.split_coarray(r_tilde, 1).eigvals
     result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
     np.testing.assert_allclose(eigvals, result["virtual_eigvals"], rtol=1e-12, atol=0)
 
@@ -210,6 +210,8 @@ def test_bad_scenario_is_a_usage_error(tmp_path, command):
         ("d_mm", "2.5", "d_mm must be a number, got '2.5'"),
         ("theta_deg", "30", "theta_deg must be a number, got '30'"),
         ("range_m", None, "range_m must be a number, got None"),
+        ("targets", None, "targets must be a list of objects, got None"),
+        ("targets", [5], "targets must be a list of objects"),
     ],
 )
 def test_bad_scenario_value_is_a_usage_error(tmp_path, command, key, value, message):

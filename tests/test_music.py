@@ -8,7 +8,6 @@ from canf import (
     CoprimeParams,
     MusicConfig,
     SpectrumGrid,
-    SubspaceRule,
     Target,
     TargetSet,
     build_coprime_layout,
@@ -38,7 +37,6 @@ from canf.music import (
     classify_range_spectrum,
     detect_peaks,
     real_form,
-    signal_rank,
 )
 from canf.bench import associate
 
@@ -112,42 +110,25 @@ class TestEigHermitian:
 class TestNoiseSubspace:
     def test_fixed_size_and_orthonormality(self, rng):
         a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-        sub = Subspace.split(a @ a.conj().T, SubspaceRule.fixed(3))
+        sub = Subspace.split(a @ a.conj().T, 3)
         un = sub.eigvecs[:, sub.rank :]
         assert un.shape == (10, 7)
         np.testing.assert_allclose(un.conj().T @ un, np.eye(7), atol=1e-10)
 
-    @pytest.mark.parametrize("k", [0, 10, 11])
-    def test_fixed_rejects_bad_rank(self, rng, k):
-        a = rng.standard_normal((10, 10))
-        w, _ = eig_hermitian(a + a.T)
-        with pytest.raises(ValueError):
-            signal_rank(w, SubspaceRule.fixed(k))
-
-    def test_gap_rule_finds_noise_free_cliff(self, layout911):
-        targets = TargetSet((Target.from_degrees(10.0, 30.0),))
-        _, r_v, _ = ideal_bundle(layout911, targets)
-        w, _ = eig_hermitian(r_v)
-        assert signal_rank(w, SubspaceRule.eig_gap(5)) == 1
-
-    def test_gap_rule_flat_spectrum_falls_back(self):
-        w = np.linspace(2.0, 1.0, 8)
-        assert signal_rank(w, SubspaceRule.eig_gap(3)) == 3
-
-    def test_gap_rule_search_limit(self):
-        # A huge tail ratio beyond the fallback rank must not capture the
-        # split; the gap of ratio 30/9 > 3 inside it does.
-        w = np.array([30.0, 9.0, 8.5, 8.0, 1e-12])
-        assert signal_rank(w, SubspaceRule.eig_gap(2)) == 1
-        assert signal_rank(w, SubspaceRule.eig_gap(4)) == 4
-
-    def test_gap_rule_on_benchmark_selects_at_least_k(self, benchmark_scenario):
-        # Cross components inflate the virtual signal dimension past K.
-        layout = benchmark_scenario.layout()
-        _, r_v, _ = ideal_bundle(layout, benchmark_scenario.targets)
-        w, _ = eig_hermitian(r_v)
-        k = signal_rank(w, SubspaceRule.eig_gap(10))
-        assert k >= len(benchmark_scenario.targets)
+    @pytest.mark.parametrize(
+        "split, k",
+        [("split", 0), ("split", 10), ("split", 11), ("split_coarray", 0), ("split_coarray", 10)],
+    )
+    def test_fixed_rejects_bad_rank(self, rng, split, k):
+        # Both splits of a W = 10 input need 0 < rank < W.
+        if split == "split":
+            a = rng.standard_normal((10, 10))
+            given = a + a.T
+        else:  # a conjugate-symmetric coarray vector of length 2W - 1
+            half = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            given = np.concatenate((half[::-1].conj(), [rng.standard_normal()], half))
+        with pytest.raises(ValueError, match="rank"):
+            getattr(Subspace, split)(given, k)
 
 
 class TestSpectrumGrid:
@@ -285,7 +266,7 @@ class TestAngleSpectrum:
         _, r_v, ca = ideal_bundle(layout911, targets)
         grid = np.linspace(-89.95, 89.95, 3599)
         spec = angle_spectrum(
-            Subspace.split(real_form(r_v), SubspaceRule.fixed(1)), ca.unit, LAM, grid
+            Subspace.split(real_form(r_v), 1), ca.unit, LAM, grid
         )
         peaks = detect_peaks(spec, max_count=1)
         assert peaks[0].location == pytest.approx(10.0, abs=0.05)
@@ -296,7 +277,7 @@ class TestAngleSpectrum:
         bundle = build_bundle(snaps)
         ca = difference_coarray(layout911)
         spec = angle_spectrum(
-            Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), SubspaceRule.fixed(1)),
+            Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), 1),
             ca.unit, LAM, np.linspace(-89.95, 89.95, 720),
         )
         assert np.all(np.isfinite(spec.values)) and np.all(spec.values > 0)
@@ -305,11 +286,11 @@ class TestAngleSpectrum:
         layout = benchmark_scenario.layout()
         _, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.linspace(-89.95, 89.95, 3599)
-        rule = SubspaceRule.fixed(10)
+        rank = 10
         lam = layout.wavelength
         p1, p2 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(real_form(r), rule), ca.unit, lam, grid),
+                angle_spectrum(Subspace.split(real_form(r), rank), ca.unit, lam, grid),
                 10,
             )
             for r in (r_v, 4.0 * r_v)
@@ -320,11 +301,11 @@ class TestAngleSpectrum:
         layout = benchmark_scenario.layout()
         _, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.linspace(-89.95, 89.95, 3599)
-        rule = SubspaceRule.fixed(10)
+        rank = 10
         lam = layout.wavelength
         p1, p3 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(real_form(r), rule), ca.unit, lam, grid),
+                angle_spectrum(Subspace.split(real_form(r), rank), ca.unit, lam, grid),
                 10,
             )
             for r in (r_v, 3.7 * r_v)
@@ -359,9 +340,8 @@ class TestAngleSpectrum:
         # with the plain (A, W) x (W, r) one on the benchmark input.
         snaps = benchmark_scenario.snapshots()
         bundle = build_bundle(snaps)
-        cfg = MusicConfig(k_targets=4)
         w = (bundle.r_tilde.size + 1) // 2
-        virtual = Subspace.split_coarray(bundle.r_tilde, cfg.angle_rule(w))
+        virtual = Subspace.split_coarray(bundle.r_tilde, 10)
         layout = snaps.layout
         grid = SpectrumGrid.for_layout(layout, *STEPS).angle_deg
         spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid)
@@ -381,7 +361,7 @@ class TestRangeSpectrum:
         targets = TargetSet((Target.from_degrees(10.0, 30.0),))
         r_hat, _, _ = ideal_bundle(layout911, targets)
         grid = np.arange(0.54, 40.5, 0.1)
-        spec = range_spectrum(Subspace.split(r_hat, SubspaceRule.fixed(1)), layout911, 10.0, grid)
+        spec = range_spectrum(Subspace.split(r_hat, 1), layout911, 10.0, grid)
         location = _row_peaks(spec.db[None], grid, include_edges=True)[2]
         assert location[0] == pytest.approx(30.0, abs=0.1)
 
@@ -389,7 +369,7 @@ class TestRangeSpectrum:
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
-        initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
+        initial = Subspace.split(r_hat, 4)
         spec = range_spectrum(initial, layout, 30.0, grid)
         locs = sorted(_row_peaks(spec.db[None], grid, include_edges=True)[2][:2])
         assert locs[0] == pytest.approx(20.0, abs=0.1)
@@ -399,7 +379,7 @@ class TestRangeSpectrum:
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
-        initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
+        initial = Subspace.split(r_hat, 4)
         thetas = np.array([-35.0, 10.0, 30.0])
         stacked = range_spectrum(initial, layout, thetas, grid)
         assert stacked.values.shape == (3, grid.size)
@@ -419,7 +399,7 @@ class TestRangeSpectrum:
         columns = full[[0, 1, 2], [3, 8, 5]].T
         power = np.array([1.0, 2.0, 0.5])
         matrix = (columns * power) @ columns.conj().T + 1e-6 * np.eye(u)
-        sub = Subspace.split(matrix, SubspaceRule.fixed(3))
+        sub = Subspace.split(matrix, 3)
         signal = sub.eigvecs[:, :3]
         from_signal = 1.0 - np.sum(np.abs(full @ signal.conj()) ** 2, axis=-1) / u
         near = from_signal < CANCELLATION_FLOOR
@@ -486,7 +466,7 @@ class TestFresnelChirp:
     ):
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
-        initial = Subspace.split(r_hat, SubspaceRule.fixed(4))
+        initial = Subspace.split(r_hat, 4)
         grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
         thetas = np.linspace(-60.0, 60.0, 10)
         expected = range_spectrum(initial, layout, thetas, grid).values
@@ -526,10 +506,9 @@ def test_scans_never_read_the_noise_columns(benchmark_scenario, case):
         rows = [index[g * layout.coprime.n] for g in sub1.grid]
         snaps = dataclasses.replace(snaps, layout=sub1, y=snaps.y[rows])
     bundle = build_bundle(snaps)
-    config = MusicConfig(k_targets=4)
     grid = SpectrumGrid.for_layout(layout, *STEPS)
     if case == "range":
-        sub = Subspace.split(bundle.r_hat, config.range_rule(layout.size))
+        sub = Subspace.split(bundle.r_hat, 4)
         thetas = np.array([-35.0, 10.0, 30.0])
 
         def scan(s):
@@ -537,7 +516,7 @@ def test_scans_never_read_the_noise_columns(benchmark_scenario, case):
 
     else:
         r_v = spatial_smooth(bundle.r_tilde)
-        sub = Subspace.split(real_form(r_v), config.angle_rule(r_v.shape[0]))
+        sub = Subspace.split(real_form(r_v), 10)
 
         def scan(s):
             return angle_spectrum(s, snaps.layout.d, layout.wavelength, grid.angle_deg).values
@@ -558,15 +537,14 @@ class TestClassification:
         # range peaks (two at the shared angle), cross angles do not.
         layout = benchmark_scenario.layout()
         r_hat, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
-        cfg = MusicConfig(k_targets=4)
         grid = SpectrumGrid.for_layout(layout, *STEPS)
-        virtual = Subspace.split(real_form(r_v), cfg.angle_rule(r_v.shape[0]))
+        virtual = Subspace.split(real_form(r_v), 10)
         spec = angle_spectrum(virtual, ca.unit, layout.wavelength, grid.angle_deg)
-        peaks = detect_peaks(spec, cfg.candidate_limit())
+        peaks = detect_peaks(spec, 10)
         found = sorted(p.location for p in peaks[:6])
         for truth in (-35.0, 10.0, 30.0):
             assert min(abs(f - truth) for f in found) < 0.05
-        initial = Subspace.split(r_hat, cfg.range_rule(layout.size))
+        initial = Subspace.split(r_hat, 4)
         thetas = np.array([p.location for p in peaks])
         bounds = (layout.fresnel_distance, layout.rayleigh_distance)
         classified = classify_range_spectrum(
@@ -585,7 +563,7 @@ class TestClassification:
     def test_scalar_angle_classifies_one_spectrum(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
         r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
-        initial = Subspace.split(r_hat, MusicConfig(k_targets=4).range_rule(layout.size))
+        initial = Subspace.split(r_hat, 4)
         grid = SpectrumGrid.for_layout(layout, *STEPS).range_m
         spec = range_spectrum(initial, layout, 30.0, grid)
         bounds = (layout.fresnel_distance, layout.rayleigh_distance)
@@ -607,7 +585,7 @@ class TestClassification:
             assert res.range_spectrum.values.shape == (0, grid.range_m.size)
 
 
-def _range_phase_inputs(method, snaps, config):
+def _range_phase_inputs(method, snaps):
     """The (layout, ``r_hat`` split) of every input whose range scans
     ``method`` fuses: the whole array, or the two uniform subarrays."""
     layout = snaps.layout
@@ -619,10 +597,7 @@ def _range_phase_inputs(method, snaps, config):
             dataclasses.replace(snaps, layout=sub, y=snaps.y[[index[g * f] for g in sub.grid]])
             for sub, f in zip(build_subarrays(params), (params.n, params.m))
         ]
-    return [
-        (s.layout, Subspace.split(build_bundle(s).r_hat, config.range_rule(s.layout.size)))
-        for s in inputs
-    ]
+    return [(s.layout, Subspace.split(build_bundle(s).r_hat, 4)) for s in inputs]
 
 
 @pytest.mark.parametrize("method", [localize, localize_subarray])
@@ -638,7 +613,7 @@ def test_range_spectrum_holds_one_fused_scan_per_candidate(benchmark_scenario, m
     assert len(res.candidates) > 1
     assert spec.values.shape == (len(res.candidates), grid.size)
     np.testing.assert_array_equal(spec.axis, grid)
-    inputs = _range_phase_inputs(method, snaps, config)
+    inputs = _range_phase_inputs(method, snaps)
     for row, peak in zip(spec.values, res.candidates):
         scans = [range_spectrum(sub, lay, peak.location, grid).values for lay, sub in inputs]
         expected = np.prod(scans, axis=0) ** (1.0 / len(scans))
@@ -691,7 +666,7 @@ class TestLocalize:
         layout = benchmark_scenario.layout()
         snaps = synthesize(layout, benchmark_scenario.targets, 100, None, 0, "fresnel")
         bundle = build_bundle(snaps)
-        sub = Subspace.split(bundle.r_hat, SubspaceRule.fixed(4))
+        sub = Subspace.split(bundle.r_hat, 4)
         un = sub.eigvecs[:, sub.rank :]
         for t in benchmark_scenario.targets:
             b = steering_fresnel(layout, t)
@@ -701,7 +676,7 @@ class TestLocalize:
         t1 = TargetSet((Target.from_degrees(10.0, 30.0),))
         b1 = build_bundle(synthesize(layout, t1, 100, None, 0, "fresnel"))
         r_v1 = spatial_smooth(b1.r_tilde)
-        sub1 = Subspace.split(r_v1, SubspaceRule.eig_gap(1))
+        sub1 = Subspace.split(r_v1, 1)
         un1 = sub1.eigvecs[:, sub1.rank :]
         ca = difference_coarray(layout)
         row = oracles.virtual_steering_matrix(

@@ -114,8 +114,8 @@ def high_snr_outputs() -> dict:
 
 
 def unknown_k_results() -> dict:
-    """``localize`` with ``MusicConfig()`` (K unknown, so both subspace rules
-    search for an eigen-gap) on the first three benchmark targets."""
+    """``localize`` with ``MusicConfig()`` on the first three benchmark
+    targets: K = 3 comes from the snapshots' waveforms, not the config."""
     base = default_benchmark_scenario()
     scenario = dataclasses.replace(base, targets=TargetSet(tuple(base.targets)[:3]))
     return {
@@ -182,6 +182,35 @@ def test_unknown_k_finds_the_gap_ranks_and_every_target():
             and abs(trues[i].range_m - rng[j]) <= range_gate
         ]
         assert sorted(hits) == [0, 1, 2], key
+
+
+LOCALIZERS = [localize, localize_dense, localize_farfield_virtual, localize_subarray]
+
+
+def _method_inputs(method):
+    snaps, dense_snaps = benchmark_inputs()
+    return dense_snaps if method is localize_dense else snaps
+
+
+@pytest.mark.parametrize("method", LOCALIZERS)
+def test_default_config_reads_k_from_the_waveforms(method):
+    # The snapshots carry one known waveform per target, so leaving
+    # k_targets out gives the K = 4 result.
+    snaps = _method_inputs(method)
+
+    def summary(config):
+        result = method(snaps, config)
+        if method is localize_farfield_virtual:
+            return list(result.angles_deg), result.angle_signal_rank
+        return result.to_dict()
+
+    assert summary(MusicConfig()) == summary(CONFIG)
+
+
+@pytest.mark.parametrize("method", LOCALIZERS)
+def test_declared_k_must_equal_the_waveform_count(method):
+    with pytest.raises(ValueError, match="k_targets=3, but the snapshots carry 4 waveforms"):
+        method(_method_inputs(method), MusicConfig(k_targets=3))
 
 
 def test_virtual_eigvals_match_a_34_digit_smoothed_decomposition():

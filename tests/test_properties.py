@@ -17,7 +17,6 @@ import oracles
 from canf import (
     CoprimeParams,
     SensorLayout,
-    SubspaceRule,
     Target,
     TargetSet,
     associate,
@@ -114,7 +113,7 @@ def test_scan_matches_noise_basis_reference(w, seed, data):
     sources = rng.choice(grid, size=k, replace=False) + nudge_deg * rng.standard_normal(k)
     a = _ula_manifold(sources, w)
     matrix = (a.T * rng.uniform(0.1, 10.0, k)) @ a.conj() + sigma2 * np.eye(w)
-    sub = Subspace.split(matrix, SubspaceRule.fixed(rank))
+    sub = Subspace.split(matrix, rank)
     manifold = _ula_manifold(grid, w)
     expected = oracles.noise_power_reference(sub.eigvecs[:, rank:], manifold)
     # Rows in the signal span have noise power at roundoff (about 1e-30)
@@ -196,7 +195,7 @@ def test_real_angle_scan_matches_the_complex_manifold(parity, half, seed, data):
     sources = rng.choice(grid, size=k, replace=False) + nudge_deg * rng.standard_normal(k)
     a = oracles.virtual_steering_matrix(w, unit, LAM, sources, scale).T
     matrix = _sources_matrix(a, rng, sigma2)
-    sub = Subspace.split(real_form(matrix), SubspaceRule.fixed(rank))
+    sub = Subspace.split(real_form(matrix), rank)
     manifold = oracles.virtual_steering_matrix(w, unit, LAM, grid, scale)
     basis = oracles.unitary_q(w) @ sub.eigvecs
     # Q maps the real form's eigenvectors back to those of the matrix.
@@ -233,7 +232,7 @@ def test_folded_range_scan_matches_the_complex_manifold(layout, seed, data):
         for _ in range(k)
     ]
     matrix = _sources_matrix(np.array(columns).T, rng, sigma2)
-    sub = Subspace.split(matrix, SubspaceRule.fixed(rank))
+    sub = Subspace.split(matrix, rank)
     manifold = oracles.range_steering_matrix(layout, thetas, grid).reshape(-1, u)
     expected = oracles.noise_power_reference(sub.eigvecs[:, rank:], manifold)
     spec = range_spectrum(sub, layout, thetas, grid)
@@ -295,9 +294,9 @@ def test_split_coarray_is_the_split_of_the_smoothed_matrix(r, data):
     # real gap at the rank, its signal subspace (within the Davis-Kahan
     # bound of the smoothed route's roundoff).
     w = (r.size + 1) // 2
-    rule = SubspaceRule.fixed(data.draw(st.integers(1, w - 1), label="rank"))
-    got = Subspace.split_coarray(r, rule)
-    expected = Subspace.split(real_form(spatial_smooth(r)), rule)
+    rank = data.draw(st.integers(1, w - 1), label="rank")
+    got = Subspace.split_coarray(r, rank)
+    expected = Subspace.split(real_form(spatial_smooth(r)), rank)
     lam_max = expected.eigvals[0]
     np.testing.assert_allclose(got.eigvals, expected.eigvals, rtol=0.0, atol=1e-12 * lam_max)
     assert got.rank == expected.rank

@@ -43,6 +43,20 @@ def test_missing_key_rejected_at_load(drop, message):
         Scenario.from_dict(data)
 
 
+@pytest.mark.parametrize("targets", [None, 5, [5], {"theta_deg": 10, "range_m": 30}, [[10, 30]]])
+def test_targets_that_are_not_a_list_of_objects_rejected_at_load(targets):
+    data = default_benchmark_scenario().to_dict()
+    data["targets"] = targets
+    with pytest.raises(ValueError, match="targets must be a list of objects"):
+        Scenario.from_dict(data)
+
+
+@pytest.mark.parametrize("data", [5, None, "MNtargets", [1]])
+def test_scenario_that_is_not_an_object_rejected_at_load(data):
+    with pytest.raises(ValueError, match="scenario must be an object"):
+        Scenario.from_dict(data)
+
+
 def test_missing_target_key_rejected_at_load():
     data = default_benchmark_scenario().to_dict()
     del data["targets"][0]["range_m"]
