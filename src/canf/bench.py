@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .baselines import localize_dense, localize_farfield_virtual, localize_subarray
 from .channel import synthesize
@@ -98,6 +97,14 @@ def associate(
         tuple(i for i in range(n_e) if i not in matched_e),
         tuple(j for j in range(n_t) if j not in matched_t),
     )
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.optimize.linear_sum_assignment``, imported on first use so that
+    ``import canf`` loads no scipy module."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _tied_assignments(cost: np.ndarray) -> list[tuple[tuple[int, int], ...]]:

@@ -43,26 +43,14 @@ Every scan measures the noise-subspace power of steering vectors of norm
 norm of the residual ``a - U_s U_s^H a`` (:meth:`Subspace.scan`).  The
 noise basis is never read.
 
-Each phase finds its peaks in one ``scipy.signal.find_peaks`` call: the
-angle stage on its one spectrum (:func:`detect_peaks`, grid endpoints never
-peaks), the range stage on the spectra of all candidates at once
-(:func:`classify_range_spectrum`, grid endpoints always peaks).  The
-``(C, R)`` dB rows are laid end to end as ``[pad, row, pad]``, ``pad``
-being ``-inf`` when the grid endpoints count as peaks and absent otherwise,
-with one ``+inf`` sample between consecutive rows and none after the last.
-A prominence is the peak height over the higher of the two least values met
-on each side before a higher sample or the array's end, so the ``+inf``
-separator ends each side's search where the end of a single row would: every
-prominence, and so every peak kept, is the one a call per row gives.  (A
-``-inf`` separator would instead join every row to its neighbours' searches
-and make each prominence infinite.)  The separators are peaks themselves and
-are dropped by position.  Nothing is higher than a separator, so its own
-search would walk the whole array, making the pass quadratic in the number
-of rows; every search is capped at one laid-out row's length either side
-(``wlen``), and a real peak's search meets a separator or the array's end
-within that length, so the cap changes no real prominence.  A ``distance``
-between peaks would let a separator suppress real peaks near it, so it is
-applied to single spectra only.
+Each phase finds its peaks in one pass of the row-wise peak finder
+(:func:`_row_peaks`): the angle stage on its one spectrum
+(:func:`detect_peaks`, grid endpoints never peaks), the range stage on the
+spectra of all candidates at once (:func:`classify_range_spectrum`, grid
+endpoints always peaks).  Each row's peaks are those of
+``scipy.signal.find_peaks`` on that row alone, with the same
+``prominence`` and ``distance``, bit for bit; the tests keep that function
+as the oracle, and the package does not import it.
 """
 from __future__ import annotations
 
@@ -72,7 +60,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import find_peaks
 
 from .channel import SnapshotSet, fresnel_phase_terms
 from .covariance import CovarianceBundle, build_bundle
@@ -387,40 +374,146 @@ def _refine_parabolic(
     return loc
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Positions of the local maxima of ``x``.
+
+    A maximum is a step up followed, after any level steps, by a step down,
+    and sits at the middle of its plateau, rounded down.  Only comparisons
+    are made, so infinite samples are fine.
+    """
+    a, b = x[:-1], x[1:]
+    up, down = b > a, b < a
+    moved = up | down
+    if moved.all():  # no plateau: every maximum is one sample
+        return np.flatnonzero(up[:-1] & down[1:]) + 1
+    steps = np.flatnonzero(moved)
+    first, second = steps[:-1], steps[1:]
+    peak = up[first] & down[second]
+    return (first[peak] + 1 + second[peak]) // 2
+
+
+def _prominences(heights: list[float], valleys: list[float]) -> list[float]:
+    """The prominences of a run of maxima, by one monotone-stack pass.
+
+    ``heights[k]`` is the ``k``-th maximum and ``valleys[k]`` the least
+    sample from it up to the next; the first and last entries, and any
+    entry bounding a row, are ``+inf`` and get no prominence.  A
+    prominence is the height over the higher of its two bases, the least
+    sample on each side before the first strictly higher one.  Every sample
+    from that one out to the nearest strictly higher *maximum* is higher
+    than the peak too, so each base is the least of the valleys between the
+    peak and that maximum.  The stack keeps the entries not yet passed by a
+    higher one, each with the least valley from it up to the entry above;
+    an entry popped by a higher one has both its bases.
+    """
+    size = len(heights)
+    prominence = [0.0] * size
+    left = [0.0] * size  # each entry's left base
+    stack = [0]
+    below = []  # below[k]: least valley from stack[k] up to stack[k + 1]
+    run = valleys[0]  # least valley from the top entry up to the current one
+    top, h_top = 0, heights[0]
+    for i in range(1, size):
+        h = heights[i]
+        while h_top < h:
+            stack.pop()
+            base = left[top]
+            prominence[top] = h_top - (base if base > run else run)
+            v = below.pop()
+            if v < run:
+                run = v
+            top = stack[-1]
+            h_top = heights[top]
+        # An equal entry shares the nearest strictly higher one on the left.
+        base = left[top]
+        left[i] = base if h_top == h and base < run else run
+        below.append(run)
+        stack.append(i)
+        run = valleys[i]
+        top, h_top = i, h
+    return prominence
+
+
+def _spaced(pos: np.ndarray, height: np.ndarray, distance: int) -> np.ndarray:
+    """The peak-distance rule on the maxima of one row.
+
+    Highest first, in ``np.argsort`` order so that ties fall as in the
+    module docstring's reference, each maximum still kept drops the others
+    closer than ``distance`` samples.  One with no other that close is kept
+    and drops none, so only the rest are visited.
+    """
+    close = np.diff(pos) < distance
+    keep = np.ones(pos.size, dtype=bool)
+    if not close.any():
+        return keep
+    crowded = np.zeros(pos.size, dtype=bool)
+    crowded[1:] = close
+    crowded[:-1] |= close
+    order = np.argsort(height)[::-1]
+    p = pos.tolist()
+    dropped = set()
+    for j in order[crowded[order]].tolist():
+        if j in dropped:
+            continue
+        k = j - 1
+        while k >= 0 and p[j] - p[k] < distance:
+            dropped.add(k)
+            k -= 1
+        k = j + 1
+        while k < len(p) and p[k] - p[j] < distance:
+            dropped.add(k)
+            k += 1
+    keep[list(dropped)] = False
+    return keep
+
+
 def _row_peaks(
     db: np.ndarray, axis: np.ndarray, include_edges: bool, distance: int | None = None
 ) -> tuple[np.ndarray, ...]:
-    """The peaks of every row of a ``(C, R)`` dB array, by one ``find_peaks``
-    call over the rows laid out as the module docstring describes.
+    """The peaks of every row of a ``(C, R)`` array of finite dB values, in
+    one pass over the rows laid end to end.
+
+    Each row is laid out as ``[+inf, pad, row, pad]``, ``pad`` being
+    ``-inf`` when the grid endpoints count as peaks and absent otherwise,
+    and one more ``+inf`` closes the last row.  Nothing in a row is as high
+    as a ``+inf`` bound, so no plateau crosses one, and each bound stops
+    the prominence bases' search (:func:`_prominences`) where the end of a
+    single row would; the bounds between rows are maxima themselves and are
+    dropped by position.  Peaks are the local maxima
+    (:func:`_local_maxima`) at least :data:`PEAK_PROMINENCE_DB` prominent
+    and, with ``distance``, spaced by :func:`_spaced`; the two rules
+    commute, as a prominence is read from the samples, not from the other
+    peaks.
 
     Returns ``(row, index, location, height, prominence)`` arrays, ordered
     by row and within a row by ``(-height, location)``, ties in the order
-    of ``index``: each row's peaks as a ``find_peaks`` call on that row
-    alone gives them, bit for bit.  ``distance`` is allowed for one row
-    only.
+    of ``index``: each row's peaks as the module docstring's reference,
+    run on that row alone, gives them, bit for bit.  ``distance`` is
+    allowed for one row only.
     """
     c, r = db.shape
     if distance is not None and c > 1:
         raise ValueError("a peak distance applies to a single row only")
     pad = 1 if include_edges else 0
     stride = r + 2 * pad + 1
-    laid = np.full((c, stride), -np.inf)
-    laid[:, -1] = np.inf
-    laid[:, pad : pad + r] = db
-    # A real peak's base search ends at a separator within ``stride``
-    # samples, so ``wlen`` leaves its prominence as is; it bounds the search
-    # of each separator, which nothing stops, to its neighbouring rows.
-    pos, props = find_peaks(
-        laid.ravel()[:-1],
-        prominence=PEAK_PROMINENCE_DB,
-        distance=distance,
-        wlen=2 * stride + 1,
-    )
+    laid = np.empty(c * stride + 1)
+    rows = laid[:-1].reshape(c, stride)
+    rows[:, 0] = np.inf
+    laid[-1] = np.inf
+    if pad:
+        rows[:, 1] = -np.inf
+        rows[:, -1] = -np.inf
+    rows[:, 1 + pad : 1 + pad + r] = db
+    pos = _local_maxima(laid)
+    begins = np.concatenate(([0], pos, [laid.size - 1]))
+    heights = laid[begins]
+    valleys = np.minimum.reduceat(laid, begins)
+    prominence = np.array(_prominences(heights.tolist(), valleys.tolist())[1:-1])
     row, col = np.divmod(pos, stride)
-    col -= pad
-    real = col < r  # the +inf separators are peaks too
-    row, col = row[real], col[real]
-    prominence = props["prominences"][real]
+    keep = (col > 0) & (prominence >= PEAK_PROMINENCE_DB)
+    if distance is not None:
+        keep &= _spaced(pos, heights[1:-1], distance)
+    row, col, prominence = row[keep], col[keep] - 1 - pad, prominence[keep]
     height = db[row, col]
     location = _refine_parabolic(db, row, col, axis)
     order = np.lexsort((location, -height, row))
@@ -445,11 +538,12 @@ def detect_peaks(spectrum: PseudoSpectrum, max_count: int | None = None) -> list
     if spectrum.axis.size > 1:
         step = float(spectrum.axis[1] - spectrum.axis[0])
         distance = max(int(round(MIN_ANGLE_SEPARATION_DEG / step)), 1)
-    _, index, location, height, prominence = _row_peaks(y[None], spectrum.axis, False, distance)
+    found = _row_peaks(y[None], spectrum.axis, False, distance)
+    index, location, height, prominence = (a[:max_count].tolist() for a in found[1:])
     return [
-        Peak(location=float(x), height_db=float(h), prominence_db=float(p), index=int(i))
+        Peak(location=x, height_db=h, prominence_db=p, index=i)
         for x, h, p, i in zip(location, height, prominence, index)
-    ][:max_count]
+    ]
 
 
 @dataclass(frozen=True, eq=False)

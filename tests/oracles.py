@@ -4,9 +4,10 @@ Everything here except :func:`gram_one_matmul`, :func:`synthesize_bulk` and
 the peak finder (:func:`detect_peaks`, :func:`classify_range_spectrum`) is
 written as plain loops over the defining formulas, on purpose: these must
 stay independent of the vectorized library code they check.  The peak
-finder is the library's code as it was before its ``find_peaks`` call
-covered every row at once: one call and one scalar parabolic fit per
-spectrum, which the row-wise finder must reproduce bit for bit.
+finder is an independent oracle built on ``scipy.signal.find_peaks``, which
+the package does not use: one call and one scalar parabolic fit per
+spectrum, which the package's own row-wise finder must reproduce bit for
+bit.
 """
 import numpy as np
 from scipy.signal import find_peaks

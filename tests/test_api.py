@@ -1,4 +1,5 @@
-"""Every exported name and every layer the benchmark traces resolves in canf.
+"""Every exported name and every layer the benchmark traces resolves in canf,
+and importing canf loads no scipy module.
 
 ``perfbench/spans.py`` names each traced function as ``(module, qualname)``.
 A name that no longer resolves is not an error there: its per-layer metric
@@ -6,7 +7,10 @@ just reads 0 calls.  These tests read that list, unchanged, and fail instead.
 """
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,38 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+NO_SCIPY_ON_IMPORT = """
+import json, sys
+
+import canf, canf.cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))[:5]
+
+assert scipy_loaded() == [], scipy_loaded()
+scenario = {"M": 2, "N": 3, "freq_ghz": 30, "T": 50, "snr_db": 20, "seed": 1,
+            "targets": [{"theta_deg": -20, "range_m": 0.04}, {"theta_deg": 15, "range_m": 0.06}]}
+with open("scenario.json", "w") as f:
+    json.dump(scenario, f)
+assert canf.cli.main(["spectrum", "--scenario", "scenario.json", "--out-dir", "out"]) == 0
+assert scipy_loaded() == [], scipy_loaded()
+match = canf.associate((10.0, -20.0, 30.0), None, (-19.0, 29.5, 10.5), (1.0, 2.0, 3.0), 1.0)
+assert match.pairs == ((0, 2), (1, 0), (2, 1)), match.pairs
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_import_and_spectrum_load_no_scipy_until_the_first_assignment(tmp_path):
+    # A fresh interpreter, so that no other test has imported scipy yet.
+    src = str(Path(canf.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_ON_IMPORT],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

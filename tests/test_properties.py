@@ -4,7 +4,7 @@ against a noise-basis oracle on the complex manifolds, the real form of a
 centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
 the Toeplitz split of the coarray against the split of its smoothed matrix,
 estimate-to-truth association, and the row-wise peak finder against one
-peak search per spectrum."""
+peak search per spectrum, on drawn rows and on the pipeline's own spectra."""
 import math
 
 import numpy as np
@@ -26,6 +26,7 @@ from canf import (
     spatial_smooth,
     vectorize_to_coarray,
 )
+from canf.baselines import localize_subarray
 from canf.channel import steering_matrix
 from canf.music import (
     MIN_ANGLE_SEPARATION_DEG,
@@ -36,9 +37,11 @@ from canf.music import (
     angle_spectrum,
     classify_range_spectrum,
     detect_peaks,
+    localize,
     range_spectrum,
     real_form,
 )
+from canf.scenario import default_benchmark_scenario
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 LAM = 10e-3
@@ -409,8 +412,9 @@ def _bits(peaks):
 @PROPERTY
 @given(spectra=peak_spectra(), include_edges=st.booleans(), data=st.data())
 def test_row_peaks_match_one_search_per_row(spectra, include_edges, data):
-    # Every row's peaks, from one find_peaks call over the +inf-separated
-    # rows, are the per-row search's bit for bit and in the same order.
+    # Every row's peaks, from one pass of the row-wise finder over all the
+    # rows, are those of scipy's find_peaks run on each row alone, bit for
+    # bit and in the same order.
     axis, values = spectra
     db = PseudoSpectrum(axis, values).db
     row, index, location, height, prominence = _row_peaks(db, axis, include_edges)
@@ -440,3 +444,25 @@ def test_row_peaks_match_one_search_per_row(spectra, include_edges, data):
         )
     ]
     assert classify_range_spectrum(thetas, PseudoSpectrum(axis, values), bounds) == expected
+
+
+@pytest.mark.parametrize("scheme", [localize, localize_subarray])
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
+def test_row_peaks_match_one_search_per_row_on_pipeline_spectra(scheme, snr_db):
+    # The drawn rows above hold at most 30 samples; the pipeline's own are
+    # the 3599-sample angle spectrum, searched with the angle stage's
+    # distance, and the (C, 400) range spectra of its candidates.
+    scenario = default_benchmark_scenario(snr_db=snr_db)
+    for seed in range(3):
+        result = scheme(scenario.snapshots(seed=seed))
+        spec_a, spec_r = result.angle_spectrum, result.range_spectrum
+        expected = oracles.detect_peaks(spec_a, None, False, MIN_ANGLE_SEPARATION_DEG)
+        assert len(expected) > 4
+        assert _bits(detect_peaks(spec_a)) == _bits(expected)
+        row, index, location, height, prominence = _row_peaks(spec_r.db, spec_r.axis, True)
+        assert spec_r.values.shape[0] == len(result.candidates) > 1
+        for k, row_values in enumerate(spec_r.values):
+            mine = row == k
+            got = _as_peaks(index[mine], location[mine], height[mine], prominence[mine])
+            expected = oracles.detect_peaks(PseudoSpectrum(spec_r.axis, row_values), None, True)
+            assert _bits(got) == _bits(expected)
