@@ -383,10 +383,7 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     """
     a, b = x[:-1], x[1:]
     up, down = b > a, b < a
-    moved = up | down
-    if moved.all():  # no plateau: every maximum is one sample
-        return np.flatnonzero(up[:-1] & down[1:]) + 1
-    steps = np.flatnonzero(moved)
+    steps = np.flatnonzero(up | down)
     first, second = steps[:-1], steps[1:]
     peak = up[first] & down[second]
     return (first[peak] + 1 + second[peak]) // 2
