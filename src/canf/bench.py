@@ -1,6 +1,10 @@
 """Monte Carlo harness: trial synthesis, estimate-to-truth association,
 RMSE aggregation, and CSV/JSONL reporting.
 
+Association is a minimum-cost assignment, solved in plain Python by a
+rectangular shortest-augmenting-path solver (Jonker & Volgenant 1987; Crouse
+2016), so the harness, like the rest of ``canf``, needs numpy alone.
+
 Trial ``q`` always uses seed ``base_seed + q``, so every (method, SNR)
 cell sees the same draws and the whole report is a pure function of the
 configuration.  Per-trial failures are logged and counted, never abort a
@@ -71,23 +75,34 @@ def associate(
     same; totals within :data:`TIE_RTOL` count as tied and are decided by
     the least squared error ``dtheta^2 + (dr / range_scale)^2``, then by the
     lexicographically smallest pairs, so roundoff in the estimates never
-    picks the assignment.
+    picks the assignment.  The assignments come from the in-package
+    shortest-augmenting-path solver, :func:`linear_sum_assignment`.
+
+    Raises ValueError, naming the argument, for a non-finite value, range
+    arrays whose lengths differ from their angle arrays, ``est_range_m``
+    without ``true_range_m``, or a ``range_scale`` that is not positive and
+    finite.
     """
-    est_theta = np.atleast_1d(np.asarray(est_theta_deg, dtype=float))
-    true_theta = np.atleast_1d(np.asarray(true_theta_deg, dtype=float))
+    if not (math.isfinite(range_scale) and range_scale > 0):
+        raise ValueError(f"range_scale must be positive and finite, got {range_scale}")
+    est_theta = _finite_vector("est_theta_deg", est_theta_deg)
+    true_theta = _finite_vector("true_theta_deg", true_theta_deg)
     n_e, n_t = est_theta.size, true_theta.size
+    if est_range_m is not None:
+        if true_range_m is None:
+            raise ValueError("est_range_m is given but true_range_m is None")
+        est_r = _finite_vector("est_range_m", est_range_m, n_e)
+        true_r = _finite_vector("true_range_m", true_range_m, n_t)
     if n_e == 0 or n_t == 0:
         return Matching((), tuple(range(n_e)), tuple(range(n_t)))
     terms = [np.abs(est_theta[:, None] - true_theta[None, :])]
     if est_range_m is not None:
-        est_r = np.atleast_1d(np.asarray(est_range_m, dtype=float))
-        true_r = np.atleast_1d(np.asarray(true_range_m, dtype=float))
         terms.append(np.abs(est_r[:, None] - true_r[None, :]) / range_scale)
-    tied = _tied_assignments(sum(terms))
+    tied = _tied_assignments(sum(terms).tolist())
     if len(tied) > 1:
-        squared = sum(t**2 for t in terms)
-        totals = [sum(squared[i, j] for i, j in pairs) for pairs in tied]
-        limit = min(totals) + TIE_RTOL * max(1.0, float(np.max(squared)))
+        squared = sum(t**2 for t in terms).tolist()
+        totals = [sum(squared[i][j] for i, j in pairs) for pairs in tied]
+        limit = min(totals) + TIE_RTOL * max(1.0, max(map(max, squared)))
         tied = [pairs for pairs, total in zip(tied, totals) if total <= limit]
     pairs = min(tied)
     matched_e = {i for i, _ in pairs}
@@ -99,30 +114,102 @@ def associate(
     )
 
 
-def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.optimize.linear_sum_assignment``, imported on first use so that
-    ``import canf`` loads no scipy module."""
-    from scipy.optimize import linear_sum_assignment as solve
+def _finite_vector(name: str, values, size: int | None = None) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``name`` if an entry is
+    not finite or the length is not ``size``."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if size is not None and arr.size != size:
+        raise ValueError(f"{name} has {arr.size} entries but its angle array has {size}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+    return arr
 
-    return solve(cost)
+
+def linear_sum_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """The least-total assignment of a rectangular cost, as ``(row, col)``
+    pairs sorted by row; every row is assigned if there are no more rows than
+    columns, every column otherwise.
+
+    Shortest augmenting paths (Jonker & Volgenant, Computing 1987), in the
+    rectangular form of Crouse (IEEE TAES 2016) that
+    ``scipy.optimize.linear_sum_assignment`` implements, with the same
+    tie-breaking, so it picks the same assignment.  Each row joins along
+    a Dijkstra shortest path on the reduced costs ``cost - u - v``, then the
+    dual potentials ``u`` and ``v`` are updated.  Plain Python on lists of
+    floats.  An ``inf`` entry is a forbidden pair; ValueError if every
+    assignment uses one.  NaN and ``-inf`` are not checked for here
+    (:func:`associate` rejects them).
+    """
+    transpose = len(cost) > len(cost[0])
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+    n_rows, n_cols = len(cost), len(cost[0])
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    col4row, row4col = [-1] * n_rows, [-1] * n_cols
+    path = [-1] * n_cols
+    for start in range(n_rows):
+        dist = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        i, min_val, sink = start, 0.0, -1
+        while sink < 0:
+            seen_rows.append(i)
+            row, u_i = cost[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                reduced = min_val + row[j] - u_i - v[j]
+                if reduced < dist[j]:
+                    path[j], dist[j] = i, reduced
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] < 0):
+                    lowest, index = dist[j], it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            seen_cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[start] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - dist[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    if transpose:
+        return sorted((j, i) for i, j in enumerate(col4row))
+    return list(enumerate(col4row))
 
 
-def _tied_assignments(cost: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+def _tied_assignments(cost: list[list[float]]) -> list[tuple[tuple[int, int], ...]]:
     """Every assignment whose total is within the tie window of the least.
 
     Murty's partition (Murty, Operations Research 1968): the best assignment
     of a subproblem splits the rest of it into one subproblem per pair,
-    keeping the pairs before that one and forbidding it.  A subproblem whose
-    best total misses the window holds no tied assignment and is dropped:
+    keeping the pairs before that one and forbidding it (an ``inf`` entry).
+    Each subproblem is solved by the shortest-augmenting-path solver
+    :func:`linear_sum_assignment`.  A subproblem holds no tied assignment,
+    and is dropped, when every assignment left uses a forbidden pair (the
+    solver raises) or its best total misses the window.  It is dropped
     unsolved, and never copied, when a lower bound on its total
     (:func:`_assignment_bound`) already misses the window by more than the
-    roundoff of either sum, so an untied cost takes one solver call.
+    roundoff of either sum, so an untied cost takes one solver call.  The
+    cost is a finite list of rows, copied per subproblem.
     """
-    scale = max(1.0, float(np.max(cost)))
+    scale = max(1.0, max(map(max, cost)))
     window = TIE_RTOL * scale
     # A bound and a solver total each add up n terms of at most ``scale``,
     # so each is off its exact value by less than n * n * eps * scale.
-    n = min(cost.shape)
+    n = min(len(cost), len(cost[0]))
     roundoff = 2.0 * n * n * np.finfo(float).eps * scale
     limit = math.inf
     tied = []
@@ -130,40 +217,38 @@ def _tied_assignments(cost: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
     while pending:
         sub = pending.pop()
         try:
-            rows, cols = linear_sum_assignment(sub)
+            pairs = linear_sum_assignment(sub)
         except ValueError:
-            if not tied:  # the cost itself is invalid, e.g. NaN
-                raise
             continue  # every assignment left uses a forbidden pair
-        total = sub[rows, cols].sum()
+        total = sum(sub[i][j] for i, j in pairs)
         if not tied:
             limit = total + window
         elif total > limit:
             continue
-        tied.append(tuple(sorted(zip(map(int, rows), map(int, cols)))))
-        sub = sub.copy()
-        for i, j in zip(rows, cols):
-            keep = sub[i, j]
-            sub[i, j] = math.inf
+        tied.append(tuple(pairs))
+        sub = [row[:] for row in sub]
+        for i, j in pairs:
+            keep = sub[i][j]
+            sub[i][j] = math.inf
             if _assignment_bound(sub) <= limit + roundoff:
-                pending.append(sub.copy())
-            sub[i, :] = sub[:, j] = math.inf
-            sub[i, j] = keep
+                pending.append([row[:] for row in sub])
+            sub[i] = [math.inf] * len(sub[i])
+            for row in sub:
+                row[j] = math.inf
+            sub[i][j] = keep
     return tied
 
 
-def _assignment_bound(cost: np.ndarray) -> float:
+def _assignment_bound(cost: list[list[float]]) -> float:
     """A lower bound on the least assignment total: the sum of the row
     minima when every row is assigned, of the column minima when every
-    column is (the larger of the two for a square cost).  Plain Python:
-    on costs this small it is a few times faster than numpy reductions."""
-    n_rows, n_cols = cost.shape
-    rows = cost.tolist()
+    column is (the larger of the two for a square cost)."""
+    n_rows, n_cols = len(cost), len(cost[0])
     bound = -math.inf
     if n_rows <= n_cols:
-        bound = sum(map(min, rows))
+        bound = sum(map(min, cost))
     if n_cols <= n_rows:
-        bound = max(bound, sum(map(min, zip(*rows))))
+        bound = max(bound, sum(map(min, zip(*cost))))
     return bound
 
 

@@ -1,5 +1,5 @@
 """Every exported name and every layer the benchmark traces resolves in canf,
-and importing canf loads no scipy module.
+and neither importing canf nor running it loads a scipy module.
 
 ``perfbench/spans.py`` names each traced function as ``(module, qualname)``.
 A name that no longer resolves is not an error there: its per-layer metric
@@ -52,10 +52,12 @@ def test_every_exported_name_resolves(module_name):
     assert missing == []
 
 
-NO_SCIPY_ON_IMPORT = """
+NO_SCIPY_AT_RUNTIME = """
 import json, sys
 
 import canf, canf.cli
+from canf.bench import MonteCarloConfig, run_monte_carlo
+from canf.scenario import default_benchmark_scenario
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))[:5]
@@ -66,19 +68,21 @@ scenario = {"M": 2, "N": 3, "freq_ghz": 30, "T": 50, "snr_db": 20, "seed": 1,
 with open("scenario.json", "w") as f:
     json.dump(scenario, f)
 assert canf.cli.main(["spectrum", "--scenario", "scenario.json", "--out-dir", "out"]) == 0
-assert scipy_loaded() == [], scipy_loaded()
+report = run_monte_carlo(MonteCarloConfig(default_benchmark_scenario(), (10.0,), q_trials=1))
+assert [row.method for row in report.rows] == list(canf.bench.METHODS), report.rows
+assert report.n_failed == 0, [rec.error for rec in report.records]
 match = canf.associate((10.0, -20.0, 30.0), None, (-19.0, 29.5, 10.5), (1.0, 2.0, 3.0), 1.0)
 assert match.pairs == ((0, 2), (1, 0), (2, 1)), match.pairs
-assert "scipy.optimize" in sys.modules
+assert scipy_loaded() == [], scipy_loaded()
 """
 
 
-def test_import_and_spectrum_load_no_scipy_until_the_first_assignment(tmp_path):
+def test_spectrum_monte_carlo_and_associate_load_no_scipy(tmp_path):
     # A fresh interpreter, so that no other test has imported scipy yet.
     src = str(Path(canf.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_ON_IMPORT],
+        [sys.executable, "-c", NO_SCIPY_AT_RUNTIME],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

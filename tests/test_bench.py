@@ -1,10 +1,14 @@
 """The Monte Carlo harness: failed trials are counted and keep their error,
-and tied assignments are decided the same way whatever the roundoff."""
+bad association inputs are rejected by name, the assignment solver agrees
+with scipy's on hand-written cases, and tied assignments are decided the same
+way whatever the roundoff."""
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from canf import bench
 from canf.bench import METHODS, MonteCarloConfig, associate, run_monte_carlo
@@ -121,6 +125,68 @@ def test_associate_rejects_a_nan_estimate(est_range):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        # A short range array used to broadcast against its angles.
+        (((10.0, 20.0, 30.0), (5.0,), (10.0, 20.0, 30.0), (5.0, 6.0, 7.0), 1.0), "est_range_m"),
+        (((10.0, 20.0, 30.0), (5.0, 6.0, 7.0), (10.0, 20.0, 30.0), (5.0,), 1.0), "true_range_m"),
+        # A negative scale would make the least cost maximize the range error.
+        (((10.0,), (5.0,), (10.0,), (5.0,), -1.0), "range_scale"),
+        # A zero scale used to divide by zero with a RuntimeWarning.
+        (((10.0,), (5.0,), (10.0,), (5.0,), 0.0), "range_scale"),
+        (((10.0,), (5.0,), (10.0,), (5.0,), np.inf), "range_scale"),
+        # A range estimate needs a range truth to be scored against.
+        (((10.0,), (5.0,), (10.0,), None, 1.0), "true_range_m"),
+        # NaN and -inf are rejected where they enter, not by the solver.
+        (((-np.inf, 10.0), None, (-35.0, 10.0), None, 20.0), "est_theta_deg"),
+        (((-35.0, 10.0), None, (np.nan, 10.0), None, 20.0), "true_theta_deg"),
+        (((-35.0, 10.0), (25.0, -np.inf), (-35.0, 10.0), (25.0, 30.0), 20.0), "est_range_m"),
+        (((-35.0, 10.0), (25.0, 30.0), (-35.0, 10.0), (np.nan, 30.0), 20.0), "true_range_m"),
+    ],
+    ids=[
+        "short-est-range", "short-true-range", "negative-scale", "zero-scale", "inf-scale",
+        "est-range-without-truth", "-inf-est-theta", "nan-true-theta", "-inf-est-range",
+        "nan-true-range",
+    ],
+)
+def test_associate_rejects_bad_inputs_by_name(args, message):
+    with pytest.raises(ValueError, match=message):
+        associate(*args)
+
+
+@pytest.mark.parametrize(
+    "cost, expected",
+    [
+        ([[3.0, 1.0, 2.0]], [(0, 1)]),  # a single row
+        ([[3.0], [1.0], [2.0]], [(1, 0)]),  # a single column
+        ([[4.0, 9.0], [9.0, 1.0], [2.0, 5.0]], [(1, 1), (2, 0)]),  # more rows than columns
+        ([[1.0, 2.0], [1.0, 5.0]], [(0, 1), (1, 0)]),  # the second row reroutes the first
+        ([[math.inf, 1.0], [2.0, math.inf]], [(0, 1), (1, 0)]),  # forbidden pairs avoided
+    ],
+)
+def test_solver_hand_cases(cost, expected):
+    assert bench.linear_sum_assignment(cost) == expected
+    rows, cols = scipy_assignment(np.array(cost))
+    assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        [[math.inf, math.inf], [1.0, 2.0]],  # a row with no allowed pair
+        [[1.0, math.inf], [2.0, math.inf]],  # a column with no allowed pair
+        [[1.0, math.inf, math.inf], [2.0, math.inf, math.inf]],  # two rows, one usable column
+        [[1.0, 2.0], [math.inf, math.inf], [math.inf, math.inf]],  # two columns, one usable row
+    ],
+)
+def test_solver_rejects_an_infeasible_cost(cost):
+    with pytest.raises(ValueError, match="infeasible"):
+        bench.linear_sum_assignment(cost)
+    with pytest.raises(ValueError, match="infeasible"):
+        scipy_assignment(np.array(cost))
+
+
+@pytest.mark.parametrize(
     "est_theta, est_range, true_range, expected",
     [
         # L1 20 either way and squared error 104 either way: the
@@ -155,7 +221,7 @@ def test_untied_assignment_takes_one_solver_call(monkeypatch):
     solve = bench.linear_sum_assignment
 
     def counting(cost):
-        calls.append(cost.shape)
+        calls.append((len(cost), len(cost[0])))
         return solve(cost)
 
     monkeypatch.setattr(bench, "linear_sum_assignment", counting)

@@ -3,8 +3,9 @@ oracle, the subspace scan, the real angle scan and the folded range scan
 against a noise-basis oracle on the complex manifolds, the real form of a
 centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
 the Toeplitz split of the coarray against the split of its smoothed matrix,
-estimate-to-truth association, and the row-wise peak finder against one
-peak search per spectrum, on drawn rows and on the pipeline's own spectra."""
+estimate-to-truth association, the assignment solver against scipy's, and the
+row-wise peak finder against one peak search per spectrum, on drawn rows and
+on the pipeline's own spectra."""
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from canf import (
     spatial_smooth,
     vectorize_to_coarray,
 )
+from canf import bench
 from canf.baselines import localize_subarray
 from canf.channel import steering_matrix
 from canf.music import (
@@ -376,6 +378,40 @@ def test_associate_ties_do_not_depend_on_roundoff(n_est, n_true, with_range, see
         jitter = 1.0 + 1e-12 * rng.choice([-1.0, 1.0], n_est)
         ranges = est_r * jitter if with_range else None
         assert associate(est_theta * jitter, ranges, true_theta, true_r, 20.0) == base
+
+
+@settings(PROPERTY, max_examples=400)
+@given(
+    n_rows=st.integers(1, 8),
+    n_cols=st.integers(1, 9),
+    transposed=st.booleans(),
+    levels=st.sampled_from([2, 3, 5, 0]),
+    inf_frac=st.sampled_from([0.0, 0.15, 0.3, 0.6]),
+    seed=seeds,
+)
+def test_solver_matches_scipy(n_rows, n_cols, transposed, levels, inf_frac, seed):
+    # Integer palettes make tied assignments common, ``levels = 0`` draws
+    # continuous costs, and ``inf`` entries are forbidden pairs.
+    if transposed:
+        n_rows, n_cols = n_cols, n_rows
+    rng = np.random.default_rng(seed)
+    if levels:
+        cost = rng.integers(0, levels, (n_rows, n_cols)) * 0.5
+    else:
+        cost = rng.uniform(0.0, 10.0, (n_rows, n_cols))
+    cost[rng.random((n_rows, n_cols)) < inf_frac] = np.inf
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError:
+        with pytest.raises(ValueError, match="infeasible"):
+            bench.linear_sum_assignment(cost.tolist())
+        return
+    pairs = bench.linear_sum_assignment(cost.tolist())
+    assert len(pairs) == min(n_rows, n_cols)
+    assert [i for i, _ in pairs] == sorted({i for i, _ in pairs})
+    assert len({j for _, j in pairs}) == len(pairs)
+    total = sum(cost[i, j] for i, j in pairs)
+    assert math.isclose(total, cost[rows, cols].sum(), rel_tol=1e-12)
 
 
 @st.composite
