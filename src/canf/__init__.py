@@ -23,6 +23,7 @@ from .channel import (
     steering_exact,
     steering_fresnel,
     synthesize,
+    synthesize_sweep,
 )
 from .covariance import (
     CovarianceBundle,
@@ -101,5 +102,6 @@ __all__ = [
     "steering_exact",
     "steering_fresnel",
     "synthesize",
+    "synthesize_sweep",
     "vectorize_to_coarray",
 ]

@@ -7,8 +7,11 @@ rectangular shortest-augmenting-path solver (Jonker & Volgenant 1987; Crouse
 
 Trial ``q`` always uses seed ``base_seed + q``, so every (method, SNR)
 cell sees the same draws and the whole report is a pure function of the
-configuration.  Per-trial failures are logged and counted, never abort a
-sweep.
+configuration.  A sweep draws each trial once per layout, for all its SNRs
+at once (:func:`canf.channel.synthesize_sweep`), and that draw serves every
+method on the layout; each cell's record is still the one :func:`run_trial`
+gives for it alone.  Per-trial failures are logged and counted, never abort
+a sweep.
 
 The report's schema is read from the dataclasses: the CSV columns are the
 :class:`RmseRow` fields in order, and the ``--raw`` JSONL keys are the
@@ -17,9 +20,11 @@ estimate and error fields.  A new column or key is one new field.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
+import traceback
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
@@ -27,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from .baselines import localize_dense, localize_farfield_virtual, localize_subarray
-from .channel import synthesize
+from .channel import SnapshotSet, noise_power, synthesize, synthesize_sweep
 from .music import localize
 from .scenario import Scenario
 
@@ -46,6 +51,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 METHODS = ("proposed", "dense", "farfield", "subarray")
+SWEEP_BUDGET = 1 << 21  # most complex entries (each set's y and x) one Monte Carlo draw holds
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,8 @@ def associate(
     Raises ValueError, naming the argument, for a non-finite value, range
     arrays whose lengths differ from their angle arrays, ``est_range_m``
     without ``true_range_m``, or a ``range_scale`` that is not positive and
-    finite.
+    finite; and for finite inputs whose cost overflows a float, since an
+    ``inf`` cost would tie every assignment.
     """
     if not (math.isfinite(range_scale) and range_scale > 0):
         raise ValueError(f"range_scale must be positive and finite, got {range_scale}")
@@ -95,10 +102,14 @@ def associate(
         true_r = _finite_vector("true_range_m", true_range_m, n_t)
     if n_e == 0 or n_t == 0:
         return Matching((), tuple(range(n_e)), tuple(range(n_t)))
-    terms = [np.abs(est_theta[:, None] - true_theta[None, :])]
-    if est_range_m is not None:
-        terms.append(np.abs(est_r[:, None] - true_r[None, :]) / range_scale)
-    tied = _tied_assignments(sum(terms).tolist())
+    with np.errstate(over="ignore"):
+        terms = [np.abs(est_theta[:, None] - true_theta[None, :])]
+        if est_range_m is not None:
+            terms.append(np.abs(est_r[:, None] - true_r[None, :]) / range_scale)
+        cost = sum(terms)
+    if not np.isfinite(cost).all():
+        raise ValueError("assignment cost overflows a float: estimates and truths too far apart")
+    tied = _tied_assignments(cost.tolist())
     if len(tied) > 1:
         squared = sum(t**2 for t in terms).tolist()
         totals = [sum(squared[i][j] for i, j in pairs) for pairs in tied]
@@ -291,6 +302,8 @@ class MonteCarloConfig:
             raise ValueError("snr_db_list must hold at least one SNR")
         if not all(math.isfinite(s) for s in self.snr_db_list):
             raise ValueError(f"snr_db_list must hold finite SNRs, got {self.snr_db_list}")
+        for snr_db in self.snr_db_list:
+            noise_power(snr_db)  # an SNR whose noise power overflows is rejected here
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -348,6 +361,21 @@ def _ordered_estimates(result, k: int):
     )
 
 
+def _localizers() -> dict:
+    # Looked up at call time, so a patched module global is the one that runs.
+    return {
+        "proposed": localize,
+        "dense": localize_dense,
+        "farfield": localize_farfield_virtual,
+        "subarray": localize_subarray,
+    }
+
+
+def _layout_for(method: str, scenario: Scenario):
+    """The layout a method's snapshots are drawn on."""
+    return scenario.dense_layout() if method == "dense" else scenario.layout()
+
+
 def run_trial(
     method: str,
     scenario: Scenario,
@@ -356,28 +384,31 @@ def run_trial(
     config: MonteCarloConfig,
 ) -> TrialRecord:
     """Synthesize, localize (K read from the waveforms) and score a single trial."""
-    # Looked up at call time, so a patched module global is the one that runs.
-    localizers = {
-        "proposed": localize,
-        "dense": localize_dense,
-        "farfield": localize_farfield_virtual,
-        "subarray": localize_subarray,
-    }
-    if method not in localizers:
+    if method not in _localizers():
         raise ValueError(f"unknown method {method!r}")
-    seed = config.base_seed + trial
+    snaps = synthesize(
+        _layout_for(method, scenario), scenario.targets, scenario.n_snapshots, snr_db,
+        config.base_seed + trial, scenario.model,
+    )
+    return _score_trial(method, scenario, snr_db, trial, snaps, config)
+
+
+def _score_trial(
+    method: str,
+    scenario: Scenario,
+    snr_db: float,
+    trial: int,
+    snaps: SnapshotSet,
+    config: MonteCarloConfig,
+) -> TrialRecord:
+    """Localize one trial's snapshots with ``method`` and score the estimates."""
     truth_theta = np.array([t.theta_deg for t in scenario.targets])
     truth_range = np.array([t.r for t in scenario.targets])
     k = truth_theta.size
-    reference = scenario.layout()
-    range_scale = reference.rayleigh_distance
+    range_scale = scenario.layout().rayleigh_distance
     range_gate = config.range_gate_frac * range_scale
 
-    layout = scenario.dense_layout() if method == "dense" else reference
-    snaps = synthesize(
-        layout, scenario.targets, scenario.n_snapshots, snr_db, seed, scenario.model
-    )
-    result = localizers[method](snaps)
+    result = _localizers()[method](snaps)
     n_candidates = len(result.candidates)
     if method == "farfield":
         theta_est = result.angles_deg
@@ -422,7 +453,7 @@ def run_trial(
         method=method,
         snr_db=snr_db,
         trial=trial,
-        seed=seed,
+        seed=snaps.seed,
         theta_est=tuple(float(v) for v in theta_est),
         range_est=None if range_est is None else tuple(float(v) for v in range_est),
         labels=labels,
@@ -490,21 +521,58 @@ def _write_lines(path: str | Path, header: str, lines) -> None:
 def run_monte_carlo(config: MonteCarloConfig) -> RmseReport:
     """Run the full (method, SNR, trial) sweep and aggregate RMSEs.
 
-    Aggregation is keyed, so results do not depend on execution order;
-    failed trials contribute nothing to the averages.
+    Trial by trial, each layout draws once for all the SNRs
+    (:func:`canf.channel.synthesize_sweep`), the coprime layout for every
+    method but ``dense`` and the dense layout for ``dense``, and every
+    method of that layout is scored on each set.  A draw holds at most
+    :data:`SWEEP_BUDGET` complex entries: a longer SNR list is drawn in
+    chunks, each from the trial's seed, which gives the same bits.  Records,
+    rows and the log lines of failed trials come out in method, SNR, trial
+    order.  Aggregation is keyed, so results do not depend on execution
+    order; failed trials contribute nothing to the averages.
     """
+    scenario, snrs = config.scenario, config.snr_db_list
+    by_layout: dict = {}
+    for method in config.methods:
+        by_layout.setdefault(_layout_for(method, scenario), []).append(method)
+    # cells[method, i]: per trial at SNR i, its record or the exception it raised.
+    cells = {(method, i): [] for method in config.methods for i in range(len(snrs))}
+    for trial, (layout, methods) in itertools.product(range(config.q_trials), by_layout.items()):
+        per_set = (layout.size + len(scenario.targets)) * scenario.n_snapshots
+        step = max(SWEEP_BUDGET // per_set, 1)
+        for chunk in (range(i, min(i + step, len(snrs))) for i in range(0, len(snrs), step)):
+            try:
+                sets = synthesize_sweep(
+                    layout, scenario.targets, scenario.n_snapshots, [snrs[i] for i in chunk],
+                    config.base_seed + trial, scenario.model,
+                )
+            except Exception as exc:  # fails every cell of the chunk
+                traceback.clear_frames(exc.__traceback__)
+                sets = [exc] * len(chunk)
+            for i, snaps in zip(chunk, sets):
+                for method in methods:
+                    outcome = snaps
+                    if not isinstance(snaps, Exception):
+                        try:
+                            outcome = _score_trial(method, scenario, snrs[i], trial, snaps, config)
+                        except Exception as exc:
+                            # A held exception keeps its traceback, not the frames' arrays.
+                            traceback.clear_frames(exc.__traceback__)
+                            outcome = exc
+                    cells[method, i].append(outcome)
+            sets = snaps = None  # frees this draw before the next one is made
+
     report = RmseReport()
     for method in config.methods:
-        for snr_db in config.snr_db_list:
+        for i, snr_db in enumerate(snrs):
             done: list[TrialRecord] = []
-            for trial in range(config.q_trials):
-                try:
-                    rec = run_trial(method, config.scenario, snr_db, trial, config)
-                except Exception as exc:
-                    logger.exception(
-                        "trial failed: method=%s snr=%s trial=%d", method, snr_db, trial
+            for trial, rec in enumerate(cells[method, i]):
+                if isinstance(rec, Exception):
+                    logger.error(
+                        "trial failed: method=%s snr=%s trial=%d", method, snr_db, trial,
+                        exc_info=rec,
                     )
-                    rec = TrialRecord.failure(method, snr_db, trial, config.base_seed + trial, exc)
+                    rec = TrialRecord.failure(method, snr_db, trial, config.base_seed + trial, rec)
                 else:
                     done.append(rec)
                 report.records.append(rec)

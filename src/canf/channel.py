@@ -13,6 +13,7 @@ two models agree in the far-field limit.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,9 @@ __all__ = [
     "fresnel_phase_terms",
     "steering_exact",
     "steering_fresnel",
+    "noise_power",
     "synthesize",
+    "synthesize_sweep",
 ]
 
 
@@ -158,6 +161,25 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # one ulp below math.sqrt(0.5); see synthesiz
 DRAW_BLOCK = 1 << 14  # most normals synthesize draws per call into its buffer
 
 
+def noise_power(snr_db: float | None) -> float:
+    """The noise variance ``sigma2 = 10**(-snr_db/10)`` of a per-source
+    transmit SNR; 0 for ``snr_db=None`` or +inf (no noise).
+
+    Raises ValueError for NaN, -inf and an SNR so low that ``sigma2``
+    overflows a float.
+    """
+    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
+    if snr_db is None or snr_db == math.inf:
+        return 0.0
+    try:
+        return 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"snr_db={snr_db!r} is too low: its noise power overflows a float"
+        ) from None
+
+
 def synthesize(
     layout: SensorLayout,
     targets: TargetSet,
@@ -170,8 +192,9 @@ def synthesize(
 
     Sources are i.i.d. circularly-symmetric complex Gaussian with unit
     variance; noise is CSCG with ``sigma2 = 10**(-snr_db/10)`` (per-source
-    transmit SNR).  ``snr_db=None`` (or +inf) disables noise; NaN, -inf and
-    an SNR so low that ``sigma2`` overflows are rejected.
+    transmit SNR, :func:`noise_power`).  ``snr_db=None`` (or +inf) disables
+    noise; NaN, -inf and an SNR so low that ``sigma2`` overflows are
+    rejected.
 
     The draw is fully determined by ``seed``, in a fixed order that keeps
     every output bitwise stable: the rows of one ``(2K + 2U, T)`` array of
@@ -183,43 +206,73 @@ def synthesize(
     imaginary part.  The rows are drawn in order into one reused buffer of
     at most :data:`DRAW_BLOCK` normals (one row when ``T`` is larger), which
     draws the same bits as one bulk call, so only ``x`` and ``y`` are
-    allocated at full size.
+    allocated at full size.  This is the one-SNR case of
+    :func:`synthesize_sweep`.
+    """
+    (snaps,) = synthesize_sweep(layout, targets, n_snapshots, (snr_db,), seed, model)
+    return snaps
+
+
+def synthesize_sweep(
+    layout: SensorLayout,
+    targets: TargetSet,
+    n_snapshots: int,
+    snr_db_list: Sequence[float | None],
+    seed: int,
+    model: str = "exact",
+) -> tuple[SnapshotSet, ...]:
+    """One draw of :func:`synthesize` at every SNR of ``snr_db_list``.
+
+    Entry ``i`` is bitwise ``synthesize(..., snr_db_list[i], ...)``: the
+    same ``x`` and ``B @ x`` serve every SNR, and each noise row block is
+    drawn once and added, scaled by each noisy SNR's ``sqrt(sigma2 / 2)``
+    in turn, with the same two roundings as a single-SNR call.  Every SNR
+    is checked before anything is drawn.  Each set owns its ``y`` and
+    ``x``, so the call holds ``len(snr_db_list)`` of each; the caller bounds
+    the list when ``T`` is large.
     """
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
-    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
-        raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
-    if snr_db is None or snr_db == math.inf:
-        sigma2, snr_db = 0.0, None
-    else:
-        try:
-            sigma2 = 10.0 ** (-float(snr_db) / 10.0)
-        except OverflowError:
-            raise ValueError(
-                f"snr_db={snr_db!r} is too low: its noise power overflows a float"
-            ) from None
+    sigma2s = [noise_power(snr) for snr in snr_db_list]
+    if not sigma2s:
+        raise ValueError("snr_db_list must hold at least one SNR")
+    has_noise = [snr is not None and snr != math.inf for snr in snr_db_list]
+    noisy = [i for i, flag in enumerate(has_noise) if flag]
     k, u = len(targets), layout.size
     b = steering_matrix(layout, targets, model)
     rng = np.random.default_rng(seed)
     per_draw = max(DRAW_BLOCK // n_snapshots, 1)
     buffer = np.empty((min(per_draw, max(k, u)), n_snapshots))
 
-    def normals(part: np.ndarray):
-        # The next part.shape[0] rows of the stream, as (rows of part, normals).
-        for start in range(0, part.shape[0], per_draw):
-            block = buffer[: min(per_draw, part.shape[0] - start)]
+    def normals(n_rows: int):
+        # The next n_rows rows of the stream, as (first row, normals).
+        for start in range(0, n_rows, per_draw):
+            block = buffer[: min(per_draw, n_rows - start)]
             rng.standard_normal(out=block)
-            yield part[start : start + block.shape[0]], block
+            yield start, block
 
     x = np.empty((k, n_snapshots), dtype=complex)
     for part in (x.real, x.imag):
-        for rows, block in normals(part):
-            np.multiply(block, _INV_SQRT2, out=rows)
-    y = b @ x
-    if snr_db is not None:
-        scale = math.sqrt(sigma2 / 2.0)
-        for part in (y.real, y.imag):
-            for rows, block in normals(part):
-                block *= scale
-                rows += block
-    return SnapshotSet(layout, y, x, sigma2, snr_db, seed, model)
+        for start, block in normals(k):
+            np.multiply(block, _INV_SQRT2, out=part[start : start + block.shape[0]])
+    clean = b @ x
+    # The last set takes clean and x themselves, every other set a copy.
+    ys = [clean.copy() for _ in sigma2s[1:]] + [clean]
+    xs = [x.copy() for _ in sigma2s[1:]] + [x]
+    if noisy:
+        scales = [math.sqrt(sigma2s[i] / 2.0) for i in noisy]
+        # Each noisy set but the last adds a scaled copy of the block; the
+        # last scales the block in place, as the one-SNR case does.
+        scaled = np.empty_like(buffer) if len(noisy) > 1 else None
+        for part in ("real", "imag"):
+            parts = [getattr(ys[i], part) for i in noisy]
+            for start, block in normals(u):
+                stop = start + block.shape[0]
+                for rows, scale in zip(parts[:-1], scales[:-1]):
+                    rows[start:stop] += np.multiply(block, scale, out=scaled[: stop - start])
+                block *= scales[-1]
+                parts[-1][start:stop] += block
+    return tuple(
+        SnapshotSet(layout, y, x, sigma2, snr if flag else None, seed, model)
+        for y, x, sigma2, snr, flag in zip(ys, xs, sigma2s, snr_db_list, has_noise)
+    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation, Overflow
@@ -218,7 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("montecarlo", help="RMSE sweep over SNR")
     p_mc.add_argument("--scenario", required=True)
-    p_mc.add_argument("--snr", required=True, help="start:step:stop or comma list")
+    p_mc.add_argument(
+        "--snr",
+        required=True,
+        help="start:step:stop or comma list, in dB; negative values may follow"
+        " --snr as one argument, as in --snr -10:10:30 or --snr -10,0,10",
+    )
     p_mc.add_argument("--q", type=int, default=100)
     p_mc.add_argument("--methods", default=",".join(METHODS))
     p_mc.add_argument("--out", required=True)
@@ -229,8 +235,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_snr(argv: list[str]) -> list[str]:
+    """``--snr <value>`` as ``--snr=<value>`` when the value starts with a
+    minus sign and a digit or a dot: argparse reads such a value as an
+    option unless it is a plain number, so ``--snr -10:10:30`` would fail."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--snr" and re.match(r"-[\d.]", token):
+            joined[-1] = f"--snr={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_negative_snr(argv))
     return args.func(args)
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here except :func:`gram_one_matmul`, :func:`synthesize_bulk` and
-the peak finder (:func:`detect_peaks`, :func:`classify_range_spectrum`) is
-written as plain loops over the defining formulas, on purpose: these must
-stay independent of the vectorized library code they check.  The peak
+Everything here except :func:`gram_one_matmul`, :func:`synthesize_bulk`,
+:func:`refine_parabolic_rows` and the peak finder (:func:`detect_peaks`,
+:func:`classify_range_spectrum`) is written as plain loops over the defining
+formulas, on purpose: these must stay independent of the vectorized library
+code they check.  The peak
 finder is an independent oracle built on ``scipy.signal.find_peaks``, which
 the package does not use: one call and one scalar parabolic fit per
 spectrum, which the package's own row-wise finder must reproduce bit for
@@ -270,6 +271,24 @@ def synthesize_bulk(b, n_snapshots, sigma2, seed):
         y.real += noise[:u]
         y.imag += noise[u:]
     return x, y
+
+
+def refine_parabolic_rows(db, row, col, axis):
+    """The array form of the package's parabolic refinement: the vertex
+    around every peak ``db[row, col]`` at once, in axis units, a grid
+    endpoint or a fit that opens upward keeping the grid point.  The
+    package's Python-float loop must give these locations bit for bit."""
+    loc = axis[col].astype(float)
+    inner = np.flatnonzero((col > 0) & (col < axis.size - 1))
+    r, i = row[inner], col[inner]
+    y0, y1, y2 = db[r, i - 1], db[r, i], db[r, i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    fit = (denom < 0.0) & np.isfinite(denom)
+    inner, i = inner[fit], i[fit]
+    delta = np.clip(0.5 * (y0[fit] - y2[fit]) / denom[fit], -1.0, 1.0)
+    step = np.where(delta >= 0, axis[i + 1] - axis[i], axis[i] - axis[i - 1])
+    loc[inner] = axis[i] + delta * step
+    return loc
 
 
 def _refine_parabolic(y_db: np.ndarray, idx: int, axis: np.ndarray) -> float:

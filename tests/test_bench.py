@@ -1,7 +1,8 @@
-"""The Monte Carlo harness: failed trials are counted and keep their error,
-bad association inputs are rejected by name, the assignment solver agrees
-with scipy's on hand-written cases, and tied assignments are decided the same
-way whatever the roundoff."""
+"""The Monte Carlo harness: the shared draw of each trial gives every cell
+the record it gets on its own, failed trials are counted and keep their
+error, bad association inputs are rejected by name, the assignment solver
+agrees with scipy's on hand-written cases, and tied assignments are decided
+the same way whatever the roundoff."""
 import json
 import logging
 import math
@@ -25,6 +26,7 @@ from canf.scenario import default_benchmark_scenario
         ({"snr_db_list": (float("inf"),)}, "finite"),
         ({"snr_db_list": (float("-inf"),)}, "finite"),
         ({"base_seed": -1}, "base_seed"),
+        ({"snr_db_list": (10.0, -4000.0)}, "snr_db=-4000.0 is too low: its noise power overflows"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):
@@ -231,3 +233,92 @@ def test_untied_assignment_takes_one_solver_call(monkeypatch):
     )
     assert match.pairs == ((0, 2), (1, 0), (2, 3), (3, 1))
     assert calls == [(4, 4)]
+
+
+def test_associate_rejects_a_cost_that_overflows(recwarn):
+    # Finite inputs whose difference overflows: an inf cost would tie every
+    # assignment and the pairs would be picked lexicographically.
+    with pytest.raises(ValueError, match="overflows"):
+        associate((1e308, 0.0, 5.0), None, (-1e308, 1.0, 4.0), None, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        associate((0.0, 1.0), (1e308, 2.0), (0.0, 1.0), (-1e308, 2.0), 1.0)
+    assert [str(w.message) for w in recwarn] == []
+
+
+def _sweep_config(**kwargs):
+    fields = {"scenario": default_benchmark_scenario(), "snr_db_list": (0.0, 20.0), "q_trials": 2}
+    return MonteCarloConfig(**{**fields, **kwargs})
+
+
+def test_sweep_records_are_the_per_cell_trials():
+    # One draw per trial and layout serves every SNR and method; each record
+    # is still the trial run_trial gives for its cell on its own.
+    config = _sweep_config()
+    report = run_monte_carlo(config)
+    cells = [(m, s, q) for m in METHODS for s in config.snr_db_list for q in range(2)]
+    assert [(r.method, r.snr_db, r.trial) for r in report.records] == cells
+    expected = [bench.run_trial(m, config.scenario, s, q, config).to_json() for m, s, q in cells]
+    assert [r.to_json() for r in report.records] == expected
+    assert report.n_failed == 0
+
+
+def test_a_failure_at_one_snr_fails_only_its_cells(monkeypatch, caplog):
+    localize = bench.localize
+
+    def fails_at_20_db(snapshots, config=None):
+        if snapshots.snr_db == 20.0:
+            raise RuntimeError(f"no luck at seed {snapshots.seed}")
+        return localize(snapshots, config)
+
+    monkeypatch.setattr(bench, "localize", fails_at_20_db)
+    config = _sweep_config(snr_db_list=(0.0, 20.0, 30.0), methods=("farfield", "proposed"))
+    with caplog.at_level(logging.ERROR, logger="canf.bench"):
+        report = run_monte_carlo(config)
+
+    failed = [(r.method, r.snr_db, r.trial, r.error) for r in report.records if r.failed]
+    assert failed == [
+        ("proposed", 20.0, 0, "RuntimeError: no luck at seed 0"),
+        ("proposed", 20.0, 1, "RuntimeError: no luck at seed 1"),
+    ]
+    # One log line per failure, in record order, each with its exception.
+    logged = [(rec.getMessage(), str(rec.exc_info[1])) for rec in caplog.records]
+    assert logged == [
+        ("trial failed: method=proposed snr=20.0 trial=0", "no luck at seed 0"),
+        ("trial failed: method=proposed snr=20.0 trial=1", "no luck at seed 1"),
+    ]
+    assert report.row("proposed", 20.0).theta_rmse_deg is None
+    assert report.row("proposed", 30.0).theta_rmse_deg is not None
+
+
+def test_a_synthesis_failure_fails_every_cell_it_feeds(monkeypatch, caplog):
+    def broken(*args, **kwargs):
+        raise ValueError("the draw broke")
+
+    monkeypatch.setattr(bench, "synthesize_sweep", broken)
+    config = _sweep_config(q_trials=1, methods=("dense", "subarray"))
+    with caplog.at_level(logging.ERROR, logger="canf.bench"):
+        report = run_monte_carlo(config)
+    assert [(r.method, r.snr_db, r.error) for r in report.records] == [
+        (m, s, "ValueError: the draw broke") for m in ("dense", "subarray") for s in (0.0, 20.0)
+    ]
+    assert len(caplog.records) == 4
+
+
+def test_a_small_budget_splits_the_snr_list_and_keeps_the_records(monkeypatch):
+    config = _sweep_config(snr_db_list=(0.0, 10.0, 20.0, 30.0, 40.0), q_trials=1)
+    expected = [r.to_json() for r in run_monte_carlo(config).records]
+    draws = []
+    sweep = bench.synthesize_sweep
+
+    def counting(layout, targets, n_snapshots, snr_db_list, seed, model):
+        draws.append((layout.kind, tuple(snr_db_list)))
+        return sweep(layout, targets, n_snapshots, snr_db_list, seed, model)
+
+    monkeypatch.setattr(bench, "synthesize_sweep", counting)
+    scenario = config.scenario
+    per_set = (scenario.layout().size + len(scenario.targets)) * scenario.n_snapshots
+    # Room for two sets per draw on either layout (both have the same sensor count).
+    monkeypatch.setattr(bench, "SWEEP_BUDGET", 2 * per_set + 1)
+    assert [r.to_json() for r in run_monte_carlo(config).records] == expected
+    chunks = [(0.0, 10.0), (20.0, 30.0), (40.0,)]
+    assert draws == [("coprime", c) for c in chunks] + [("dense", c) for c in chunks]

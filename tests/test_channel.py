@@ -15,6 +15,7 @@ from canf import (
     steering_exact,
     steering_fresnel,
     synthesize,
+    synthesize_sweep,
 )
 from canf.channel import DRAW_BLOCK, fresnel_phase_terms, steering_matrix
 from canf.scenario import default_benchmark_scenario
@@ -132,6 +133,54 @@ class TestSelfSpectrumSteering:
         )
         far = np.abs(np.rad2deg(scan - theta0)) > 1.0
         assert np.max(corr[far]) < 0.999
+
+
+
+class TestSynthesizeSweep:
+    SNRS = (None, 10.0, math.inf, -5.0, 37.3, None, 0.0)
+
+    @pytest.mark.parametrize("n_snapshots", [1, 100, DRAW_BLOCK + 1])
+    @pytest.mark.parametrize("model", ["exact", "fresnel"])
+    def test_each_entry_is_the_one_snr_draw(self, n_snapshots, model):
+        # Noise-free and noisy entries in any order: each is bitwise the
+        # single-SNR synthesis and the bulk reference, and owns its arrays.
+        scenario = default_benchmark_scenario()
+        layout = scenario.layout()
+        sets = synthesize_sweep(layout, scenario.targets, n_snapshots, self.SNRS, 4, model)
+        b = steering_matrix(layout, scenario.targets, model)
+        assert len(sets) == len(self.SNRS)
+        for snr_db, snaps in zip(self.SNRS, sets):
+            one = synthesize(layout, scenario.targets, n_snapshots, snr_db, 4, model)
+            for name in ("y", "x"):
+                assert getattr(snaps, name).tobytes() == getattr(one, name).tobytes()
+            assert (snaps.sigma2, snaps.snr_db, snaps.seed, snaps.model) == (
+                one.sigma2, one.snr_db, one.seed, one.model
+            )
+            x, y = oracles.synthesize_bulk(b, n_snapshots, snaps.sigma2, 4)
+            np.testing.assert_array_equal(snaps.x, x)
+            np.testing.assert_array_equal(snaps.y, y)
+        arrays = [a for snaps in sets for a in (snaps.y, snaps.x)]
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+        )
+
+    @pytest.mark.parametrize(
+        "snr_db_list, message",
+        [
+            ((10.0, np.nan), "snr_db must be a number"),
+            ((10.0, -np.inf), "snr_db must be a number"),
+            ((10.0, -4000.0), "snr_db=-4000.0 is too low"),
+            ((), "at least one SNR"),
+        ],
+    )
+    def test_every_snr_is_checked_before_the_draw(self, layout23, monkeypatch, snr_db_list, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking every SNR")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        targets = TargetSet((Target.from_degrees(12, 1.0),))
+        with pytest.raises(ValueError, match=message):
+            synthesize_sweep(layout23, targets, 8, snr_db_list, 0)
 
 
 class TestSynthesize:

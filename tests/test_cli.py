@@ -112,6 +112,27 @@ def test_montecarlo_is_byte_identical(tmp_path, scenario_file):
     assert len(runs[0][1].splitlines()) == 2 * 2 * 4
 
 
+@pytest.mark.parametrize("snr", ["-10:10:10", "-10,0,10"])
+def test_montecarlo_takes_a_negative_snr_list_either_way(tmp_path, scenario_file, snr):
+    # argparse would read "-10:10:10" after "--snr" as an option; both
+    # spellings must give the same sweep.
+    outs = []
+    for i, argv in enumerate((["--snr", snr], [f"--snr={snr}"])):
+        csv = tmp_path / f"rmse{i}.csv"
+        common = ["--scenario", str(scenario_file), "--q", "1", "--methods", "farfield"]
+        assert main(["montecarlo", *argv, *common, "--out", str(csv)]) == 0
+        outs.append(csv.read_text(encoding="utf-8"))
+    assert outs[0] == outs[1]
+    assert [line.split(",")[1] for line in outs[0].splitlines()[1:]] == ["-10", "0", "10"]
+
+
+def test_montecarlo_rejects_an_snr_whose_noise_power_overflows(tmp_path, scenario_file):
+    argv = ["montecarlo", "--scenario", str(scenario_file), "--out", str(tmp_path / "rmse.csv")]
+    with pytest.raises(SystemExit, match="^montecarlo: snr_db=-4000.0 is too low"):
+        main(argv + ["--snr", "-4000"])
+    assert list(tmp_path.iterdir()) == [scenario_file]
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [

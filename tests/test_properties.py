@@ -35,6 +35,7 @@ from canf.music import (
     Peak,
     PseudoSpectrum,
     Subspace,
+    _refine_parabolic,
     _row_peaks,
     angle_spectrum,
     classify_range_spectrum,
@@ -480,6 +481,21 @@ def test_row_peaks_match_one_search_per_row(spectra, include_edges, data):
         )
     ]
     assert classify_range_spectrum(thetas, PseudoSpectrum(axis, values), bounds) == expected
+
+
+@PROPERTY
+@given(spectra=peak_spectra())
+def test_refinement_matches_the_array_form(spectra):
+    # The Python-float fit gives the array form's locations bit for bit at
+    # every sample, so at peaks, at the grid endpoints (which keep the grid
+    # point) and where the fit opens upward, on float and integer axes.
+    axis, values = spectra
+    db = PseudoSpectrum(axis, values).db
+    row, col = (a.ravel() for a in np.indices(db.shape))
+    got = _refine_parabolic(db, row, col, axis)
+    expected = oracles.refine_parabolic_rows(db, row, col, axis)
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scheme", [localize, localize_subarray])
