@@ -304,6 +304,12 @@ class MonteCarloConfig:
             raise ValueError(f"snr_db_list must hold finite SNRs, got {self.snr_db_list}")
         for snr_db in self.snr_db_list:
             noise_power(snr_db)  # an SNR whose noise power overflows is rejected here
+        if len(set(self.snr_db_list)) < len(self.snr_db_list):
+            raise ValueError(f"snr_db_list repeats an SNR: {self.snr_db_list}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods repeats a method: {self.methods}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -417,7 +423,7 @@ def _score_trial(
         detect_theta, detect_range = theta_est, None
     else:
         theta_est, range_est, labels = _ordered_estimates(result, k)
-        true_entries = [c for c in result.classified if c.is_true]
+        true_entries = result.true_targets
         detect_theta = tuple(c.theta_deg for c in true_entries)
         detect_range = tuple(c.range_m for c in true_entries)
 

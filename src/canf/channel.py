@@ -152,10 +152,6 @@ class SnapshotSet:
     def n_snapshots(self) -> int:
         return self.y.shape[1]
 
-    @property
-    def n_sensors(self) -> int:
-        return self.y.shape[0]
-
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # one ulp below math.sqrt(0.5); see synthesize
 DRAW_BLOCK = 1 << 14  # most normals synthesize draws per call into its buffer
@@ -193,8 +189,8 @@ def synthesize(
     Sources are i.i.d. circularly-symmetric complex Gaussian with unit
     variance; noise is CSCG with ``sigma2 = 10**(-snr_db/10)`` (per-source
     transmit SNR, :func:`noise_power`).  ``snr_db=None`` (or +inf) disables
-    noise; NaN, -inf and an SNR so low that ``sigma2`` overflows are
-    rejected.
+    noise, here as in :meth:`canf.Scenario.snapshots` and everywhere else;
+    NaN, -inf and an SNR so low that ``sigma2`` overflows are rejected.
 
     The draw is fully determined by ``seed``, in a fixed order that keeps
     every output bitwise stable: the rows of one ``(2K + 2U, T)`` array of
@@ -205,7 +201,8 @@ def synthesize(
     with ``sqrt(sigma2 / 2)`` times each noise block added to its real or
     imaginary part.  The rows are drawn in order into one reused buffer of
     at most :data:`DRAW_BLOCK` normals (one row when ``T`` is larger), which
-    draws the same bits as one bulk call, so only ``x`` and ``y`` are
+    draws the same bits as one bulk call, and each noise block is scaled
+    into one scratch buffer of the same size, so only ``x`` and ``y`` are
     allocated at full size.  This is the one-SNR case of
     :func:`synthesize_sweep`.
     """
@@ -261,17 +258,13 @@ def synthesize_sweep(
     xs = [x.copy() for _ in sigma2s[1:]] + [x]
     if noisy:
         scales = [math.sqrt(sigma2s[i] / 2.0) for i in noisy]
-        # Each noisy set but the last adds a scaled copy of the block; the
-        # last scales the block in place, as the one-SNR case does.
-        scaled = np.empty_like(buffer) if len(noisy) > 1 else None
+        scaled = np.empty_like(buffer)
         for part in ("real", "imag"):
             parts = [getattr(ys[i], part) for i in noisy]
             for start, block in normals(u):
                 stop = start + block.shape[0]
-                for rows, scale in zip(parts[:-1], scales[:-1]):
+                for rows, scale in zip(parts, scales):
                     rows[start:stop] += np.multiply(block, scale, out=scaled[: stop - start])
-                block *= scales[-1]
-                parts[-1][start:stop] += block
     return tuple(
         SnapshotSet(layout, y, x, sigma2, snr if flag else None, seed, model)
         for y, x, sigma2, snr, flag in zip(ys, xs, sigma2s, snr_db_list, has_noise)

@@ -26,6 +26,10 @@ __all__ = [
 
 
 def _check_spacing(d: float, wavelength: float) -> None:
+    """Reject a spacing or wavelength that is not finite and positive, and
+    warn when the spacing exceeds lambda/4."""
+    if not (0.0 < d < math.inf and 0.0 < wavelength < math.inf):
+        raise ValueError("spacing and wavelength must be finite and positive")
     # Spacing above lambda/4 aliases the doubled-position (self-spectrum)
     # steering; kept as a warning so the ambiguity can be studied on purpose.
     if d > wavelength / 4.0 * (1.0 + 1e-12):
@@ -62,8 +66,6 @@ class CoprimeParams:
             raise ValueError("coprime pair must be two distinct integers")
         if math.gcd(m, n) != 1:
             raise ValueError(f"m={m} and n={n} are not coprime")
-        if not (0.0 < self.d < math.inf and 0.0 < self.wavelength < math.inf):
-            raise ValueError("spacing and wavelength must be finite and positive")
         _check_spacing(self.d, self.wavelength)
 
 
@@ -153,8 +155,6 @@ def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
     """Uniform symmetric array with an odd number ``u`` of sensors."""
     if u < 1 or u % 2 == 0:
         raise ValueError("dense layout needs an odd, positive sensor count")
-    if not (0.0 < d < math.inf and 0.0 < wavelength < math.inf):
-        raise ValueError("spacing and wavelength must be finite and positive")
     _check_spacing(d, wavelength)
     half = (u - 1) // 2
     return SensorLayout(tuple(range(-half, half + 1)), d, wavelength, "dense")

@@ -20,18 +20,21 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 class Scenario:
     """A complete synthetic measurement setup.
 
+    ``params`` is the coprime array (M, N, spacing and wavelength, checked
+    once when it is built), ``targets`` the ground truth, and
+    ``n_snapshots``, ``snr_db`` (None for noise-free), ``seed`` and
+    ``model`` the synthesis settings.
+
     JSON schema: ``{"M": int, "N": int, "d_mm": float and/or "freq_ghz":
     float, "targets": [{"theta_deg": float, "range_m": float}, ...],
     "T": int, "snr_db": float | null, "seed": int, "model": "exact" |
     "fresnel"}``.  When only ``freq_ghz`` is given the spacing defaults to
     a quarter wavelength; when only ``d_mm`` is given the wavelength
-    defaults to four spacings.
+    defaults to four spacings.  ``CoprimeParams`` orders the pair, so a
+    file with M > N saves with M <= N, the order its layout uses.
     """
 
-    m: int
-    n: int
-    d: float
-    wavelength: float
+    params: CoprimeParams
     targets: TargetSet
     n_snapshots: int
     snr_db: float | None
@@ -41,7 +44,6 @@ class Scenario:
     def __post_init__(self) -> None:
         # Checked here so that a bad file fails when it is loaded, not
         # later inside synthesis or in every Monte Carlo trial.
-        CoprimeParams(self.m, self.n, self.d, self.wavelength)
         if self.n_snapshots < 1:
             raise ValueError(f"T must be at least 1, got {self.n_snapshots}")
         if self.seed < 0:
@@ -49,30 +51,25 @@ class Scenario:
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
 
-    @property
-    def params(self) -> CoprimeParams:
-        return CoprimeParams(self.m, self.n, self.d, self.wavelength)
-
     def layout(self) -> SensorLayout:
         return build_coprime_layout(self.params)
 
     def dense_layout(self) -> SensorLayout:
         """Dense comparison layout with the same sensor count and spacing."""
-        return build_dense_layout(self.layout().size, self.d, self.wavelength)
+        return build_dense_layout(self.layout().size, self.params.d, self.params.wavelength)
 
-    def snapshots(
-        self, snr_db: float | None = None, seed: int | None = None
-    ) -> SnapshotSet:
-        """Synthesize on the coprime layout, optionally overriding noise/seed.
+    def snapshots(self, seed: int | None = None) -> SnapshotSet:
+        """Synthesize on the coprime layout at the scenario's SNR, from its
+        seed unless ``seed`` is given.
 
-        ``snr_db=None`` keeps the scenario's own SNR, so a noise-free draw
-        asks for ``snr_db=math.inf``.
+        A ``snr_db`` of None is noise-free, as in :func:`synthesize`; for
+        another SNR use ``dataclasses.replace(scenario, snr_db=...)``.
         """
         return synthesize(
             self.layout(),
             self.targets,
             self.n_snapshots,
-            self.snr_db if snr_db is None else snr_db,
+            self.snr_db,
             self.seed if seed is None else seed,
             self.model,
         )
@@ -105,16 +102,16 @@ class Scenario:
                 for t in entries
             )
         )
-        m, n = _integer(data, "M"), _integer(data, "N")
-        k_max = max_targets(m, n)[0]
+        params = CoprimeParams(_integer(data, "M"), _integer(data, "N"), d, wavelength)
+        k_max = max_targets(params.m, params.n)[0]
         if len(targets) > k_max:
-            msg = f"{len(targets)} targets exceed the capacity {k_max} of M={m}, N={n}"
+            msg = (
+                f"{len(targets)} targets exceed the capacity {k_max} "
+                f"of M={params.m}, N={params.n}"
+            )
             warnings.warn(msg, UserWarning, stacklevel=2)
         return cls(
-            m=m,
-            n=n,
-            d=d,
-            wavelength=wavelength,
+            params=params,
             targets=targets,
             n_snapshots=_integer(data, "T", 100),
             snr_db=_number(data, "snr_db", nullable=True),
@@ -124,10 +121,10 @@ class Scenario:
 
     def to_dict(self) -> dict:
         return {
-            "M": self.m,
-            "N": self.n,
-            "d_mm": self.d * 1e3,
-            "freq_ghz": SPEED_OF_LIGHT / self.wavelength / 1e9,
+            "M": self.params.m,
+            "N": self.params.n,
+            "d_mm": self.params.d * 1e3,
+            "freq_ghz": SPEED_OF_LIGHT / self.params.wavelength / 1e9,
             "targets": [
                 {"theta_deg": t.theta_deg, "range_m": t.r} for t in self.targets
             ],
@@ -202,10 +199,7 @@ def default_benchmark_scenario(snr_db: float | None = 10.0, seed: int = 0) -> Sc
         )
     )
     return Scenario(
-        m=9,
-        n=11,
-        d=wavelength / 4.0,
-        wavelength=wavelength,
+        params=CoprimeParams(9, 11, wavelength / 4.0, wavelength),
         targets=targets,
         n_snapshots=100,
         snr_db=snr_db,

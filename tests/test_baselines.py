@@ -1,4 +1,6 @@
 """Dense-array, far-field virtual-array and subarray comparison schemes."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ class TestFarfieldBaseline:
 
         truth = np.array([-35.0, 10.0, 30.0, 30.0])
         for seed in (8, 23):
-            snaps = benchmark_scenario.snapshots(snr_db=20.0, seed=seed)
+            snaps = dataclasses.replace(benchmark_scenario, snr_db=20.0).snapshots(seed=seed)
             res = localize_farfield_virtual(snaps, MusicConfig(k_targets=4))
             assert len(res.angles_deg) == 4
             match = associate(res.angles_deg, None, truth, None, 1.0)

@@ -22,6 +22,10 @@ from canf.scenario import default_benchmark_scenario
         ({"snr_db_list": ()}, "snr_db_list"),
         ({"q_trials": 0}, "q_trials"),
         ({"methods": ("music",)}, "unknown methods"),
+        ({"methods": ()}, "methods must name at least one method"),
+        ({"methods": ("farfield", "farfield")}, "methods repeats a method"),
+        ({"snr_db_list": (10.0, 10.0)}, "snr_db_list repeats an SNR"),
+        ({"snr_db_list": (0.0, 10, 10.0)}, "snr_db_list repeats an SNR"),
         ({"snr_db_list": (10.0, float("nan"))}, "finite"),
         ({"snr_db_list": (float("inf"),)}, "finite"),
         ({"snr_db_list": (float("-inf"),)}, "finite"),

@@ -188,6 +188,11 @@ def test_bad_geometry_is_a_usage_error(capsys, argv, message):
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--q", "0"], "q_trials"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--methods", "foo"], "unknown methods"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--seed", "-1"], "base_seed"),
+        (["montecarlo", "--snr", "10,10", "--out", "{tmp}/rmse.csv"], "repeats an SNR"),
+        (
+            ["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--methods", "dense,dense"],
+            "repeats a method",
+        ),
     ],
 )
 def test_bad_config_is_a_usage_error(tmp_path, scenario_file, argv, message):

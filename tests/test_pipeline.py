@@ -120,7 +120,7 @@ def unknown_k_results() -> dict:
     scenario = dataclasses.replace(base, targets=TargetSet(tuple(base.targets)[:3]))
     return {
         f"{snr_db:g} dB, seed {seed}": localize(
-            scenario.snapshots(snr_db=snr_db, seed=seed), MusicConfig()
+            dataclasses.replace(scenario, snr_db=snr_db).snapshots(seed=seed), MusicConfig()
         )
         for snr_db in (10.0, 20.0, 30.0)
         for seed in (0, 1, 2)

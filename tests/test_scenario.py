@@ -4,8 +4,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from canf.channel import synthesize
 from canf.scenario import Scenario, default_benchmark_scenario
 
 
@@ -72,7 +74,7 @@ def test_integral_floats_load_as_integers(tmp_path):
     text.update({"M": 9.0, "N": 11.0, "T": 1000, "seed": 2.0})
     path.write_text(json.dumps(text).replace('"T": 1000', '"T": 1e3'), encoding="utf-8")
     scenario = Scenario.load(path)
-    loaded = (scenario.m, scenario.n, scenario.n_snapshots, scenario.seed)
+    loaded = (scenario.params.m, scenario.params.n, scenario.n_snapshots, scenario.seed)
     assert loaded == (9, 11, 1000, 2) and all(type(v) is int for v in loaded)
 
 
@@ -87,12 +89,43 @@ def test_warns_when_targets_exceed_capacity():
         Scenario.from_dict(data)
 
 
-def test_infinite_snr_override_is_noise_free():
-    # snr_db=None keeps the scenario's own SNR; math.inf is the noise-free override.
+def test_snapshots_draw_at_the_scenario_snr():
+    # Another SNR is another scenario; +inf and None are both the noise-free
+    # synthesis, bit for bit.
     scenario = default_benchmark_scenario(snr_db=10.0)
     assert scenario.snapshots().sigma2 == 0.1
-    snaps = scenario.snapshots(snr_db=math.inf)
-    assert snaps.sigma2 == 0.0 and snaps.snr_db is None
+    noise_free = synthesize(
+        scenario.layout(), scenario.targets, scenario.n_snapshots, None, 3, scenario.model
+    )
+    for snr_db in (math.inf, None):
+        snaps = dataclasses.replace(scenario, snr_db=snr_db).snapshots(seed=3)
+        assert snaps.sigma2 == 0.0 and snaps.snr_db is None
+        assert np.array_equal(snaps.y, noise_free.y) and np.array_equal(snaps.x, noise_free.x)
+
+
+def test_reversed_pair_loads_to_the_same_params_and_saves_ordered(tmp_path):
+    data = default_benchmark_scenario().to_dict()
+    data["M"], data["N"] = 11, 9
+    reversed_pair = Scenario.from_dict(data)
+    assert reversed_pair.params == default_benchmark_scenario().params
+    assert reversed_pair.layout() == default_benchmark_scenario().layout()
+    path = tmp_path / "scenario.json"
+    reversed_pair.save(path)
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    assert (saved["M"], saved["N"]) == (9, 11)
+
+
+def test_wide_spacing_warns_once_at_load_and_not_on_layout():
+    data = default_benchmark_scenario().to_dict()
+    data["d_mm"] *= 2.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scenario = Scenario.from_dict(data)
+        assert len(caught) == 1 and "exceeds lambda/4" in str(caught[0].message)
+        scenario.layout()
+        scenario.layout()
+        scenario.snapshots()
+        assert len(caught) == 1
 
 
 def test_null_snr_and_integer_numbers_load():
