@@ -47,12 +47,12 @@ def localize_dense(
 
     The decoupling only needs layout symmetry, so the primary pipeline runs
     unchanged; the dense array simply brings a much smaller aperture and
-    near-field region.  The layout-kind check is what separates this scheme
-    from :func:`canf.music.localize`: without it, coprime snapshots passed
-    here would run the proposed method and be reported as the dense one.
+    near-field region.  Rejecting a layout with coprime parameters is what
+    separates this scheme from :func:`canf.music.localize`: without it,
+    coprime snapshots passed here would run the proposed method and be
+    reported as the dense one.
     """
-    layout = snapshots.layout
-    if layout.kind != "dense":
+    if snapshots.layout.coprime is not None:
         raise ValueError("dense baseline expects snapshots from a dense layout")
     return localize(snapshots, config)
 
@@ -111,7 +111,7 @@ def localize_subarray(
         config = MusicConfig()
     layout = snapshots.layout
     params = layout.coprime
-    if layout.kind != "coprime" or params is None:
+    if params is None:
         raise ValueError("subarray baseline expects snapshots from a coprime layout")
     parent_index = {g: i for i, g in enumerate(layout.grid)}
     inputs = []

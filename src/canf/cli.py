@@ -118,7 +118,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     with _usage_errors("spectrum"):
         scenario = Scenario.load(args.scenario)
         config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
-    result = localize(scenario.snapshots(), config)
+        result = localize(scenario.snapshots(), config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -73,8 +73,9 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     there is one block and the result is bitwise the single product
     ``c @ c.conj().T``.  A non-finite entry of ``c`` makes its row's
     diagonal entry ``sum |c|^2`` non-finite, so the U-entry diagonal stands
-    in for an O(U T) scan; the arithmetic warnings such an entry raises on
-    the way are silenced, since the check reports it.
+    in for an O(U T) scan.  The same check catches finite snapshots whose
+    ``sum |c|^2`` overflows a float.  The arithmetic warnings either case
+    raises on the way are silenced, since the check reports it.
     """
     n = y.shape[1]
 
@@ -89,7 +90,9 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
         for start in range(_GRAM_BLOCK, n, _GRAM_BLOCK):
             gram += block_gram(start)
     if not np.all(np.isfinite(np.diagonal(gram))):
-        raise ValueError("snapshots y have non-finite entries")
+        raise ValueError(
+            "snapshots y have non-finite entries or a covariance that overflows a float"
+        )
     # Gram products are Hermitian analytically but not bitwise under BLAS;
     # downstream code relies on exact Hermiticity.
     gram = gram / n
@@ -123,6 +126,7 @@ def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
     Each sample is the mean of all the entries at that lag; pooling the
     redundant entries lowers the variance.  One ``np.bincount`` per real and
     imaginary part sums them, within a few ulps of a per-lag ``np.mean``.
+    The segment lies inside the consecutive run, so every count is nonzero.
     """
     segment = difference_coarray(layout).smoothing_segment
     n = len(segment)
@@ -131,11 +135,6 @@ def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
     # Lags outside the segment all fall in the extra last bin.
     index = np.where((lag >= 0) & (lag < n), lag, n)
     counts = np.bincount(index, minlength=n + 1)[:n]
-    if not np.all(counts):
-        missing = segment[int(np.argmin(counts))]
-        raise RuntimeError(
-            f"lag {missing} missing from coarray; segment inconsistent with layout"
-        )
     re = np.bincount(index, weights=r_d.real.ravel(), minlength=n + 1)[:n]
     im = np.bincount(index, weights=r_d.imag.ravel(), minlength=n + 1)[:n]
     return (re + 1j * im) / counts

@@ -7,6 +7,7 @@ integer arithmetic; meters appear only at the API surface.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,32 +56,42 @@ class CoprimeParams:
     wavelength: float
 
     def __post_init__(self) -> None:
-        m, n = int(self.m), int(self.n)
-        if m > n:
-            m, n = n, m
+        m, n = sorted(_coprime_pair(self.m, self.n))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        if m < 1:
-            raise ValueError("coprime integers must be positive")
-        if m == n:
-            raise ValueError("coprime pair must be two distinct integers")
-        if math.gcd(m, n) != 1:
-            raise ValueError(f"m={m} and n={n} are not coprime")
         _check_spacing(self.d, self.wavelength)
+
+
+def _coprime_pair(m, n) -> tuple[int, int]:
+    """``(m, n)`` as ints if both are integers (an int or an integral float,
+    not a bool) of at least 1, distinct and coprime."""
+    for name, value in (("m", m), ("n", n)):
+        integral = isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()
+        )
+        if isinstance(value, bool) or not integral:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+    m, n = int(m), int(n)
+    if m == n:
+        raise ValueError("coprime pair must be two distinct integers")
+    if math.gcd(m, n) != 1:
+        raise ValueError(f"m={m} and n={n} are not coprime")
+    return m, n
 
 
 @dataclass(frozen=True)
 class SensorLayout:
     """A linear array on the integer grid ``positions = grid * d``.
 
-    ``kind`` is one of ``"coprime"``, ``"dense"`` or ``"sparse-subarray"``.
-    For coprime layouts ``coprime`` holds the generating parameters.
+    ``coprime`` holds the generating parameters of a coprime layout, the
+    only record that it is one, and is None for a dense array or subarray.
     """
 
     grid: tuple[int, ...]
     d: float
     wavelength: float
-    kind: str
     coprime: CoprimeParams | None = None
 
     def __post_init__(self) -> None:
@@ -122,20 +133,18 @@ class SensorLayout:
 
 @dataclass(frozen=True)
 class CoarrayLayout:
-    """Difference coarray of a layout, in units of the base spacing.
+    """Difference coarray of a layout, in units of its spacing ``layout.d``.
 
     ``lags`` is the sorted unique difference set, ``multiplicity`` the number
     of sensor pairs generating each lag.  ``consecutive_segment`` is the
     maximal zero-centered run of step-1 lags; ``smoothing_segment`` is the
-    (possibly shorter, central) run actually used for spatial smoothing.
-    ``unit`` is the lag step in meters.
+    central part of it (all of it but for coprime layouts) used for smoothing.
     """
 
     lags: tuple[int, ...]
     multiplicity: tuple[int, ...]
     consecutive_segment: tuple[int, ...]
     smoothing_segment: tuple[int, ...]
-    unit: float
 
 
 def build_coprime_layout(params: CoprimeParams) -> SensorLayout:
@@ -148,7 +157,7 @@ def build_coprime_layout(params: CoprimeParams) -> SensorLayout:
     grid = sorted(
         {m * k for k in range(-n + 1, n)} | {n * k for k in range(-m + 1, m)}
     )
-    return SensorLayout(tuple(grid), params.d, params.wavelength, "coprime", params)
+    return SensorLayout(tuple(grid), params.d, params.wavelength, params)
 
 
 def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
@@ -157,7 +166,7 @@ def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
         raise ValueError("dense layout needs an odd, positive sensor count")
     _check_spacing(d, wavelength)
     half = (u - 1) // 2
-    return SensorLayout(tuple(range(-half, half + 1)), d, wavelength, "dense")
+    return SensorLayout(tuple(range(-half, half + 1)), d, wavelength)
 
 
 def build_subarrays(params: CoprimeParams) -> tuple[SensorLayout, SensorLayout]:
@@ -165,19 +174,14 @@ def build_subarrays(params: CoprimeParams) -> tuple[SensorLayout, SensorLayout]:
 
     Subarray 1 has 2m - 1 sensors at spacing n*d; subarray 2 has 2n - 1
     sensors at spacing m*d.  Each is returned on its own integer grid (unit
-    = its spacing), so the generic coarray machinery applies unchanged.
+    = its spacing) without coprime parameters, so the generic coarray
+    machinery applies unchanged and smooths over the full consecutive run.
     The > lambda/4 spacing of these grids is inherent, so no ambiguity
     diagnostic is emitted here.
     """
     m, n = params.m, params.n
-    sub1 = SensorLayout(
-        tuple(range(-m + 1, m)), n * params.d, params.wavelength,
-        "sparse-subarray", params,
-    )
-    sub2 = SensorLayout(
-        tuple(range(-n + 1, n)), m * params.d, params.wavelength,
-        "sparse-subarray", params,
-    )
+    sub1 = SensorLayout(tuple(range(-m + 1, m)), n * params.d, params.wavelength)
+    sub2 = SensorLayout(tuple(range(-n + 1, n)), m * params.d, params.wavelength)
     return sub1, sub2
 
 
@@ -185,9 +189,9 @@ def build_subarrays(params: CoprimeParams) -> tuple[SensorLayout, SensorLayout]:
 def difference_coarray(layout: SensorLayout) -> CoarrayLayout:
     """Difference set of a layout with its zero-centered consecutive run.
 
-    The smoothing segment is the central ``2*m*n + 1`` lags for coprime
-    layouts (the guaranteed hole-free span) and the full consecutive run
-    otherwise.  Lags are in units of ``layout.d``.
+    The smoothing segment is the central ``2*m*n + 1`` lags for a layout with
+    coprime parameters (the guaranteed hole-free span, asserted here) and
+    the full consecutive run otherwise.  Lags are in units of ``layout.d``.
     """
     g = np.asarray(layout.grid, dtype=int)
     diffs = (g[:, None] - g[None, :]).ravel()
@@ -202,7 +206,7 @@ def difference_coarray(layout: SensorLayout) -> CoarrayLayout:
     consecutive = tuple(range(-half, half + 1))
 
     segment = consecutive
-    if layout.kind == "coprime" and layout.coprime is not None:
+    if layout.coprime is not None:
         mn = layout.coprime.m * layout.coprime.n
         if half < mn:
             raise AssertionError(
@@ -215,7 +219,6 @@ def difference_coarray(layout: SensorLayout) -> CoarrayLayout:
         multiplicity=tuple(int(c) for c in counts),
         consecutive_segment=consecutive,
         smoothing_segment=segment,
-        unit=layout.d,
     )
 
 
@@ -225,11 +228,10 @@ def max_targets(m: int, n: int) -> tuple[int, int]:
     The decoupled route spends one virtual component per target plus one per
     unordered target pair, so the largest feasible count K_v satisfies
     K_v (K_v + 1) / 2 <= m*n + 1.  The subarray route is limited to
-    K_p = min(m, n).
+    K_p = min(m, n).  ``m`` and ``n`` are checked as :class:`CoprimeParams`
+    checks them.
     """
-    params_check = math.gcd(m, n)
-    if params_check != 1 or m == n:
-        raise ValueError(f"m={m}, n={n} must be coprime and distinct")
+    m, n = _coprime_pair(m, n)
     budget = m * n + 1
     k_v = (math.isqrt(8 * budget + 1) - 1) // 2
     k_p = min(m, n)

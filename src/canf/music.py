@@ -90,6 +90,7 @@ SIGNIFICANCE_DB = 10.0  # range-peak height that labels its angle true
 MIN_ANGLE_SEPARATION_DEG = 0.5  # closer angle peaks ride on one lobe
 CANCELLATION_FLOOR = 1e-3  # least noise power trusted from the signal basis
 CHIRP_RESTART = 16  # run elements per exact cos/sin restart of a Fresnel chirp
+MAX_GRID_POINTS = 100_000  # most points SpectrumGrid.for_layout puts on either axis
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +155,9 @@ def real_form(matrix: np.ndarray) -> np.ndarray:
 class SpectrumGrid:
     """Search grids as read-only float arrays: angles in degrees, ranges in meters.
 
-    :meth:`for_layout` is cached: equal arguments return the same grid.
+    :meth:`for_layout` is cached: equal arguments return the same grid.  It
+    rejects steps that would put more than :data:`MAX_GRID_POINTS` points on
+    an axis before it allocates either one.
     """
 
     angle_deg: np.ndarray
@@ -175,10 +178,20 @@ class SpectrumGrid:
     def for_layout(
         cls, layout: SensorLayout, angle_step_deg: float, range_step_m: float
     ) -> "SpectrumGrid":
-        n_a = int(round((180.0 - 2.0 * angle_step_deg) / angle_step_deg)) + 1
-        angles = np.linspace(-90.0 + angle_step_deg, 90.0 - angle_step_deg, n_a)
+        a_steps = (180.0 - 2.0 * angle_step_deg) / angle_step_deg
         z_f, z_r = layout.fresnel_distance, layout.rayleigh_distance
-        n_r = max(int(math.floor((z_r - z_f) / range_step_m)) + 1, 2)
+        r_steps = (z_r - z_f) / range_step_m
+        for name, step, steps in (
+            ("angle_step_deg", angle_step_deg, a_steps),
+            ("range_step_m", range_step_m, r_steps),
+        ):
+            if steps >= MAX_GRID_POINTS:
+                raise ValueError(
+                    f"{name}={step!r} gives more than {MAX_GRID_POINTS} grid points"
+                )
+        n_a = int(round(a_steps)) + 1
+        angles = np.linspace(-90.0 + angle_step_deg, 90.0 - angle_step_deg, n_a)
+        n_r = max(int(math.floor(r_steps)) + 1, 2)
         ranges = z_f + range_step_m * np.arange(n_r)
         return cls(angles, ranges)
 

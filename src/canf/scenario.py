@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import _MODELS, SnapshotSet, Target, TargetSet, synthesize
-from .geometry import CoprimeParams, SensorLayout, build_coprime_layout, build_dense_layout
-from .geometry import max_targets
+from .geometry import CoprimeParams, SensorLayout, build_coprime_layout, max_targets
 
 __all__ = ["SPEED_OF_LIGHT", "Scenario", "default_benchmark_scenario"]
 
@@ -55,8 +54,11 @@ class Scenario:
         return build_coprime_layout(self.params)
 
     def dense_layout(self) -> SensorLayout:
-        """Dense comparison layout with the same sensor count and spacing."""
-        return build_dense_layout(self.layout().size, self.params.d, self.params.wavelength)
+        """Dense comparison layout with the same sensor count 2(M + N) - 3 and
+        spacing, from ``params`` as checked at load: it does not warn again."""
+        p = self.params
+        half = p.m + p.n - 2
+        return SensorLayout(tuple(range(-half, half + 1)), p.d, p.wavelength)
 
     def snapshots(self, seed: int | None = None) -> SnapshotSet:
         """Synthesize on the coprime layout at the scenario's SNR, from its

@@ -12,7 +12,6 @@ from canf import (
     build_coprime_layout,
     build_dense_layout,
     build_subarrays,
-    difference_coarray,
     localize_dense,
     localize_farfield_virtual,
     localize_subarray,
@@ -108,11 +107,10 @@ class TestSubarrayBaseline:
             sub1, snaps.y[rows, :], snaps.x, snaps.sigma2, snaps.snr_db,
             snaps.seed, snaps.model,
         )
-        coarray = difference_coarray(sub1)
         bundle = build_bundle(sub_snaps)
         spec = angle_spectrum(
             Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), 1),
-            coarray.unit,
+            sub1.d,
             sub1.wavelength,
             np.linspace(-89.95, 89.95, 3599),
         )

@@ -315,7 +315,7 @@ def test_a_small_budget_splits_the_snr_list_and_keeps_the_records(monkeypatch):
     sweep = bench.synthesize_sweep
 
     def counting(layout, targets, n_snapshots, snr_db_list, seed, model):
-        draws.append((layout.kind, tuple(snr_db_list)))
+        draws.append(("coprime" if layout.coprime else "dense", tuple(snr_db_list)))
         return sweep(layout, targets, n_snapshots, snr_db_list, seed, model)
 
     monkeypatch.setattr(bench, "synthesize_sweep", counting)

@@ -185,6 +185,14 @@ def test_bad_geometry_is_a_usage_error(capsys, argv, message):
     [
         (["spectrum", "--out-dir", "{tmp}/out", "--angle-step", "0"], "angle_step_deg"),
         (["spectrum", "--out-dir", "{tmp}/out", "--range-step", "nan"], "range_step_m"),
+        (
+            ["spectrum", "--out-dir", "{tmp}/out", "--angle-step", "1e-300"],
+            "angle_step_deg=1e-300 gives more than 100000 grid points",
+        ),
+        (
+            ["spectrum", "--out-dir", "{tmp}/out", "--range-step", "1e-6"],
+            "range_step_m=1e-06 gives more than 100000 grid points",
+        ),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--q", "0"], "q_trials"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--methods", "foo"], "unknown methods"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--seed", "-1"], "base_seed"),
@@ -214,6 +222,15 @@ def test_bad_scenario_is_a_usage_error(tmp_path, command):
     scenario.write_text(json.dumps({"M": 9, "N": 11, "targets": []}), encoding="utf-8")
     with pytest.raises(SystemExit, match=f"^{command}: scenario needs d_mm"):
         main(_scenario_argv(command, scenario, tmp_path))
+
+
+def test_spectrum_reports_a_covariance_overflow_as_a_usage_error(tmp_path):
+    # The file loads and its snapshots are finite, but their Gram overflows.
+    scenario = tmp_path / "scenario.json"
+    default_benchmark_scenario(snr_db=-3080.0).save(scenario)
+    with pytest.raises(SystemExit, match="^spectrum: .*a covariance that overflows a float"):
+        main(_scenario_argv("spectrum", scenario, tmp_path))
+    assert list(tmp_path.iterdir()) == [scenario]
 
 
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from canf import (
-    CoarrayLayout,
     CoprimeParams,
     SensorLayout,
     Target,
@@ -83,6 +82,17 @@ class TestCovarianceLS:
         snaps.y[1, 3] = bad
         with pytest.raises(ValueError, match="snapshots y have non-finite"):
             covariance_ls(snaps)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_snapshots_whose_covariance_overflows_are_rejected(self, layout23):
+        # At -3080 dB the noise is about 1e154: every snapshot is finite,
+        # but its squared magnitude is not.
+        t = TargetSet((Target.from_degrees(0, 1.0),))
+        snaps = synthesize(layout23, t, 4, -3080.0, 0)
+        assert np.all(np.isfinite(snaps.y))
+        for estimate in (covariance_ls, covariance_sample):
+            with pytest.raises(ValueError, match="covariance that overflows a float"):
+                estimate(snaps)
 
 
 class TestGram:
@@ -167,7 +177,7 @@ class TestDecouple:
                 assert r_a[i, j] == r[u - 1 - j, u - 1 - i]
 
     def test_requires_symmetric_layout(self):
-        asymmetric = SensorLayout((0, 1, 3), 1e-3, LAM, "dense")
+        asymmetric = SensorLayout((0, 1, 3), 1e-3, LAM)
         with pytest.raises(ValueError, match="symmetric"):
             decouple(np.eye(3, dtype=complex), asymmetric)
 
@@ -256,15 +266,6 @@ class TestVectorizeToCoarray:
             layout911.positions, LAM, targets.thetas, targets.ranges
         )
         assert r_t[mid] == pytest.approx(np.mean(np.diag(s_ref + c_ref)), abs=1e-9)
-
-    def test_missing_segment_lag_raises(self, layout23, monkeypatch):
-        ca = difference_coarray(layout23)
-        segment = tuple(range(-9, 10))
-        wide = CoarrayLayout(ca.lags, ca.multiplicity, ca.consecutive_segment, segment, ca.unit)
-        monkeypatch.setattr(covariance, "difference_coarray", lambda layout: wide)
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="lag -9 missing"):
-                vectorize_to_coarray(np.eye(layout23.size, dtype=complex), layout23)
 
 
 class TestSpatialSmooth:

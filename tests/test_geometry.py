@@ -23,6 +23,18 @@ COPRIME_PAIRS = [
     for n in range(m + 1, 13)
     if math.gcd(m, n) == 1
 ]
+# Pairs that CoprimeParams and max_targets reject, with the message.
+BAD_PAIRS = [
+    (2.5, 3, "m must be an integer, got 2.5"),
+    (2, 3.9, "n must be an integer, got 3.9"),
+    (True, 2, "m must be an integer, got True"),
+    (3, False, "n must be an integer, got False"),
+    ("2", 3, "m must be an integer"),
+    (math.nan, 3, "m must be an integer"),
+    (0, 1, "m must be at least 1, got 0"),
+    (-2, 3, "m must be at least 1, got -2"),
+    (2, -3.0, "n must be at least 1, got -3.0"),
+]
 
 
 class TestCoprimeParams:
@@ -41,6 +53,16 @@ class TestCoprimeParams:
     def test_wide_spacing_warns(self):
         with pytest.warns(UserWarning, match="lambda/4"):
             CoprimeParams(2, 3, LAM / 2.0, LAM)
+
+    @pytest.mark.parametrize("m,n,message", BAD_PAIRS)
+    def test_rejects_what_is_not_a_positive_integer(self, m, n, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            CoprimeParams(m, n, 2.5e-3, LAM)
+
+    def test_integral_floats_and_numpy_integers_become_ints(self):
+        for m, n in [(3.0, 4.0), (np.int64(3), np.int32(4))]:
+            p = CoprimeParams(m, n, 2.5e-3, LAM)
+            assert (p.m, p.n) == (3, 4) and type(p.m) is int and type(p.n) is int
 
 
 class TestCoprimeLayout:
@@ -81,7 +103,7 @@ class TestSensorLayout:
     )
     def test_grid_must_be_nonempty_and_strictly_ascending(self, grid, message):
         with pytest.raises(ValueError, match=message):
-            SensorLayout(grid, LAM / 4.0, LAM, "dense")
+            SensorLayout(grid, LAM / 4.0, LAM)
 
 
 class TestDenseLayout:
@@ -134,6 +156,13 @@ class TestSubarrays:
         union = {g * n for g in sub1.grid} | {g * m for g in sub2.grid}
         assert union == set(layout.grid)
 
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (9, 11)])
+    def test_subarrays_carry_no_parameters_and_smooth_their_whole_run(self, m, n):
+        for sub in build_subarrays(CoprimeParams(m, n, LAM / 4.0, LAM)):
+            assert sub.coprime is None
+            ca = difference_coarray(sub)
+            assert ca.smoothing_segment == ca.consecutive_segment
+
 
 class TestDifferenceCoarray:
     def test_m2_n3_lags(self, layout23):
@@ -183,3 +212,8 @@ class TestMaxTargets:
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             max_targets(4, 6)
+
+    @pytest.mark.parametrize("m,n,message", BAD_PAIRS)
+    def test_rejects_what_coprime_params_rejects(self, m, n, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            max_targets(m, n)

@@ -13,7 +13,6 @@ from canf import (
     build_coprime_layout,
     build_dense_layout,
     build_subarrays,
-    difference_coarray,
     eig_hermitian,
     localize,
     range_spectrum,
@@ -26,6 +25,7 @@ from canf.covariance import build_bundle, decouple, spatial_smooth, vectorize_to
 from canf.music import (
     CANCELLATION_FLOOR,
     CHIRP_RESTART,
+    MAX_GRID_POINTS,
     MIN_ANGLE_SEPARATION_DEG,
     PseudoSpectrum,
     Subspace,
@@ -50,9 +50,8 @@ def ideal_bundle(layout, targets):
     """Analysis covariances built directly from the quadratic-phase model."""
     b = steering_matrix(layout, targets, "fresnel")
     r_hat = b @ b.conj().T
-    ca = difference_coarray(layout)
     r_v = spatial_smooth(vectorize_to_coarray(decouple(r_hat, layout), layout))
-    return r_hat, r_v, ca
+    return r_hat, r_v
 
 
 def row_peak_indices(spec, include_edges, distance=None):
@@ -154,6 +153,22 @@ class TestSpectrumGrid:
             assert axis.dtype == float and not axis.flags.writeable
             with pytest.raises(ValueError):
                 axis[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "steps, name",
+        [
+            ((1e-5, 0.1), "angle_step_deg"),
+            ((5e-324, 0.1), "angle_step_deg"),
+            ((0.05, 1e-300), "range_step_m"),
+        ],
+    )
+    def test_rejects_steps_above_the_point_cap(self, layout911, steps, name):
+        with pytest.raises(ValueError, match=f"^{name}=.* more than {MAX_GRID_POINTS} grid points"):
+            SpectrumGrid.for_layout(layout911, *steps)
+
+    def test_the_finest_allowed_angle_step_stays_within_the_cap(self, layout911):
+        grid = SpectrumGrid.for_layout(layout911, 180.0 / (MAX_GRID_POINTS + 1), 0.1)
+        assert grid.angle_deg.size == MAX_GRID_POINTS
 
 
 class TestMusicConfig:
@@ -263,10 +278,10 @@ class TestDetectPeaks:
 class TestAngleSpectrum:
     def test_single_target_peak_at_truth(self, layout911):
         targets = TargetSet((Target.from_degrees(10.0, 30.0),))
-        _, r_v, ca = ideal_bundle(layout911, targets)
+        _, r_v = ideal_bundle(layout911, targets)
         grid = np.linspace(-89.95, 89.95, 3599)
         spec = angle_spectrum(
-            Subspace.split(real_form(r_v), 1), ca.unit, LAM, grid
+            Subspace.split(real_form(r_v), 1), layout911.d, LAM, grid
         )
         peaks = detect_peaks(spec, max_count=1)
         assert peaks[0].location == pytest.approx(10.0, abs=0.05)
@@ -275,22 +290,21 @@ class TestAngleSpectrum:
         targets = TargetSet((Target.from_degrees(-25.0, 10.0),))
         snaps = synthesize(layout911, targets, 50, 0.0, 3)
         bundle = build_bundle(snaps)
-        ca = difference_coarray(layout911)
         spec = angle_spectrum(
             Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), 1),
-            ca.unit, LAM, np.linspace(-89.95, 89.95, 720),
+            layout911.d, LAM, np.linspace(-89.95, 89.95, 720),
         )
         assert np.all(np.isfinite(spec.values)) and np.all(spec.values > 0)
 
     def test_power_of_two_scaling_bit_identical(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
-        _, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
+        _, r_v = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.linspace(-89.95, 89.95, 3599)
         rank = 10
         lam = layout.wavelength
         p1, p2 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(real_form(r), rank), ca.unit, lam, grid),
+                angle_spectrum(Subspace.split(real_form(r), rank), layout.d, lam, grid),
                 10,
             )
             for r in (r_v, 4.0 * r_v)
@@ -299,13 +313,13 @@ class TestAngleSpectrum:
 
     def test_arbitrary_scaling_same_peak_indices(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
-        _, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
+        _, r_v = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.linspace(-89.95, 89.95, 3599)
         rank = 10
         lam = layout.wavelength
         p1, p3 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(real_form(r), rank), ca.unit, lam, grid),
+                angle_spectrum(Subspace.split(real_form(r), rank), layout.d, lam, grid),
                 10,
             )
             for r in (r_v, 3.7 * r_v)
@@ -359,7 +373,7 @@ class TestAngleSpectrum:
 class TestRangeSpectrum:
     def test_single_target_peak(self, layout911):
         targets = TargetSet((Target.from_degrees(10.0, 30.0),))
-        r_hat, _, _ = ideal_bundle(layout911, targets)
+        r_hat, _ = ideal_bundle(layout911, targets)
         grid = np.arange(0.54, 40.5, 0.1)
         spec = range_spectrum(Subspace.split(r_hat, 1), layout911, 10.0, grid)
         location = _row_peaks(spec.db[None], grid, include_edges=True)[2]
@@ -367,7 +381,7 @@ class TestRangeSpectrum:
 
     def test_co_angle_pair_resolved_on_ideal_covariance(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
-        r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
+        r_hat, _ = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
         initial = Subspace.split(r_hat, 4)
         spec = range_spectrum(initial, layout, 30.0, grid)
@@ -377,7 +391,7 @@ class TestRangeSpectrum:
 
     def test_angle_array_gives_one_scan_per_angle(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
-        r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
+        r_hat, _ = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
         initial = Subspace.split(r_hat, 4)
         thetas = np.array([-35.0, 10.0, 30.0])
@@ -465,7 +479,7 @@ class TestFresnelChirp:
         self, benchmark_scenario, monkeypatch
     ):
         layout = benchmark_scenario.layout()
-        r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
+        r_hat, _ = ideal_bundle(layout, benchmark_scenario.targets)
         initial = Subspace.split(r_hat, 4)
         grid = np.asarray(SpectrumGrid.for_layout(layout, *STEPS).range_m)
         thetas = np.linspace(-60.0, 60.0, 10)
@@ -536,10 +550,10 @@ class TestClassification:
         # Analysis covariance: true angles produce significant in-region
         # range peaks (two at the shared angle), cross angles do not.
         layout = benchmark_scenario.layout()
-        r_hat, r_v, ca = ideal_bundle(layout, benchmark_scenario.targets)
+        r_hat, r_v = ideal_bundle(layout, benchmark_scenario.targets)
         grid = SpectrumGrid.for_layout(layout, *STEPS)
         virtual = Subspace.split(real_form(r_v), 10)
-        spec = angle_spectrum(virtual, ca.unit, layout.wavelength, grid.angle_deg)
+        spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid.angle_deg)
         peaks = detect_peaks(spec, 10)
         found = sorted(p.location for p in peaks[:6])
         for truth in (-35.0, 10.0, 30.0):
@@ -562,7 +576,7 @@ class TestClassification:
 
     def test_scalar_angle_classifies_one_spectrum(self, benchmark_scenario):
         layout = benchmark_scenario.layout()
-        r_hat, _, _ = ideal_bundle(layout, benchmark_scenario.targets)
+        r_hat, _ = ideal_bundle(layout, benchmark_scenario.targets)
         initial = Subspace.split(r_hat, 4)
         grid = SpectrumGrid.for_layout(layout, *STEPS).range_m
         spec = range_spectrum(initial, layout, 30.0, grid)
@@ -678,9 +692,8 @@ class TestLocalize:
         r_v1 = spatial_smooth(b1.r_tilde)
         sub1 = Subspace.split(r_v1, 1)
         un1 = sub1.eigvecs[:, sub1.rank :]
-        ca = difference_coarray(layout)
         row = oracles.virtual_steering_matrix(
-            r_v1.shape[0], ca.unit, layout.wavelength, np.array([10.0])
+            r_v1.shape[0], layout.d, layout.wavelength, np.array([10.0])
         )[0]
         assert np.linalg.norm(row.conj() @ un1) ** 2 / r_v1.shape[0] <= 1e-6
 

@@ -49,12 +49,10 @@ from canf.scenario import default_benchmark_scenario
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 LAM = 10e-3
 
-# Symmetric integer layouts; a non-coprime kind smooths over the whole
-# consecutive run, a coprime one over the central 2mn + 1 lags.
+# Symmetric integer layouts; one without coprime parameters smooths over the
+# whole consecutive run, a coprime one over the central 2mn + 1 lags.
 free_layouts = st.sets(st.integers(1, 12), max_size=6).map(
-    lambda half: SensorLayout(
-        tuple(sorted({0} | half | {-g for g in half})), LAM / 4.0, LAM, "dense"
-    )
+    lambda half: SensorLayout(tuple(sorted({0} | half | {-g for g in half})), LAM / 4.0, LAM)
 )
 coprime_layouts = (
     st.tuples(st.integers(1, 6), st.integers(2, 7))

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from canf.bench import MonteCarloConfig, run_monte_carlo, run_trial
 from canf.channel import synthesize
+from canf.geometry import CoprimeParams, build_dense_layout
 from canf.scenario import Scenario, default_benchmark_scenario
 
 
@@ -126,6 +128,23 @@ def test_wide_spacing_warns_once_at_load_and_not_on_layout():
         scenario.layout()
         scenario.snapshots()
         assert len(caught) == 1
+        scenario.dense_layout()
+        config = MonteCarloConfig(scenario, (20.0,), q_trials=1, methods=("dense",))
+        for trial in range(3):
+            run_trial("dense", scenario, 20.0, trial, config)
+        assert len(caught) == 1
+        assert not run_monte_carlo(config).records[0].failed
+        assert len(caught) == 1
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (9, 11)])
+def test_dense_layout_is_the_dense_array_of_the_coprime_size(m, n):
+    scenario = default_benchmark_scenario()
+    p = scenario.params
+    scenario = dataclasses.replace(scenario, params=CoprimeParams(m, n, p.d, p.wavelength))
+    dense = scenario.dense_layout()
+    assert dense == build_dense_layout(scenario.layout().size, p.d, p.wavelength)
+    assert dense.coprime is None
 
 
 def test_null_snr_and_integer_numbers_load():
