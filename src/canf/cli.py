@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .bench import METHODS, MonteCarloConfig, _fmt, _write_lines, run_monte_carlo
+from .covariance import covariance_ls
 from .geometry import CoprimeParams, build_coprime_layout, difference_coarray, max_targets
-from .music import MusicConfig, localize
+from .music import MusicConfig, SpectrumGrid, localize
 from .scenario import Scenario, _spacing_and_wavelength
 
 __all__ = ["main"]
@@ -118,7 +119,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     with _usage_errors("spectrum"):
         scenario = Scenario.load(args.scenario)
         config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
-        result = localize(scenario.snapshots(), config)
+        snapshots = scenario.snapshots()
+        # The two failures the inputs can still cause: a grid too fine (the
+        # grid is cached, so localize reuses it) and a covariance that
+        # overflows a float (an O(U^2 T) product, small beside the scans).
+        SpectrumGrid.for_layout(snapshots.layout, config.angle_step_deg, config.range_step_m)
+        covariance_ls(snapshots)
+    result = localize(snapshots, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

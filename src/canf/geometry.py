@@ -62,14 +62,20 @@ class CoprimeParams:
         _check_spacing(self.d, self.wavelength)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or an integral float (numpy's included),
+    not a bool: the one test of an integer for M, N and the scenario files."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    )
+
+
 def _coprime_pair(m, n) -> tuple[int, int]:
-    """``(m, n)`` as ints if both are integers (an int or an integral float,
-    not a bool) of at least 1, distinct and coprime."""
+    """``(m, n)`` as ints if both are integers (:func:`_is_integer`) of at
+    least 1, distinct and coprime."""
     for name, value in (("m", m), ("n", n)):
-        integral = isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and float(value).is_integer()
-        )
-        if isinstance(value, bool) or not integral:
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
@@ -162,9 +168,16 @@ def build_coprime_layout(params: CoprimeParams) -> SensorLayout:
 
 def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
     """Uniform symmetric array with an odd number ``u`` of sensors."""
+    layout = _dense_layout(u, d, wavelength)
+    _check_spacing(d, wavelength)
+    return layout
+
+
+def _dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
+    """:func:`build_dense_layout` without the spacing check, for a spacing
+    and wavelength already checked."""
     if u < 1 or u % 2 == 0:
         raise ValueError("dense layout needs an odd, positive sensor count")
-    _check_spacing(d, wavelength)
     half = (u - 1) // 2
     return SensorLayout(tuple(range(-half, half + 1)), d, wavelength)
 

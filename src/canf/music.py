@@ -90,7 +90,7 @@ SIGNIFICANCE_DB = 10.0  # range-peak height that labels its angle true
 MIN_ANGLE_SEPARATION_DEG = 0.5  # closer angle peaks ride on one lobe
 CANCELLATION_FLOOR = 1e-3  # least noise power trusted from the signal basis
 CHIRP_RESTART = 16  # run elements per exact cos/sin restart of a Fresnel chirp
-MAX_GRID_POINTS = 100_000  # most points SpectrumGrid.for_layout puts on either axis
+MAX_GRID_ENTRIES = 2**26  # most sensors x points on an axis of SpectrumGrid.for_layout
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,9 +155,10 @@ def real_form(matrix: np.ndarray) -> np.ndarray:
 class SpectrumGrid:
     """Search grids as read-only float arrays: angles in degrees, ranges in meters.
 
-    :meth:`for_layout` is cached: equal arguments return the same grid.  It
-    rejects steps that would put more than :data:`MAX_GRID_POINTS` points on
-    an axis before it allocates either one.
+    :meth:`for_layout` is cached: equal arguments return the same grid.  The
+    scan manifolds grow with the sensor count times the points on an axis,
+    so it rejects steps that would put more than ``MAX_GRID_ENTRIES //
+    layout.size`` points on an axis, before it allocates either one.
     """
 
     angle_deg: np.ndarray
@@ -178,21 +179,22 @@ class SpectrumGrid:
     def for_layout(
         cls, layout: SensorLayout, angle_step_deg: float, range_step_m: float
     ) -> "SpectrumGrid":
-        a_steps = (180.0 - 2.0 * angle_step_deg) / angle_step_deg
         z_f, z_r = layout.fresnel_distance, layout.rayleigh_distance
-        r_steps = (z_r - z_f) / range_step_m
-        for name, step, steps in (
-            ("angle_step_deg", angle_step_deg, a_steps),
-            ("range_step_m", range_step_m, r_steps),
+        # Counted as floats, which hold the count of any step, 1e-300 included.
+        n_a = np.round((180.0 - 2.0 * angle_step_deg) / angle_step_deg) + 1.0
+        n_r = max(np.floor((z_r - z_f) / range_step_m) + 1.0, 2.0)
+        limit = MAX_GRID_ENTRIES // layout.size
+        for name, step, n in (
+            ("angle_step_deg", angle_step_deg, n_a),
+            ("range_step_m", range_step_m, n_r),
         ):
-            if steps >= MAX_GRID_POINTS:
+            if not n <= limit:
                 raise ValueError(
-                    f"{name}={step!r} gives more than {MAX_GRID_POINTS} grid points"
+                    f"{name}={step!r} gives {n:.6g} grid points, more than the "
+                    f"{limit} that {layout.size} sensors allow"
                 )
-        n_a = int(round(a_steps)) + 1
-        angles = np.linspace(-90.0 + angle_step_deg, 90.0 - angle_step_deg, n_a)
-        n_r = max(int(math.floor(r_steps)) + 1, 2)
-        ranges = z_f + range_step_m * np.arange(n_r)
+        angles = np.linspace(-90.0 + angle_step_deg, 90.0 - angle_step_deg, int(n_a))
+        ranges = z_f + range_step_m * np.arange(int(n_r))
         return cls(angles, ranges)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .channel import _MODELS, SnapshotSet, Target, TargetSet, synthesize
 from .geometry import CoprimeParams, SensorLayout, build_coprime_layout, max_targets
+from .geometry import _dense_layout, _is_integer
 
 __all__ = ["SPEED_OF_LIGHT", "Scenario", "default_benchmark_scenario"]
 
@@ -54,11 +55,9 @@ class Scenario:
         return build_coprime_layout(self.params)
 
     def dense_layout(self) -> SensorLayout:
-        """Dense comparison layout with the same sensor count 2(M + N) - 3 and
-        spacing, from ``params`` as checked at load: it does not warn again."""
-        p = self.params
-        half = p.m + p.n - 2
-        return SensorLayout(tuple(range(-half, half + 1)), p.d, p.wavelength)
+        """Dense comparison layout with the same sensor count and spacing.  The
+        spacing was checked when ``params`` was built, so it does not warn again."""
+        return _dense_layout(self.layout().size, self.params.d, self.params.wavelength)
 
     def snapshots(self, seed: int | None = None) -> SnapshotSet:
         """Synthesize on the coprime layout at the scenario's SNR, from its
@@ -161,9 +160,10 @@ def _spacing_and_wavelength(d_mm, freq_ghz) -> tuple[float, float]:
 
 
 def _integer(data: dict, key: str, default: int | None = None) -> int:
-    """``data[key]``, else ``default``, if an int or an integral float (not a bool)."""
+    """``data[key]``, else ``default``, if an integer as ``CoprimeParams``
+    reads one: an int or an integral float, not a bool."""
     value = data.get(key, default)
-    if type(value) is not int and not (type(value) is float and value.is_integer()):
+    if not _is_integer(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 

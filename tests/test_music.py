@@ -25,7 +25,7 @@ from canf.covariance import build_bundle, decouple, spatial_smooth, vectorize_to
 from canf.music import (
     CANCELLATION_FLOOR,
     CHIRP_RESTART,
-    MAX_GRID_POINTS,
+    MAX_GRID_ENTRIES,
     MIN_ANGLE_SEPARATION_DEG,
     PseudoSpectrum,
     Subspace,
@@ -39,6 +39,7 @@ from canf.music import (
     real_form,
 )
 from canf.bench import associate
+from canf.scenario import SPEED_OF_LIGHT
 
 import oracles
 
@@ -162,13 +163,34 @@ class TestSpectrumGrid:
             ((0.05, 1e-300), "range_step_m"),
         ],
     )
-    def test_rejects_steps_above_the_point_cap(self, layout911, steps, name):
-        with pytest.raises(ValueError, match=f"^{name}=.* more than {MAX_GRID_POINTS} grid points"):
+    def test_rejects_steps_above_the_entry_cap(self, layout911, steps, name):
+        limit = MAX_GRID_ENTRIES // layout911.size
+        with pytest.raises(
+            ValueError, match=f"^{name}=.* grid points, more than the {limit} that 37 sensors allow"
+        ):
             SpectrumGrid.for_layout(layout911, *steps)
 
-    def test_the_finest_allowed_angle_step_stays_within_the_cap(self, layout911):
-        grid = SpectrumGrid.for_layout(layout911, 180.0 / (MAX_GRID_POINTS + 1), 0.1)
-        assert grid.angle_deg.size == MAX_GRID_POINTS
+    def test_the_cap_counts_the_points_each_axis_gets(self, layout911, monkeypatch):
+        # 1000 points for 37 sensors.  A step between two counts is judged by
+        # the count it rounds (angles) or floors (ranges) to.
+        monkeypatch.setattr(music, "MAX_GRID_ENTRIES", 1000 * layout911.size)
+        span = layout911.rayleigh_distance - layout911.fresnel_distance
+        grid = SpectrumGrid.for_layout(layout911, 180.0 / 1001.0, span / 999.5)
+        assert grid.angle_deg.size == grid.range_m.size == 1000
+        for steps, name in [
+            ((180.0 / 1001.75, 0.1), "angle_step_deg"),
+            ((180.0 / 1001.0, span / 1000.5), "range_step_m"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name}=.* gives 1001 grid points"):
+                SpectrumGrid.for_layout(layout911, *steps)
+
+    def test_a_large_array_keeps_its_default_steps(self):
+        # (21, 23) at 3 GHz with d = lambda/4: 85 sensors, and over 100,000
+        # ranges at the default 0.1 m step.
+        wavelength = SPEED_OF_LIGHT / 3e9
+        layout = build_coprime_layout(CoprimeParams(21, 23, wavelength / 4.0, wavelength))
+        grid = SpectrumGrid.for_layout(layout, 0.05, 0.1)
+        assert layout.size == 85 and grid.range_m.size > 100_000
 
 
 class TestMusicConfig:
