@@ -81,8 +81,9 @@ def associate(
     same; totals within :data:`TIE_RTOL` count as tied and are decided by
     the least squared error ``dtheta^2 + (dr / range_scale)^2``, then by the
     lexicographically smallest pairs, so roundoff in the estimates never
-    picks the assignment.  The assignments come from the in-package
-    shortest-augmenting-path solver, :func:`linear_sum_assignment`.
+    picks the assignment.  The tied assignments come from one solve of the
+    in-package shortest-augmenting-path solver and a search bounded by its
+    dual (:func:`_tied_assignments`).
 
     Raises ValueError, naming the argument, for a non-finite value, range
     arrays whose lengths differ from their angle arrays, ``est_range_m``
@@ -144,16 +145,26 @@ def linear_sum_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
     Shortest augmenting paths (Jonker & Volgenant, Computing 1987), in the
     rectangular form of Crouse (IEEE TAES 2016) that
     ``scipy.optimize.linear_sum_assignment`` implements, with the same
-    tie-breaking, so it picks the same assignment.  Each row joins along
-    a Dijkstra shortest path on the reduced costs ``cost - u - v``, then the
-    dual potentials ``u`` and ``v`` are updated.  Plain Python on lists of
-    floats.  An ``inf`` entry is a forbidden pair; ValueError if every
-    assignment uses one.  NaN and ``-inf`` are not checked for here
+    tie-breaking, so it picks the same assignment: :func:`_solve` on the cost
+    or, with more rows than columns, on its transpose.  Plain Python on
+    lists of floats.  An ``inf`` entry is a forbidden pair; ValueError if
+    every assignment uses one.  NaN and ``-inf`` are not checked for here
     (:func:`associate` rejects them).
     """
-    transpose = len(cost) > len(cost[0])
-    if transpose:
-        cost = [list(col) for col in zip(*cost)]
+    if len(cost) > len(cost[0]):
+        col4row, _, _ = _solve([list(col) for col in zip(*cost)])
+        return sorted((j, i) for i, j in enumerate(col4row))
+    return list(enumerate(_solve(cost)[0]))
+
+
+def _solve(cost: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
+    """The column of each row in the least assignment of a cost with no more
+    rows than columns, and its optimal dual: ``cost >= u + v`` entrywise,
+    with equality on the assigned pairs (to roundoff), and ``v <= 0``, with
+    0 on the unassigned columns.  Each row joins along a Dijkstra shortest
+    path on the reduced costs ``cost - u - v``, then ``u`` and ``v`` are
+    updated.
+    """
     n_rows, n_cols = len(cost), len(cost[0])
     u, v = [0.0] * n_rows, [0.0] * n_cols
     col4row, row4col = [-1] * n_rows, [-1] * n_cols
@@ -196,71 +207,54 @@ def linear_sum_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
             col4row[i], j = j, col4row[i]
             if i == start:
                 break
-    if transpose:
-        return sorted((j, i) for i, j in enumerate(col4row))
-    return list(enumerate(col4row))
+    return col4row, u, v
 
 
 def _tied_assignments(cost: list[list[float]]) -> list[tuple[tuple[int, int], ...]]:
-    """Every assignment whose total is within the tie window of the least.
+    """Every assignment whose total is within the tie window of the least,
+    as ``(row, col)`` pairs sorted by row.
 
-    Murty's partition (Murty, Operations Research 1968): the best assignment
-    of a subproblem splits the rest of it into one subproblem per pair,
-    keeping the pairs before that one and forbidding it (an ``inf`` entry).
-    Each subproblem is solved by the shortest-augmenting-path solver
-    :func:`linear_sum_assignment`.  A subproblem holds no tied assignment,
-    and is dropped, when every assignment left uses a forbidden pair (the
-    solver raises) or its best total misses the window.  It is dropped
-    unsolved, and never copied, when a lower bound on its total
-    (:func:`_assignment_bound`) already misses the window by more than the
-    roundoff of either sum, so an untied cost takes one solver call.  The
-    cost is a finite list of rows, copied per subproblem.
+    One :func:`_solve`, on the orientation with no more rows than columns,
+    gives the least total and an optimal dual ``u``, ``v``.  An assignment's
+    total exceeds the least by its pairs' reduced costs ``cost - u - v`` plus
+    ``-v`` of each column it leaves out, all non-negative, so one inside the
+    window has a dual excess of at most the window plus roundoff.  A
+    depth-first search over the rows extends a partial assignment only while
+    its excess is at most twice the window, and keeps a complete one whose
+    own total is within the window.  The cost is a finite list of rows.
     """
-    scale = max(1.0, max(map(max, cost)))
-    window = TIE_RTOL * scale
-    # A bound and a solver total each add up n terms of at most ``scale``,
-    # so each is off its exact value by less than n * n * eps * scale.
-    n = min(len(cost), len(cost[0]))
-    roundoff = 2.0 * n * n * np.finfo(float).eps * scale
-    limit = math.inf
-    tied = []
-    pending = [cost]
-    while pending:
-        sub = pending.pop()
-        try:
-            pairs = linear_sum_assignment(sub)
-        except ValueError:
-            continue  # every assignment left uses a forbidden pair
-        total = sum(sub[i][j] for i, j in pairs)
-        if not tied:
-            limit = total + window
-        elif total > limit:
-            continue
-        tied.append(tuple(pairs))
-        sub = [row[:] for row in sub]
-        for i, j in pairs:
-            keep = sub[i][j]
-            sub[i][j] = math.inf
-            if _assignment_bound(sub) <= limit + roundoff:
-                pending.append([row[:] for row in sub])
-            sub[i] = [math.inf] * len(sub[i])
-            for row in sub:
-                row[j] = math.inf
-            sub[i][j] = keep
+    window = TIE_RTOL * max(1.0, max(map(max, cost)))
+    transpose = len(cost) > len(cost[0])
+    rows = [list(col) for col in zip(*cost)] if transpose else cost
+    col4row, u, v = _solve(rows)
+
+    def pairs_of(cols):
+        pairs = tuple(enumerate(cols))
+        return tuple(sorted((j, i) for i, j in pairs)) if transpose else pairs
+
+    def total(pairs):
+        return sum(cost[i][j] for i, j in pairs)
+
+    limit = total(pairs_of(col4row)) + window
+    slack = 2.0 * window
+    reduced = [[c - u_i - v_j for c, v_j in zip(row, v)] for row, u_i in zip(rows, u)]
+    tied, cols = [], []
+
+    def extend(excess):
+        if len(cols) == len(rows):
+            excess += sum(-v_j for j, v_j in enumerate(v) if j not in cols)
+            pairs = pairs_of(cols)
+            if excess <= slack and total(pairs) <= limit:
+                tied.append(pairs)
+            return
+        for j, r in enumerate(reduced[len(cols)]):
+            if excess + r <= slack and j not in cols:
+                cols.append(j)
+                extend(excess + r)
+                cols.pop()
+
+    extend(0.0)
     return tied
-
-
-def _assignment_bound(cost: list[list[float]]) -> float:
-    """A lower bound on the least assignment total: the sum of the row
-    minima when every row is assigned, of the column minima when every
-    column is (the larger of the two for a square cost)."""
-    n_rows, n_cols = len(cost), len(cost[0])
-    bound = -math.inf
-    if n_rows <= n_cols:
-        bound = sum(map(min, cost))
-    if n_cols <= n_rows:
-        bound = max(bound, sum(map(min, zip(*cost))))
-    return bound
 
 
 def rmse(errors) -> float | None:

@@ -120,10 +120,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         scenario = Scenario.load(args.scenario)
         config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
         snapshots = scenario.snapshots()
-        # The two failures the inputs can still cause: a grid too fine (the
-        # grid is cached, so localize reuses it) and a covariance that
-        # overflows a float (an O(U^2 T) product, small beside the scans).
-        SpectrumGrid.for_layout(snapshots.layout, config.angle_step_deg, config.range_step_m)
+        # The two failures the inputs can still cause: a grid too fine for
+        # its axes or its scans (the grid is cached, so localize reuses it)
+        # and a covariance that overflows a float (an O(U^2 T) product,
+        # small beside the scans).
+        grid = SpectrumGrid.for_layout(snapshots.layout, config.angle_step_deg, config.range_step_m)
+        grid.check_scan_size(snapshots.layout, config.target_count(snapshots))
         covariance_ls(snapshots)
     result = localize(snapshots, config)
     out_dir = Path(args.out_dir)

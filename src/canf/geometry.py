@@ -26,9 +26,10 @@ __all__ = [
 ]
 
 
-def _check_spacing(d: float, wavelength: float) -> None:
+def _check_spacing(d: float, wavelength: float, stacklevel: int) -> None:
     """Reject a spacing or wavelength that is not finite and positive, and
-    warn when the spacing exceeds lambda/4."""
+    warn when the spacing exceeds lambda/4, at ``stacklevel`` (this function
+    is level 1), which each constructor sets to its caller's line."""
     if not (0.0 < d < math.inf and 0.0 < wavelength < math.inf):
         raise ValueError("spacing and wavelength must be finite and positive")
     # Spacing above lambda/4 aliases the doubled-position (self-spectrum)
@@ -38,7 +39,7 @@ def _check_spacing(d: float, wavelength: float) -> None:
             f"spacing d={d:g} m exceeds lambda/4={wavelength / 4.0:g} m; "
             "angle estimates may be ambiguous"
         )
-        warnings.warn(msg, UserWarning, stacklevel=3)
+        warnings.warn(msg, UserWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,8 @@ class CoprimeParams:
         m, n = sorted(_coprime_pair(self.m, self.n))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        _check_spacing(self.d, self.wavelength)
+        # Level 3 is the dataclass-generated __init__, level 4 its caller.
+        _check_spacing(self.d, self.wavelength, stacklevel=4)
 
 
 def _is_integer(value) -> bool:
@@ -169,7 +171,7 @@ def build_coprime_layout(params: CoprimeParams) -> SensorLayout:
 def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
     """Uniform symmetric array with an odd number ``u`` of sensors."""
     layout = _dense_layout(u, d, wavelength)
-    _check_spacing(d, wavelength)
+    _check_spacing(d, wavelength, stacklevel=3)
     return layout
 
 

@@ -63,7 +63,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SnapshotSet, fresnel_phase_terms
 from .covariance import CovarianceBundle, build_bundle
-from .geometry import SensorLayout
+from .geometry import SensorLayout, difference_coarray
 
 __all__ = [
     "Subspace",
@@ -155,10 +155,10 @@ def real_form(matrix: np.ndarray) -> np.ndarray:
 class SpectrumGrid:
     """Search grids as read-only float arrays: angles in degrees, ranges in meters.
 
-    :meth:`for_layout` is cached: equal arguments return the same grid.  The
-    scan manifolds grow with the sensor count times the points on an axis,
-    so it rejects steps that would put more than ``MAX_GRID_ENTRIES //
-    layout.size`` points on an axis, before it allocates either one.
+    :meth:`for_layout` is cached: equal arguments return the same grid.  It
+    rejects steps that would put more than ``MAX_GRID_ENTRIES //
+    layout.size`` points on an axis, before it allocates either one;
+    :meth:`check_scan_size` bounds what the scans build over the axes.
     """
 
     angle_deg: np.ndarray
@@ -196,6 +196,30 @@ class SpectrumGrid:
         angles = np.linspace(-90.0 + angle_step_deg, 90.0 - angle_step_deg, int(n_a))
         ranges = z_f + range_step_m * np.arange(int(n_r))
         return cls(angles, ranges)
+
+    def check_scan_size(self, layout: SensorLayout, k: int) -> None:
+        """Reject this grid, before any scan, if a scan of K targets over it
+        on ``layout`` would hold more than :data:`MAX_GRID_ENTRIES` entries.
+
+        The angle scan caches a real ``(W, A)`` manifold, W the virtual ULA
+        size of the layout's coarray.  The range scan of the ``C = K (K + 1)
+        / 2`` candidates builds a complex ``(F, C, R)`` chirp over the F
+        folded sensors, four ``(runs, C, R)`` temporaries along the chirp's
+        runs and a ``(C, R, K)`` projection.
+        """
+        w = (len(difference_coarray(layout).smoothing_segment) + 1) // 2
+        plan = _chirp_plan(layout.grid)
+        n_a, n_r = self.angle_deg.size, self.range_m.size
+        per_range = k * (k + 1) // 2 * (plan.first.size + 4 * len(plan.runs) + k)
+        for stage, points, entries, step in (
+            ("angle", n_a, w * n_a, "angle_step_deg"),
+            ("range", n_r, per_range * n_r, "range_step_m"),
+        ):
+            if entries > MAX_GRID_ENTRIES:
+                raise ValueError(
+                    f"the {stage} scan of {k} targets over {points} grid points would hold "
+                    f"{entries} entries, more than {MAX_GRID_ENTRIES}: raise {step}"
+                )
 
 
 @dataclass(frozen=True)
@@ -853,12 +877,15 @@ def two_phase(
     split keeps ``K (K + 1) / 2`` signal components, the K targets plus
     their pairwise cross terms (at most ``W - 1``), each range split ``K``
     (at most ``U - 1``), and the angle stage passes up to ``K (K + 1) / 2``
-    candidates.  Eigenvalues are concatenated over
-    the inputs and the largest ranks reported.
+    candidates; :meth:`SpectrumGrid.check_scan_size` rejects a grid whose
+    scans of K targets would be too large before any stage runs.
+    Eigenvalues are concatenated over the inputs and the largest ranks
+    reported.
     """
     k = config.target_count(inputs[0])
     pairs = k * (k + 1) // 2
     grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
+    grid.check_scan_size(layout, k)
     axis = grid.angle_deg
     bundles = [build_bundle(s) for s in inputs]
     virtual = [

@@ -10,6 +10,8 @@ the package does not use: one call and one scalar parabolic fit per
 spectrum, which the package's own row-wise finder must reproduce bit for
 bit.
 """
+from itertools import permutations
+
 import numpy as np
 from scipy.signal import find_peaks
 
@@ -363,3 +365,33 @@ def classify_range_spectrum(theta_deg, spec, bounds):
         )
         for p in chosen
     ]
+
+
+def association_bruteforce(est_theta, est_range, true_theta, true_range, range_scale, rtol):
+    """The pairs of the association rule, over every injection of the smaller
+    side into the larger: the least L1 total within ``rtol`` of the largest
+    pair cost, then the least squared error within ``rtol`` of the largest
+    squared pair cost, then the lexicographically least pairs (sorted by
+    estimate)."""
+    n_e, n_t = len(est_theta), len(true_theta)
+    l1 = [[0.0] * n_t for _ in range(n_e)]
+    sq = [[0.0] * n_t for _ in range(n_e)]
+    for i in range(n_e):
+        for j in range(n_t):
+            terms = [abs(est_theta[i] - true_theta[j])]
+            if est_range is not None:
+                terms.append(abs(est_range[i] - true_range[j]) / range_scale)
+            l1[i][j] = sum(terms)
+            sq[i][j] = sum(t**2 for t in terms)
+    if n_e <= n_t:
+        candidates = [tuple(enumerate(cols)) for cols in permutations(range(n_t), n_e)]
+    else:
+        candidates = [
+            tuple(sorted((i, j) for j, i in enumerate(rows)))
+            for rows in permutations(range(n_e), n_t)
+        ]
+    for table in (l1, sq):
+        totals = [sum(table[i][j] for i, j in pairs) for pairs in candidates]
+        limit = min(totals) + rtol * max(1.0, max(max(row) for row in table))
+        candidates = [p for p, total in zip(candidates, totals) if total <= limit]
+    return min(candidates)

@@ -1,8 +1,9 @@
 """The Monte Carlo harness: the shared draw of each trial gives every cell
 the record it gets on its own, failed trials are counted and keep their
 error, bad association inputs are rejected by name, the assignment solver
-agrees with scipy's on hand-written cases, and tied assignments are decided
-the same way whatever the roundoff."""
+agrees with scipy's on hand-written cases, tied assignments are decided the
+same way whatever the roundoff, and an association takes one solver call,
+tied or not."""
 import json
 import logging
 import math
@@ -219,24 +220,48 @@ def test_associate_breaks_exact_ties_deterministically(est_theta, est_range, tru
         assert match.pairs == expected
 
 
-def test_untied_assignment_takes_one_solver_call(monkeypatch):
-    # Each estimate sits near its own truth, so every branch of the
-    # partition has a row-minimum bound above the tie window and is
-    # dropped unsolved.
+def _count_solves(monkeypatch) -> list:
     calls = []
-    solve = bench.linear_sum_assignment
+    solve = bench._solve
 
     def counting(cost):
         calls.append((len(cost), len(cost[0])))
         return solve(cost)
 
-    monkeypatch.setattr(bench, "linear_sum_assignment", counting)
+    monkeypatch.setattr(bench, "_solve", counting)
+    return calls
+
+
+def test_untied_assignment_takes_one_solver_call(monkeypatch):
+    # Each estimate sits near its own truth, so one solve finds the only
+    # assignment inside the tie window.
+    calls = _count_solves(monkeypatch)
     truth_theta, truth_range = (-35.0, 10.0, 30.0, 50.0), (25.0, 30.0, 20.0, 40.0)
     match = associate(
         (30.4, -34.8, 49.1, 10.2), (19.0, 26.0, 41.0, 31.5), truth_theta, truth_range, 20.0
     )
     assert match.pairs == ((0, 2), (1, 0), (2, 3), (3, 1))
     assert calls == [(4, 4)]
+
+
+def test_tied_assignments_take_one_solver_call(monkeypatch):
+    # Every estimate within 0.02 of the first truth, two of them below it in
+    # both coordinates: the separable L1 cost ties 10,080 assignments, all
+    # found by the search that the first solve's dual bounds.
+    n = 8
+    truth_theta, truth_range = np.linspace(-60.0, 60.0, n), np.linspace(5.0, 35.0, n)
+    below = np.arange(n) < 2
+    est_theta = truth_theta[0] + np.where(below, -0.01 * (1 + np.arange(n)), 0.002 * np.arange(n))
+    est_range = truth_range[0] + np.where(below, -0.01 * (1 + np.arange(n)), 0.0025 * np.arange(n))
+    cost = np.abs(est_theta[:, None] - truth_theta)
+    cost += np.abs(est_range[:, None] - truth_range) / 10.0
+    calls = _count_solves(monkeypatch)
+    assert len(bench._tied_assignments(cost.tolist())) == 10_080
+    assert calls == [(n, n)]
+    calls.clear()
+    match = associate(est_theta, est_range, truth_theta, truth_range, 10.0)
+    assert match.pairs == ((0, 1), (1, 0)) + tuple((i, i) for i in range(2, n))
+    assert calls == [(n, n)]
 
 
 def test_associate_rejects_a_cost_that_overflows(recwarn):

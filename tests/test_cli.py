@@ -210,6 +210,25 @@ def test_bad_config_is_a_usage_error(tmp_path, scenario_file, argv, message):
     assert list(tmp_path.iterdir()) == [scenario_file]
 
 
+@pytest.mark.parametrize(
+    "steps, name",
+    [(["--angle-step", "1e-4"], "angle_step_deg"), (["--range-step", "2.3e-5"], "range_step_m")],
+)
+def test_spectrum_rejects_a_grid_too_large_to_scan_before_any_scan(
+    tmp_path, scenario_file, monkeypatch, steps, name
+):
+    # Each axis passes the per-axis cap, but its scan of the 4 targets would
+    # hold over a billion bytes.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("localize ran")
+
+    monkeypatch.setattr("canf.cli.localize", no_scan)
+    out = ["--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit, match=f"^spectrum: the .* scan of 4 targets .* raise {name}$"):
+        main(["spectrum", "--scenario", str(scenario_file), *out, *steps])
+    assert list(tmp_path.iterdir()) == [scenario_file]
+
+
 def _scenario_argv(command, scenario, tmp_path):
     out = {"simulate": "--out", "spectrum": "--out-dir", "montecarlo": "--out"}[command]
     argv = [command, "--scenario", str(scenario), out, str(tmp_path / "out")]

@@ -54,6 +54,20 @@ class TestCoprimeParams:
         with pytest.warns(UserWarning, match="lambda/4"):
             CoprimeParams(2, 3, LAM / 2.0, LAM)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CoprimeParams(2, 3, LAM / 2.0, LAM),
+            lambda: build_dense_layout(5, LAM / 2.0, LAM),
+        ],
+        ids=["CoprimeParams", "build_dense_layout"],
+    )
+    def test_wide_spacing_warning_names_the_callers_line(self, build):
+        # Through the dataclass-generated __init__ too, not a "<string>" line.
+        with pytest.warns(UserWarning, match="lambda/4") as caught:
+            build()
+        assert [w.filename for w in caught] == [__file__]
+
     @pytest.mark.parametrize("m,n,message", BAD_PAIRS)
     def test_rejects_what_is_not_a_positive_integer(self, m, n, message):
         with pytest.raises(ValueError, match=f"^{message}"):

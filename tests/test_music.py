@@ -192,6 +192,47 @@ class TestSpectrumGrid:
         grid = SpectrumGrid.for_layout(layout, 0.05, 0.1)
         assert layout.size == 85 and grid.range_m.size > 100_000
 
+    def test_the_finest_accepted_steps_plan_scans_within_the_cap(self, layout911):
+        # The benchmark array with its 4 targets: W = 9 * 11 + 1 virtual
+        # sensors, F = 9 + 11 - 1 folded sensors on 2 chirp runs, C = 10
+        # candidates.
+        k, w, f, runs = 4, 100, 19, 2
+        c = k * (k + 1) // 2
+        n_a, n_r = MAX_GRID_ENTRIES // w, MAX_GRID_ENTRIES // (c * (f + 4 * runs + k))
+        span = layout911.rayleigh_distance - layout911.fresnel_distance
+        grid = SpectrumGrid.for_layout(layout911, 180.0 / (n_a + 1), span / (n_r - 0.5))
+        assert (grid.angle_deg.size, grid.range_m.size) == (n_a, n_r)
+        grid.check_scan_size(layout911, k)
+        # What these scans would build, counted from the shapes, not allocated:
+        # the real (W, A) manifold, and the complex (F, C, R) chirp, four
+        # (runs, C, R) chirp temporaries and the (C, R, K) projection.
+        angle_bytes = 8 * w * n_a
+        range_bytes = 16 * c * n_r * (f + 4 * runs + k)
+        assert angle_bytes <= 2**29 and range_bytes <= 2**30
+        for steps, name in [
+            ((180.0 / (n_a + 2), STEPS[1]), "angle_step_deg"),
+            ((STEPS[0], span / (n_r + 0.5)), "range_step_m"),
+        ]:
+            with pytest.raises(ValueError, match=f"would hold .* raise {name}$"):
+                SpectrumGrid.for_layout(layout911, *steps).check_scan_size(layout911, k)
+
+    def test_the_scan_counts_are_the_shapes_the_scans_build(self, layout911):
+        # At the default steps: the cached angle manifold is (W, A) and the
+        # range chirp (C, R, F) over the layout's 2 chirp runs.
+        grid = SpectrumGrid.for_layout(layout911, *STEPS)
+        manifold = _real_angle_manifold(100, layout911.d, LAM, 2.0, grid.angle_deg.tobytes())
+        assert manifold.T.shape == (100, grid.angle_deg.size)
+        plan = _chirp_plan(layout911.grid)
+        thetas = np.linspace(-30.0, 30.0, 10)
+        _, q_unit = fresnel_phase_terms(layout911, np.deg2rad(thetas)[:, None], 1.0)
+        chirp = _fresnel_chirp(plan, q_unit[..., plan.first], grid.range_m)
+        assert chirp.shape == (10, grid.range_m.size, 19) and len(plan.runs) == 2
+
+    def test_a_large_array_scans_its_default_steps_for_four_targets(self):
+        wavelength = SPEED_OF_LIGHT / 3e9
+        layout = build_coprime_layout(CoprimeParams(21, 23, wavelength / 4.0, wavelength))
+        SpectrumGrid.for_layout(layout, *STEPS).check_scan_size(layout, 4)
+
 
 class TestMusicConfig:
     def test_three_knobs(self):

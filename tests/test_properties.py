@@ -3,8 +3,9 @@ oracle, the subspace scan, the real angle scan and the folded range scan
 against a noise-basis oracle on the complex manifolds, the real form of a
 centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
 the Toeplitz split of the coarray against the split of its smoothed matrix,
-estimate-to-truth association, the assignment solver against scipy's, and the
-row-wise peak finder against one peak search per spectrum, on drawn rows and
+estimate-to-truth association (also against a brute-force oracle of its rule),
+the assignment solver against scipy's and its dual's bounds, and the row-wise
+peak finder against one peak search per spectrum, on drawn rows and
 on the pipeline's own spectra."""
 import math
 
@@ -377,6 +378,59 @@ def test_associate_ties_do_not_depend_on_roundoff(n_est, n_true, with_range, see
         jitter = 1.0 + 1e-12 * rng.choice([-1.0, 1.0], n_est)
         ranges = est_r * jitter if with_range else None
         assert associate(est_theta * jitter, ranges, true_theta, true_r, 20.0) == base
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    n_est=st.integers(1, 6),
+    n_true=st.integers(1, 6),
+    with_range=st.booleans(),
+    palette=st.sampled_from(["integer", "half-step", "continuous"]),
+    seed=seeds,
+)
+def test_associate_matches_the_brute_force_rule(n_est, n_true, with_range, palette, seed):
+    # Integer and half-step palettes make exact L1 and squared-error ties
+    # common, so the squared-error and lexicographic steps are exercised.
+    rng = np.random.default_rng(seed)
+    if palette == "integer":
+        est_theta, true_theta = rng.integers(-5, 6, n_est) * 2.0, rng.integers(-5, 6, n_true) * 2.0
+        est_r, true_r = rng.integers(1, 6, n_est) * 10.0, rng.integers(1, 6, n_true) * 10.0
+    elif palette == "half-step":
+        est_theta, true_theta = rng.integers(0, 6, n_est) * 0.5, rng.integers(0, 6, n_true) * 0.5
+        est_r, true_r = rng.integers(0, 4, n_est) * 0.5, rng.integers(0, 4, n_true) * 0.5
+    else:
+        est_theta, true_theta = rng.uniform(-80.0, 80.0, n_est), rng.uniform(-80.0, 80.0, n_true)
+        est_r, true_r = rng.uniform(5.0, 50.0, n_est), rng.uniform(5.0, 50.0, n_true)
+    ranges = est_r if with_range else None
+    match = associate(est_theta, ranges, true_theta, true_r, 20.0)
+    expected = oracles.association_bruteforce(
+        est_theta.tolist(), None if ranges is None else est_r.tolist(), true_theta.tolist(),
+        true_r.tolist(), 20.0, bench.TIE_RTOL,
+    )
+    assert match.pairs == expected
+
+
+@PROPERTY
+@given(
+    n_rows=st.integers(1, 7),
+    extra_cols=st.integers(0, 3),
+    levels=st.sampled_from([2, 3, 5, 0]),
+    seed=seeds,
+)
+def test_solver_dual_bounds_every_assignment(n_rows, extra_cols, levels, seed):
+    # The potentials _tied_assignments prunes with: cost >= u + v, equal on
+    # the assigned pairs, and v <= 0, with 0 on the unassigned columns.
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, n_rows + extra_cols)
+    cost = rng.integers(0, levels, shape) * 0.5 if levels else rng.uniform(0.0, 10.0, shape)
+    col4row, u, v = bench._solve(cost.tolist())
+    u, v = np.array(u), np.array(v)
+    reduced = cost - u[:, None] - v[None, :]
+    tol = 1e-12 * max(1.0, cost.max())
+    assert reduced.min() >= -tol
+    np.testing.assert_allclose(reduced[np.arange(n_rows), col4row], 0.0, atol=tol)
+    assert v.max() <= 0.0
+    assert np.all(v[np.setdiff1d(np.arange(shape[1]), col4row)] == 0.0)
 
 
 @settings(PROPERTY, max_examples=400)
