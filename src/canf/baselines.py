@@ -7,7 +7,8 @@ vector, a ``position_scale=1`` angle scan and peak detection, with no range
 stage.  Subarray near-field is :func:`canf.music.two_phase` on the two
 uniform subarrays, fusing their angle and range scans pairwise.  All three
 consume the same snapshot sets and grids as the primary method, so swapping
-the scheme changes nothing about a scenario.
+the scheme changes nothing about a scenario: each plans its run with
+:meth:`canf.music.MusicConfig.plan`, so a config one rejects, all reject.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .music import (  # noqa: F401  (eig_hermitian is bound here for perfbench's
     MusicConfig,
     Peak,
     PseudoSpectrum,
-    SpectrumGrid,
     Subspace,
     angle_spectrum,
     detect_peaks,
@@ -83,15 +83,16 @@ def localize_farfield_virtual(
     wavefronts, which is exactly the model mismatch it exhibits on
     near-field data.  With K known waveforms, the split keeps ``K`` signal
     components (at most ``W - 1``) and the scan reports up to ``K`` angles.
+    :meth:`MusicConfig.plan` rejects a range step too fine for the K-target
+    range scan here too, though this scheme scans no ranges.
     """
     if config is None:
         config = MusicConfig()
-    k = config.target_count(snapshots)
     layout = snapshots.layout
+    k, grid = config.plan(snapshots, layout)
     r_tilde = vectorize_to_coarray(covariance_sample(snapshots), layout)
-    axis = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m).angle_deg
     virtual = Subspace.split_coarray(r_tilde, min(k, (r_tilde.size - 1) // 2))
-    spec = angle_spectrum(virtual, layout.d, layout.wavelength, axis, position_scale=1.0)
+    spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid.angle_deg, position_scale=1.0)
     peaks = detect_peaks(spec, k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)
 
@@ -113,6 +114,10 @@ def localize_subarray(
     params = layout.coprime
     if params is None:
         raise ValueError("subarray baseline expects snapshots from a coprime layout")
+    if params.m == 1:
+        raise ValueError(
+            "subarray baseline needs M >= 2: with M = 1, subarray 1 has 2M - 1 = 1 sensor"
+        )
     parent_index = {g: i for i, g in enumerate(layout.grid)}
     inputs = []
     for sub, factor in zip(build_subarrays(params), (params.n, params.m)):

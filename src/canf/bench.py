@@ -33,6 +33,7 @@ import numpy as np
 
 from .baselines import localize_dense, localize_farfield_virtual, localize_subarray
 from .channel import SnapshotSet, noise_power, synthesize, synthesize_sweep
+from .geometry import _is_integer
 from .music import localize
 from .scenario import Scenario
 
@@ -277,6 +278,8 @@ class MonteCarloConfig:
     simply drop out of the error average).  Detection rate is computed from
     strict classification, with the gates ``theta_gate_deg`` and
     ``range_gate_frac`` (fraction of the reference Rayleigh distance).
+    ``q_trials`` and ``base_seed`` are stored as ints, and must be integers
+    as ``CoprimeParams`` reads M and N.
     """
 
     scenario: Scenario
@@ -288,6 +291,11 @@ class MonteCarloConfig:
     range_gate_frac: ClassVar[float] = 0.125
 
     def __post_init__(self) -> None:
+        for name in ("q_trials", "base_seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.q_trials < 1:
             raise ValueError("q_trials must be at least 1")
         if self.base_seed < 0:

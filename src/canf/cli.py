@@ -20,7 +20,7 @@ import numpy as np
 from .bench import METHODS, MonteCarloConfig, _fmt, _write_lines, run_monte_carlo
 from .covariance import covariance_ls
 from .geometry import CoprimeParams, build_coprime_layout, difference_coarray, max_targets
-from .music import MusicConfig, SpectrumGrid, localize
+from .music import MusicConfig, localize
 from .scenario import Scenario, _spacing_and_wavelength
 
 __all__ = ["main"]
@@ -121,11 +121,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
         snapshots = scenario.snapshots()
         # The two failures the inputs can still cause: a grid too fine for
-        # its axes or its scans (the grid is cached, so localize reuses it)
+        # its axes or its scans (localize plans the same cached grid again)
         # and a covariance that overflows a float (an O(U^2 T) product,
         # small beside the scans).
-        grid = SpectrumGrid.for_layout(snapshots.layout, config.angle_step_deg, config.range_step_m)
-        grid.check_scan_size(snapshots.layout, config.target_count(snapshots))
+        config.plan(snapshots, snapshots.layout)
         covariance_ls(snapshots)
     result = localize(snapshots, config)
     out_dir = Path(args.out_dir)

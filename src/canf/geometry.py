@@ -66,7 +66,8 @@ class CoprimeParams:
 
 def _is_integer(value) -> bool:
     """Whether ``value`` is an int or an integral float (numpy's included),
-    not a bool: the one test of an integer for M, N and the scenario files."""
+    not a bool: the one test of an integer for M, N, the scenario files and
+    the Monte Carlo trial count and seed."""
     return not isinstance(value, bool) and (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and float(value).is_integer())

@@ -90,7 +90,7 @@ SIGNIFICANCE_DB = 10.0  # range-peak height that labels its angle true
 MIN_ANGLE_SEPARATION_DEG = 0.5  # closer angle peaks ride on one lobe
 CANCELLATION_FLOOR = 1e-3  # least noise power trusted from the signal basis
 CHIRP_RESTART = 16  # run elements per exact cos/sin restart of a Fresnel chirp
-MAX_GRID_ENTRIES = 2**26  # most sensors x points on an axis of SpectrumGrid.for_layout
+MAX_GRID_ENTRIES = 2**26  # most entries of a grid axis or of a scan (MusicConfig.plan)
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +158,8 @@ class SpectrumGrid:
     :meth:`for_layout` is cached: equal arguments return the same grid.  It
     rejects steps that would put more than ``MAX_GRID_ENTRIES //
     layout.size`` points on an axis, before it allocates either one;
-    :meth:`check_scan_size` bounds what the scans build over the axes.
+    :meth:`MusicConfig.plan`, its one caller in the package, also bounds
+    what the scans of K targets build over the axes.
     """
 
     angle_deg: np.ndarray
@@ -196,30 +197,6 @@ class SpectrumGrid:
         angles = np.linspace(-90.0 + angle_step_deg, 90.0 - angle_step_deg, int(n_a))
         ranges = z_f + range_step_m * np.arange(int(n_r))
         return cls(angles, ranges)
-
-    def check_scan_size(self, layout: SensorLayout, k: int) -> None:
-        """Reject this grid, before any scan, if a scan of K targets over it
-        on ``layout`` would hold more than :data:`MAX_GRID_ENTRIES` entries.
-
-        The angle scan caches a real ``(W, A)`` manifold, W the virtual ULA
-        size of the layout's coarray.  The range scan of the ``C = K (K + 1)
-        / 2`` candidates builds a complex ``(F, C, R)`` chirp over the F
-        folded sensors, four ``(runs, C, R)`` temporaries along the chirp's
-        runs and a ``(C, R, K)`` projection.
-        """
-        w = (len(difference_coarray(layout).smoothing_segment) + 1) // 2
-        plan = _chirp_plan(layout.grid)
-        n_a, n_r = self.angle_deg.size, self.range_m.size
-        per_range = k * (k + 1) // 2 * (plan.first.size + 4 * len(plan.runs) + k)
-        for stage, points, entries, step in (
-            ("angle", n_a, w * n_a, "angle_step_deg"),
-            ("range", n_r, per_range * n_r, "range_step_m"),
-        ):
-            if entries > MAX_GRID_ENTRIES:
-                raise ValueError(
-                    f"the {stage} scan of {k} targets over {points} grid points would hold "
-                    f"{entries} entries, more than {MAX_GRID_ENTRIES}: raise {step}"
-                )
 
 
 @dataclass(frozen=True)
@@ -726,7 +703,7 @@ class MusicConfig:
 
     ``angle_step_deg`` and ``range_step_m`` are the steps of
     :meth:`SpectrumGrid.for_layout`.  The target count K is not a knob:
-    :meth:`target_count` reads it from the known waveforms, one row of the
+    :meth:`plan` reads it from the known waveforms, one row of the
     snapshots' ``x`` per target, and ``k_targets``, if given, must equal
     it.  K sets the subspace ranks and the number of angle candidates (see
     :func:`two_phase`).  The rest of the chain is fixed: the LS covariance,
@@ -749,12 +726,36 @@ class MusicConfig:
             if not (math.isfinite(step) and step > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {step!r}")
 
-    def target_count(self, snapshots: SnapshotSet) -> int:
-        """K, the number of known waveforms (rows of ``snapshots.x``)."""
+    def plan(self, snapshots: SnapshotSet, layout: SensorLayout) -> tuple[int, SpectrumGrid]:
+        """K, the number of known waveforms (rows of ``snapshots.x``), and
+        :meth:`SpectrumGrid.for_layout`'s grid, rejected before any stage if
+        a scan of K targets over it on ``layout`` would hold more than
+        :data:`MAX_GRID_ENTRIES` entries.
+
+        The angle scan caches a real ``(W, A)`` manifold, W the virtual ULA
+        size of the layout's coarray.  The range scan of the ``C = K (K + 1)
+        / 2`` candidates builds a complex ``(F, C, R)`` chirp over the F
+        folded sensors, four ``(runs, C, R)`` temporaries along the chirp's
+        runs and a ``(C, R, K)`` projection.
+        """
         k = snapshots.x.shape[0]
         if self.k_targets is not None and self.k_targets != k:
             raise ValueError(f"k_targets={self.k_targets}, but the snapshots carry {k} waveforms")
-        return k
+        grid = SpectrumGrid.for_layout(layout, self.angle_step_deg, self.range_step_m)
+        w = (len(difference_coarray(layout).smoothing_segment) + 1) // 2
+        chirp = _chirp_plan(layout.grid)
+        n_a, n_r = grid.angle_deg.size, grid.range_m.size
+        per_range = k * (k + 1) // 2 * (chirp.first.size + 4 * len(chirp.runs) + k)
+        for stage, points, entries, step in (
+            ("angle", n_a, w * n_a, "angle_step_deg"),
+            ("range", n_r, per_range * n_r, "range_step_m"),
+        ):
+            if entries > MAX_GRID_ENTRIES:
+                raise ValueError(
+                    f"the {stage} scan of {k} targets over {points} grid points would hold "
+                    f"{entries} entries, more than {MAX_GRID_ENTRIES}: raise {step}"
+                )
+        return k, grid
 
 
 @dataclass(frozen=True)
@@ -873,19 +874,16 @@ def two_phase(
     significance threshold).  Each input's range scan covers every candidate
     at once, and one :func:`classify_range_spectrum` call labels the fused
     ``(C, R)`` array, which the result keeps as ``range_spectrum``.
-    With K known waveforms (:meth:`MusicConfig.target_count`), each angle
-    split keeps ``K (K + 1) / 2`` signal components, the K targets plus
-    their pairwise cross terms (at most ``W - 1``), each range split ``K``
-    (at most ``U - 1``), and the angle stage passes up to ``K (K + 1) / 2``
-    candidates; :meth:`SpectrumGrid.check_scan_size` rejects a grid whose
-    scans of K targets would be too large before any stage runs.
-    Eigenvalues are concatenated over the inputs and the largest ranks
-    reported.
+    :meth:`MusicConfig.plan` reads K from the first input's known
+    waveforms and gives the grid, or rejects it, before any stage runs.
+    Each angle split keeps ``K (K + 1) / 2`` signal components, the K
+    targets plus their pairwise cross terms (at most ``W - 1``), each range
+    split ``K`` (at most ``U - 1``), and the angle stage passes up to ``K
+    (K + 1) / 2`` candidates.  Eigenvalues are concatenated over the inputs
+    and the largest ranks reported.
     """
-    k = config.target_count(inputs[0])
+    k, grid = config.plan(inputs[0], layout)
     pairs = k * (k + 1) // 2
-    grid = SpectrumGrid.for_layout(layout, config.angle_step_deg, config.range_step_m)
-    grid.check_scan_size(layout, k)
     axis = grid.angle_deg
     bundles = [build_bundle(s) for s in inputs]
     virtual = [

@@ -1,5 +1,6 @@
 """Dense-array, far-field virtual-array and subarray comparison schemes."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from canf import (
     build_coprime_layout,
     build_dense_layout,
     build_subarrays,
+    localize,
     localize_dense,
     localize_farfield_virtual,
     localize_subarray,
@@ -22,6 +24,39 @@ from canf.covariance import build_bundle, spatial_smooth
 from canf.music import Subspace, angle_spectrum, detect_peaks, real_form
 
 LAM = 10e-3
+# What the benchmark scenario's 4 targets would scan at each too-fine step:
+# 1,799,999 angles (a (100, A) manifold, 1.44 GB) and 1,736,190 ranges (the
+# range stage's 310 entries per range, 8.6 GB).  Both pass the per-axis cap.
+TOO_FINE = {
+    "angle": (
+        {"angle_step_deg": 1e-4},
+        "the angle scan of 4 targets over 1799999 grid points would hold 179999900 "
+        "entries, more than 67108864: raise angle_step_deg",
+    ),
+    "range": (
+        {"range_step_m": 2.3e-5},
+        "the range scan of 4 targets over 1736190 grid points would hold 538218900 "
+        "entries, more than 67108864: raise range_step_m",
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(TOO_FINE))
+@pytest.mark.parametrize("scheme", [localize, localize_subarray, localize_farfield_virtual])
+def test_every_scheme_rejects_a_config_too_fine_to_scan(
+    benchmark_scenario, monkeypatch, stage, scheme
+):
+    # One plan for every scheme: the far-field scheme scans no ranges, and it
+    # still refuses the range step the proposed method refuses.  The two
+    # manifolds fail if reached, so a scheme that skips the plan fails fast.
+    def no_manifold(*args, **kwargs):
+        raise AssertionError("a scan manifold was built")
+
+    for name in ("_real_angle_manifold", "_fresnel_chirp"):
+        monkeypatch.setattr(f"canf.music.{name}", no_manifold)
+    steps, message = TOO_FINE[stage]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scheme(benchmark_scenario.snapshots(), MusicConfig(**steps))
 
 
 class TestDenseBaseline:
@@ -51,6 +86,17 @@ class TestFarfieldBaseline:
         res = localize_farfield_virtual(snaps, MusicConfig(k_targets=1))
         assert len(res.angles_deg) == 1
         assert res.angles_deg[0] == pytest.approx(-18.0, abs=0.05)
+
+    def test_rejects_an_angle_grid_too_large_to_scan_before_the_scan(
+        self, benchmark_scenario, monkeypatch
+    ):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("angle_spectrum ran")
+
+        monkeypatch.setattr("canf.baselines.angle_spectrum", no_scan)
+        steps, message = TOO_FINE["angle"]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            localize_farfield_virtual(benchmark_scenario.snapshots(), MusicConfig(**steps))
 
     def test_no_range_estimates(self, benchmark_scenario):
         res = localize_farfield_virtual(
@@ -92,6 +138,15 @@ class TestSubarrayBaseline:
             layout, TargetSet((Target.from_degrees(0, 0.2),)), 8, None, 0
         )
         with pytest.raises(ValueError, match="coprime"):
+            localize_subarray(snaps)
+
+    def test_rejects_a_single_sensor_subarray(self):
+        # M = 1: subarray 1 has 2M - 1 = 1 sensor, so its coarray has W = 1
+        # and no split could leave a noise subspace.
+        layout = build_coprime_layout(CoprimeParams(1, 4, 0.0025, LAM))
+        snaps = synthesize(layout, TargetSet((Target.from_degrees(10.0, 0.05),)), 20, 20.0, 0)
+        message = "subarray baseline needs M >= 2: with M = 1, subarray 1 has 2M - 1 = 1 sensor"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             localize_subarray(snaps)
 
     def test_single_subarray_spectrum_is_aliased(self, params911, benchmark_scenario):

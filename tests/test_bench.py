@@ -31,6 +31,10 @@ from canf.scenario import default_benchmark_scenario
         ({"snr_db_list": (float("inf"),)}, "finite"),
         ({"snr_db_list": (float("-inf"),)}, "finite"),
         ({"base_seed": -1}, "base_seed"),
+        ({"q_trials": 2.5}, "q_trials must be an integer, got 2.5"),
+        ({"q_trials": "2"}, "q_trials must be an integer, got '2'"),
+        ({"q_trials": True}, "q_trials must be an integer, got True"),
+        ({"base_seed": 0.5}, "base_seed must be an integer, got 0.5"),
         ({"snr_db_list": (10.0, -4000.0)}, "snr_db=-4000.0 is too low: its noise power overflows"),
     ],
 )
@@ -38,6 +42,14 @@ def test_config_rejects_bad_values(kwargs, message):
     fields = {"scenario": default_benchmark_scenario(), "snr_db_list": (10.0,), **kwargs}
     with pytest.raises(ValueError, match=message):
         MonteCarloConfig(**fields)
+
+
+def test_config_stores_integral_counts_as_ints():
+    config = MonteCarloConfig(
+        default_benchmark_scenario(), (10.0,), q_trials=np.float64(2.0), base_seed=3.0
+    )
+    assert (config.q_trials, config.base_seed) == (2, 3)
+    assert type(config.q_trials) is int and type(config.base_seed) is int
 
 
 def test_rows_do_not_depend_on_method_order():

@@ -20,7 +20,7 @@ from canf import (
 )
 from canf import music
 from canf.baselines import localize_subarray
-from canf.channel import fresnel_phase_terms, steering_fresnel, steering_matrix
+from canf.channel import SnapshotSet, fresnel_phase_terms, steering_fresnel, steering_matrix
 from canf.covariance import build_bundle, decouple, spatial_smooth, vectorize_to_coarray
 from canf.music import (
     CANCELLATION_FLOOR,
@@ -53,6 +53,13 @@ def ideal_bundle(layout, targets):
     r_hat = b @ b.conj().T
     r_v = spatial_smooth(vectorize_to_coarray(decouple(r_hat, layout), layout))
     return r_hat, r_v
+
+
+def carrying(layout, k):
+    """A snapshot set on ``layout`` that carries K known waveforms: all that
+    :meth:`MusicConfig.plan` reads of it."""
+    y, x = np.zeros((layout.size, 1), complex), np.zeros((k, 1), complex)
+    return SnapshotSet(layout, y, x, 0.0, None, 0, "fresnel")
 
 
 def row_peak_indices(spec, include_edges, distance=None):
@@ -200,9 +207,11 @@ class TestSpectrumGrid:
         c = k * (k + 1) // 2
         n_a, n_r = MAX_GRID_ENTRIES // w, MAX_GRID_ENTRIES // (c * (f + 4 * runs + k))
         span = layout911.rayleigh_distance - layout911.fresnel_distance
-        grid = SpectrumGrid.for_layout(layout911, 180.0 / (n_a + 1), span / (n_r - 0.5))
+        snaps = carrying(layout911, k)
+        config = MusicConfig(angle_step_deg=180.0 / (n_a + 1), range_step_m=span / (n_r - 0.5))
+        planned, grid = config.plan(snaps, layout911)
+        assert planned == k
         assert (grid.angle_deg.size, grid.range_m.size) == (n_a, n_r)
-        grid.check_scan_size(layout911, k)
         # What these scans would build, counted from the shapes, not allocated:
         # the real (W, A) manifold, and the complex (F, C, R) chirp, four
         # (runs, C, R) chirp temporaries and the (C, R, K) projection.
@@ -214,7 +223,7 @@ class TestSpectrumGrid:
             ((STEPS[0], span / (n_r + 0.5)), "range_step_m"),
         ]:
             with pytest.raises(ValueError, match=f"would hold .* raise {name}$"):
-                SpectrumGrid.for_layout(layout911, *steps).check_scan_size(layout911, k)
+                MusicConfig(angle_step_deg=steps[0], range_step_m=steps[1]).plan(snaps, layout911)
 
     def test_the_scan_counts_are_the_shapes_the_scans_build(self, layout911):
         # At the default steps: the cached angle manifold is (W, A) and the
@@ -231,7 +240,7 @@ class TestSpectrumGrid:
     def test_a_large_array_scans_its_default_steps_for_four_targets(self):
         wavelength = SPEED_OF_LIGHT / 3e9
         layout = build_coprime_layout(CoprimeParams(21, 23, wavelength / 4.0, wavelength))
-        SpectrumGrid.for_layout(layout, *STEPS).check_scan_size(layout, 4)
+        assert MusicConfig().plan(carrying(layout, 4), layout)[0] == 4
 
 
 class TestMusicConfig:
