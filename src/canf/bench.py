@@ -33,7 +33,7 @@ import numpy as np
 
 from .baselines import localize_dense, localize_farfield_virtual, localize_subarray
 from .channel import SnapshotSet, noise_power, synthesize, synthesize_sweep
-from .geometry import _is_integer
+from .geometry import _integer, _real
 from .music import localize
 from .scenario import Scenario
 
@@ -278,8 +278,10 @@ class MonteCarloConfig:
     simply drop out of the error average).  Detection rate is computed from
     strict classification, with the gates ``theta_gate_deg`` and
     ``range_gate_frac`` (fraction of the reference Rayleigh distance).
-    ``q_trials`` and ``base_seed`` are stored as ints, and must be integers
-    as ``CoprimeParams`` reads M and N.
+    ``q_trials`` and ``base_seed`` are stored as ints if integers
+    (:func:`canf.geometry._integer`), the SNRs as a tuple of floats if
+    numbers (:func:`canf.geometry._real`), and ``methods``, a sequence of
+    names but not one string, as a tuple.
     """
 
     scenario: Scenario
@@ -292,14 +294,13 @@ class MonteCarloConfig:
 
     def __post_init__(self) -> None:
         for name in ("q_trials", "base_seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.q_trials < 1:
             raise ValueError("q_trials must be at least 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
+        snrs = tuple(_real("snr_db", s) for s in self.snr_db_list)
+        object.__setattr__(self, "snr_db_list", snrs)
         if not self.snr_db_list:
             raise ValueError("snr_db_list must hold at least one SNR")
         if not all(math.isfinite(s) for s in self.snr_db_list):
@@ -308,6 +309,9 @@ class MonteCarloConfig:
             noise_power(snr_db)  # an SNR whose noise power overflows is rejected here
         if len(set(self.snr_db_list)) < len(self.snr_db_list):
             raise ValueError(f"snr_db_list repeats an SNR: {self.snr_db_list}")
+        if isinstance(self.methods, str):
+            raise ValueError(f"methods must be a sequence of names, not a string: {self.methods!r}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ValueError("methods must name at least one method")
         if len(set(self.methods)) < len(self.methods):

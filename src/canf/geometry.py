@@ -64,23 +64,31 @@ class CoprimeParams:
         _check_spacing(self.d, self.wavelength, stacklevel=4)
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or an integral float (numpy's included),
-    not a bool: the one test of an integer for M, N, the scenario files and
-    the Monte Carlo trial count and seed."""
-    return not isinstance(value, bool) and (
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an int or an integral float (numpy's
+    included), not a bool: the one integer rule of every config field and
+    scenario file key."""
+    if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and float(value).is_integer())
-    )
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float if it is a real number (numpy's included), not a
+    bool: the one number rule of every config field and scenario file key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _coprime_pair(m, n) -> tuple[int, int]:
-    """``(m, n)`` as ints if both are integers (:func:`_is_integer`) of at
+    """``(m, n)`` as ints if both are integers (:func:`_integer`) of at
     least 1, distinct and coprime."""
     for name, value in (("m", m), ("n", n)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
+        if _integer(name, value) < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
     m, n = int(m), int(n)
     if m == n:
@@ -208,16 +216,16 @@ def difference_coarray(layout: SensorLayout) -> CoarrayLayout:
     The smoothing segment is the central ``2*m*n + 1`` lags for a layout with
     coprime parameters (the guaranteed hole-free span, asserted here) and
     the full consecutive run otherwise.  Lags are in units of ``layout.d``.
+    The run is read from the positive lags alone: every sensor gives lag 0
+    with itself, and a difference set is symmetric.
     """
     g = np.asarray(layout.grid, dtype=int)
     diffs = (g[:, None] - g[None, :]).ravel()
     lags, counts = np.unique(diffs, return_counts=True)
 
     present = set(int(v) for v in lags)
-    if 0 not in present:
-        raise ValueError("difference set does not contain lag 0")
     half = 0
-    while (half + 1) in present and -(half + 1) in present:
+    while (half + 1) in present:
         half += 1
     consecutive = tuple(range(-half, half + 1))
 

@@ -63,7 +63,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SnapshotSet, fresnel_phase_terms
 from .covariance import CovarianceBundle, build_bundle
-from .geometry import SensorLayout, difference_coarray
+from .geometry import SensorLayout, _integer, _real, difference_coarray
 
 __all__ = [
     "Subspace",
@@ -356,19 +356,21 @@ def angle_spectrum(
     centred row to the real row ``[sqrt(2) cos(psi), 1 (odd W only),
     sqrt(2) sin(psi)]`` the scan uses, so the scan is real matrix
     arithmetic: the unitary-transformation method of Huarng & Yeh (IEEE
-    Trans. ASSP 1991).  The manifold is cached per grid sensor-major, as a
-    ``(W, A)`` array, and projected as ``(r, W) x (W, A)``, which reads it
-    along its rows.  ``unit`` is the coarray lag step in meters.
+    Trans. ASSP 1991).  The manifold is built sensor-major, as a ``(W, A)``
+    array, cached per grid if it holds at most ``MAX_GRID_ENTRIES // 16``
+    entries, and projected as ``(r, W) x (W, A)``, which reads it along its
+    rows.  ``unit`` is the coarray lag step in meters.
     Peak locations are invariant to any positive scaling of the coarray
     vector.
     """
     if np.iscomplexobj(virtual.eigvecs):
         raise ValueError("angle_spectrum scans a real subspace (Subspace.split_coarray)")
     grid = np.ascontiguousarray(np.asarray(angle_grid_deg, dtype=float))
-    manifold = _real_angle_manifold(
-        virtual.eigvals.size, float(unit), float(wavelength), float(position_scale),
-        grid.tobytes(),
-    )
+    w = virtual.eigvals.size
+    # The cache keeps 16 manifolds, so together they hold at most one scan cap.
+    cached = w * grid.size <= MAX_GRID_ENTRIES // 16
+    build = _real_angle_manifold if cached else _real_angle_manifold.__wrapped__
+    manifold = build(w, float(unit), float(wavelength), float(position_scale), grid.tobytes())
     return virtual.scan(grid, manifold)
 
 
@@ -556,8 +558,11 @@ def detect_peaks(spectrum: PseudoSpectrum, max_count: int | None = None) -> list
     docstring).  ``spectrum`` must hold one 1-D spectrum.  Peaks closer than
     :data:`MIN_ANGLE_SEPARATION_DEG` ride on one lobe, and only the highest
     is kept; the grid endpoints never count as peaks.  Ties in height are
-    broken by ascending axis location.
+    broken by ascending axis location.  ``max_count``, if given, must be an
+    integer (:func:`canf.geometry._integer`) of at least 0.
     """
+    if max_count is not None and _integer("max_count", max_count) < 0:
+        raise ValueError(f"max_count must be None or at least 0, got {max_count!r}")
     y = spectrum.db
     if y.ndim != 1:
         raise ValueError("detect_peaks takes one 1-D spectrum")
@@ -711,7 +716,8 @@ class MusicConfig:
     :meth:`Subspace.split_coarray`, parabolic peak refinement, the
     quadratic-phase range manifold and the constants
     ``PEAK_PROMINENCE_DB``, ``SIGNIFICANCE_DB`` and
-    ``MIN_ANGLE_SEPARATION_DEG``.
+    ``MIN_ANGLE_SEPARATION_DEG``.  ``k_targets`` is stored as an int
+    (:func:`canf.geometry._integer`) and the steps as floats (``_real``).
     """
 
     k_targets: int | None = None
@@ -719,10 +725,13 @@ class MusicConfig:
     range_step_m: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.k_targets is not None and self.k_targets < 1:
-            raise ValueError(f"k_targets must be None or at least 1, got {self.k_targets}")
+        if self.k_targets is not None:
+            object.__setattr__(self, "k_targets", _integer("k_targets", self.k_targets))
+            if self.k_targets < 1:
+                raise ValueError(f"k_targets must be None or at least 1, got {self.k_targets}")
         for name in ("angle_step_deg", "range_step_m"):
-            step = getattr(self, name)
+            step = _real(name, getattr(self, name))
+            object.__setattr__(self, name, step)
             if not (math.isfinite(step) and step > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {step!r}")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .channel import _MODELS, SnapshotSet, Target, TargetSet, synthesize
 from .geometry import CoprimeParams, SensorLayout, build_coprime_layout, max_targets
-from .geometry import _dense_layout, _is_integer
+from .geometry import _dense_layout, _integer, _real
 
 __all__ = ["SPEED_OF_LIGHT", "Scenario", "default_benchmark_scenario"]
 
@@ -23,7 +23,9 @@ class Scenario:
     ``params`` is the coprime array (M, N, spacing and wavelength, checked
     once when it is built), ``targets`` the ground truth, and
     ``n_snapshots``, ``snr_db`` (None for noise-free), ``seed`` and
-    ``model`` the synthesis settings.
+    ``model`` the synthesis settings.  A file and a direct call take one
+    validation path: T and seed are stored as ints (:func:`canf.geometry._integer`)
+    and ``snr_db`` as a float (:func:`canf.geometry._real`).
 
     JSON schema: ``{"M": int, "N": int, "d_mm": float and/or "freq_ghz":
     float, "targets": [{"theta_deg": float, "range_m": float}, ...],
@@ -42,10 +44,14 @@ class Scenario:
     model: str = "exact"
 
     def __post_init__(self) -> None:
-        # Checked here so that a bad file fails when it is loaded, not
+        # Checked here so that a bad file or call fails when it is built, not
         # later inside synthesis or in every Monte Carlo trial.
+        object.__setattr__(self, "n_snapshots", _integer("T", self.n_snapshots))
         if self.n_snapshots < 1:
             raise ValueError(f"T must be at least 1, got {self.n_snapshots}")
+        if self.snr_db is not None:
+            object.__setattr__(self, "snr_db", _real("snr_db", self.snr_db))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.model not in _MODELS:
@@ -78,12 +84,12 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         """Load a scenario, rejecting data that is not an object, a missing
-        key, ``targets`` that are not a list of objects, an ``M``, ``N``,
-        ``T`` or ``seed`` that is not an integer, a ``d_mm``, ``freq_ghz``,
-        ``snr_db``, ``theta_deg`` or ``range_m`` that is not a number, or a
-        value the constructor rejects (an unknown ``model``, say), and
-        warning when the targets exceed the decoupled capacity
-        ``max_targets(M, N)[0]``."""
+        key, ``targets`` that are not a list of objects, an ``M`` or ``N``
+        that is not an integer (checked here to name the keys), a ``d_mm``,
+        ``freq_ghz``, ``theta_deg`` or ``range_m`` that is not a number, or a
+        value the constructors reject, and warning when the targets exceed
+        the decoupled capacity ``max_targets(M, N)[0]``.  ``T``, ``snr_db``,
+        ``seed`` and ``model`` are only mapped to the fields that check them."""
         if not isinstance(data, dict):
             raise ValueError(f"scenario must be an object, got {data!r}")
         _require(data, ("M", "N", "targets"), "scenario")
@@ -92,18 +98,17 @@ class Scenario:
             raise ValueError(f"targets must be a list of objects, got {entries!r}")
         for i, t in enumerate(entries):
             _require(t, ("theta_deg", "range_m"), f"scenario target {i}")
-        d_mm = _number(data, "d_mm", nullable=True)
-        freq_ghz = _number(data, "freq_ghz", nullable=True)
+        d_mm, freq_ghz = data.get("d_mm"), data.get("freq_ghz")
         if d_mm is None and freq_ghz is None:
             raise ValueError("scenario needs d_mm and/or freq_ghz")
         d, wavelength = _spacing_and_wavelength(d_mm, freq_ghz)
         targets = TargetSet(
             tuple(
-                Target.from_degrees(_number(t, "theta_deg"), _number(t, "range_m"))
+                Target.from_degrees(*(_real(key, t[key]) for key in ("theta_deg", "range_m")))
                 for t in entries
             )
         )
-        params = CoprimeParams(_integer(data, "M"), _integer(data, "N"), d, wavelength)
+        params = CoprimeParams(_integer("M", data["M"]), _integer("N", data["N"]), d, wavelength)
         k_max = max_targets(params.m, params.n)[0]
         if len(targets) > k_max:
             msg = (
@@ -114,10 +119,10 @@ class Scenario:
         return cls(
             params=params,
             targets=targets,
-            n_snapshots=_integer(data, "T", 100),
-            snr_db=_number(data, "snr_db", nullable=True),
-            seed=_integer(data, "seed", 0),
-            model=str(data.get("model", "exact")),
+            n_snapshots=data.get("T", 100),
+            snr_db=data.get("snr_db"),
+            seed=data.get("seed", 0),
+            model=data.get("model", "exact"),
         )
 
     def to_dict(self) -> dict:
@@ -147,36 +152,18 @@ class Scenario:
 
 
 def _spacing_and_wavelength(d_mm, freq_ghz) -> tuple[float, float]:
-    """Spacing and wavelength in meters: the wavelength from the carrier, else
-    four spacings; the spacing from ``d_mm``, else a quarter wavelength."""
+    """Spacing and wavelength in meters, from numbers (:func:`canf.geometry._real`)
+    or None: the wavelength from the carrier, else four spacings; the spacing
+    from ``d_mm``, else a quarter wavelength."""
+    d_mm = None if d_mm is None else _real("d_mm", d_mm)
     if freq_ghz is None:
-        wavelength = 4.0 * float(d_mm) * 1e-3
-    elif 0.0 < float(freq_ghz) < math.inf:
+        wavelength = 4.0 * d_mm * 1e-3
+    elif 0.0 < _real("freq_ghz", freq_ghz) < math.inf:
         wavelength = SPEED_OF_LIGHT / (float(freq_ghz) * 1e9)
     else:
         raise ValueError(f"freq_ghz must be positive and finite, got {freq_ghz!r}")
-    d = wavelength / 4.0 if d_mm is None else float(d_mm) * 1e-3
+    d = wavelength / 4.0 if d_mm is None else d_mm * 1e-3
     return d, wavelength
-
-
-def _integer(data: dict, key: str, default: int | None = None) -> int:
-    """``data[key]``, else ``default``, if an integer as ``CoprimeParams``
-    reads one: an int or an integral float, not a bool."""
-    value = data.get(key, default)
-    if not _is_integer(value):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(data: dict, key: str, nullable: bool = False) -> float | None:
-    """``data[key]`` as a float if an int or a float (not a bool); an absent or
-    null key gives ``None`` where ``nullable``."""
-    value = data.get(key)
-    if value is None and nullable:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
 
 
 def _require(data: dict, keys: tuple[str, ...], where: str) -> None:

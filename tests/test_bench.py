@@ -36,6 +36,8 @@ from canf.scenario import default_benchmark_scenario
         ({"q_trials": True}, "q_trials must be an integer, got True"),
         ({"base_seed": 0.5}, "base_seed must be an integer, got 0.5"),
         ({"snr_db_list": (10.0, -4000.0)}, "snr_db=-4000.0 is too low: its noise power overflows"),
+        ({"methods": "dense"}, "methods must be a sequence of names, not a string: 'dense'"),
+        ({"methods": "farfield"}, "methods must be a sequence of names, not a string: 'farfield'"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):

@@ -1,4 +1,6 @@
-"""Geometry: layouts, coarrays, and target-capacity arithmetic."""
+"""Geometry: layouts, coarrays, target-capacity arithmetic, and the one
+integer rule and one number rule that every config applies to its fields."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from canf import (
     CoprimeParams,
+    MusicConfig,
     SensorLayout,
     build_coprime_layout,
     build_dense_layout,
@@ -13,6 +16,8 @@ from canf import (
     difference_coarray,
     max_targets,
 )
+from canf.bench import MonteCarloConfig
+from canf.scenario import default_benchmark_scenario
 
 import oracles
 
@@ -231,3 +236,46 @@ class TestMaxTargets:
     def test_rejects_what_coprime_params_rejects(self, m, n, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             max_targets(m, n)
+
+
+def _scenario(**changes):
+    return dataclasses.replace(default_benchmark_scenario(), **changes)
+
+
+def _sweep(**kwargs):
+    fields = {"scenario": default_benchmark_scenario(), "snr_db_list": (10.0,), **kwargs}
+    return MonteCarloConfig(**fields)
+
+
+class TestNumberRules:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _scenario(n_snapshots=2.5), "T must be an integer, got 2.5"),
+            (lambda: _scenario(seed=True), "seed must be an integer, got True"),
+            (lambda: _scenario(snr_db=True), "snr_db must be a number, got True"),
+            (lambda: _scenario(snr_db="10"), "snr_db must be a number, got '10'"),
+            (lambda: MusicConfig(k_targets=True), "k_targets must be an integer, got True"),
+            (lambda: MusicConfig(k_targets=2.5), "k_targets must be an integer, got 2.5"),
+            (lambda: MusicConfig(angle_step_deg=True), "angle_step_deg must be a number, got True"),
+            (lambda: MusicConfig(range_step_m="0.1"), "range_step_m must be a number, got '0.1'"),
+            (lambda: _sweep(snr_db_list=(True,)), "snr_db must be a number, got True"),
+            # Messages these entry points gave before the rules were shared.
+            (lambda: CoprimeParams(2.5, 3, 2.5e-3, LAM), "m must be an integer, got 2.5"),
+            (lambda: _sweep(q_trials=2.5), "q_trials must be an integer, got 2.5"),
+        ],
+    )
+    def test_every_entry_point_rejects_by_the_shared_rules(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_accepted_values_are_stored_converted(self):
+        snrs = _sweep(snr_db_list=[0, np.int64(10)]).snr_db_list
+        assert snrs == (0.0, 10.0) and all(type(s) is float for s in snrs)
+        scenario = _scenario(n_snapshots=100.0, seed=np.int64(3), snr_db=np.float32(10))
+        assert (scenario.n_snapshots, scenario.seed, scenario.snr_db) == (100, 3, 10.0)
+        assert type(scenario.n_snapshots) is int and type(scenario.seed) is int
+        assert type(scenario.snr_db) is float
+        config = MusicConfig(k_targets=np.int64(4), angle_step_deg=1, range_step_m=np.float64(0.1))
+        assert (config.k_targets, config.angle_step_deg, config.range_step_m) == (4, 1.0, 0.1)
+        assert [type(v) for v in dataclasses.astuple(config)] == [int, float, float]

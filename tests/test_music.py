@@ -282,6 +282,13 @@ class TestDetectPeaks:
         peaks = detect_peaks(spec, max_count=2)
         assert [p.location for p in peaks] == [3.0, 5.0]
 
+    @pytest.mark.parametrize("max_count", [-1, 2.5, True])
+    def test_max_count_must_be_a_count(self, max_count):
+        # -1 used to drop the weakest peak, as a[:-1] does.
+        values = np.array([1.0, 5.0, 1.0, 50.0, 1.0, 7.0, 1.0])
+        with pytest.raises(ValueError, match="^max_count must be"):
+            detect_peaks(PseudoSpectrum(np.arange(7.0), values), max_count=max_count)
+
     def test_prominence_threshold(self):
         values = 10.0 ** (np.array([0.0, 0.04, 0.0, 1.0, 0.0]))
         spec = PseudoSpectrum(np.arange(5.0), values)
@@ -420,6 +427,17 @@ class TestAngleSpectrum:
         assert man.shape == (3599, 100)
         assert man.T.flags.c_contiguous and not man.flags.writeable
         assert _real_angle_manifold(100, 1e-3, LAM, 2.0, grid.tobytes()) is man
+
+    def test_a_manifold_too_large_for_the_cache_is_built_per_call(self, benchmark_scenario):
+        # 16 cached manifolds of at most MAX_GRID_ENTRIES // 16 entries each.
+        snaps = benchmark_scenario.snapshots()
+        virtual = Subspace.split_coarray(build_bundle(snaps).r_tilde, 10)
+        grid = np.linspace(-80.0, 80.0, 50001)
+        assert virtual.eigvals.size * grid.size > MAX_GRID_ENTRIES // 16
+        before = _real_angle_manifold.cache_info()
+        spec = angle_spectrum(virtual, snaps.layout.d, snaps.layout.wavelength, grid)
+        assert _real_angle_manifold.cache_info() == before
+        assert spec.values.shape == grid.shape
 
     def test_scan_matches_an_angle_major_product(self, benchmark_scenario):
         # The (r, W) x (W, A) projection of the sensor-major manifold agrees
