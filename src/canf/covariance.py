@@ -13,6 +13,7 @@ the tests compare against it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,26 +119,42 @@ def decouple(r_hat: np.ndarray, layout: SensorLayout) -> np.ndarray:
     return r_hat * mirror_antidiagonal(r_hat)
 
 
+@lru_cache(maxsize=64)
+def _lag_bins(layout: SensorLayout) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(n, index, counts)`` of :func:`vectorize_to_coarray` on ``layout``:
+    the ``n`` lags of the ``smoothing_segment``; the bin of each real and
+    imaginary part of a raveled U x U matrix, interleaved as a complex array
+    lies in memory, lag ``k`` at bins ``2k`` and ``2k + 1`` and a lag
+    outside the segment at the two extra last bins; and how many entries
+    each lag of the segment pools."""
+    segment = difference_coarray(layout).smoothing_segment
+    n = len(segment)
+    g = np.asarray(layout.grid)
+    lag = (g[:, None] - g[None, :]).ravel() - segment[0]
+    lag = np.where((lag >= 0) & (lag < n), lag, n)
+    index = (2 * lag[:, None] + np.array([0, 1])).ravel()
+    counts = np.bincount(lag, minlength=n + 1)[:n]
+    for shared in (index, counts):
+        shared.flags.writeable = False
+    return n, index, counts
+
+
 def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
     """Collapse a U x U matrix (``r_d``, or any) to one sample per lag of
     the ``smoothing_segment``, a zero-centred run, of the (cached)
     difference coarray of ``layout``, in ascending lag.
 
     Each sample is the mean of all the entries at that lag; pooling the
-    redundant entries lowers the variance.  One ``np.bincount`` per real and
-    imaginary part sums them, within a few ulps of a per-lag ``np.mean``.
-    The segment lies inside the consecutive run, so every count is nonzero.
+    redundant entries lowers the variance.  The lag bins are fixed by the
+    layout and cached with it; one ``np.bincount`` over the matrix's
+    interleaved real and imaginary parts sums both, each bin in entry
+    order, within a few ulps of a per-lag ``np.mean``.  The segment lies
+    inside the consecutive run, so every count is nonzero.
     """
-    segment = difference_coarray(layout).smoothing_segment
-    n = len(segment)
-    g = np.asarray(layout.grid)
-    lag = (g[:, None] - g[None, :]).ravel() - segment[0]
-    # Lags outside the segment all fall in the extra last bin.
-    index = np.where((lag >= 0) & (lag < n), lag, n)
-    counts = np.bincount(index, minlength=n + 1)[:n]
-    re = np.bincount(index, weights=r_d.real.ravel(), minlength=n + 1)[:n]
-    im = np.bincount(index, weights=r_d.imag.ravel(), minlength=n + 1)[:n]
-    return (re + 1j * im) / counts
+    n, index, counts = _lag_bins(layout)
+    parts = np.ascontiguousarray(r_d, dtype=complex).view(float).ravel()
+    sums = np.bincount(index, weights=parts, minlength=2 * n + 2)
+    return sums.view(complex)[:n] / counts
 
 
 def spatial_smooth(r_tilde: np.ndarray) -> np.ndarray:

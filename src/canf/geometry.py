@@ -78,10 +78,15 @@ def _integer(name: str, value) -> int:
 
 def _real(name: str, value) -> float:
     """``value`` as a float if it is a real number (numpy's included), not a
-    bool: the one number rule of every config field and scenario file key."""
+    bool: the one number rule of every config field and scenario file key.
+    An integer too large for a float is rejected by name, without its
+    digits."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def _coprime_pair(m, n) -> tuple[int, int]:

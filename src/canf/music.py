@@ -24,7 +24,10 @@ Both scans use the mirror symmetry of the symmetric array:
   unitary root-MUSIC, Pesavento, Gershman & Haardt 2000) maps it to the
   real symmetric :func:`real_form` ``S = Re(Q^H T Q)`` with the same
   eigenvalues, and maps the centred ULA steering vector to a real one.  The
-  angle stage decomposes and scans in real arithmetic.
+  angle stage decomposes and scans in real arithmetic.  Each entry of ``S``
+  is one or two coarray samples, so :meth:`Subspace.split_coarray` gathers
+  ``S`` from the vector by a table fixed per size, forming neither ``T``
+  nor ``Q``; :func:`real_form` is kept as the reference it is tested on.
 - In the range manifold ``exp(1j * (p + q))`` the linear phase ``p`` is odd
   and the Fresnel phase ``q`` even in the sensor position, so a mirror pair
   shares one ``exp(1j * q)``.  The range stage folds the signal basis per
@@ -59,7 +62,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SnapshotSet, fresnel_phase_terms
 from .covariance import CovarianceBundle, build_bundle
@@ -96,20 +98,27 @@ MAX_GRID_ENTRIES = 2**26  # most entries of a grid axis or of a scan (MusicConfi
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a (nearly) Hermitian matrix, descending order.
 
-    The input is symmetrized as ``(A + A^H)/2`` before decomposition; it
-    must be Hermitian within ``1e-9 * |trace|`` and free of non-finite
-    entries.  A real input (a :func:`real_form`) is decomposed by the real
-    symmetric solver and gives real eigenvectors.
+    The input must be Hermitian within ``1e-9 * |trace|`` and free of
+    non-finite entries.  One pass over ``A - A^H`` measures the gap: a
+    non-finite entry makes it non-finite, which fails, so the finite scan
+    runs only on a failed gap, to name the fault.  An exactly Hermitian
+    input (the covariances and the :meth:`Subspace.split_coarray` matrix
+    are built so) is decomposed as it is, bitwise what ``(A + A^H)/2`` would
+    give; any other is symmetrized so first.  A real input (a
+    :func:`real_form`) is decomposed by the real symmetric solver and gives
+    real eigenvectors.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    scale = max(abs(np.trace(a)), 1.0)
-    if np.max(np.abs(a - a.conj().T)) > 1e-9 * scale:
+    with np.errstate(invalid="ignore"):  # inf - inf: the gap check reports it
+        gap = float(np.max(np.abs(a - a.conj().T)))
+        scale = max(abs(np.trace(a)), 1.0)
+    if not (math.isfinite(gap) and gap <= 1e-9 * scale):
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix is not Hermitian within tolerance")
-    sym = 0.5 * (a + a.conj().T)
+    sym = a if gap == 0.0 else 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(sym)
     return w[::-1], v[:, ::-1]
 
@@ -253,14 +262,52 @@ class Subspace:
         the tests form as this split's reference, is ``T T^H / W`` for the
         Hermitian Toeplitz ``T[i, j] = r_tilde[W - 1 + i - j]`` (Pal &
         Vaidyanathan, IEEE TSP 2010; Liu & Vaidyanathan, IEEE SPL 2015), so
-        one decomposition of the :func:`real_form` of ``T`` gives its
+        one decomposition of the :func:`real_form` ``S`` of ``T`` gives its
         eigenvectors without squaring the condition number.  Signal
         eigenvalues of ``T`` may be negative: the eigenpairs are ordered by
         ``lam_T^2`` and ``eigvals`` holds ``lam_T^2 / W``, the smoothed
         matrix's eigenvalues.
+
+        ``T`` is never formed: each entry of ``S`` is one or two coarray
+        samples, so ``S`` is one gather from the vector by a table cached
+        per W.  With ``c = W - 1``, ``n = W // 2``, ``rho_l = Re r[c + l]``
+        and ``iota_l = Im r[c + l]`` (``rho`` even and ``iota`` odd in
+        ``l``), ``l1 = i - j`` and ``l2 = i + j - c`` for ``i, j < n``::
+
+            S[i, j]             = rho_l1 + rho_l2
+            S[W-n+i, W-n+j]     = rho_l1 - rho_l2
+            S[W-n+i, j]         = iota_l1 + iota_l2
+            S[i, W-n+j]         = iota_l2 - iota_l1
+
+        and for odd W also ``S[n, n] = rho_0``, ``S[n, j] = S[j, n] =
+        sqrt(2) rho_(n-j)`` and ``S[n, W-n+j] = S[W-n+j, n] = -sqrt(2)
+        iota_(n-j)``.  The samples read are those of the conjugate-symmetric
+        part of ``r_tilde``, each lag averaged with the conjugate of its
+        mirror, so ``S`` is exactly symmetric.  ``r_tilde`` must be
+        conjugate-symmetric within ``1e-9 * max(W |r_tilde[c]|, 1)``, the
+        test :func:`real_form` makes on ``T``, whose trace is ``W
+        r_tilde[c]``: the differences ``J T J - conj(T)`` are exactly those
+        of ``r_tilde[::-1] - conj(r_tilde)``.
         """
-        w = (np.size(r_tilde) + 1) // 2
-        lam, eigvecs = eig_hermitian(real_form(sliding_window_view(r_tilde, w)[:, ::-1]))
+        r = np.asarray(r_tilde)
+        if r.ndim != 1 or r.size % 2 == 0:
+            raise ValueError("coarray vector must be 1-D with odd length")
+        w = (r.size + 1) // 2
+        c = w - 1
+        # A NaN difference (from a NaN, or from inf and its mirror) passes
+        # the check, and eig_hermitian names the non-finite sample.
+        with np.errstate(invalid="ignore"):
+            if np.max(np.abs(r[::-1] - r.conj())) > 1e-9 * max(w * abs(r[c]), 1.0):
+                raise ValueError("matrix is not centro-Hermitian within tolerance")
+            ahead, behind = r[c:], r[c::-1]
+            rho = 0.5 * (ahead.real + behind.real)
+            iota = 0.5 * (ahead.imag - behind.imag)
+            samples = np.concatenate(
+                (rho, iota, -iota, -rho, _SQRT2 * rho, -_SQRT2 * iota, [0.0])
+            )
+            pair = samples[_real_toeplitz_table(w)]
+            s = pair[0] + pair[1]
+        lam, eigvecs = eig_hermitian(s)
         power = lam**2 / w
         order = np.argsort(-power, kind="stable")
         return cls(power[order], eigvecs[:, order], rank)
@@ -304,6 +351,42 @@ class Subspace:
                 denom[c][rows] = _row_power(a - proj[c][rows] @ signal.T) / w
         values = 1.0 / np.maximum(denom, _DENOM_FLOOR)
         return PseudoSpectrum(axis, values)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+@lru_cache(maxsize=16)
+def _real_toeplitz_table(w: int) -> np.ndarray:
+    """The ``(2, W, W)`` gather table of :meth:`Subspace.split_coarray`.
+
+    It indexes the samples ``[rho, iota, -iota, -rho, sqrt(2) rho,
+    -sqrt(2) iota, 0]``, each block ``W`` long over the lags ``0 .. W - 1``,
+    so that ``S = samples[table[0]] + samples[table[1]]``; an entry of one
+    sample adds the trailing 0.  ``table[:, i, j]`` and ``table[:, j, i]``
+    name the same two samples, so ``S`` is exactly symmetric.
+    """
+    c, n = w - 1, w // 2
+    b = w - n  # the first row of the sine block
+    rho, iota, neg_iota, neg_rho, rho2, neg_iota2, zero = (k * w for k in range(7))
+    i, j = np.ogrid[:n, :n]
+    l1, l2 = i - j, i + j - c
+
+    def odd(l):  # the index of iota_l, which is odd in l
+        return np.where(l >= 0, iota + l, neg_iota - l)
+
+    table = np.full((2, w, w), zero)
+    table[:, :n, :n] = rho + abs(l1), rho + abs(l2)
+    table[:, b:, b:] = rho + abs(l1), neg_rho + abs(l2)
+    table[:, b:, :n] = odd(l1), odd(l2)
+    table[:, :n, b:] = odd(l2), odd(-l1)
+    if w % 2:
+        m = n - np.arange(n)
+        table[0, n, n] = rho
+        table[0, n, :n] = table[0, :n, n] = rho2 + m
+        table[0, n, b:] = table[0, b:, n] = neg_iota2 + m
+    table.flags.writeable = False
+    return table
 
 
 def _row_power(proj: np.ndarray) -> np.ndarray:
@@ -882,7 +965,8 @@ def two_phase(
     geometric mean (a plain product would scale the dB axis and defeat one
     significance threshold).  Each input's range scan covers every candidate
     at once, and one :func:`classify_range_spectrum` call labels the fused
-    ``(C, R)`` array, which the result keeps as ``range_spectrum``.
+    ``(C, R)`` array, which the result keeps as ``range_spectrum``.  A
+    single input's two scans are the result's spectra as they are.
     :meth:`MusicConfig.plan` reads K from the first input's known
     waveforms and gives the grid, or rejects it, before any stage runs.
     Each angle split keeps ``K (K + 1) / 2`` signal components, the K
@@ -903,13 +987,19 @@ def two_phase(
     scans = [
         angle_spectrum(v, s.layout.d, layout.wavelength, axis) for v, s in zip(virtual, inputs)
     ]
-    spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
+    fused = len(inputs) > 1
+    spec_a = scans[0]
+    if fused:
+        spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
     peaks = detect_peaks(spec_a, pairs)
     thetas = np.array([p.location for p in peaks], dtype=float)
     range_scans = [
-        range_spectrum(h, s.layout, thetas, grid.range_m).values for s, h in zip(inputs, initial)
+        range_spectrum(h, s.layout, thetas, grid.range_m) for s, h in zip(inputs, initial)
     ]
-    spec_r = PseudoSpectrum(grid.range_m, np.prod(range_scans, axis=0) ** (1.0 / len(inputs)))
+    spec_r = range_scans[0]
+    if fused:
+        product = np.prod([scan.values for scan in range_scans], axis=0)
+        spec_r = PseudoSpectrum(grid.range_m, product ** (1.0 / len(inputs)))
     bounds = (layout.fresnel_distance, layout.rayleigh_distance)
     return LocalizationResult(
         candidates=tuple(peaks),

@@ -289,6 +289,19 @@ def test_bad_scenario_value_is_a_usage_error(tmp_path, command, key, value, mess
 
 
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])
+def test_an_snr_too_large_for_a_float_is_a_usage_error(tmp_path, command):
+    # 400 digits written out in full: json reads them as an int that float()
+    # cannot hold, which used to end in an OverflowError traceback.
+    data = default_benchmark_scenario().to_dict()
+    data["snr_db"] = 10**400
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SystemExit, match=f"^{command}: snr_db is too large for a float$"):
+        main(_scenario_argv(command, scenario, tmp_path))
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])
 def test_missing_scenario_key_is_a_usage_error(tmp_path, command):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"M": 9, "N": 11, "d_mm": 2.5}), encoding="utf-8")

@@ -17,6 +17,7 @@ from canf import (
     max_targets,
 )
 from canf.bench import MonteCarloConfig
+from canf.geometry import _real
 from canf.scenario import default_benchmark_scenario
 
 import oracles
@@ -263,6 +264,12 @@ class TestNumberRules:
             # Messages these entry points gave before the rules were shared.
             (lambda: CoprimeParams(2.5, 3, 2.5e-3, LAM), "m must be an integer, got 2.5"),
             (lambda: _sweep(q_trials=2.5), "q_trials must be an integer, got 2.5"),
+            # An integer too large for a float is named, without its digits.
+            (lambda: _real("x", 10**400), "x is too large for a float"),
+            (lambda: _real("x", -(10**400)), "x is too large for a float"),
+            (lambda: _scenario(snr_db=10**400), "snr_db is too large for a float"),
+            (lambda: MusicConfig(angle_step_deg=10**400), "angle_step_deg is too large for a float"),
+            (lambda: _sweep(snr_db_list=(10**400,)), "snr_db is too large for a float"),
         ],
     )
     def test_every_entry_point_rejects_by_the_shared_rules(self, build, message):

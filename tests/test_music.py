@@ -113,6 +113,52 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="square"):
             eig_hermitian(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda a: a.__setitem__((1, 2), np.nan),
+            lambda a: a.__setitem__((3, 3), np.nan),
+            lambda a: a.__setitem__((0, 0), np.inf),
+            lambda a: a.__setitem__((2, 2), 1.0 + 1j * np.inf),
+            lambda a: (a.__setitem__((0, 3), np.inf), a.__setitem__((3, 0), np.inf)),
+            lambda a: (a.__setitem__((0, 3), np.inf), a.__setitem__((3, 0), -np.inf)),
+        ],
+        ids=["nan-off-diagonal", "nan-diagonal", "inf-diagonal", "imaginary-inf-diagonal",
+             "symmetric-inf-pair", "opposite-inf-pair"],
+    )
+    def test_a_non_finite_entry_is_named_before_the_hermitian_gap(self, rng, place):
+        # The gap of A - A^H is non-finite, NaN or inf, and fails; the finite
+        # scan that follows names the fault, whatever the gap would say.
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = a + a.conj().T
+        place(a)
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            eig_hermitian(a)
+
+    def test_a_finite_matrix_off_hermitian_is_named_so(self, rng):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+            eig_hermitian(a + a.conj().T + 1e-6 * np.triu(np.ones((4, 4)), 1))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_an_exactly_hermitian_matrix_decomposes_as_its_symmetrized_copy(self, rng, dtype):
+        a = rng.standard_normal((9, 9)).astype(dtype)
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal((9, 9))
+        a = a + a.conj().T
+        assert np.array_equal(a, a.conj().T)
+        w, v = eig_hermitian(a)
+        w_ref, v_ref = np.linalg.eigh(0.5 * (a + a.conj().T))
+        assert np.array_equal(w, w_ref[::-1]) and np.array_equal(v, v_ref[:, ::-1])
+
+    def test_a_nearly_hermitian_matrix_is_symmetrized_first(self, rng):
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a = a + a.conj().T
+        a[0, 1] += 1e-12
+        w, v = eig_hermitian(a)
+        w_ref, v_ref = np.linalg.eigh(0.5 * (a + a.conj().T))
+        assert np.array_equal(w, w_ref[::-1]) and np.array_equal(v, v_ref[:, ::-1])
+
 
 class TestNoiseSubspace:
     def test_fixed_size_and_orthonormality(self, rng):
@@ -817,6 +863,22 @@ class TestLocalize:
             and abs(trues[i].range_m - ranges[j]) <= 0.05
         )
         assert hits < 5 or len(trues) > 5
+
+    def test_one_input_keeps_its_own_scans(self, benchmark_scenario, monkeypatch):
+        # With nothing to fuse, the result's spectra are the scans themselves:
+        # no elementwise-minimum or geometric-mean copies.
+        scans = {}
+        for name in ("angle_spectrum", "range_spectrum"):
+            original = getattr(music, name)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                scans[_name] = _original(*args, **kwargs)
+                return scans[_name]
+
+            monkeypatch.setattr(music, name, recording)
+        res = localize(benchmark_scenario.snapshots(), MusicConfig(k_targets=4))
+        for name in ("angle_spectrum", "range_spectrum"):
+            assert getattr(res, name) is scans[name]
 
     def test_result_dict_round_trip(self, benchmark_scenario):
         res = localize(benchmark_scenario.snapshots(), MusicConfig(k_targets=4))

@@ -2,12 +2,14 @@
 oracle, the subspace scan, the real angle scan and the folded range scan
 against a noise-basis oracle on the complex manifolds, the real form of a
 centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
-the Toeplitz split of the coarray against the split of its smoothed matrix,
+the Toeplitz split of the coarray against the split of its smoothed matrix
+(its gathered real matrix against ``Q^H T Q``, and its input checks),
 estimate-to-truth association (also against a brute-force oracle of its rule),
 the assignment solver against scipy's and its dual's bounds, and the row-wise
 peak finder against one peak search per spectrum, on drawn rows and
 on the pipeline's own spectra."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from canf import (
     spatial_smooth,
     vectorize_to_coarray,
 )
-from canf import bench
+from canf import bench, music
 from canf.baselines import localize_subarray
 from canf.channel import steering_matrix
 from canf.music import (
@@ -41,6 +43,7 @@ from canf.music import (
     angle_spectrum,
     classify_range_spectrum,
     detect_peaks,
+    eig_hermitian,
     localize,
     range_spectrum,
     real_form,
@@ -289,6 +292,91 @@ conjugate_symmetric_vectors = st.integers(2, 12).flatmap(
         ),
     )
 ).map(lambda drawn: np.array(np.conj(drawn[1][::-1]).tolist() + [drawn[0]] + drawn[1]))
+
+
+def _split_matrix(r_tilde):
+    """The real matrix :meth:`Subspace.split_coarray` hands to its one
+    decomposition, for ``r_tilde`` at rank 1."""
+    seen = []
+
+    def recording(matrix):
+        seen.append(matrix)
+        return eig_hermitian(matrix)
+
+    with mock.patch.object(music, "eig_hermitian", recording):
+        Subspace.split_coarray(r_tilde, 1)
+    (matrix,) = seen
+    return matrix
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@PROPERTY
+@given(half=st.integers(1, 8), seed=seeds, log_scale=st.integers(-6, 6))
+def test_split_coarray_gathers_the_real_form_of_the_toeplitz_matrix(parity, half, seed, log_scale):
+    # The gathered S is the real form Re(Q^H T Q) of the Hermitian Toeplitz
+    # T, up to the roundoff of the reference's products (6 ulps seen over
+    # 4800 draws), and exactly symmetric, so eig_hermitian decomposes it as
+    # it is.  W runs over 2 .. 17.
+    w = 2 * half + parity
+    rng = np.random.default_rng(seed)
+    ahead = rng.standard_normal(w - 1) + 1j * rng.standard_normal(w - 1)
+    r = np.concatenate((ahead[::-1].conj(), [rng.standard_normal()], ahead)) * 10.0**log_scale
+    s = _split_matrix(r)
+    assert s.shape == (w, w) and s.dtype == np.float64
+    assert np.array_equal(s, s.T)
+    q = oracles.unitary_q(w)
+    toeplitz = np.array([[r[w - 1 + i - j] for j in range(w)] for i in range(w)])
+    expected = (q.conj().T @ toeplitz @ q).real
+    ulp = np.spacing(np.max(np.abs(r)))
+    np.testing.assert_allclose(s, expected, rtol=0.0, atol=8 * ulp)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@PROPERTY
+@given(
+    half=st.integers(1, 8),
+    seed=seeds,
+    level=st.sampled_from([1e-6, 1e-3, 1.0]),
+)
+def test_split_coarray_rejects_a_vector_that_is_not_conjugate_symmetric(
+    parity, half, seed, level
+):
+    # The vector form of the real_form test above: a conjugate-antisymmetric
+    # part at `level` of the trace scale max(W |r[W - 1]|, 1) is far past
+    # 1e-9, and the same part at 1e-13 is roundoff and passes.
+    w = 2 * half + parity
+    rng = np.random.default_rng(seed)
+    ahead = rng.standard_normal(w - 1) + 1j * rng.standard_normal(w - 1)
+    r = np.concatenate((ahead[::-1].conj(), [rng.standard_normal()], ahead))
+    skew = rng.standard_normal(w - 1) + 1j * rng.standard_normal(w - 1)
+    anti = np.concatenate((-skew[::-1].conj(), [0.0], skew))
+    anti = anti / np.max(np.abs(anti)) * max(w * abs(r[w - 1]), 1.0)
+    with pytest.raises(ValueError, match="not centro-Hermitian"):
+        Subspace.split_coarray(r + level * anti, 1)
+    Subspace.split_coarray(r + 1e-13 * anti, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("lag", [0, 1, 4])
+def test_split_coarray_names_a_non_finite_sample(bad, lag):
+    # A non-finite sample and its mirrored conjugate pass the symmetry check
+    # (their difference is NaN, which compares false), and the decomposition
+    # names them, as it did before the gather.
+    r = np.concatenate((np.arange(5.0, 0.0, -1.0), np.arange(2.0, 6.0))).astype(complex)
+    r[4 + lag], r[4 - lag] = bad, np.conj(bad)
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        Subspace.split_coarray(r, 1)
+
+
+def test_localize_runs_without_real_form(monkeypatch):
+    # The angle stage gathers its real matrix from the coarray vector;
+    # real_form is only its reference.
+    def refused(matrix):
+        raise AssertionError("real_form called")
+
+    monkeypatch.setattr(music, "real_form", refused)
+    result = localize(default_benchmark_scenario().snapshots())
+    assert len(result.candidates) > 0
 
 
 @PROPERTY

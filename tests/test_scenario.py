@@ -61,6 +61,16 @@ def test_scenario_that_is_not_an_object_rejected_at_load(data):
         Scenario.from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["snr_db", "d_mm", "freq_ghz", "theta_deg", "range_m"])
+def test_an_integer_too_large_for_a_float_rejected_at_load(key):
+    # float() of such an integer raises OverflowError, which used to escape
+    # the load; the message names the key and leaves the 400 digits out.
+    data = default_benchmark_scenario().to_dict()
+    (data["targets"][0] if key in ("theta_deg", "range_m") else data)[key] = 10**400
+    with pytest.raises(ValueError, match=f"^{key} is too large for a float$"):
+        Scenario.from_dict(data)
+
+
 def test_missing_target_key_rejected_at_load():
     data = default_benchmark_scenario().to_dict()
     del data["targets"][0]["range_m"]
