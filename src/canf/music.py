@@ -24,10 +24,13 @@ Both scans use the mirror symmetry of the symmetric array:
   unitary root-MUSIC, Pesavento, Gershman & Haardt 2000) maps it to the
   real symmetric :func:`real_form` ``S = Re(Q^H T Q)`` with the same
   eigenvalues, and maps the centred ULA steering vector to a real one.  The
-  angle stage decomposes and scans in real arithmetic.  Each entry of ``S``
-  is one or two coarray samples, so :meth:`Subspace.split_coarray` gathers
-  ``S`` from the vector by a table fixed per size, forming neither ``T``
-  nor ``Q``; :func:`real_form` is kept as the reference it is tested on.
+  angle stage decomposes and scans in real arithmetic, and the real row of
+  ``-theta`` is that of ``theta`` with its sine half negated, so the scan
+  of an antisymmetric angle grid projects the upper half only.  Each entry
+  of ``S`` is one or two coarray samples, so
+  :meth:`Subspace.split_coarray` gathers ``S`` from the vector by a table
+  fixed per size, forming neither ``T`` nor ``Q``; :func:`real_form` is
+  kept as the reference it is tested on.
 - In the range manifold ``exp(1j * (p + q))`` the linear phase ``p`` is odd
   and the Fresnel phase ``q`` even in the sensor position, so a mirror pair
   shares one ``exp(1j * q)``.  The range stage folds the signal basis per
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -204,6 +207,10 @@ class SpectrumGrid:
                     f"{limit} that {layout.size} sensors allow"
                 )
         angles = np.linspace(-90.0 + angle_step_deg, 90.0 - angle_step_deg, int(n_a))
+        # The lower half mirrors the upper exactly, so the angle scan builds
+        # and projects only the upper half's rows (angle_spectrum).
+        half = int(n_a) // 2
+        angles[:half] = -angles[::-1][:half]
         ranges = z_f + range_step_m * np.arange(int(n_r))
         return cls(angles, ranges)
 
@@ -270,9 +277,10 @@ class Subspace:
 
         ``T`` is never formed: each entry of ``S`` is one or two coarray
         samples, so ``S`` is one gather from the vector by a table cached
-        per W.  With ``c = W - 1``, ``n = W // 2``, ``rho_l = Re r[c + l]``
-        and ``iota_l = Im r[c + l]`` (``rho`` even and ``iota`` odd in
-        ``l``), ``l1 = i - j`` and ``l2 = i + j - c`` for ``i, j < n``::
+        per W if it holds at most ``MAX_GRID_ENTRIES // 16`` entries.  With
+        ``c = W - 1``, ``n = W // 2``, ``rho_l = Re r[c + l]`` and ``iota_l =
+        Im r[c + l]`` (``rho`` even and ``iota`` odd in ``l``), ``l1 = i - j``
+        and ``l2 = i + j - c`` for ``i, j < n``::
 
             S[i, j]             = rho_l1 + rho_l2
             S[W-n+i, W-n+j]     = rho_l1 - rho_l2
@@ -305,7 +313,10 @@ class Subspace:
             samples = np.concatenate(
                 (rho, iota, -iota, -rho, _SQRT2 * rho, -_SQRT2 * iota, [0.0])
             )
-            pair = samples[_real_toeplitz_table(w)]
+            # The cache keeps 16 tables, so together they hold at most one scan cap.
+            cached = 2 * w * w <= MAX_GRID_ENTRIES // 16
+            table = _real_toeplitz_table if cached else _real_toeplitz_table.__wrapped__
+            pair = samples[table(w)]
             s = pair[0] + pair[1]
         lam, eigvecs = eig_hermitian(s)
         power = lam**2 / w
@@ -313,14 +324,19 @@ class Subspace:
         return cls(power[order], eigvecs[:, order], rank)
 
     def scan(
-        self, axis: np.ndarray, manifold: np.ndarray, fold: np.ndarray | None = None
+        self,
+        axis: np.ndarray,
+        manifold: np.ndarray,
+        fold: np.ndarray | None = None,
+        mirrored: int = 0,
     ) -> PseudoSpectrum:
         """1 / normalized noise-subspace power of each manifold row, over ``axis``.
 
-        ``manifold`` is ``(..., W)`` in the basis of the decomposed matrix;
-        the values take its leading shape.  With ``fold`` (``(..., F, W)``),
-        ``manifold`` is ``(..., R, F)`` and row ``r`` of spectrum ``c`` stands
-        for the length-W vector ``manifold[c, r] @ fold[c]``: the signal
+        ``manifold`` is ``(A, W)`` in the basis of the decomposed matrix, one
+        row per entry of ``axis`` (but see ``mirrored``).  With ``fold``
+        (``(..., F, W)``), ``manifold`` is ``(..., R, F)``, the values take
+        its leading shape, and row ``r`` of spectrum ``c`` stands for the
+        length-W vector ``manifold[c, r] @ fold[c]``: the signal
         basis is folded to ``fold @ U_s`` instead of the manifold being
         unfolded (the range stage's mirror pairs).  Every steering vector
         here has ``||a||^2 = W``: ``exp(1j * phase)`` in the range stage, and
@@ -333,13 +349,26 @@ class Subspace:
         norm of its residual ``a - U_s (U_s^H a)``, from the coefficients the
         projection already holds; with ``fold``, its ``a`` is unfolded first.
         The noise columns ``eigvecs[:, rank:]`` are never read.
+
+        Without ``fold``, ``manifold`` is ``(A - mirrored, W)``, the rows of
+        ``axis[mirrored:]``, and the projection is summed as two products,
+        over the first ``W - W // 2`` entries of each row and over the rest,
+        the sine block of the angle stage's real rows.  Entry ``i <
+        mirrored`` of ``axis``, which must be ``-axis[A - 1 - i]``, stands
+        for the row of ``axis[A - 1 - i]`` with its sine block negated, so
+        its projection is the difference of the two products instead of
+        their sum.
         """
         w = self.eigvecs.shape[0]
         signal = self.eigvecs[:, : self.rank]
         if fold is None:
             # A sensor-major manifold (the angle stage's) is read along its
-            # rows by the (r, W) x (W, A) product.
-            proj = np.swapaxes(signal.conj().T @ np.swapaxes(manifold, -1, -2), -1, -2)
+            # rows by the (r, W) x (W, A) products.
+            sine = w - w // 2
+            columns = manifold.T
+            even = signal[:sine].conj().T @ columns[:sine]
+            odd = signal[sine:].conj().T @ columns[sine:]
+            proj = np.concatenate(((even - odd)[:, ::-1][:, :mirrored], even + odd), axis=1).T
         else:
             proj = manifold @ (fold @ signal.conj())
         denom = 1.0 - _row_power(proj) / w
@@ -347,7 +376,13 @@ class Subspace:
         for c in np.ndindex(near.shape[:-1]):
             rows = near[c]
             if rows.any():
-                a = manifold[c][rows] if fold is None else manifold[c][rows] @ fold[c]
+                if fold is None:
+                    j = np.flatnonzero(rows)
+                    flip = j < mirrored
+                    a = manifold[np.where(flip, manifold.shape[0] - 1 - j, j - mirrored)]
+                    a[flip, sine:] *= -1.0
+                else:
+                    a = manifold[c][rows] @ fold[c]
                 denom[c][rows] = _row_power(a - proj[c][rows] @ signal.T) / w
         values = 1.0 / np.maximum(denom, _DENOM_FLOOR)
         return PseudoSpectrum(axis, values)
@@ -439,10 +474,15 @@ def angle_spectrum(
     centred row to the real row ``[sqrt(2) cos(psi), 1 (odd W only),
     sqrt(2) sin(psi)]`` the scan uses, so the scan is real matrix
     arithmetic: the unitary-transformation method of Huarng & Yeh (IEEE
-    Trans. ASSP 1991).  The manifold is built sensor-major, as a ``(W, A)``
-    array, cached per grid if it holds at most ``MAX_GRID_ENTRIES // 16``
-    entries, and projected as ``(r, W) x (W, A)``, which reads it along its
-    rows.  ``unit`` is the coarray lag step in meters.
+    Trans. ASSP 1991).  On a grid that is exactly antisymmetric, as
+    :meth:`SpectrumGrid.for_layout` builds it, only the rows of the upper
+    half are built and projected: ``sin`` is odd, so the row of ``-theta``
+    is the row of ``theta`` with its sine block negated
+    (:meth:`Subspace.scan` with ``mirrored``).  The manifold is built
+    sensor-major, as a ``(W, A')`` array over the ``A'`` angles it holds,
+    cached per grid if it holds at most ``MAX_GRID_ENTRIES // 16`` entries,
+    and projected as ``(r, W) x (W, A')``, which reads it along its rows.
+    ``unit`` is the coarray lag step in meters.
     Peak locations are invariant to any positive scaling of the coarray
     vector.
     """
@@ -450,11 +490,16 @@ def angle_spectrum(
         raise ValueError("angle_spectrum scans a real subspace (Subspace.split_coarray)")
     grid = np.ascontiguousarray(np.asarray(angle_grid_deg, dtype=float))
     w = virtual.eigvals.size
+    # sin is odd: on an antisymmetric grid the row of -theta is the row of
+    # theta with its sine block negated, and only the upper half is built.
+    half = grid.size // 2
+    mirrored = half if np.array_equal(grid[:half], -grid[::-1][:half]) else 0
+    built = grid[mirrored:]
     # The cache keeps 16 manifolds, so together they hold at most one scan cap.
-    cached = w * grid.size <= MAX_GRID_ENTRIES // 16
+    cached = w * built.size <= MAX_GRID_ENTRIES // 16
     build = _real_angle_manifold if cached else _real_angle_manifold.__wrapped__
-    manifold = build(w, float(unit), float(wavelength), float(position_scale), grid.tobytes())
-    return virtual.scan(grid, manifold)
+    manifold = build(w, float(unit), float(wavelength), float(position_scale), built.tobytes())
+    return virtual.scan(grid, manifold, mirrored=mirrored)
 
 
 _NEIGHBOURS = np.array([-1, 0, 1])  # a peak's column offsets for its parabolic fit
@@ -824,8 +869,9 @@ class MusicConfig:
         a scan of K targets over it on ``layout`` would hold more than
         :data:`MAX_GRID_ENTRIES` entries.
 
-        The angle scan caches a real ``(W, A)`` manifold, W the virtual ULA
-        size of the layout's coarray.  The range scan of the ``C = K (K + 1)
+        The angle scan caches a real manifold of at most ``(W, A)`` entries
+        (the upper half of an antisymmetric grid), W the virtual ULA size of
+        the layout's coarray.  The range scan of the ``C = K (K + 1)
         / 2`` candidates builds a complex ``(F, C, R)`` chirp over the F
         folded sensors, four ``(runs, C, R)`` temporaries along the chirp's
         runs and a ``(C, R, K)`` projection.
@@ -965,8 +1011,7 @@ def two_phase(
     geometric mean (a plain product would scale the dB axis and defeat one
     significance threshold).  Each input's range scan covers every candidate
     at once, and one :func:`classify_range_spectrum` call labels the fused
-    ``(C, R)`` array, which the result keeps as ``range_spectrum``.  A
-    single input's two scans are the result's spectra as they are.
+    ``(C, R)`` array, which the result keeps as ``range_spectrum``.
     :meth:`MusicConfig.plan` reads K from the first input's known
     waveforms and gives the grid, or rejects it, before any stage runs.
     Each angle split keeps ``K (K + 1) / 2`` signal components, the K
@@ -987,19 +1032,13 @@ def two_phase(
     scans = [
         angle_spectrum(v, s.layout.d, layout.wavelength, axis) for v, s in zip(virtual, inputs)
     ]
-    fused = len(inputs) > 1
-    spec_a = scans[0]
-    if fused:
-        spec_a = PseudoSpectrum(axis, np.min([scan.values for scan in scans], axis=0))
+    spec_a = PseudoSpectrum(axis, reduce(np.minimum, [scan.values for scan in scans]))
     peaks = detect_peaks(spec_a, pairs)
     thetas = np.array([p.location for p in peaks], dtype=float)
     range_scans = [
-        range_spectrum(h, s.layout, thetas, grid.range_m) for s, h in zip(inputs, initial)
+        range_spectrum(h, s.layout, thetas, grid.range_m).values for s, h in zip(inputs, initial)
     ]
-    spec_r = range_scans[0]
-    if fused:
-        product = np.prod([scan.values for scan in range_scans], axis=0)
-        spec_r = PseudoSpectrum(grid.range_m, product ** (1.0 / len(inputs)))
+    spec_r = PseudoSpectrum(grid.range_m, reduce(np.multiply, range_scans) ** (1.0 / len(inputs)))
     bounds = (layout.fresnel_distance, layout.rayleigh_distance)
     return LocalizationResult(
         candidates=tuple(peaks),

@@ -32,6 +32,7 @@ from canf.music import (
     _chirp_plan,
     _fresnel_chirp,
     _real_angle_manifold,
+    _real_toeplitz_table,
     _row_peaks,
     angle_spectrum,
     classify_range_spectrum,
@@ -192,6 +193,16 @@ class TestSpectrumGrid:
         assert grid.range_m[0] == pytest.approx(layout911.fresnel_distance)
         assert grid.range_m[-1] <= layout911.rayleigh_distance + 1e-9
 
+    @pytest.mark.parametrize("step", [0.05, 180.0 / 1001.0])
+    def test_for_layout_angles_are_exactly_antisymmetric(self, layout911, step):
+        # So the angle scan mirrors the upper half (odd and even sizes); the
+        # lower half moves off np.linspace by roundoff only.
+        angles = SpectrumGrid.for_layout(layout911, step, 0.1).angle_deg
+        half = angles.size // 2
+        assert np.array_equal(angles[:half], -angles[::-1][:half])
+        plain = np.linspace(-90.0 + step, 90.0 - step, angles.size)
+        np.testing.assert_allclose(angles, plain, rtol=0.0, atol=1e-12)
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             SpectrumGrid((), (1.0, 2.0))
@@ -272,8 +283,9 @@ class TestSpectrumGrid:
                 MusicConfig(angle_step_deg=steps[0], range_step_m=steps[1]).plan(snaps, layout911)
 
     def test_the_scan_counts_are_the_shapes_the_scans_build(self, layout911):
-        # At the default steps: the cached angle manifold is (W, A) and the
-        # range chirp (C, R, F) over the layout's 2 chirp runs.
+        # At the default steps: the angle manifold of the whole grid is
+        # (W, A), the bound the plan counts (the scan caches its upper half),
+        # and the range chirp (C, R, F) over the layout's 2 chirp runs.
         grid = SpectrumGrid.for_layout(layout911, *STEPS)
         manifold = _real_angle_manifold(100, layout911.d, LAM, 2.0, grid.angle_deg.tobytes())
         assert manifold.T.shape == (100, grid.angle_deg.size)
@@ -467,6 +479,34 @@ class TestAngleSpectrum:
             np.testing.assert_allclose(man[0], rotated.real, atol=1e-12)
             assert not man.flags.writeable
 
+    @pytest.mark.parametrize("size", [3599, 3600])
+    def test_an_antisymmetric_grid_builds_and_projects_its_upper_half(
+        self, benchmark_scenario, size
+    ):
+        # Each lower row is its mirror's with the sine block negated; the
+        # spectrum matches the plain (A, W) x (W, r) scan of the whole
+        # manifold, rows below the cancellation floor on both sides included.
+        snaps = benchmark_scenario.snapshots()
+        layout = snaps.layout
+        virtual = Subspace.split_coarray(build_bundle(snaps).r_tilde, 10)
+        w = virtual.eigvals.size
+        grid = np.linspace(-89.95, 89.95, size)
+        grid[: size // 2] = -grid[::-1][: size // 2]
+        spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid)
+        before = _real_angle_manifold.cache_info()
+        upper_bytes = grid[size // 2 :].tobytes()
+        upper = _real_angle_manifold(w, layout.d, layout.wavelength, 2.0, upper_bytes)
+        assert _real_angle_manifold.cache_info().hits == before.hits + 1
+        assert upper.shape == (size - size // 2, w)
+        man = _real_angle_manifold.__wrapped__(w, layout.d, layout.wavelength, 2.0, grid.tobytes())
+        signal = virtual.eigvecs[:, : virtual.rank]
+        proj = man @ signal
+        denom = 1.0 - np.sum(proj**2, axis=1) / w
+        near = denom < CANCELLATION_FLOOR
+        assert near[grid < 0].any() and near[grid > 0].any()
+        denom[near] = np.sum((man[near] - proj[near] @ signal.T) ** 2, axis=1) / w
+        np.testing.assert_allclose(spec.values, 1.0 / denom, rtol=1e-12, atol=0.0)
+
     def test_manifold_is_cached_sensor_major_and_read_only(self):
         grid = np.linspace(-89.95, 89.95, 3599)
         man = _real_angle_manifold(100, 1e-3, LAM, 2.0, grid.tobytes())
@@ -484,6 +524,21 @@ class TestAngleSpectrum:
         spec = angle_spectrum(virtual, snaps.layout.d, snaps.layout.wavelength, grid)
         assert _real_angle_manifold.cache_info() == before
         assert spec.values.shape == grid.shape
+
+    def test_a_gather_table_too_large_for_the_cache_is_built_per_call(
+        self, benchmark_scenario, monkeypatch
+    ):
+        # 16 cached tables of at most MAX_GRID_ENTRIES // 16 entries each; a
+        # lower cap puts the benchmark's W = 100 table past it.
+        r_tilde = build_bundle(benchmark_scenario.snapshots()).r_tilde
+        w = (r_tilde.size + 1) // 2
+        cached = Subspace.split_coarray(r_tilde, 10)
+        monkeypatch.setattr(music, "MAX_GRID_ENTRIES", 16 * 2 * w * w - 16)
+        before = _real_toeplitz_table.cache_info()
+        built = Subspace.split_coarray(r_tilde, 10)
+        assert _real_toeplitz_table.cache_info() == before
+        assert np.array_equal(built.eigvecs, cached.eigvecs)
+        assert np.array_equal(built.eigvals, cached.eigvals)
 
     def test_scan_matches_an_angle_major_product(self, benchmark_scenario):
         # The (r, W) x (W, A) projection of the sensor-major manifold agrees
@@ -864,9 +919,8 @@ class TestLocalize:
         )
         assert hits < 5 or len(trues) > 5
 
-    def test_one_input_keeps_its_own_scans(self, benchmark_scenario, monkeypatch):
-        # With nothing to fuse, the result's spectra are the scans themselves:
-        # no elementwise-minimum or geometric-mean copies.
+    def test_one_input_fuses_to_its_own_scans(self, benchmark_scenario, monkeypatch):
+        # The minimum and the geometric mean of one scan are that scan, bitwise.
         scans = {}
         for name in ("angle_spectrum", "range_spectrum"):
             original = getattr(music, name)
@@ -878,7 +932,7 @@ class TestLocalize:
             monkeypatch.setattr(music, name, recording)
         res = localize(benchmark_scenario.snapshots(), MusicConfig(k_targets=4))
         for name in ("angle_spectrum", "range_spectrum"):
-            assert getattr(res, name) is scans[name]
+            assert np.array_equal(getattr(res, name).values, scans[name].values)
 
     def test_result_dict_round_trip(self, benchmark_scenario):
         res = localize(benchmark_scenario.snapshots(), MusicConfig(k_targets=4))
