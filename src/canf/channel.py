@@ -13,11 +13,14 @@ two models agree in the far-field limit.
 from __future__ import annotations
 
 import math
+import queue
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._helper import beside
 from .geometry import SensorLayout
 
 __all__ = [
@@ -155,6 +158,7 @@ class SnapshotSet:
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # one ulp below math.sqrt(0.5); see synthesize
 DRAW_BLOCK = 1 << 14  # most normals synthesize draws per call into its buffer
+HANDOFF_ROWS = 8  # noise rows per chunk a helper draws when T > DRAW_BLOCK
 
 
 def noise_power(snr_db: float | None) -> float:
@@ -201,10 +205,22 @@ def synthesize(
     with ``sqrt(sigma2 / 2)`` times each noise block added to its real or
     imaginary part.  The rows are drawn in order into one reused buffer of
     at most :data:`DRAW_BLOCK` normals (one row when ``T`` is larger), which
-    draws the same bits as one bulk call, and each noise block is scaled
-    into one scratch buffer of the same size, so only ``x`` and ``y`` are
-    allocated at full size.  This is the one-SNR case of
-    :func:`synthesize_sweep`.
+    draws the same bits as one bulk call, and each noise block is scaled in
+    that buffer once it is spent, so only ``x`` and ``y`` are allocated at
+    full size.
+
+    With noise and ``T > DRAW_BLOCK``, one helper thread
+    (:func:`canf._helper.beside`) draws the ``2U`` noise rows, once the
+    caller has drawn ``x``: in order, :data:`HANDOFF_ROWS` rows of one part
+    at a time, into two buffers in turn.  Meanwhile the caller forms
+    ``B @ x`` and then adds each chunk as the helper finishes it.  numpy
+    fills a buffer from the generator without the GIL, so the draw runs on
+    one core while ``B @ x`` and the adds run on the other.  One thread
+    draws every noise row in stream order, and each entry of ``y`` still
+    takes one scaled normal in one add, so the output is bitwise the serial
+    draw's.  The helper is started per call and joined before it returns,
+    not kept in a pool, whose thread would not survive the fork of a worker
+    process.  This is the one-SNR case of :func:`synthesize_sweep`.
     """
     (snaps,) = synthesize_sweep(layout, targets, n_snapshots, (snr_db,), seed, model)
     return snaps
@@ -223,10 +239,12 @@ def synthesize_sweep(
     Entry ``i`` is bitwise ``synthesize(..., snr_db_list[i], ...)``: the
     same ``x`` and ``B @ x`` serve every SNR, and each noise row block is
     drawn once and added, scaled by each noisy SNR's ``sqrt(sigma2 / 2)``
-    in turn, with the same two roundings as a single-SNR call.  Every SNR
-    is checked before anything is drawn.  Each set owns its ``y`` and
-    ``x``, so the call holds ``len(snr_db_list)`` of each; the caller bounds
-    the list when ``T`` is large.
+    in turn, with the same two roundings as a single-SNR call (the last
+    noisy SNR's scaling goes into the spent block, every other into one
+    scratch buffer of the block's size).  Every SNR is checked before
+    anything is drawn.  Each set owns its ``y`` and ``x``, so the call holds
+    ``len(snr_db_list)`` of each; the caller bounds the list when ``T`` is
+    large.
     """
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
@@ -238,33 +256,67 @@ def synthesize_sweep(
     k, u = len(targets), layout.size
     b = steering_matrix(layout, targets, model)
     rng = np.random.default_rng(seed)
-    per_draw = max(DRAW_BLOCK // n_snapshots, 1)
-    buffer = np.empty((min(per_draw, max(k, u)), n_snapshots))
+    # With noise and T > DRAW_BLOCK, a helper draws the noise rows (see
+    # synthesize) while the caller forms B @ x and adds each chunk.
+    handed = bool(noisy) and n_snapshots > DRAW_BLOCK
+    per_draw = HANDOFF_ROWS if handed else max(DRAW_BLOCK // n_snapshots, 1)
+    buffers = [np.empty((min(per_draw, max(k, u)), n_snapshots)) for _ in range(1 + handed)]
 
-    def normals(n_rows: int):
-        # The next n_rows rows of the stream, as (first row, normals).
-        for start in range(0, n_rows, per_draw):
-            block = buffer[: min(per_draw, n_rows - start)]
-            rng.standard_normal(out=block)
-            yield start, block
+    def spans(n_rows: int) -> list[tuple[int, int]]:
+        # (first row, rows) of each draw of the next n_rows rows.
+        return [(start, min(per_draw, n_rows - start)) for start in range(0, n_rows, per_draw)]
 
     x = np.empty((k, n_snapshots), dtype=complex)
     for part in (x.real, x.imag):
-        for start, block in normals(k):
-            np.multiply(block, _INV_SQRT2, out=part[start : start + block.shape[0]])
-    clean = b @ x
-    # The last set takes clean and x themselves, every other set a copy.
-    ys = [clean.copy() for _ in sigma2s[1:]] + [clean]
-    xs = [x.copy() for _ in sigma2s[1:]] + [x]
-    if noisy:
-        scales = [math.sqrt(sigma2s[i] / 2.0) for i in noisy]
-        scaled = np.empty_like(buffer)
-        for part in ("real", "imag"):
-            parts = [getattr(ys[i], part) for i in noisy]
-            for start, block in normals(u):
-                stop = start + block.shape[0]
-                for rows, scale in zip(parts, scales):
-                    rows[start:stop] += np.multiply(block, scale, out=scaled[: stop - start])
+        for start, n in spans(k):
+            block = rng.standard_normal(out=buffers[0][:n])
+            np.multiply(block, _INV_SQRT2, out=part[start : start + n])
+    noise = [(part, start, n) for part in ("real", "imag") for start, n in spans(u) if noisy]
+    if handed:
+        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+        for buffer in buffers:
+            free.put(buffer)
+
+        def draw() -> None:
+            try:
+                for _, _, n in noise:
+                    buffer = free.get()
+                    if buffer is None:
+                        return
+                    rng.standard_normal(out=buffer[:n])
+                    ready.put(buffer)
+            finally:
+                ready.put(None)
+
+        def filled():
+            while (buffer := ready.get()) is not None:
+                yield buffer
+                free.put(buffer)
+
+        helper = beside(draw, stop=lambda: free.put(None))
+    else:
+
+        def filled():
+            for _, _, n in noise:
+                rng.standard_normal(out=buffers[0][:n])
+                yield buffers[0]
+
+        helper = nullcontext()
+    with helper:
+        clean = b @ x
+        # The last set takes clean and x themselves, every other set a copy.
+        ys = [clean.copy() for _ in sigma2s[1:]] + [clean]
+        xs = [x.copy() for _ in sigma2s[1:]] + [x]
+        scales = [(ys[i], math.sqrt(sigma2s[i] / 2.0)) for i in noisy]
+        scaled = np.empty_like(buffers[0]) if len(noisy) > 1 else None
+        for (part, start, n), buffer in zip(noise, filled()):
+            block = buffer[:n]
+            # Every noisy set but the last scales into scratch; the last
+            # scales the drawn block itself, which is spent after it.
+            for y, scale in scales[:-1]:
+                getattr(y, part)[start : start + n] += np.multiply(block, scale, out=scaled[:n])
+            y, scale = scales[-1]
+            getattr(y, part)[start : start + n] += np.multiply(block, scale, out=block)
     return tuple(
         SnapshotSet(layout, y, x, sigma2, snr if flag else None, seed, model)
         for y, x, sigma2, snr, flag in zip(ys, xs, sigma2s, snr_db_list, has_noise)

@@ -9,15 +9,24 @@ cost of extra pairwise cross terms; the result lives on the difference
 coarray, whose Hermitian Toeplitz matrix the angle stage decomposes in
 place of its smoothed square (:func:`spatial_smooth`, which no stage calls;
 the tests compare against it).
+
+Both initial estimates are one Gram product summed over blocks of
+snapshots (:func:`_gram`).  Past one block, a helper thread makes the
+products of the second half of the blocks while the caller makes the
+first half; the caller adds every product in block order, so the estimate
+is bitwise the one-thread sum.  The helper lives for one call, never in a
+pool, so a process that forks workers has no pool thread to lose.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._helper import beside
 from .channel import SnapshotSet
 from .geometry import SensorLayout, difference_coarray
 
@@ -69,16 +78,31 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     copy of ``y`` is made and each block's operands stay in cache.  The LS
     weight is ``1 / sqrt(x^H x)``: numpy divides a complex entry by a real
     one by multiplying with its reciprocal, so ``y * weight`` is bitwise
-    ``y / sqrt(x^H x)`` at half the cost.  Each block's product is added to
-    the sum of the blocks before it, in order; with ``T <= _GRAM_BLOCK``
-    there is one block and the result is bitwise the single product
-    ``c @ c.conj().T``.  A non-finite entry of ``c`` makes its row's
-    diagonal entry ``sum |c|^2`` non-finite, so the U-entry diagonal stands
-    in for an O(U T) scan.  The same check catches finite snapshots whose
+    ``y / sqrt(x^H x)`` at half the cost.
+
+    With two or more blocks, one helper thread (:func:`canf._helper.beside`)
+    makes the products of the second half of the blocks, ``len(blocks) // 2``
+    on, while the caller makes and sums the first half; BLAS runs without
+    the GIL, so the halves run on two cores.  The helper keeps each of its
+    products apart, and the caller adds them after its own, one by one in
+    block order: a float sum depends on its order, and this is the order of
+    one loop that adds each block's product to the sum of the blocks before
+    it, so the result is bitwise that loop's whichever thread made a
+    product.  The helper is started per call and joined before it returns,
+    not kept in a pool, whose thread would not survive the fork of a worker
+    process.  With ``T <= _GRAM_BLOCK`` there is one block, no helper, and
+    the result is bitwise the single product ``c @ c.conj().T``.
+
+    A non-finite entry of ``c`` makes its row's diagonal entry
+    ``sum |c|^2`` non-finite, so the U-entry diagonal stands in for an
+    O(U T) scan.  The same check catches finite snapshots whose
     ``sum |c|^2`` overflows a float.  The arithmetic warnings either case
-    raises on the way are silenced, since the check reports it.
+    raises on the way are silenced, in the helper too, since the check
+    reports it.
     """
     n = y.shape[1]
+    starts = range(0, n, _GRAM_BLOCK)
+    half = len(starts) // 2
 
     def block_gram(start: int) -> np.ndarray:
         c = y[:, start : start + _GRAM_BLOCK]
@@ -86,10 +110,18 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
             c = c * weight[start : start + _GRAM_BLOCK]
         return c @ c.conj().T
 
+    later: list[np.ndarray] = []
+
+    def make_later() -> None:
+        later.extend(map(block_gram, starts[half:]))
+
     with np.errstate(invalid="ignore", over="ignore"):
-        gram = block_gram(0)
-        for start in range(_GRAM_BLOCK, n, _GRAM_BLOCK):
-            gram += block_gram(start)
+        with beside(make_later) if half else nullcontext():
+            gram = block_gram(0)
+            for start in starts[1:half]:
+                gram += block_gram(start)
+        for product in later:
+            gram += product
     if not np.all(np.isfinite(np.diagonal(gram))):
         raise ValueError(
             "snapshots y have non-finite entries or a covariance that overflows a float"

@@ -67,10 +67,11 @@ class CoprimeParams:
 def _integer(name: str, value) -> int:
     """``value`` as an int if it is an int or an integral float (numpy's
     included), not a bool: the one integer rule of every config field and
-    scenario file key."""
+    scenario file key.  A real too large for a float is rejected by name,
+    without its digits, as :func:`_real` does."""
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral)
-        or (isinstance(value, numbers.Real) and float(value).is_integer())
+        or (isinstance(value, numbers.Real) and _real(name, value).is_integer())
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

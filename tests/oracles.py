@@ -130,6 +130,24 @@ def gram_one_matmul(y, weight=None):
     return 0.5 * (gram + gram.conj().T)
 
 
+def gram_blocks_in_order(y, weight, block):
+    """``c c^H / T`` of ``c = y * weight`` (columnwise; ``c = y`` when
+    ``weight`` is None), made exactly Hermitian, summed as a plain loop: one
+    product per ``block`` snapshots, each added to the sum of the blocks
+    before it.  This is the order the blocked Gram must keep, bit for bit,
+    whichever thread makes a product."""
+    n = y.shape[1]
+    gram = None
+    for start in range(0, n, block):
+        c = y[:, start : start + block]
+        if weight is not None:
+            c = c * weight[start : start + block]
+        product = c @ c.conj().T
+        gram = product if gram is None else gram + product
+    gram = gram / n
+    return 0.5 * (gram + gram.conj().T)
+
+
 def jacobi_eigvalsh(matrix, max_sweeps=100, tol=1e-14):
     """Eigenvalues of a complex Hermitian matrix via cyclic Jacobi rotations.
 

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,8 @@ from canf import (
     synthesize,
     synthesize_sweep,
 )
-from canf.channel import DRAW_BLOCK, fresnel_phase_terms, steering_matrix
+from canf import channel
+from canf.channel import DRAW_BLOCK, HANDOFF_ROWS, fresnel_phase_terms, steering_matrix
 from canf.scenario import default_benchmark_scenario
 
 import oracles
@@ -181,6 +184,129 @@ class TestSynthesizeSweep:
         targets = TargetSet((Target.from_degrees(12, 1.0),))
         with pytest.raises(ValueError, match=message):
             synthesize_sweep(layout23, targets, 8, snr_db_list, 0)
+
+
+def _finished(call, seconds=60):
+    """``call()``, run on a thread: its result or its exception, or a test
+    failure if it has not returned within ``seconds`` (not a hung suite)."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = call()
+        except BaseException as exc:  # raised again below
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class _RecordingGenerator:
+    """Draws as the generator ``rng`` does, records the thread of every
+    draw, and raises on draw number ``fail_at`` (1-based) if given."""
+
+    def __init__(self, rng, fail_at=None):
+        self.rng = rng
+        self.fail_at = fail_at
+        self.threads = []
+
+    def standard_normal(self, *, out):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError("draw failed")
+        return self.rng.standard_normal(out=out)
+
+
+class TestHelperDraw:
+    """With noise and T > DRAW_BLOCK, one helper thread draws the noise rows."""
+
+    def _draw(self, monkeypatch, n_snapshots, snr_db, fail_at=None):
+        made, default_rng = [], np.random.default_rng
+
+        def recording(seed):
+            made.append(_RecordingGenerator(default_rng(seed), fail_at))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        scenario = default_benchmark_scenario()
+        snaps = synthesize(scenario.layout(), scenario.targets, n_snapshots, snr_db, 9)
+        return snaps, made[0].threads
+
+    @pytest.mark.parametrize("n_snapshots", [100, DRAW_BLOCK, DRAW_BLOCK + 1])
+    @pytest.mark.parametrize("snr_db", [10.0, math.inf])
+    def test_only_a_long_noisy_draw_hands_its_noise_rows_to_one_helper(
+        self, monkeypatch, n_snapshots, snr_db
+    ):
+        snaps, threads = self._draw(monkeypatch, n_snapshots, snr_db)
+        main = threading.current_thread()
+        if snr_db == math.inf or n_snapshots <= DRAW_BLOCK:
+            assert set(threads) == {main}
+            return
+        # x's real and imaginary rows (K = 4) on the caller, then 2U = 74
+        # noise rows in chunks of HANDOFF_ROWS rows of one part on a helper.
+        u = snaps.y.shape[0]
+        chunks = 2 * -(-u // HANDOFF_ROWS)
+        assert threads[:2] == [main, main] and len(threads) == 2 + chunks
+        assert len(set(threads[2:])) == 1 and threads[2] is not main
+
+    @pytest.mark.parametrize("fail_at", [3, 6, 12])
+    def test_a_failed_draw_is_raised_and_leaves_no_thread(self, monkeypatch, fail_at):
+        # Draw 3 is the helper's first, 6 is mid-stream, 12 is its last.
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            _finished(lambda: self._draw(monkeypatch, DRAW_BLOCK + 1, 10.0, fail_at))
+        assert threading.active_count() == threads
+
+    def test_a_failure_beside_the_draw_releases_the_helper(self, monkeypatch):
+        # B @ x fails while the helper fills both chunk buffers and waits
+        # for one back: the caller must release it before joining it.
+        class Unmixable:
+            def __matmul__(self, other):
+                raise ArithmeticError("no mixture")
+
+        monkeypatch.setattr(channel, "steering_matrix", lambda *args: Unmixable())
+        scenario = default_benchmark_scenario()
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="no mixture"):
+            _finished(
+                lambda: synthesize(scenario.layout(), scenario.targets, DRAW_BLOCK + 1, 10.0, 9)
+            )
+        assert threading.active_count() == threads
+
+    def test_concurrent_callers_each_draw_their_own_stream(self):
+        # Four callers, each with its own helper, and a short switch
+        # interval: a chunk buffer handed back before its add was done
+        # would be overwritten by the next chunk's normals.
+        scenario = default_benchmark_scenario()
+        layout, n = scenario.layout(), DRAW_BLOCK + 1
+        b = steering_matrix(layout, scenario.targets, "exact")
+        sigma2 = channel.noise_power(10.0)
+        expected = {seed: oracles.synthesize_bulk(b, n, sigma2, seed)[1] for seed in range(4)}
+        got = {}
+
+        def call(seed):
+            got[seed] = synthesize(layout, scenario.targets, n, 10.0, seed).y
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [
+                threading.Thread(target=call, args=(seed,), daemon=True) for seed in expected
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, y in expected.items():
+            np.testing.assert_array_equal(got[seed], y)
 
 
 class TestSynthesize:

@@ -1,5 +1,6 @@
 """Covariance chain: estimators, decoupling identities, coarray, smoothing."""
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from canf import (
 )
 from canf.channel import steering_fresnel, steering_matrix
 from canf import covariance
+from canf._helper import beside
 from canf.covariance import build_bundle, mirror_antidiagonal
 from conftest import random_fresnel_scenario
 
@@ -119,6 +121,50 @@ class TestGram:
             assert np.max(np.abs(gram - expected)) <= 1e-14 * np.max(np.abs(expected))
             np.testing.assert_array_equal(gram, gram.conj().T)
 
+    @pytest.mark.parametrize("n_snapshots", [1024, 1280, 20_000])
+    def test_blocks_are_summed_in_order_bitwise(self, layout911, n_snapshots):
+        # 2, 2.5 and about 39 blocks: the helper thread makes the second
+        # half's products, and the sum must still be one loop's, in order.
+        t = TargetSet((Target.from_degrees(5, 10), Target.from_degrees(-25, 20)))
+        snaps = synthesize(layout911, t, n_snapshots, 10.0, 3)
+        weight = 1.0 / np.sqrt(np.sum(np.abs(snaps.x) ** 2, axis=0))
+        for w in (None, weight):
+            np.testing.assert_array_equal(
+                covariance._gram(snaps.y, w),
+                oracles.gram_blocks_in_order(snaps.y, w, covariance._GRAM_BLOCK),
+            )
+
+    @pytest.mark.parametrize("n_snapshots, helpers", [(100, 0), (512, 0), (513, 1), (20_000, 1)])
+    def test_a_helper_starts_only_past_one_block(
+        self, layout911, monkeypatch, n_snapshots, helpers
+    ):
+        started = []
+
+        def counted(work, stop=None):
+            started.append(work)
+            return beside(work, stop)
+
+        monkeypatch.setattr(covariance, "beside", counted)
+        t = TargetSet((Target.from_degrees(5, 10),))
+        covariance_ls(synthesize(layout911, t, n_snapshots, 10.0, 3))
+        assert len(started) == helpers
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("estimate", [covariance_ls, covariance_sample])
+    def test_a_non_finite_snapshot_in_the_helpers_half_is_rejected(self, layout911, bad, estimate):
+        # Of 4 blocks the helper takes blocks 2 and 3.  numpy's error state
+        # does not pass to a new thread, so an unsilenced helper would raise
+        # a RuntimeWarning (an error here) instead of the check's ValueError.
+        n = 4 * covariance._GRAM_BLOCK
+        t = TargetSet((Target.from_degrees(5, 10),))
+        snaps = synthesize(layout911, t, n, 10.0, 3)
+        snaps.y[3, 3 * covariance._GRAM_BLOCK + 7] = bad
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="snapshots y have non-finite"):
+            estimate(snaps)
+        assert threading.active_count() == threads
+
     def test_ls_weight_is_bitwise_the_division(self, layout911):
         # covariance_ls multiplies by 1 / sqrt(power) where the definition
         # divides by sqrt(power); numpy's complex-by-real division is that
@@ -129,6 +175,42 @@ class TestGram:
         np.testing.assert_array_equal(
             covariance_ls(snaps), oracles.gram_one_matmul(snaps.y / root[None, :])
         )
+
+
+class TestBeside:
+    """The helper thread: joined on every exit, its failure the caller's."""
+
+    def test_the_helpers_exception_is_raised_in_the_caller(self):
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="helper"):
+            with beside(lambda: {}["helper"]):
+                pass
+        assert threading.active_count() == threads
+
+    def test_a_failing_body_stops_and_joins_the_helper(self):
+        release, ran = threading.Event(), threading.Event()
+
+        def work():
+            if release.wait(60):
+                ran.set()
+
+        with pytest.raises(ZeroDivisionError):
+            with beside(work, stop=release.set):
+                1 / 0
+        assert ran.is_set()
+
+    def test_when_both_fail_the_helpers_exception_carries_the_bodys(self):
+        with pytest.raises(KeyError) as raised:
+            with beside(lambda: {}["helper"]):
+                1 / 0
+        assert isinstance(raised.value.__context__, ZeroDivisionError)
+
+    def test_the_helper_runs_under_the_callers_error_state(self):
+        seen = []
+        with np.errstate(over="raise", invalid="ignore"):
+            with beside(lambda: seen.append(np.geterr())):
+                pass
+        assert (seen[0]["over"], seen[0]["invalid"]) == ("raise", "ignore")
 
 
 class TestCovarianceSample:

@@ -1,6 +1,7 @@
 """Geometry: layouts, coarrays, target-capacity arithmetic, and the one
 integer rule and one number rule that every config applies to its fields."""
 import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from canf import (
     max_targets,
 )
 from canf.bench import MonteCarloConfig
-from canf.geometry import _real
+from canf.geometry import _integer, _real
 from canf.scenario import default_benchmark_scenario
 
 import oracles
@@ -270,6 +271,12 @@ class TestNumberRules:
             (lambda: _scenario(snr_db=10**400), "snr_db is too large for a float"),
             (lambda: MusicConfig(angle_step_deg=10**400), "angle_step_deg is too large for a float"),
             (lambda: _sweep(snr_db_list=(10**400,)), "snr_db is too large for a float"),
+            # So is a real that only a float conversion could test for integrality.
+            (lambda: _integer("x", fractions.Fraction(10**400)), "x is too large for a float"),
+            (
+                lambda: MusicConfig(k_targets=fractions.Fraction(10**400)),
+                "k_targets is too large for a float",
+            ),
         ],
     )
     def test_every_entry_point_rejects_by_the_shared_rules(self, build, message):
