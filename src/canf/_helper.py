@@ -4,7 +4,12 @@ BLAS products and numpy's random fills run without the GIL, so a second
 thread can do a share of a long call's arithmetic while the caller does the
 rest.  The helper is started per call and joined before the call returns,
 never kept in a pool: a pool's worker thread does not survive a ``fork``,
-and a process pool for Monte Carlo trials forks its workers.  The helper
+and a process pool for Monte Carlo trials forks its workers.  A thread per
+call is also the faster: on a 2-core host, one reused, queue-fed helper made
+a T = 20000 trial of the proposed method take 45.0-46.6 ms against
+40.7-42.2 ms (median per trial, 6 alternating runs).  A helper woken while
+the caller waits appears to share the caller's core, while a thread started
+while the caller is busy lands on the idle one.  The helper
 runs numpy only, never a function a tracer might wrap, since a tracer that
 keeps one span stack assumes a single thread.
 """

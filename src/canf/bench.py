@@ -88,10 +88,12 @@ def associate(
 
     Raises ValueError, naming the argument, for a non-finite value, range
     arrays whose lengths differ from their angle arrays, ``est_range_m``
-    without ``true_range_m``, or a ``range_scale`` that is not positive and
+    without ``true_range_m``, or a ``range_scale`` that is not a real number
+    (:func:`canf.geometry._real`: a bool, a string) or not positive and
     finite; and for finite inputs whose cost overflows a float, since an
     ``inf`` cost would tie every assignment.
     """
+    range_scale = _real("range_scale", range_scale)
     if not (math.isfinite(range_scale) and range_scale > 0):
         raise ValueError(f"range_scale must be positive and finite, got {range_scale}")
     est_theta = _finite_vector("est_theta_deg", est_theta_deg)
@@ -138,33 +140,17 @@ def _finite_vector(name: str, values, size: int | None = None) -> np.ndarray:
     return arr
 
 
-def linear_sum_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
-    """The least-total assignment of a rectangular cost, as ``(row, col)``
-    pairs sorted by row; every row is assigned if there are no more rows than
-    columns, every column otherwise.
-
-    Shortest augmenting paths (Jonker & Volgenant, Computing 1987), in the
-    rectangular form of Crouse (IEEE TAES 2016) that
-    ``scipy.optimize.linear_sum_assignment`` implements, with the same
-    tie-breaking, so it picks the same assignment: :func:`_solve` on the cost
-    or, with more rows than columns, on its transpose.  Plain Python on
-    lists of floats.  An ``inf`` entry is a forbidden pair; ValueError if
-    every assignment uses one.  NaN and ``-inf`` are not checked for here
-    (:func:`associate` rejects them).
-    """
-    if len(cost) > len(cost[0]):
-        col4row, _, _ = _solve([list(col) for col in zip(*cost)])
-        return sorted((j, i) for i, j in enumerate(col4row))
-    return list(enumerate(_solve(cost)[0]))
-
-
 def _solve(cost: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
     """The column of each row in the least assignment of a cost with no more
     rows than columns, and its optimal dual: ``cost >= u + v`` entrywise,
     with equality on the assigned pairs (to roundoff), and ``v <= 0``, with
     0 on the unassigned columns.  Each row joins along a Dijkstra shortest
     path on the reduced costs ``cost - u - v``, then ``u`` and ``v`` are
-    updated.
+    updated: shortest augmenting paths (Jonker & Volgenant, Computing 1987),
+    in the rectangular form of Crouse (IEEE TAES 2016) that
+    ``scipy.optimize.linear_sum_assignment`` implements, with the same
+    tie-breaking, so it picks the same assignment.  An ``inf`` entry is a
+    forbidden pair; ValueError if every assignment uses one.
     """
     n_rows, n_cols = len(cost), len(cost[0])
     u, v = [0.0] * n_rows, [0.0] * n_cols

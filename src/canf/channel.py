@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._helper import beside
-from .geometry import SensorLayout
+from .geometry import SensorLayout, _integer, _real
 
 __all__ = [
     "Target",
@@ -165,15 +165,19 @@ def noise_power(snr_db: float | None) -> float:
     """The noise variance ``sigma2 = 10**(-snr_db/10)`` of a per-source
     transmit SNR; 0 for ``snr_db=None`` or +inf (no noise).
 
-    Raises ValueError for NaN, -inf and an SNR so low that ``sigma2``
-    overflows a float.
+    Raises ValueError for a value that is not a real number
+    (:func:`canf.geometry._real`: a bool, a string), NaN, -inf and an SNR so
+    low that ``sigma2`` overflows a float.
     """
-    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+    if snr_db is None:
+        return 0.0
+    snr = _real("snr_db", snr_db)
+    if math.isnan(snr) or snr == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
-    if snr_db is None or snr_db == math.inf:
+    if snr == math.inf:
         return 0.0
     try:
-        return 10.0 ** (-float(snr_db) / 10.0)
+        return 10.0 ** (-snr / 10.0)
     except OverflowError:
         raise ValueError(
             f"snr_db={snr_db!r} is too low: its noise power overflows a float"
@@ -220,7 +224,10 @@ def synthesize(
     takes one scaled normal in one add, so the output is bitwise the serial
     draw's.  The helper is started per call and joined before it returns,
     not kept in a pool, whose thread would not survive the fork of a worker
-    process.  This is the one-SNR case of :func:`synthesize_sweep`.
+    process and, woken on a 2-core host, ran slower than a new thread
+    (:mod:`canf._helper`).  It starts before the caller forms ``B @ x``:
+    forming ``B @ x`` first made a T = 20000 call take 44.8 ms against
+    34.1 ms there.  This is the one-SNR case of :func:`synthesize_sweep`.
     """
     (snaps,) = synthesize_sweep(layout, targets, n_snapshots, (snr_db,), seed, model)
     return snaps
@@ -241,13 +248,20 @@ def synthesize_sweep(
     drawn once and added, scaled by each noisy SNR's ``sqrt(sigma2 / 2)``
     in turn, with the same two roundings as a single-SNR call (the last
     noisy SNR's scaling goes into the spent block, every other into one
-    scratch buffer of the block's size).  Every SNR is checked before
-    anything is drawn.  Each set owns its ``y`` and ``x``, so the call holds
-    ``len(snr_db_list)`` of each; the caller bounds the list when ``T`` is
-    large.
+    scratch buffer of the block's size).  Each set owns its ``y`` and ``x``,
+    so the call holds ``len(snr_db_list)`` of each; the caller bounds the
+    list when ``T`` is large.
+
+    ``n_snapshots`` (at least 1) and ``seed`` (at least 0) must be integers
+    (:func:`canf.geometry._integer`), and every SNR None or a real number
+    (:func:`noise_power`).  All are checked before anything is drawn, and
+    each set records its seed as an int and its SNR as a float.
     """
+    n_snapshots, seed = _integer("n_snapshots", n_snapshots), _integer("seed", seed)
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     sigma2s = [noise_power(snr) for snr in snr_db_list]
     if not sigma2s:
         raise ValueError("snr_db_list must hold at least one SNR")
@@ -318,6 +332,6 @@ def synthesize_sweep(
             y, scale = scales[-1]
             getattr(y, part)[start : start + n] += np.multiply(block, scale, out=block)
     return tuple(
-        SnapshotSet(layout, y, x, sigma2, snr if flag else None, seed, model)
+        SnapshotSet(layout, y, x, sigma2, float(snr) if flag else None, seed, model)
         for y, x, sigma2, snr, flag in zip(ys, xs, sigma2s, snr_db_list, has_noise)
     )

@@ -90,8 +90,10 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     it, so the result is bitwise that loop's whichever thread made a
     product.  The helper is started per call and joined before it returns,
     not kept in a pool, whose thread would not survive the fork of a worker
-    process.  With ``T <= _GRAM_BLOCK`` there is one block, no helper, and
-    the result is bitwise the single product ``c @ c.conj().T``.
+    process and, woken on a 2-core host, ran slower than a new thread
+    (:mod:`canf._helper`).  With ``T <= _GRAM_BLOCK`` there is one block,
+    no helper, and the result is bitwise the single product
+    ``c @ c.conj().T``.
 
     A non-finite entry of ``c`` makes its row's diagonal entry
     ``sum |c|^2`` non-finite, so the U-entry diagonal stands in for an
@@ -137,15 +139,22 @@ def mirror_antidiagonal(r_hat: np.ndarray) -> np.ndarray:
     return r_hat.T[::-1, ::-1]
 
 
+def _layout_matrix(matrix, layout: SensorLayout) -> np.ndarray:
+    """``matrix`` as an array; ValueError unless it is U x U for ``layout``."""
+    a = np.asarray(matrix)
+    u = layout.size
+    if a.shape != (u, u):
+        raise ValueError(f"covariance shape {a.shape} does not match U={u}")
+    return a
+
+
 def decouple(r_hat: np.ndarray, layout: SensorLayout) -> np.ndarray:
     """The decoupled (Hadamard) covariance
     ``R_d = R * mirror_antidiagonal(R)`` elementwise.
 
     The identity that makes ``R_d`` range-free requires a symmetric layout.
     """
-    u = layout.size
-    if r_hat.shape != (u, u):
-        raise ValueError(f"covariance shape {r_hat.shape} does not match U={u}")
+    r_hat = _layout_matrix(r_hat, layout)
     if not layout.is_symmetric:
         raise ValueError("decoupling requires a symmetric layout")
     return r_hat * mirror_antidiagonal(r_hat)
@@ -181,10 +190,12 @@ def vectorize_to_coarray(r_d: np.ndarray, layout: SensorLayout) -> np.ndarray:
     layout and cached with it; one ``np.bincount`` over the matrix's
     interleaved real and imaginary parts sums both, each bin in entry
     order, within a few ulps of a per-lag ``np.mean``.  The segment lies
-    inside the consecutive run, so every count is nonzero.
+    inside the consecutive run, so every count is nonzero.  ValueError
+    unless the matrix is U x U.
     """
+    a = _layout_matrix(r_d, layout)
     n, index, counts = _lag_bins(layout)
-    parts = np.ascontiguousarray(r_d, dtype=complex).view(float).ravel()
+    parts = np.ascontiguousarray(a, dtype=complex).view(float).ravel()
     sums = np.bincount(index, weights=parts, minlength=2 * n + 2)
     return sums.view(complex)[:n] / counts
 

@@ -22,15 +22,15 @@ Both scans use the mirror symmetry of the symmetric array:
   unitary ``Q`` of the unitary-transformation method (Huarng & Yeh, IEEE
   Trans. ASSP 1991; used by Unitary ESPRIT, Haardt & Nossek 1995, and
   unitary root-MUSIC, Pesavento, Gershman & Haardt 2000) maps it to the
-  real symmetric :func:`real_form` ``S = Re(Q^H T Q)`` with the same
-  eigenvalues, and maps the centred ULA steering vector to a real one.  The
-  angle stage decomposes and scans in real arithmetic, and the real row of
-  ``-theta`` is that of ``theta`` with its sine half negated, so the scan
-  of an antisymmetric angle grid projects the upper half only.  Each entry
-  of ``S`` is one or two coarray samples, so
-  :meth:`Subspace.split_coarray` gathers ``S`` from the vector by a table
-  fixed per size, forming neither ``T`` nor ``Q``; :func:`real_form` is
-  kept as the reference it is tested on.
+  real symmetric ``S = Re(Q^H T Q)`` with the same eigenvalues, and maps
+  the centred ULA steering vector to a real one.  The angle stage
+  decomposes and scans in real arithmetic, and the real row of ``-theta``
+  is that of ``theta`` with its sine half negated, so the scan of an
+  antisymmetric angle grid projects the upper half only.  Each entry of
+  ``S`` is one or two coarray samples, so :meth:`Subspace.split_coarray`
+  gathers ``S`` from the vector by a table fixed per size, forming neither
+  ``T`` nor ``Q``; the tests keep the product ``Re(Q^H T Q)`` as the
+  reference it is checked on.
 - In the range manifold ``exp(1j * (p + q))`` the linear phase ``p`` is odd
   and the Fresnel phase ``q`` even in the sensor position, so a mirror pair
   shares one ``exp(1j * q)``.  The range stage folds the signal basis per
@@ -79,7 +79,6 @@ __all__ = [
     "ClassifiedTarget",
     "LocalizationResult",
     "eig_hermitian",
-    "real_form",
     "angle_spectrum",
     "detect_peaks",
     "range_spectrum",
@@ -101,19 +100,22 @@ MAX_GRID_ENTRIES = 2**26  # most entries of a grid axis or of a scan (MusicConfi
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a (nearly) Hermitian matrix, descending order.
 
-    The input must be Hermitian within ``1e-9 * |trace|`` and free of
-    non-finite entries.  One pass over ``A - A^H`` measures the gap: a
-    non-finite entry makes it non-finite, which fails, so the finite scan
-    runs only on a failed gap, to name the fault.  An exactly Hermitian
+    The input must be square, non-empty, Hermitian within
+    ``1e-9 * |trace|`` and free of non-finite entries.  One pass over
+    ``A - A^H`` measures the gap: a non-finite entry makes it non-finite,
+    which fails, so the finite scan runs only on a failed gap, to name the
+    fault.  An exactly Hermitian
     input (the covariances and the :meth:`Subspace.split_coarray` matrix
     are built so) is decomposed as it is, bitwise what ``(A + A^H)/2`` would
-    give; any other is symmetrized so first.  A real input (a
-    :func:`real_form`) is decomposed by the real symmetric solver and gives
-    real eigenvectors.
+    give; any other is symmetrized so first.  A real input (such as the
+    ``S = Re(Q^H T Q)`` of :meth:`Subspace.split_coarray`) is decomposed by
+    the real symmetric solver and gives real eigenvectors.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    if a.shape[0] == 0:
+        raise ValueError("matrix is empty: expected at least one row")
     with np.errstate(invalid="ignore"):  # inf - inf: the gap check reports it
         gap = float(np.max(np.abs(a - a.conj().T)))
         scale = max(abs(np.trace(a)), 1.0)
@@ -124,43 +126,6 @@ def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sym = a if gap == 0.0 else 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(sym)
     return w[::-1], v[:, ::-1]
-
-
-_HALF_SQRT2 = math.sqrt(0.5)
-
-
-def _unitary_fold(a: np.ndarray) -> np.ndarray:
-    """``Q^H a`` along the first axis, by flips and sums.
-
-    ``Q`` is the sparse unitary of the unitary-transformation method: for
-    ``W = 2n`` it is ``[[I, 1j I], [J, -1j J]] / sqrt(2)``, and for
-    ``W = 2n + 1`` the same blocks around a middle row and column holding 1.
-    """
-    w = a.shape[0]
-    n = w // 2
-    top, flip = a[:n], a[::-1][:n]
-    return np.concatenate(
-        ((top + flip) * _HALF_SQRT2, a[n : w - n], (top - flip) * (-1j * _HALF_SQRT2))
-    )
-
-
-def real_form(matrix: np.ndarray) -> np.ndarray:
-    """The real symmetric ``S = Re(Q^H R Q)`` of a centro-Hermitian ``R``.
-
-    ``Q`` is unitary, so ``S`` has the eigenvalues of ``R`` and ``Q`` maps
-    its eigenvectors back; ``Q^H R Q`` is real exactly when
-    ``J R J = conj(R)``.  ``R`` must be centro-Hermitian within
-    ``1e-9 * |trace|``, the tolerance :func:`eig_hermitian` allows on
-    Hermiticity (Huarng & Yeh, IEEE Trans. ASSP 1991).
-    """
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(abs(np.trace(a)), 1.0)
-    if np.max(np.abs(a[::-1, ::-1] - a.conj())) > 1e-9 * scale:
-        raise ValueError("matrix is not centro-Hermitian within tolerance")
-    # Q^H R Q = (Q^H (Q^H R)^H)^H, and Re(X^H) = Re(X)^T.
-    return _unitary_fold(_unitary_fold(a).conj().T).real.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +234,7 @@ class Subspace:
         the tests form as this split's reference, is ``T T^H / W`` for the
         Hermitian Toeplitz ``T[i, j] = r_tilde[W - 1 + i - j]`` (Pal &
         Vaidyanathan, IEEE TSP 2010; Liu & Vaidyanathan, IEEE SPL 2015), so
-        one decomposition of the :func:`real_form` ``S`` of ``T`` gives its
+        one decomposition of the real symmetric ``S = Re(Q^H T Q)`` gives its
         eigenvectors without squaring the condition number.  Signal
         eigenvalues of ``T`` may be negative: the eigenpairs are ordered by
         ``lam_T^2`` and ``eigvals`` holds ``lam_T^2 / W``, the smoothed
@@ -292,10 +257,11 @@ class Subspace:
         iota_(n-j)``.  The samples read are those of the conjugate-symmetric
         part of ``r_tilde``, each lag averaged with the conjugate of its
         mirror, so ``S`` is exactly symmetric.  ``r_tilde`` must be
-        conjugate-symmetric within ``1e-9 * max(W |r_tilde[c]|, 1)``, the
-        test :func:`real_form` makes on ``T``, whose trace is ``W
-        r_tilde[c]``: the differences ``J T J - conj(T)`` are exactly those
-        of ``r_tilde[::-1] - conj(r_tilde)``.
+        conjugate-symmetric within ``1e-9 * max(W |r_tilde[c]|, 1)``: that
+        is ``T`` centro-Hermitian within ``1e-9 * |trace|``, the tolerance
+        :func:`eig_hermitian` allows on Hermiticity, since the trace is ``W
+        r_tilde[c]`` and the differences ``J T J - conj(T)`` are exactly
+        those of ``r_tilde[::-1] - conj(r_tilde)``.
         """
         r = np.asarray(r_tilde)
         if r.ndim != 1 or r.size % 2 == 0:
@@ -340,8 +306,8 @@ class Subspace:
         basis is folded to ``fold @ U_s`` instead of the manifold being
         unfolded (the range stage's mirror pairs).  Every steering vector
         here has ``||a||^2 = W``: ``exp(1j * phase)`` in the range stage, and
-        in the angle stage the real ``Q^H a`` of a centred one
-        (:func:`real_form`, ``Q`` the unitary of Huarng & Yeh 1991).  So its
+        in the angle stage the real ``Q^H a`` of a centred one (``Q`` the
+        unitary of Huarng & Yeh 1991 that makes ``S = Re(Q^H T Q)``).  So its
         noise power ``||(I - U_s U_s^H) a||^2 / W`` equals
         ``1 - ||U_s^H a||^2 / W``, and the scan projects onto the signal
         basis ``U_s`` only.  Near a peak that difference cancels to roundoff,

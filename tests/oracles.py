@@ -1,20 +1,26 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here except :func:`gram_one_matmul`, :func:`synthesize_bulk`,
-:func:`refine_parabolic_rows` and the peak finder (:func:`detect_peaks`,
+:func:`refine_parabolic_rows`, :func:`real_form`,
+:func:`linear_sum_assignment` and the peak finder (:func:`detect_peaks`,
 :func:`classify_range_spectrum`) is written as plain loops over the defining
 formulas, on purpose: these must stay independent of the vectorized library
 code they check.  The peak
 finder is an independent oracle built on ``scipy.signal.find_peaks``, which
 the package does not use: one call and one scalar parabolic fit per
 spectrum, which the package's own row-wise finder must reproduce bit for
-bit.
+bit.  :func:`real_form` forms ``Re(Q^H R Q)`` by flips and sums, the matrix
+the angle stage gathers straight from the coarray vector, and
+:func:`linear_sum_assignment` is the package's own solver in the interface
+of ``scipy.optimize.linear_sum_assignment``, which it must agree with.
 """
+import math
 from itertools import permutations
 
 import numpy as np
 from scipy.signal import find_peaks
 
+from canf.bench import _solve
 from canf.music import (
     PEAK_PROMINENCE_DB,
     SIGNIFICANCE_DB,
@@ -252,6 +258,61 @@ def unitary_q(w):
     if w % 2:
         q[n, n] = 1.0
     return q
+
+
+_HALF_SQRT2 = math.sqrt(0.5)
+
+
+def _unitary_fold(a: np.ndarray) -> np.ndarray:
+    """``Q^H a`` along the first axis, by flips and sums.
+
+    ``Q`` is the sparse unitary of the unitary-transformation method: for
+    ``W = 2n`` it is ``[[I, 1j I], [J, -1j J]] / sqrt(2)``, and for
+    ``W = 2n + 1`` the same blocks around a middle row and column holding 1.
+    """
+    w = a.shape[0]
+    n = w // 2
+    top, flip = a[:n], a[::-1][:n]
+    return np.concatenate(
+        ((top + flip) * _HALF_SQRT2, a[n : w - n], (top - flip) * (-1j * _HALF_SQRT2))
+    )
+
+
+def real_form(matrix: np.ndarray) -> np.ndarray:
+    """The real symmetric ``S = Re(Q^H R Q)`` of a centro-Hermitian ``R``.
+
+    ``Q`` is unitary, so ``S`` has the eigenvalues of ``R`` and ``Q`` maps
+    its eigenvectors back; ``Q^H R Q`` is real exactly when
+    ``J R J = conj(R)``.  ``R`` must be centro-Hermitian within
+    ``1e-9 * |trace|``, the tolerance :func:`canf.music.eig_hermitian`
+    allows on Hermiticity (Huarng & Yeh, IEEE Trans. ASSP 1991).
+    """
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    scale = max(abs(np.trace(a)), 1.0)
+    if np.max(np.abs(a[::-1, ::-1] - a.conj())) > 1e-9 * scale:
+        raise ValueError("matrix is not centro-Hermitian within tolerance")
+    # Q^H R Q = (Q^H (Q^H R)^H)^H, and Re(X^H) = Re(X)^T.
+    return _unitary_fold(_unitary_fold(a).conj().T).real.T
+
+
+def linear_sum_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """The least-total assignment of a rectangular cost, as ``(row, col)``
+    pairs sorted by row; every row is assigned if there are no more rows than
+    columns, every column otherwise.
+
+    :func:`canf.bench._solve` on the cost or, with more rows than columns,
+    on its transpose, so it picks the assignment
+    ``scipy.optimize.linear_sum_assignment`` picks.  Plain Python on lists
+    of floats.  An ``inf`` entry is a forbidden pair; ValueError if every
+    assignment uses one.  NaN and ``-inf`` are not checked for here
+    (:func:`canf.associate` rejects them).
+    """
+    if len(cost) > len(cost[0]):
+        col4row, _, _ = _solve([list(col) for col in zip(*cost)])
+        return sorted((j, i) for i, j in enumerate(col4row))
+    return list(enumerate(_solve(cost)[0]))
 
 
 def smoothed_eigvalsh_mp(r_tilde, dps=34):

@@ -1,4 +1,5 @@
 """Every exported name and every layer the benchmark traces resolves in canf,
+no module binds a reference that only the tests use,
 and neither importing canf nor running it loads a scipy module.
 
 ``perfbench/spans.py`` names each traced function as ``(module, qualname)``.
@@ -50,6 +51,19 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    ["canf"] + [f"canf.{info.name}" for info in pkgutil.iter_modules(canf.__path__)],
+)
+def test_no_module_binds_a_test_reference(module_name):
+    # The angle stage gathers its real matrix from the coarray vector, and
+    # associate calls the solver directly, so these references live in the
+    # tests' oracles alone.
+    module = importlib.import_module(module_name)
+    names = ("real_form", "_unitary_fold", "_HALF_SQRT2", "linear_sum_assignment")
+    assert [name for name in names if hasattr(module, name)] == []
 
 
 NO_SCIPY_AT_RUNTIME = """

@@ -21,7 +21,8 @@ from canf import (
 )
 from canf.channel import SnapshotSet
 from canf.covariance import build_bundle, spatial_smooth
-from canf.music import Subspace, angle_spectrum, detect_peaks, real_form
+from canf.music import Subspace, angle_spectrum, detect_peaks
+from oracles import real_form
 
 LAM = 10e-3
 # What the benchmark scenario's 4 targets would scan at each too-fine step:

@@ -16,6 +16,8 @@ from canf import bench
 from canf.bench import METHODS, MonteCarloConfig, associate, run_monte_carlo
 from canf.scenario import default_benchmark_scenario
 
+import oracles
+
 
 @pytest.mark.parametrize(
     "kwargs, message",
@@ -156,6 +158,11 @@ def test_associate_rejects_a_nan_estimate(est_range):
         # A zero scale used to divide by zero with a RuntimeWarning.
         (((10.0,), (5.0,), (10.0,), (5.0,), 0.0), "range_scale"),
         (((10.0,), (5.0,), (10.0,), (5.0,), np.inf), "range_scale"),
+        # True used to scale the range errors by 1.
+        (((10.0,), (5.0,), (10.0,), (5.0,), True), "range_scale must be a number, got True"),
+        (((10.0,), (5.0,), (10.0,), (5.0,), "20"), "range_scale must be a number, got '20'"),
+        (((10.0,), (5.0,), (10.0,), (5.0,), None), "range_scale must be a number, got None"),
+        (((10.0,), (5.0,), (10.0,), (5.0,), 10**400), "range_scale is too large for a float"),
         # A range estimate needs a range truth to be scored against.
         (((10.0,), (5.0,), (10.0,), None, 1.0), "true_range_m"),
         # NaN and -inf are rejected where they enter, not by the solver.
@@ -166,6 +173,7 @@ def test_associate_rejects_a_nan_estimate(est_range):
     ],
     ids=[
         "short-est-range", "short-true-range", "negative-scale", "zero-scale", "inf-scale",
+        "bool-scale", "string-scale", "none-scale", "huge-int-scale",
         "est-range-without-truth", "-inf-est-theta", "nan-true-theta", "-inf-est-range",
         "nan-true-range",
     ],
@@ -186,7 +194,7 @@ def test_associate_rejects_bad_inputs_by_name(args, message):
     ],
 )
 def test_solver_hand_cases(cost, expected):
-    assert bench.linear_sum_assignment(cost) == expected
+    assert oracles.linear_sum_assignment(cost) == expected
     rows, cols = scipy_assignment(np.array(cost))
     assert list(zip(rows.tolist(), cols.tolist())) == expected
 
@@ -202,7 +210,7 @@ def test_solver_hand_cases(cost, expected):
 )
 def test_solver_rejects_an_infeasible_cost(cost):
     with pytest.raises(ValueError, match="infeasible"):
-        bench.linear_sum_assignment(cost)
+        oracles.linear_sum_assignment(cost)
     with pytest.raises(ValueError, match="infeasible"):
         scipy_assignment(np.array(cost))
 

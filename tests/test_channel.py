@@ -185,6 +185,63 @@ class TestSynthesizeSweep:
         with pytest.raises(ValueError, match=message):
             synthesize_sweep(layout23, targets, 8, snr_db_list, 0)
 
+    @pytest.mark.parametrize(
+        "n_snapshots, snr_db_list, seed, message",
+        [
+            (True, (10.0,), 0, "n_snapshots must be an integer, got True"),
+            (8.5, (10.0,), 0, "n_snapshots must be an integer, got 8.5"),
+            ("8", (10.0,), 0, "n_snapshots must be an integer"),
+            (8, (10.0,), True, "seed must be an integer, got True"),
+            (8, (10.0,), 1.5, "seed must be an integer, got 1.5"),
+            (8, (10.0,), -1, "seed must be non-negative, got -1"),
+            (8, (10.0, True), 0, "snr_db must be a number, got True"),
+            (8, ("10",), 0, "snr_db must be a number"),
+        ],
+    )
+    def test_an_input_that_is_not_an_integer_or_number_is_rejected_before_the_draw(
+        self, layout23, monkeypatch, n_snapshots, snr_db_list, seed, message
+    ):
+        # A bool used to draw as 1, and a non-integral count or seed failed
+        # inside numpy.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking every input")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        targets = TargetSet((Target.from_degrees(12, 1.0),))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synthesize_sweep(layout23, targets, n_snapshots, snr_db_list, seed)
+
+    @pytest.mark.parametrize(
+        "n_snapshots, snr_db, seed",
+        [(8.0, 10, 3.0), (np.int64(8), np.float64(10.0), np.int64(3)), (8, np.int32(10), 3)],
+    )
+    def test_integral_and_numpy_inputs_draw_what_python_numbers_draw(
+        self, layout23, n_snapshots, snr_db, seed
+    ):
+        targets = TargetSet((Target.from_degrees(12, 1.0),))
+        got = synthesize(layout23, targets, n_snapshots, snr_db, seed)
+        expected = synthesize(layout23, targets, 8, 10.0, 3)
+        assert got.y.tobytes() == expected.y.tobytes()
+        assert got.x.tobytes() == expected.x.tobytes()
+        assert (type(got.seed), got.seed) == (int, 3)
+        assert (type(got.snr_db), got.snr_db, got.sigma2) == (float, 10.0, expected.sigma2)
+
+
+@pytest.mark.parametrize(
+    "snr_db, message",
+    [
+        (True, "snr_db must be a number, got True"),
+        (False, "snr_db must be a number, got False"),
+        ("10", "snr_db must be a number, got '10'"),
+        (10j, "snr_db must be a number, got 10j"),
+        (10**400, "snr_db is too large for a float"),
+    ],
+)
+def test_noise_power_rejects_what_is_not_a_real_number(snr_db, message):
+    # True used to give the 1 dB noise power, 0.794.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        channel.noise_power(snr_db)
+
 
 def _finished(call, seconds=60):
     """``call()``, run on a thread: its result or its exception, or a test

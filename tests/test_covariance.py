@@ -1,5 +1,6 @@
 """Covariance chain: estimators, decoupling identities, coarray, smoothing."""
 import dataclasses
+import re
 import threading
 
 import numpy as np
@@ -318,6 +319,14 @@ class TestDecouple:
 
 
 class TestVectorizeToCoarray:
+    @pytest.mark.parametrize("shape", [(37 * 37,), (36, 36), (37, 38), (1, 37, 37)])
+    def test_a_matrix_that_is_not_u_by_u_is_rejected(self, layout911, shape):
+        # A flat 37 * 37 array used to be binned as if it were 37 x 37, and
+        # another size failed inside np.bincount.
+        message = f"covariance shape {shape} does not match U=37"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vectorize_to_coarray(np.zeros(shape, dtype=complex), layout911)
+
     def test_single_target_pure_exponential(self, layout911):
         theta = np.deg2rad(10.0)
         targets = TargetSet((Target(theta, 20.0),))

@@ -37,7 +37,6 @@ from canf.music import (
     angle_spectrum,
     classify_range_spectrum,
     detect_peaks,
-    real_form,
 )
 from canf.bench import associate
 from canf.scenario import SPEED_OF_LIGHT
@@ -113,6 +112,11 @@ class TestEigHermitian:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             eig_hermitian(np.ones((2, 3)))
+
+    def test_rejects_an_empty_matrix(self):
+        # It used to fail inside numpy's max of an empty gap.
+        with pytest.raises(ValueError, match="^matrix is empty"):
+            eig_hermitian(np.zeros((0, 0)))
 
     @pytest.mark.parametrize(
         "place",
@@ -418,7 +422,7 @@ class TestAngleSpectrum:
         _, r_v = ideal_bundle(layout911, targets)
         grid = np.linspace(-89.95, 89.95, 3599)
         spec = angle_spectrum(
-            Subspace.split(real_form(r_v), 1), layout911.d, LAM, grid
+            Subspace.split(oracles.real_form(r_v), 1), layout911.d, LAM, grid
         )
         peaks = detect_peaks(spec, max_count=1)
         assert peaks[0].location == pytest.approx(10.0, abs=0.05)
@@ -428,7 +432,7 @@ class TestAngleSpectrum:
         snaps = synthesize(layout911, targets, 50, 0.0, 3)
         bundle = build_bundle(snaps)
         spec = angle_spectrum(
-            Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), 1),
+            Subspace.split(oracles.real_form(spatial_smooth(bundle.r_tilde)), 1),
             layout911.d, LAM, np.linspace(-89.95, 89.95, 720),
         )
         assert np.all(np.isfinite(spec.values)) and np.all(spec.values > 0)
@@ -441,7 +445,7 @@ class TestAngleSpectrum:
         lam = layout.wavelength
         p1, p2 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(real_form(r), rank), layout.d, lam, grid),
+                angle_spectrum(Subspace.split(oracles.real_form(r), rank), layout.d, lam, grid),
                 10,
             )
             for r in (r_v, 4.0 * r_v)
@@ -456,7 +460,7 @@ class TestAngleSpectrum:
         lam = layout.wavelength
         p1, p3 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(real_form(r), rank), layout.d, lam, grid),
+                angle_spectrum(Subspace.split(oracles.real_form(r), rank), layout.d, lam, grid),
                 10,
             )
             for r in (r_v, 3.7 * r_v)
@@ -721,7 +725,7 @@ def test_scans_never_read_the_noise_columns(benchmark_scenario, case):
 
     else:
         r_v = spatial_smooth(bundle.r_tilde)
-        sub = Subspace.split(real_form(r_v), 10)
+        sub = Subspace.split(oracles.real_form(r_v), 10)
 
         def scan(s):
             return angle_spectrum(s, snaps.layout.d, layout.wavelength, grid.angle_deg).values
@@ -743,7 +747,7 @@ class TestClassification:
         layout = benchmark_scenario.layout()
         r_hat, r_v = ideal_bundle(layout, benchmark_scenario.targets)
         grid = SpectrumGrid.for_layout(layout, *STEPS)
-        virtual = Subspace.split(real_form(r_v), 10)
+        virtual = Subspace.split(oracles.real_form(r_v), 10)
         spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid.angle_deg)
         peaks = detect_peaks(spec, 10)
         found = sorted(p.location for p in peaks[:6])

@@ -11,13 +11,14 @@ projected onto the signal subspace, with
     PYTHONPATH=src python tests/test_pipeline.py --high-snr > tests/data/high_snr_golden.json
 
 Both were regenerated, with the same commands, by the change that follows
-commit 5586265: the angle stage decomposes the real form of ``r_v``
-(``music.real_form``) with the real symmetric solver, which moves the
-smallest ``virtual_eigvals`` (noise-floor eigenvalues, down to about 1e-11)
-by up to 3.1e-6 relative.  A 40-digit ``mpmath`` eigendecomposition of every
-golden ``r_v`` puts the old and the new values alike within 5 eps*lambda_max
-of the exact ones; every other number stayed within 1e-9 of the old files,
-and every label, count and rank was equal.
+commit 5586265: the angle stage decomposes the real form ``Re(Q^H r_v Q)``
+of ``r_v`` (now the test reference ``oracles.real_form``) with the real
+symmetric solver, which moves the smallest ``virtual_eigvals`` (noise-floor
+eigenvalues, down to about 1e-11) by up to 3.1e-6 relative.  A 40-digit
+``mpmath`` eigendecomposition of every golden ``r_v`` puts the old and the
+new values alike within 5 eps*lambda_max of the exact ones; every other
+number stayed within 1e-9 of the old files, and every label, count and rank
+was equal.
 
 Both were regenerated again, with the same commands, by the change that
 follows commit 7527501: the angle stage decomposes the Hermitian Toeplitz

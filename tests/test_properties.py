@@ -46,7 +46,6 @@ from canf.music import (
     eig_hermitian,
     localize,
     range_spectrum,
-    real_form,
 )
 from canf.scenario import default_benchmark_scenario
 
@@ -150,7 +149,7 @@ def _sources_matrix(columns, rng, sigma2):
 def test_real_form_keeps_the_eigenvalues(parity, half, seed, log_scale):
     w = 2 * half + parity
     r = _centro_hermitian(np.random.default_rng(seed), w) * 10.0**log_scale
-    s = real_form(r)
+    s = oracles.real_form(r)
     assert s.shape == (w, w) and s.dtype == np.float64
     expected = np.linalg.eigvalsh(r)
     scale = np.max(np.abs(expected))
@@ -180,8 +179,8 @@ def test_real_form_rejects_a_matrix_that_is_not_centro_hermitian(parity, half, s
     anti = h - h[::-1, ::-1].conj()
     anti = anti / np.max(np.abs(anti)) * max(abs(np.trace(r)), 1.0)
     with pytest.raises(ValueError, match="not centro-Hermitian"):
-        real_form(r + level * anti)
-    real_form(r + 1e-13 * anti)
+        oracles.real_form(r + level * anti)
+    oracles.real_form(r + 1e-13 * anti)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -203,7 +202,7 @@ def test_real_angle_scan_matches_the_complex_manifold(parity, half, seed, data):
     sources = rng.choice(grid, size=k, replace=False) + nudge_deg * rng.standard_normal(k)
     a = oracles.virtual_steering_matrix(w, unit, LAM, sources, scale).T
     matrix = _sources_matrix(a, rng, sigma2)
-    sub = Subspace.split(real_form(matrix), rank)
+    sub = Subspace.split(oracles.real_form(matrix), rank)
     manifold = oracles.virtual_steering_matrix(w, unit, LAM, grid, scale)
     basis = oracles.unitary_q(w) @ sub.eigvecs
     # Q maps the real form's eigenvectors back to those of the matrix.
@@ -368,17 +367,6 @@ def test_split_coarray_names_a_non_finite_sample(bad, lag):
         Subspace.split_coarray(r, 1)
 
 
-def test_localize_runs_without_real_form(monkeypatch):
-    # The angle stage gathers its real matrix from the coarray vector;
-    # real_form is only its reference.
-    def refused(matrix):
-        raise AssertionError("real_form called")
-
-    monkeypatch.setattr(music, "real_form", refused)
-    result = localize(default_benchmark_scenario().snapshots())
-    assert len(result.candidates) > 0
-
-
 @PROPERTY
 @given(r=conjugate_symmetric_vectors, data=st.data())
 def test_split_coarray_is_the_split_of_the_smoothed_matrix(r, data):
@@ -389,7 +377,7 @@ def test_split_coarray_is_the_split_of_the_smoothed_matrix(r, data):
     w = (r.size + 1) // 2
     rank = data.draw(st.integers(1, w - 1), label="rank")
     got = Subspace.split_coarray(r, rank)
-    expected = Subspace.split(real_form(spatial_smooth(r)), rank)
+    expected = Subspace.split(oracles.real_form(spatial_smooth(r)), rank)
     lam_max = expected.eigvals[0]
     np.testing.assert_allclose(got.eigvals, expected.eigvals, rtol=0.0, atol=1e-12 * lam_max)
     assert got.rank == expected.rank
@@ -545,9 +533,9 @@ def test_solver_matches_scipy(n_rows, n_cols, transposed, levels, inf_frac, seed
         rows, cols = linear_sum_assignment(cost)
     except ValueError:
         with pytest.raises(ValueError, match="infeasible"):
-            bench.linear_sum_assignment(cost.tolist())
+            oracles.linear_sum_assignment(cost.tolist())
         return
-    pairs = bench.linear_sum_assignment(cost.tolist())
+    pairs = oracles.linear_sum_assignment(cost.tolist())
     assert len(pairs) == min(n_rows, n_cols)
     assert [i for i, _ in pairs] == sorted({i for i, _ in pairs})
     assert len({j for _, j in pairs}) == len(pairs)
