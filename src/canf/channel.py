@@ -44,6 +44,8 @@ class Target:
     r: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", _real("theta", self.theta))
+        object.__setattr__(self, "r", _real("r", self.r))
         if not (-math.pi / 2 < self.theta < math.pi / 2):
             raise ValueError("theta must lie in (-pi/2, pi/2)")
         if not (math.isfinite(self.r) and self.r > 0.0):
@@ -51,7 +53,7 @@ class Target:
 
     @classmethod
     def from_degrees(cls, theta_deg: float, r: float) -> "Target":
-        return cls(math.radians(theta_deg), r)
+        return cls(math.radians(_real("theta_deg", theta_deg)), r)
 
     @property
     def theta_deg(self) -> float:
@@ -65,6 +67,7 @@ class TargetSet:
     targets: tuple[Target, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "targets", tuple(self.targets))
         if len(self.targets) == 0:
             raise ValueError("a scenario needs at least one target")
 

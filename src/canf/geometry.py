@@ -60,6 +60,8 @@ class CoprimeParams:
         m, n = sorted(_coprime_pair(self.m, self.n))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", _real("d", self.d))
+        object.__setattr__(self, "wavelength", _real("wavelength", self.wavelength))
         # Level 3 is the dataclass-generated __init__, level 4 its caller.
         _check_spacing(self.d, self.wavelength, stacklevel=4)
 
@@ -185,7 +187,8 @@ def build_coprime_layout(params: CoprimeParams) -> SensorLayout:
 
 def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
     """Uniform symmetric array with an odd number ``u`` of sensors."""
-    layout = _dense_layout(u, d, wavelength)
+    d, wavelength = _real("d", d), _real("wavelength", wavelength)
+    layout = _dense_layout(_integer("u", u), d, wavelength)
     _check_spacing(d, wavelength, stacklevel=3)
     return layout
 

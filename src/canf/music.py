@@ -26,11 +26,12 @@ Both scans use the mirror symmetry of the symmetric array:
   the centred ULA steering vector to a real one.  The angle stage
   decomposes and scans in real arithmetic, and the real row of ``-theta``
   is that of ``theta`` with its sine half negated, so the scan of an
-  antisymmetric angle grid projects the upper half only.  Each entry of
-  ``S`` is one or two coarray samples, so :meth:`Subspace.split_coarray`
-  gathers ``S`` from the vector by a table fixed per size, forming neither
-  ``T`` nor ``Q``; the tests keep the product ``Re(Q^H T Q)`` as the
-  reference it is checked on.
+  antisymmetric angle grid projects the upper half only.  Each block of
+  ``S`` is the sum or difference of a Toeplitz and a Hankel window of the
+  real or imaginary part of the coarray vector, so
+  :meth:`Subspace.split_coarray` adds window views of the vector, forming
+  neither ``T`` nor ``Q``; the tests keep the product ``Re(Q^H T Q)`` as
+  the reference it is checked on.
 - In the range manifold ``exp(1j * (p + q))`` the linear phase ``p`` is odd
   and the Fresnel phase ``q`` even in the sensor position, so a mirror pair
   shares one ``exp(1j * q)``.  The range stage folds the signal basis per
@@ -240,28 +241,28 @@ class Subspace:
         ``lam_T^2`` and ``eigvals`` holds ``lam_T^2 / W``, the smoothed
         matrix's eigenvalues.
 
-        ``T`` is never formed: each entry of ``S`` is one or two coarray
-        samples, so ``S`` is one gather from the vector by a table cached
-        per W if it holds at most ``MAX_GRID_ENTRIES // 16`` entries.  With
-        ``c = W - 1``, ``n = W // 2``, ``rho_l = Re r[c + l]`` and ``iota_l =
-        Im r[c + l]`` (``rho`` even and ``iota`` odd in ``l``), ``l1 = i - j``
-        and ``l2 = i + j - c`` for ``i, j < n``::
+        ``T`` is never formed.  With ``c = W - 1``, ``n = W // 2``, ``rho_l =
+        Re r[c + l]`` and ``iota_l = Im r[c + l]`` (``rho`` even and ``iota``
+        odd in ``l``), the ``n x n`` windows ``[i, j] -> l1 = i - j`` and
+        ``l2 = i + j - c`` of the lags ``-c .. c`` are a Toeplitz and a
+        Hankel view of the vector, and each block of ``S`` is their sum or
+        difference::
 
             S[i, j]             = rho_l1 + rho_l2
             S[W-n+i, W-n+j]     = rho_l1 - rho_l2
             S[W-n+i, j]         = iota_l1 + iota_l2
-            S[i, W-n+j]         = iota_l2 - iota_l1
+            S[i, W-n+j]         = iota_l2 + iota_(-l1)
 
         and for odd W also ``S[n, n] = rho_0``, ``S[n, j] = S[j, n] =
         sqrt(2) rho_(n-j)`` and ``S[n, W-n+j] = S[W-n+j, n] = -sqrt(2)
-        iota_(n-j)``.  The samples read are those of the conjugate-symmetric
-        part of ``r_tilde``, each lag averaged with the conjugate of its
-        mirror, so ``S`` is exactly symmetric.  ``r_tilde`` must be
-        conjugate-symmetric within ``1e-9 * max(W |r_tilde[c]|, 1)``: that
-        is ``T`` centro-Hermitian within ``1e-9 * |trace|``, the tolerance
-        :func:`eig_hermitian` allows on Hermiticity, since the trace is ``W
-        r_tilde[c]`` and the differences ``J T J - conj(T)`` are exactly
-        those of ``r_tilde[::-1] - conj(r_tilde)``.
+        iota_(n-j)``, each plus 0.0.  The samples read are those of the
+        conjugate-symmetric part of ``r_tilde``, each lag averaged with the
+        conjugate of its mirror, so ``S`` is exactly symmetric.  ``r_tilde``
+        must be conjugate-symmetric within ``1e-9 * max(W |r_tilde[c]|,
+        1)``: that is ``T`` centro-Hermitian within ``1e-9 * |trace|``, the
+        tolerance :func:`eig_hermitian` allows on Hermiticity, since the
+        trace is ``W r_tilde[c]`` and the differences ``J T J - conj(T)`` are
+        exactly those of ``r_tilde[::-1] - conj(r_tilde)``.
         """
         r = np.asarray(r_tilde)
         if r.ndim != 1 or r.size % 2 == 0:
@@ -276,14 +277,26 @@ class Subspace:
             ahead, behind = r[c:], r[c::-1]
             rho = 0.5 * (ahead.real + behind.real)
             iota = 0.5 * (ahead.imag - behind.imag)
-            samples = np.concatenate(
-                (rho, iota, -iota, -rho, _SQRT2 * rho, -_SQRT2 * iota, [0.0])
-            )
-            # The cache keeps 16 tables, so together they hold at most one scan cap.
-            cached = 2 * w * w <= MAX_GRID_ENTRIES // 16
-            table = _real_toeplitz_table if cached else _real_toeplitz_table.__wrapped__
-            pair = samples[table(w)]
-            s = pair[0] + pair[1]
+            # Lags -c .. c of rho (even) and iota (odd), in float64.
+            x = np.empty((2, r.size))
+            x[0, c:], x[0, :c] = rho, rho[:0:-1]
+            x[1, c:], x[1, :c] = iota, -iota[:0:-1]
+            # Its (2, W, W) sliding windows, sliding_window_view(x, w, axis=1)
+            # made directly: that function's argument handling alone takes
+            # about as long as this whole build.
+            step = x.strides[1]
+            win = np.ndarray((2, w, w), float, x, strides=(x.strides[0], step, step))
+            n, b = w // 2, w - w // 2
+            h, t = win[:, :n, :n], win[:, :n, c : c - n : -1]  # lags i + j - c, i - j
+            s = np.empty((w, w))
+            s[:n, :n] = t[0] + h[0]
+            s[b:, b:] = t[0] - h[0]
+            s[b:, :n] = t[1] + h[1]
+            s[:n, b:] = s[b:, :n].T
+            if w % 2:
+                # + 0.0 stores an exact -0.0 sample as +0.0.
+                mid = np.concatenate((_SQRT2 * rho[n:0:-1], rho[:1], -_SQRT2 * iota[n:0:-1]))
+                s[n, :] = s[:, n] = mid + 0.0
         lam, eigvecs = eig_hermitian(s)
         power = lam**2 / w
         order = np.argsort(-power, kind="stable")
@@ -355,39 +368,6 @@ class Subspace:
 
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@lru_cache(maxsize=16)
-def _real_toeplitz_table(w: int) -> np.ndarray:
-    """The ``(2, W, W)`` gather table of :meth:`Subspace.split_coarray`.
-
-    It indexes the samples ``[rho, iota, -iota, -rho, sqrt(2) rho,
-    -sqrt(2) iota, 0]``, each block ``W`` long over the lags ``0 .. W - 1``,
-    so that ``S = samples[table[0]] + samples[table[1]]``; an entry of one
-    sample adds the trailing 0.  ``table[:, i, j]`` and ``table[:, j, i]``
-    name the same two samples, so ``S`` is exactly symmetric.
-    """
-    c, n = w - 1, w // 2
-    b = w - n  # the first row of the sine block
-    rho, iota, neg_iota, neg_rho, rho2, neg_iota2, zero = (k * w for k in range(7))
-    i, j = np.ogrid[:n, :n]
-    l1, l2 = i - j, i + j - c
-
-    def odd(l):  # the index of iota_l, which is odd in l
-        return np.where(l >= 0, iota + l, neg_iota - l)
-
-    table = np.full((2, w, w), zero)
-    table[:, :n, :n] = rho + abs(l1), rho + abs(l2)
-    table[:, b:, b:] = rho + abs(l1), neg_rho + abs(l2)
-    table[:, b:, :n] = odd(l1), odd(l2)
-    table[:, :n, b:] = odd(l2), odd(-l1)
-    if w % 2:
-        m = n - np.arange(n)
-        table[0, n, n] = rho
-        table[0, n, :n] = table[0, :n, n] = rho2 + m
-        table[0, n, b:] = table[0, b:, n] = neg_iota2 + m
-    table.flags.writeable = False
-    return table
 
 
 def _row_power(proj: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import _MODELS, SnapshotSet, Target, TargetSet, synthesize
+from .channel import _MODELS, SnapshotSet, Target, TargetSet, noise_power, synthesize
 from .geometry import CoprimeParams, SensorLayout, build_coprime_layout, max_targets
 from .geometry import _dense_layout, _integer, _real
 
@@ -25,7 +25,8 @@ class Scenario:
     ``n_snapshots``, ``snr_db`` (None for noise-free), ``seed`` and
     ``model`` the synthesis settings.  A file and a direct call take one
     validation path: T and seed are stored as ints (:func:`canf.geometry._integer`)
-    and ``snr_db`` as a float (:func:`canf.geometry._real`).
+    and ``snr_db`` as a float (:func:`canf.geometry._real`) whose noise
+    power :func:`canf.channel.noise_power` accepts.
 
     JSON schema: ``{"M": int, "N": int, "d_mm": float and/or "freq_ghz":
     float, "targets": [{"theta_deg": float, "range_m": float}, ...],
@@ -51,6 +52,7 @@ class Scenario:
             raise ValueError(f"T must be at least 1, got {self.n_snapshots}")
         if self.snr_db is not None:
             object.__setattr__(self, "snr_db", _real("snr_db", self.snr_db))
+        noise_power(self.snr_db)  # the SNR rule: no NaN, -inf or overflowing noise
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")

@@ -10,7 +10,8 @@ finder is an independent oracle built on ``scipy.signal.find_peaks``, which
 the package does not use: one call and one scalar parabolic fit per
 spectrum, which the package's own row-wise finder must reproduce bit for
 bit.  :func:`real_form` forms ``Re(Q^H R Q)`` by flips and sums, the matrix
-the angle stage gathers straight from the coarray vector, and
+the angle stage forms straight from the coarray vector (whose closed form
+:func:`real_toeplitz_closed_form` evaluates entry by entry), and
 :func:`linear_sum_assignment` is the package's own solver in the interface
 of ``scipy.optimize.linear_sum_assignment``, which it must agree with.
 """
@@ -295,6 +296,49 @@ def real_form(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is not centro-Hermitian within tolerance")
     # Q^H R Q = (Q^H (Q^H R)^H)^H, and Re(X^H) = Re(X)^T.
     return _unitary_fold(_unitary_fold(a).conj().T).real.T
+
+
+def real_toeplitz_closed_form(r) -> np.ndarray:
+    """The matrix :meth:`canf.music.Subspace.split_coarray` decomposes, entry
+    by entry from the closed form of its docstring, with the lags of each
+    entry worked out on their own.
+
+    ``rho_l`` and ``iota_l`` are the real and imaginary parts of the
+    conjugate-symmetric part of ``r`` at lag ``l``.  An entry of two samples
+    is their sum; an entry of one sample is that sample plus 0.0.
+    """
+    r = np.asarray(r)
+    w = (r.size + 1) // 2
+    c, n = w - 1, w // 2
+    b = w - n
+    rho = [0.5 * (float(r[c + l].real) + float(r[c - l].real)) for l in range(w)]
+    iota = [0.5 * (float(r[c + l].imag) - float(r[c - l].imag)) for l in range(w)]
+
+    def rho_at(l):  # even in the lag
+        return rho[abs(l)]
+
+    def iota_at(l):  # odd in the lag
+        return iota[l] if l >= 0 else -iota[-l]
+
+    s = np.empty((w, w))
+    for i in range(w):
+        for j in range(w):
+            if i < n and j < n:
+                value = rho_at(i - j) + rho_at(i + j - c)
+            elif i >= b and j >= b:
+                value = rho_at(i - j) - rho_at(i + j - 2 * b - c)
+            elif i >= b and j < n:
+                value = iota_at(i - b - j) + iota_at(i - b + j - c)
+            elif i < n and j >= b:
+                value = iota_at(i + j - b - c) + iota_at(j - b - i)
+            elif i == j:  # the middle entry of odd W
+                value = rho_at(0) + 0.0
+            elif j < n or i < n:  # the middle row or column, cosine half
+                value = math.sqrt(2.0) * rho_at(n - min(i, j)) + 0.0
+            else:  # the middle row or column, sine half
+                value = -math.sqrt(2.0) * iota_at(n - (max(i, j) - b)) + 0.0
+            s[i, j] = value
+    return s
 
 
 def linear_sum_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:

@@ -58,9 +58,9 @@ def test_every_exported_name_resolves(module_name):
     ["canf"] + [f"canf.{info.name}" for info in pkgutil.iter_modules(canf.__path__)],
 )
 def test_no_module_binds_a_test_reference(module_name):
-    # The angle stage gathers its real matrix from the coarray vector, and
-    # associate calls the solver directly, so these references live in the
-    # tests' oracles alone.
+    # The angle stage forms its real matrix from views of the coarray
+    # vector, and associate calls the solver directly, so these references
+    # live in the tests' oracles alone.
     module = importlib.import_module(module_name)
     names = ("real_form", "_unitary_fold", "_HALF_SQRT2", "linear_sum_assignment")
     assert [name for name in names if hasattr(module, name)] == []

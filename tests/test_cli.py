@@ -301,6 +301,28 @@ def test_an_snr_too_large_for_a_float_is_a_usage_error(tmp_path, command):
     assert list(tmp_path.iterdir()) == [scenario]
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+@pytest.mark.parametrize(
+    "snr_db, message",
+    [
+        (float("nan"), r"snr_db must be a number or \+inf, got nan"),
+        (-float("inf"), r"snr_db must be a number or \+inf, got -inf"),
+        (-4000, r"snr_db=-4000\.0 is too low: its noise power overflows a float"),
+    ],
+    ids=["nan", "-inf", "-4000"],
+)
+def test_an_snr_without_a_noise_power_is_a_usage_error(tmp_path, command, snr_db, message):
+    # json writes NaN and -Infinity; each used to load, and simulate then
+    # ended in a ValueError traceback from the noise power.
+    data = default_benchmark_scenario().to_dict()
+    data["snr_db"] = snr_db
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SystemExit, match=f"^{command}: {message}$"):
+        main(_scenario_argv(command, scenario, tmp_path))
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])
 def test_missing_scenario_key_is_a_usage_error(tmp_path, command):
     scenario = tmp_path / "scenario.json"

@@ -11,6 +11,8 @@ from canf import (
     CoprimeParams,
     MusicConfig,
     SensorLayout,
+    Target,
+    TargetSet,
     build_coprime_layout,
     build_dense_layout,
     build_subarrays,
@@ -262,6 +264,22 @@ class TestNumberRules:
             (lambda: MusicConfig(angle_step_deg=True), "angle_step_deg must be a number, got True"),
             (lambda: MusicConfig(range_step_m="0.1"), "range_step_m must be a number, got '0.1'"),
             (lambda: _sweep(snr_db_list=(True,)), "snr_db must be a number, got True"),
+            (lambda: Target(True, True), "theta must be a number, got True"),
+            (lambda: Target("0.1", 1.0), "theta must be a number, got '0.1'"),
+            (lambda: Target(0.1, "1"), "r must be a number, got '1'"),
+            (lambda: Target.from_degrees("10", 5.0), "theta_deg must be a number, got '10'"),
+            (lambda: CoprimeParams(9, 11, True, True), "d must be a number, got True"),
+            (lambda: CoprimeParams(9, 11, 2.5e-3, "1"), "wavelength must be a number, got '1'"),
+            (lambda: build_dense_layout(True, 2.5e-3, LAM), "u must be an integer, got True"),
+            (lambda: build_dense_layout(3, True, LAM), "d must be a number, got True"),
+            (lambda: build_dense_layout(3, 2.5e-3, None), "wavelength must be a number, got None"),
+            # The SNR rule of the noise power, which the sweep applies too.
+            (lambda: _scenario(snr_db=math.nan), r"snr_db must be a number or \+inf, got nan"),
+            (lambda: _scenario(snr_db=-math.inf), r"snr_db must be a number or \+inf, got -inf"),
+            (
+                lambda: _scenario(snr_db=-4000),
+                r"snr_db=-4000\.0 is too low: its noise power overflows a float",
+            ),
             # Messages these entry points gave before the rules were shared.
             (lambda: CoprimeParams(2.5, 3, 2.5e-3, LAM), "m must be an integer, got 2.5"),
             (lambda: _sweep(q_trials=2.5), "q_trials must be an integer, got 2.5"),
@@ -293,3 +311,11 @@ class TestNumberRules:
         config = MusicConfig(k_targets=np.int64(4), angle_step_deg=1, range_step_m=np.float64(0.1))
         assert (config.k_targets, config.angle_step_deg, config.range_step_m) == (4, 1.0, 0.1)
         assert [type(v) for v in dataclasses.astuple(config)] == [int, float, float]
+        target = Target(np.float32(0.5), np.int64(2))
+        assert (target.theta, target.r) == (0.5, 2.0)
+        assert type(target.theta) is float and type(target.r) is float
+        targets = TargetSet([target])
+        assert targets.targets == (target,) and hash(targets) == hash(TargetSet((target,)))
+        params = CoprimeParams(9, 11, np.float64(2.5e-3), 1)
+        assert type(params.d) is float and type(params.wavelength) is float
+        assert build_dense_layout(3.0, 2.5e-3, LAM).size == 3

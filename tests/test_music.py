@@ -32,7 +32,6 @@ from canf.music import (
     _chirp_plan,
     _fresnel_chirp,
     _real_angle_manifold,
-    _real_toeplitz_table,
     _row_peaks,
     angle_spectrum,
     classify_range_spectrum,
@@ -528,21 +527,6 @@ class TestAngleSpectrum:
         spec = angle_spectrum(virtual, snaps.layout.d, snaps.layout.wavelength, grid)
         assert _real_angle_manifold.cache_info() == before
         assert spec.values.shape == grid.shape
-
-    def test_a_gather_table_too_large_for_the_cache_is_built_per_call(
-        self, benchmark_scenario, monkeypatch
-    ):
-        # 16 cached tables of at most MAX_GRID_ENTRIES // 16 entries each; a
-        # lower cap puts the benchmark's W = 100 table past it.
-        r_tilde = build_bundle(benchmark_scenario.snapshots()).r_tilde
-        w = (r_tilde.size + 1) // 2
-        cached = Subspace.split_coarray(r_tilde, 10)
-        monkeypatch.setattr(music, "MAX_GRID_ENTRIES", 16 * 2 * w * w - 16)
-        before = _real_toeplitz_table.cache_info()
-        built = Subspace.split_coarray(r_tilde, 10)
-        assert _real_toeplitz_table.cache_info() == before
-        assert np.array_equal(built.eigvecs, cached.eigvecs)
-        assert np.array_equal(built.eigvals, cached.eigvals)
 
     def test_scan_matches_an_angle_major_product(self, benchmark_scenario):
         # The (r, W) x (W, A) projection of the sensor-major manifold agrees

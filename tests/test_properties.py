@@ -3,7 +3,8 @@ oracle, the subspace scan, the real angle scan and the folded range scan
 against a noise-basis oracle on the complex manifolds, the real form of a
 centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
 the Toeplitz split of the coarray against the split of its smoothed matrix
-(its gathered real matrix against ``Q^H T Q``, and its input checks),
+(its real matrix against ``Q^H T Q`` and, byte for byte, against its closed
+form, and its input checks),
 estimate-to-truth association (also against a brute-force oracle of its rule),
 the assignment solver against scipy's and its dual's bounds, and the row-wise
 peak finder against one peak search per spectrum, on drawn rows and
@@ -43,7 +44,6 @@ from canf.music import (
     angle_spectrum,
     classify_range_spectrum,
     detect_peaks,
-    eig_hermitian,
     localize,
     range_spectrum,
 )
@@ -293,19 +293,50 @@ conjugate_symmetric_vectors = st.integers(2, 12).flatmap(
 ).map(lambda drawn: np.array(np.conj(drawn[1][::-1]).tolist() + [drawn[0]] + drawn[1]))
 
 
+class _Handed(Exception):
+    """Raised with the matrix :meth:`Subspace.split_coarray` decomposes."""
+
+
 def _split_matrix(r_tilde):
     """The real matrix :meth:`Subspace.split_coarray` hands to its one
-    decomposition, for ``r_tilde`` at rank 1."""
-    seen = []
+    decomposition, for ``r_tilde`` at rank 1, stopped before that
+    decomposition (so W = 1, which has no rank to split, is read too)."""
 
-    def recording(matrix):
-        seen.append(matrix)
-        return eig_hermitian(matrix)
+    def handed(matrix):
+        raise _Handed(matrix)
 
-    with mock.patch.object(music, "eig_hermitian", recording):
+    with mock.patch.object(music, "eig_hermitian", handed), pytest.raises(_Handed) as caught:
         Subspace.split_coarray(r_tilde, 1)
-    (matrix,) = seen
+    (matrix,) = caught.value.args
     return matrix
+
+
+def _conjugate_symmetric(kind, w, rng):
+    """A conjugate-symmetric vector of length ``2W - 1``: complex, real
+    (a float array), or zero-heavy (parts of 0.0 and -0.0, now and then +-1
+    or 2, so that many samples of ``S`` are exact zeros of either sign)."""
+    if kind == "complex":
+        ahead = rng.standard_normal(w - 1) + 1j * rng.standard_normal(w - 1)
+        middle = rng.standard_normal()
+    elif kind == "real":
+        ahead, middle = rng.standard_normal(w - 1), rng.standard_normal()
+    else:
+        parts = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0], p=[0.4, 0.4, 0.1, 0.05, 0.05], size=(2, w))
+        ahead = parts[0, 1:] + 1j * parts[1, 1:]
+        middle = parts[0, 0]
+    return np.concatenate((ahead[::-1].conj(), [middle], ahead))
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
+@pytest.mark.parametrize("w", [*range(1, 41), 100, 101, 1449])
+def test_split_coarray_matrix_is_the_closed_form_byte_for_byte(kind, w):
+    # The window views give each entry of the closed form exactly, signed
+    # zeros included, for even and odd W and for a W far past the layouts'.
+    r = _conjugate_symmetric(kind, w, np.random.default_rng(w))
+    s = _split_matrix(r)
+    expected = oracles.real_toeplitz_closed_form(r)
+    assert s.dtype == expected.dtype == np.float64
+    assert s.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -360,7 +391,7 @@ def test_split_coarray_rejects_a_vector_that_is_not_conjugate_symmetric(
 def test_split_coarray_names_a_non_finite_sample(bad, lag):
     # A non-finite sample and its mirrored conjugate pass the symmetry check
     # (their difference is NaN, which compares false), and the decomposition
-    # names them, as it did before the gather.
+    # names them.
     r = np.concatenate((np.arange(5.0, 0.0, -1.0), np.arange(2.0, 6.0))).astype(complex)
     r[4 + lag], r[4 - lag] = bad, np.conj(bad)
     with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
