@@ -70,6 +70,9 @@ class TargetSet:
         object.__setattr__(self, "targets", tuple(self.targets))
         if len(self.targets) == 0:
             raise ValueError("a scenario needs at least one target")
+        for i, target in enumerate(self.targets):
+            if not isinstance(target, Target):
+                raise ValueError(f"targets[{i}] must be a Target, got {target!r}")
 
     def __len__(self) -> int:
         return len(self.targets)

@@ -44,11 +44,14 @@ Both scans use the mirror symmetry of the symmetric array:
   1969).  The range stage fills it by two complex products per element, with
   one exact cos/sin per run and range instead of one per folded sensor.
 
-Every scan measures the noise-subspace power of steering vectors of norm
+Each scan measures the noise-subspace power of steering vectors of norm
 ``sqrt(W)`` by projecting them onto the signal subspace alone, as
-``1 - ||U_s^H a||^2 / W``; rows near cancellation are recomputed as the
-norm of the residual ``a - U_s U_s^H a`` (:meth:`Subspace.scan`).  The
-noise basis is never read.
+``1 - ||U_s^H a||^2 / W``.  Near a peak that difference cancels to
+roundoff, so each stage recomputes its rows below
+:data:`CANCELLATION_FLOOR` as the norm of the residual ``a - U_s U_s^H
+a``: :func:`angle_spectrum` on its real rows, a mirrored row rebuilt from
+its upper-half twin, and :func:`range_spectrum` per candidate on the
+unfolded rows.  The noise basis is never read.
 
 Each phase finds its peaks in one pass of the row-wise peak finder
 (:func:`_row_peaks`): the angle stage on its one spectrum
@@ -210,7 +213,9 @@ class PseudoSpectrum:
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """One eigendecomposition, split into the top ``rank`` eigenvectors (the
-    signal subspace) and the rest (the noise subspace), ``0 < rank < n``."""
+    signal subspace) and the rest (the noise subspace), ``0 < rank < n``.
+    The scans, :func:`angle_spectrum` and :func:`range_spectrum`, read its
+    signal columns only, and each holds its own cancellation guard."""
 
     eigvals: np.ndarray
     eigvecs: np.ndarray
@@ -302,70 +307,6 @@ class Subspace:
         order = np.argsort(-power, kind="stable")
         return cls(power[order], eigvecs[:, order], rank)
 
-    def scan(
-        self,
-        axis: np.ndarray,
-        manifold: np.ndarray,
-        fold: np.ndarray | None = None,
-        mirrored: int = 0,
-    ) -> PseudoSpectrum:
-        """1 / normalized noise-subspace power of each manifold row, over ``axis``.
-
-        ``manifold`` is ``(A, W)`` in the basis of the decomposed matrix, one
-        row per entry of ``axis`` (but see ``mirrored``).  With ``fold``
-        (``(..., F, W)``), ``manifold`` is ``(..., R, F)``, the values take
-        its leading shape, and row ``r`` of spectrum ``c`` stands for the
-        length-W vector ``manifold[c, r] @ fold[c]``: the signal
-        basis is folded to ``fold @ U_s`` instead of the manifold being
-        unfolded (the range stage's mirror pairs).  Every steering vector
-        here has ``||a||^2 = W``: ``exp(1j * phase)`` in the range stage, and
-        in the angle stage the real ``Q^H a`` of a centred one (``Q`` the
-        unitary of Huarng & Yeh 1991 that makes ``S = Re(Q^H T Q)``).  So its
-        noise power ``||(I - U_s U_s^H) a||^2 / W`` equals
-        ``1 - ||U_s^H a||^2 / W``, and the scan projects onto the signal
-        basis ``U_s`` only.  Near a peak that difference cancels to roundoff,
-        so each row below :data:`CANCELLATION_FLOOR` is recomputed as the
-        norm of its residual ``a - U_s (U_s^H a)``, from the coefficients the
-        projection already holds; with ``fold``, its ``a`` is unfolded first.
-        The noise columns ``eigvecs[:, rank:]`` are never read.
-
-        Without ``fold``, ``manifold`` is ``(A - mirrored, W)``, the rows of
-        ``axis[mirrored:]``, and the projection is summed as two products,
-        over the first ``W - W // 2`` entries of each row and over the rest,
-        the sine block of the angle stage's real rows.  Entry ``i <
-        mirrored`` of ``axis``, which must be ``-axis[A - 1 - i]``, stands
-        for the row of ``axis[A - 1 - i]`` with its sine block negated, so
-        its projection is the difference of the two products instead of
-        their sum.
-        """
-        w = self.eigvecs.shape[0]
-        signal = self.eigvecs[:, : self.rank]
-        if fold is None:
-            # A sensor-major manifold (the angle stage's) is read along its
-            # rows by the (r, W) x (W, A) products.
-            sine = w - w // 2
-            columns = manifold.T
-            even = signal[:sine].conj().T @ columns[:sine]
-            odd = signal[sine:].conj().T @ columns[sine:]
-            proj = np.concatenate(((even - odd)[:, ::-1][:, :mirrored], even + odd), axis=1).T
-        else:
-            proj = manifold @ (fold @ signal.conj())
-        denom = 1.0 - _row_power(proj) / w
-        near = denom < CANCELLATION_FLOOR
-        for c in np.ndindex(near.shape[:-1]):
-            rows = near[c]
-            if rows.any():
-                if fold is None:
-                    j = np.flatnonzero(rows)
-                    flip = j < mirrored
-                    a = manifold[np.where(flip, manifold.shape[0] - 1 - j, j - mirrored)]
-                    a[flip, sine:] *= -1.0
-                else:
-                    a = manifold[c][rows] @ fold[c]
-                denom[c][rows] = _row_power(a - proj[c][rows] @ signal.T) / w
-        values = 1.0 / np.maximum(denom, _DENOM_FLOOR)
-        return PseudoSpectrum(axis, values)
-
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -423,21 +364,21 @@ def angle_spectrum(
     Trans. ASSP 1991).  On a grid that is exactly antisymmetric, as
     :meth:`SpectrumGrid.for_layout` builds it, only the rows of the upper
     half are built and projected: ``sin`` is odd, so the row of ``-theta``
-    is the row of ``theta`` with its sine block negated
-    (:meth:`Subspace.scan` with ``mirrored``).  The manifold is built
-    sensor-major, as a ``(W, A')`` array over the ``A'`` angles it holds,
-    cached per grid if it holds at most ``MAX_GRID_ENTRIES // 16`` entries,
-    and projected as ``(r, W) x (W, A')``, which reads it along its rows.
-    ``unit`` is the coarray lag step in meters.
-    Peak locations are invariant to any positive scaling of the coarray
-    vector.
+    is the row of ``theta`` with its sine block negated.  This stage holds
+    the angle scan's cancellation guard (see the module docstring), and
+    takes a mirrored row's residual on that negated row.  The
+    manifold is built sensor-major, as a ``(W, A')`` array over the ``A'``
+    angles it holds, cached per grid if it holds at most
+    ``MAX_GRID_ENTRIES // 16`` entries, and projected as ``(r, W) x (W,
+    A')``, which reads it along its rows.  ``unit`` is the coarray lag step
+    in meters.  Peak locations are invariant to any positive scaling of the
+    coarray vector.
     """
     if np.iscomplexobj(virtual.eigvecs):
         raise ValueError("angle_spectrum scans a real subspace (Subspace.split_coarray)")
     grid = np.ascontiguousarray(np.asarray(angle_grid_deg, dtype=float))
     w = virtual.eigvals.size
-    # sin is odd: on an antisymmetric grid the row of -theta is the row of
-    # theta with its sine block negated, and only the upper half is built.
+    # sin is odd: on an antisymmetric grid only the upper half is built.
     half = grid.size // 2
     mirrored = half if np.array_equal(grid[:half], -grid[::-1][:half]) else 0
     built = grid[mirrored:]
@@ -445,7 +386,23 @@ def angle_spectrum(
     cached = w * built.size <= MAX_GRID_ENTRIES // 16
     build = _real_angle_manifold if cached else _real_angle_manifold.__wrapped__
     manifold = build(w, float(unit), float(wavelength), float(position_scale), built.tobytes())
-    return virtual.scan(grid, manifold, mirrored=mirrored)
+    # Each projection sums two products, over the first W - W // 2 entries
+    # and over the sine block; a mirrored row's is their difference.  A
+    # full-grid scan costs 6-7% more, per localize op and per sweep trial.
+    signal = virtual.eigvecs[:, : virtual.rank]
+    sine = w - w // 2
+    columns = manifold.T
+    even = signal[:sine].T @ columns[:sine]
+    odd = signal[sine:].T @ columns[sine:]
+    proj = np.concatenate(((even - odd)[:, ::-1][:, :mirrored], even + odd), axis=1).T
+    denom = 1.0 - _row_power(proj) / w
+    near = np.flatnonzero(denom < CANCELLATION_FLOOR)
+    if near.size:
+        flip = near < mirrored
+        a = manifold[np.where(flip, manifold.shape[0] - 1 - near, near - mirrored)]
+        a[flip, sine:] *= -1.0
+        denom[near] = _row_power(a - proj[near] @ signal.T) / w
+    return PseudoSpectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
 
 
 _NEIGHBOURS = np.array([-1, 0, 1])  # a peak's column offsets for its parabolic fit
@@ -763,7 +720,9 @@ def range_spectrum(
     chirp along each arithmetic run of ``|g|`` (cached per layout grid), so
     cos/sin are evaluated once per (candidate, range, run) and restart,
     not once per folded sensor; the chirp is within 1e-13 of the direct
-    ``exp(1j * q)``.
+    ``exp(1j * q)``.  The rows are projected onto the folded signal basis,
+    and this stage holds the range scan's cancellation guard (see the
+    module docstring), which unfolds each near row of a candidate.
     """
     grid = np.asarray(range_grid_m, dtype=float)
     theta = np.deg2rad(np.asarray(theta_deg, dtype=float))
@@ -773,7 +732,16 @@ def range_spectrum(
     fold = np.zeros(theta.shape + (plan.first.size, layout.size), dtype=complex)
     fold[..., plan.unfold, np.arange(layout.size)] = np.exp(1j * p)
     manifold = _fresnel_chirp(plan, q_unit[..., plan.first], grid)
-    return initial.scan(grid, manifold, fold)
+    signal = initial.eigvecs[:, : initial.rank]
+    proj = manifold @ (fold @ signal.conj())
+    denom = 1.0 - _row_power(proj) / layout.size
+    near = denom < CANCELLATION_FLOOR
+    for c in np.ndindex(near.shape[:-1]):
+        rows = near[c]
+        if rows.any():
+            a = manifold[c][rows] @ fold[c]
+            denom[c][rows] = _row_power(a - proj[c][rows] @ signal.T) / layout.size
+    return PseudoSpectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
 
 
 @dataclass(frozen=True)

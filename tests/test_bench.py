@@ -66,6 +66,15 @@ def test_rows_do_not_depend_on_method_order():
     assert rows(METHODS) == rows(tuple(reversed(METHODS)))
 
 
+def test_report_row_rejects_an_absent_cell():
+    config = MonteCarloConfig(default_benchmark_scenario(), (10.0,), 1, ("farfield",))
+    report = run_monte_carlo(config)
+    assert report.row("farfield", 10.0) is report.rows[0]
+    for method, snr_db in (("proposed", 10.0), ("farfield", 20.0)):
+        with pytest.raises(KeyError):
+            report.row(method, snr_db)
+
+
 def test_failed_trial_is_recorded_with_its_error(monkeypatch, caplog, tmp_path):
     def boom(snapshots, config=None):
         raise RuntimeError("covariance exploded")

@@ -467,6 +467,18 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             TargetSet(())
 
+    @pytest.mark.parametrize(
+        "targets, bad",
+        [
+            ((1.0, "x"), "targets[0] must be a Target, got 1.0"),
+            (((0.1, 1.0),), "targets[0] must be a Target, got (0.1, 1.0)"),
+            ((Target(0.1, 1.0), (0.2, 2.0)), "targets[1] must be a Target, got (0.2, 2.0)"),
+        ],
+    )
+    def test_an_entry_that_is_not_a_target_is_rejected_by_index(self, targets, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+            TargetSet(targets)
+
 
 class TestTargetValidation:
     def test_angle_domain(self):

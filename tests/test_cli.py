@@ -166,6 +166,7 @@ def test_parse_snr_list_rejects(text):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        ([], "provide --freq-ghz and/or --d-mm$"),
         (["--freq-ghz", "0"], "freq_ghz must be positive"),
         (["--freq-ghz", "-30"], "freq_ghz must be positive"),
         (["--freq-ghz", "nan"], "freq_ghz must be positive"),

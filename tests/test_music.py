@@ -528,6 +528,13 @@ class TestAngleSpectrum:
         assert _real_angle_manifold.cache_info() == before
         assert spec.values.shape == grid.shape
 
+    def test_rejects_a_split_of_a_complex_matrix(self, rng):
+        # Only the real split of Subspace.split_coarray has real rows to scan.
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        virtual = Subspace.split(a @ a.conj().T, 1)
+        with pytest.raises(ValueError, match="scans a real subspace"):
+            angle_spectrum(virtual, LAM / 4.0, LAM, np.array([-10.0, 0.0, 10.0]))
+
     def test_scan_matches_an_angle_major_product(self, benchmark_scenario):
         # The (r, W) x (W, A) projection of the sensor-major manifold agrees
         # with the plain (A, W) x (W, r) one on the benchmark input.

@@ -1,6 +1,7 @@
 """Property checks on generated inputs: coarray vectorization against its loop
-oracle, the subspace scan, the real angle scan and the folded range scan
-against a noise-basis oracle on the complex manifolds, the real form of a
+oracle, the angle scan of a coarray split and of a real form, and the range
+scan at one angle and folded over several, against a noise-basis oracle on
+the complex manifolds, the real form of a
 centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
 the Toeplitz split of the coarray against the split of its smoothed matrix
 (its real matrix against ``Q^H T Q`` and, byte for byte, against its closed
@@ -35,6 +36,7 @@ from canf import bench, music
 from canf.baselines import localize_subarray
 from canf.channel import steering_matrix
 from canf.music import (
+    CANCELLATION_FLOOR,
     MIN_ANGLE_SEPARATION_DEG,
     Peak,
     PseudoSpectrum,
@@ -95,39 +97,69 @@ def test_vectorize_is_the_per_lag_mean_within_ulps(layout, seed, log_scale):
     np.testing.assert_allclose(vectorize_to_coarray(r, layout), expected, rtol=0.0, atol=4 * ulp)
 
 
-def _ula_manifold(angles_deg, w):
-    return np.exp(1j * np.pi * np.outer(np.sin(np.deg2rad(angles_deg)), np.arange(w)))
-
-
 @PROPERTY
-@given(
-    w=st.integers(3, 16),
-    seed=seeds,
-    data=st.data(),
-)
-def test_scan_matches_noise_basis_reference(w, seed, data):
-    # Sources sit on scan-grid angles, optionally nudged off them, so some
-    # rows lie in (or a hair from) the signal span: there the signal-basis
-    # identity 1 - ||a^H U_s||^2 / W cancels to roundoff and only the guard's
-    # residual recomputation ||a - U_s U_s^H a||^2 / W meets the oracle.
-    # Noise 0 makes the matrix exactly rank-deficient.
+@given(w=st.integers(2, 16), seed=seeds, data=st.data())
+def test_angle_scan_of_a_coarray_split_matches_noise_basis_reference(w, seed, data):
+    # The coarray vector of sources on (or a hair off) the angles of an
+    # exactly antisymmetric grid, the first in the lower half the scan
+    # mirrors from the upper.  Rows in (or a hair from) the signal span
+    # cancel to roundoff in 1 - ||U_s^T a||^2 / W, and only the guard's
+    # residual, a mirrored row's taken on its twin's row with the sine
+    # block negated, meets the oracle.  Noise 0 makes T rank-deficient.
     rng = np.random.default_rng(seed)
     k = data.draw(st.integers(1, w - 1), label="sources")
     rank = data.draw(st.integers(1, w - 1), label="rank")
     sigma2 = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]), label="noise")
     nudge_deg = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), label="nudge")
-    grid = np.linspace(-60.0, 60.0, 61)
-    sources = rng.choice(grid, size=k, replace=False) + nudge_deg * rng.standard_normal(k)
-    a = _ula_manifold(sources, w)
-    matrix = (a.T * rng.uniform(0.1, 10.0, k)) @ a.conj() + sigma2 * np.eye(w)
-    sub = Subspace.split(matrix, rank)
-    manifold = _ula_manifold(grid, w)
-    expected = oracles.noise_power_reference(sub.eigvecs[:, rank:], manifold)
+    unit = LAM / 4.0
+    grid = 2.0 * np.arange(-30.0, 31.0)
+    lower = rng.integers(30)
+    others = rng.choice(np.delete(grid, lower), size=k - 1, replace=False)
+    sources = np.concatenate(([grid[lower]], others)) + nudge_deg * rng.standard_normal(k)
+    # T = A diag(p) A^H + sigma2 I is Toeplitz: lag l of its column 0.
+    ahead = rng.uniform(0.1, 10.0, k) @ oracles.virtual_steering_matrix(w, unit, LAM, sources)
+    ahead[0] += sigma2
+    r_tilde = np.concatenate((ahead[:0:-1].conj(), ahead))
+    sub = Subspace.split_coarray(r_tilde, rank)
+    basis = oracles.unitary_q(w) @ sub.eigvecs
+    manifold = oracles.virtual_steering_matrix(w, unit, LAM, grid)
+    expected = oracles.noise_power_reference(basis[:, rank:], manifold)
+    values = 1.0 / angle_spectrum(sub, unit, LAM, grid).values
+    if sigma2 == 0.0 and nudge_deg == 0.0 and rank >= k:
+        assert values[lower] < CANCELLATION_FLOOR
     # Rows in the signal span have noise power at roundoff (about 1e-30)
     # on both sides; an unguarded signal-basis value there errs by ~1e-16.
-    np.testing.assert_allclose(
-        1.0 / sub.scan(grid, manifold).values, expected, rtol=1e-9, atol=1e-20
-    )
+    np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-20)
+
+
+@PROPERTY
+@given(
+    layout=st.one_of(free_layouts.filter(lambda lay: lay.size > 1), coprime_layouts),
+    seed=seeds,
+    data=st.data(),
+)
+def test_range_scan_at_one_angle_matches_noise_basis_reference(layout, seed, data):
+    # One scalar angle, sources on (or a hair off) its range grid: rows in
+    # the signal span meet the oracle on the unfolded Fresnel manifold
+    # exp(1j * (p + q)) only through the guard's residual of the unfolded row.
+    u = layout.size
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.05, 1.0, 12)
+    theta = float(rng.uniform(-70.0, 70.0))
+    k = data.draw(st.integers(1, u - 1), label="sources")
+    rank = data.draw(st.integers(1, u - 1), label="rank")
+    sigma2 = data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]), label="noise")
+    nudge = data.draw(st.sampled_from([0.0, 1e-7, 1e-3]), label="nudge")
+    ranges = rng.choice(grid, size=k) * (1.0 + nudge * rng.standard_normal(k))
+    columns = oracles.range_steering_matrix(layout, theta, ranges).T
+    sub = Subspace.split(_sources_matrix(columns, rng, sigma2), rank)
+    manifold = oracles.range_steering_matrix(layout, theta, grid)
+    expected = oracles.noise_power_reference(sub.eigvecs[:, rank:], manifold)
+    values = 1.0 / range_spectrum(sub, layout, theta, grid).values
+    assert values.shape == grid.shape
+    if sigma2 == 0.0 and nudge == 0.0 and rank >= k:
+        assert np.any(values < CANCELLATION_FLOOR)
+    np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-20)
 
 
 def _centro_hermitian(rng, w):
@@ -187,9 +219,9 @@ def test_real_form_rejects_a_matrix_that_is_not_centro_hermitian(parity, half, s
 @PROPERTY
 @given(half=st.integers(1, 8), seed=seeds, data=st.data())
 def test_real_angle_scan_matches_the_complex_manifold(parity, half, seed, data):
-    # Sources on (or a hair off) scan-grid angles, as in the scan property
-    # above; the oracle takes the complex virtual manifold and the noise
-    # basis mapped back by Q, so both the real rows and Q are checked.
+    # Sources on (or a hair off) scan-grid angles, as in the coarray-split
+    # property above; the oracle takes the complex virtual manifold and the
+    # noise basis mapped back by Q, so both the real rows and Q are checked.
     w = 2 * half + parity
     rng = np.random.default_rng(seed)
     k = data.draw(st.integers(1, w - 1), label="sources")
@@ -396,6 +428,12 @@ def test_split_coarray_names_a_non_finite_sample(bad, lag):
     r[4 + lag], r[4 - lag] = bad, np.conj(bad)
     with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
         Subspace.split_coarray(r, 1)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4,)])
+def test_split_coarray_rejects_a_vector_that_is_not_1d_of_odd_length(shape):
+    with pytest.raises(ValueError, match="^coarray vector must be 1-D with odd length$"):
+        Subspace.split_coarray(np.ones(shape, dtype=complex), 1)
 
 
 @PROPERTY
