@@ -130,9 +130,11 @@ def associate(
 
 
 def _finite_vector(name: str, values, size: int | None = None) -> np.ndarray:
-    """``values`` as a float array; ValueError naming ``name`` if an entry is
-    not finite or the length is not ``size``."""
+    """``values`` as a 1-D float array; ValueError naming ``name`` if it has
+    more dimensions, an entry is not finite or the length is not ``size``."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if arr.ndim > 1:
+        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if size is not None and arr.size != size:
         raise ValueError(f"{name} has {arr.size} entries but its angle array has {size}")
     if not np.isfinite(arr).all():

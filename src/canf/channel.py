@@ -13,14 +13,13 @@ two models agree in the far-field limit.
 from __future__ import annotations
 
 import math
-import queue
+from collections import deque
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._helper import beside
+from ._helper import worker
 from .geometry import SensorLayout, _integer, _real
 
 __all__ = [
@@ -213,27 +212,26 @@ def synthesize(
     its block times ``1 / sqrt(2)`` (the float ``1.0 / math.sqrt(2.0)``:
     complex division by ``sqrt(2)`` multiplies by it), and ``y`` is ``B @ x``
     with ``sqrt(sigma2 / 2)`` times each noise block added to its real or
-    imaginary part.  The rows are drawn in order into one reused buffer of
-    at most :data:`DRAW_BLOCK` normals (one row when ``T`` is larger), which
-    draws the same bits as one bulk call, and each noise block is scaled in
-    that buffer once it is spent, so only ``x`` and ``y`` are allocated at
-    full size.
+    imaginary part.  The rows are drawn in order into two reused buffers in
+    turn, each of at most :data:`DRAW_BLOCK` normals (one row when ``T`` is
+    larger), which draws the same bits as one bulk call, and each noise
+    block is scaled in its buffer once it is spent, so only ``x`` and ``y``
+    are allocated at full size.
 
-    With noise and ``T > DRAW_BLOCK``, one helper thread
-    (:func:`canf._helper.beside`) draws the ``2U`` noise rows, once the
-    caller has drawn ``x``: in order, :data:`HANDOFF_ROWS` rows of one part
-    at a time, into two buffers in turn.  Meanwhile the caller forms
-    ``B @ x`` and then adds each chunk as the helper finishes it.  numpy
-    fills a buffer from the generator without the GIL, so the draw runs on
-    one core while ``B @ x`` and the adds run on the other.  One thread
-    draws every noise row in stream order, and each entry of ``y`` still
-    takes one scaled normal in one add, so the output is bitwise the serial
-    draw's.  The helper is started per call and joined before it returns,
-    not kept in a pool, whose thread would not survive the fork of a worker
-    process and, woken on a 2-core host, ran slower than a new thread
-    (:mod:`canf._helper`).  It starts before the caller forms ``B @ x``:
+    With noise and ``T > DRAW_BLOCK``, the ``2U`` noise rows are drawn on
+    one helper thread (:func:`canf._helper.worker`), once the caller has
+    drawn ``x``: in order, one task per :data:`HANDOFF_ROWS` rows of one
+    part, into two buffers in turn.  The caller submits the first two
+    tasks and forms ``B @ x``, then adds each chunk as its task finishes
+    and submits the chunk two on into the spent buffer.  numpy fills a
+    buffer from the generator without the GIL, so the draw runs on one core
+    while ``B @ x`` and the adds run on the other.  One thread draws every
+    noise row in stream order, and each entry of ``y`` still takes one
+    scaled normal in one add, so the output is bitwise the serial draw's.
+    The first task starts the thread before the caller forms ``B @ x``:
     forming ``B @ x`` first made a T = 20000 call take 44.8 ms against
-    34.1 ms there.  This is the one-SNR case of :func:`synthesize_sweep`.
+    34.1 ms on a 2-core host.  A shorter draw runs the same tasks on the
+    caller.  This is the one-SNR case of :func:`synthesize_sweep`.
     """
     (snaps,) = synthesize_sweep(layout, targets, n_snapshots, (snr_db,), seed, model)
     return snaps
@@ -280,7 +278,7 @@ def synthesize_sweep(
     # synthesize) while the caller forms B @ x and adds each chunk.
     handed = bool(noisy) and n_snapshots > DRAW_BLOCK
     per_draw = HANDOFF_ROWS if handed else max(DRAW_BLOCK // n_snapshots, 1)
-    buffers = [np.empty((min(per_draw, max(k, u)), n_snapshots)) for _ in range(1 + handed)]
+    buffers = [np.empty((min(per_draw, max(k, u)), n_snapshots)) for _ in range(2)]
 
     def spans(n_rows: int) -> list[tuple[int, int]]:
         # (first row, rows) of each draw of the next n_rows rows.
@@ -292,51 +290,29 @@ def synthesize_sweep(
             block = rng.standard_normal(out=buffers[0][:n])
             np.multiply(block, _INV_SQRT2, out=part[start : start + n])
     noise = [(part, start, n) for part in ("real", "imag") for start, n in spans(u) if noisy]
-    if handed:
-        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-        for buffer in buffers:
-            free.put(buffer)
+    with worker(handed) as helper:
 
-        def draw() -> None:
-            try:
-                for _, _, n in noise:
-                    buffer = free.get()
-                    if buffer is None:
-                        return
-                    rng.standard_normal(out=buffer[:n])
-                    ready.put(buffer)
-            finally:
-                ready.put(None)
+        def draw(i: int):
+            # Chunk i's normals, drawn into buffer i % 2.
+            return helper.submit(rng.standard_normal, out=buffers[i % 2][: noise[i][2]])
 
-        def filled():
-            while (buffer := ready.get()) is not None:
-                yield buffer
-                free.put(buffer)
-
-        helper = beside(draw, stop=lambda: free.put(None))
-    else:
-
-        def filled():
-            for _, _, n in noise:
-                rng.standard_normal(out=buffers[0][:n])
-                yield buffers[0]
-
-        helper = nullcontext()
-    with helper:
+        drawn = deque(map(draw, range(min(2, len(noise)))))
         clean = b @ x
         # The last set takes clean and x themselves, every other set a copy.
         ys = [clean.copy() for _ in sigma2s[1:]] + [clean]
         xs = [x.copy() for _ in sigma2s[1:]] + [x]
         scales = [(ys[i], math.sqrt(sigma2s[i] / 2.0)) for i in noisy]
         scaled = np.empty_like(buffers[0]) if len(noisy) > 1 else None
-        for (part, start, n), buffer in zip(noise, filled()):
-            block = buffer[:n]
+        for i, (part, start, n) in enumerate(noise):
+            block = drawn.popleft().result()
             # Every noisy set but the last scales into scratch; the last
             # scales the drawn block itself, which is spent after it.
             for y, scale in scales[:-1]:
                 getattr(y, part)[start : start + n] += np.multiply(block, scale, out=scaled[:n])
             y, scale = scales[-1]
             getattr(y, part)[start : start + n] += np.multiply(block, scale, out=block)
+            if i + 2 < len(noise):
+                drawn.append(draw(i + 2))
     return tuple(
         SnapshotSet(layout, y, x, sigma2, float(snr) if flag else None, seed, model)
         for y, x, sigma2, snr, flag in zip(ys, xs, sigma2s, snr_db_list, has_noise)

@@ -19,14 +19,13 @@ pool, so a process that forks workers has no pool thread to lose.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._helper import beside
+from ._helper import worker
 from .channel import SnapshotSet
 from .geometry import SensorLayout, difference_coarray
 
@@ -80,20 +79,16 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     one by multiplying with its reciprocal, so ``y * weight`` is bitwise
     ``y / sqrt(x^H x)`` at half the cost.
 
-    With two or more blocks, one helper thread (:func:`canf._helper.beside`)
-    makes the products of the second half of the blocks, ``len(blocks) // 2``
-    on, while the caller makes and sums the first half; BLAS runs without
-    the GIL, so the halves run on two cores.  The helper keeps each of its
-    products apart, and the caller adds them after its own, one by one in
-    block order: a float sum depends on its order, and this is the order of
-    one loop that adds each block's product to the sum of the blocks before
-    it, so the result is bitwise that loop's whichever thread made a
-    product.  The helper is started per call and joined before it returns,
-    not kept in a pool, whose thread would not survive the fork of a worker
-    process and, woken on a 2-core host, ran slower than a new thread
-    (:mod:`canf._helper`).  With ``T <= _GRAM_BLOCK`` there is one block,
-    no helper, and the result is bitwise the single product
-    ``c @ c.conj().T``.
+    With two or more blocks, one task on a helper thread
+    (:func:`canf._helper.worker`) makes and returns the products of the
+    second half of the blocks, ``len(blocks) // 2`` on, while the caller
+    makes and sums the first half; BLAS runs without the GIL, so the halves
+    run on two cores.  The caller then adds the task's products one by one
+    in block order: a float sum depends on its order, and this is the order
+    of one loop that adds each block's product to the sum of the blocks
+    before it, so the result is bitwise that loop's whichever thread made a
+    product.  With ``T <= _GRAM_BLOCK`` there is one block, no helper, and
+    the result is bitwise the single product ``c @ c.conj().T``.
 
     A non-finite entry of ``c`` makes its row's diagonal entry
     ``sum |c|^2`` non-finite, so the U-entry diagonal stands in for an
@@ -104,7 +99,7 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     """
     n = y.shape[1]
     starts = range(0, n, _GRAM_BLOCK)
-    half = len(starts) // 2
+    split = max(len(starts) // 2, 1)  # the caller makes the blocks before it
 
     def block_gram(start: int) -> np.ndarray:
         c = y[:, start : start + _GRAM_BLOCK]
@@ -112,17 +107,12 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
             c = c * weight[start : start + _GRAM_BLOCK]
         return c @ c.conj().T
 
-    later: list[np.ndarray] = []
-
-    def make_later() -> None:
-        later.extend(map(block_gram, starts[half:]))
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        with beside(make_later) if half else nullcontext():
-            gram = block_gram(0)
-            for start in starts[1:half]:
-                gram += block_gram(start)
-        for product in later:
+    with np.errstate(invalid="ignore", over="ignore"), worker(split < len(starts)) as helper:
+        later = helper.submit(list, map(block_gram, starts[split:]))
+        gram = block_gram(0)
+        for start in starts[1:split]:
+            gram += block_gram(start)
+        for product in later.result():
             gram += product
     if not np.all(np.isfinite(np.diagonal(gram))):
         raise ValueError(

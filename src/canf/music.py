@@ -137,8 +137,9 @@ class SpectrumGrid:
     """Search grids as read-only float arrays: angles in degrees, ranges in meters.
 
     :meth:`for_layout` is cached: equal arguments return the same grid.  It
-    rejects steps that would put more than ``MAX_GRID_ENTRIES //
-    layout.size`` points on an axis, before it allocates either one;
+    rejects an angle step above 90, whose span ``[-90 + step, 90 - step]``
+    holds no angle, and steps that would put more than ``MAX_GRID_ENTRIES
+    // layout.size`` points on an axis, before it allocates either one;
     :meth:`MusicConfig.plan`, its one caller in the package, also bounds
     what the scans of K targets build over the axes.
     """
@@ -161,6 +162,11 @@ class SpectrumGrid:
     def for_layout(
         cls, layout: SensorLayout, angle_step_deg: float, range_step_m: float
     ) -> "SpectrumGrid":
+        if angle_step_deg > 90.0:
+            raise ValueError(
+                f"angle_step_deg={angle_step_deg!r} is above 90: the grid spans "
+                "[-90 + step, 90 - step], which holds no angle"
+            )
         z_f, z_r = layout.fresnel_distance, layout.rayleigh_distance
         # Counted as floats, which hold the count of any step, 1e-300 included.
         n_a = np.round((180.0 - 2.0 * angle_step_deg) / angle_step_deg) + 1.0
@@ -213,8 +219,9 @@ class PseudoSpectrum:
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """One eigendecomposition, split into the top ``rank`` eigenvectors (the
-    signal subspace) and the rest (the noise subspace), ``0 < rank < n``.
-    The scans, :func:`angle_spectrum` and :func:`range_spectrum`, read its
+    signal subspace) and the rest (the noise subspace), ``0 < rank < n``,
+    an integer stored as an int (:func:`canf.geometry._integer`).  The
+    scans, :func:`angle_spectrum` and :func:`range_spectrum`, read its
     signal columns only, and each holds its own cancellation guard."""
 
     eigvals: np.ndarray
@@ -222,6 +229,7 @@ class Subspace:
     rank: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rank", _integer("rank", self.rank))
         n = self.eigvals.size
         if not (0 < self.rank < n):
             raise ValueError(f"signal rank must satisfy 0 < rank < {n}, got {self.rank}")

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -55,3 +56,17 @@ def random_fresnel_scenario(layout, rng, k_max=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_helper_thread_left():
+    """Fail a test that leaves a helper thread of canf._helper.worker alive."""
+    before = set(helper_threads())
+    yield
+    left = [t.name for t in helper_threads() if t not in before]
+    if left:
+        pytest.fail(f"helper threads left running: {left}")
+
+
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("canf-helper")]

@@ -179,17 +179,23 @@ def test_associate_rejects_a_nan_estimate(est_range):
         (((-35.0, 10.0), None, (np.nan, 10.0), None, 20.0), "true_theta_deg"),
         (((-35.0, 10.0), (25.0, -np.inf), (-35.0, 10.0), (25.0, 30.0), 20.0), "est_range_m"),
         (((-35.0, 10.0), (25.0, 30.0), (-35.0, 10.0), (np.nan, 30.0), 20.0), "true_range_m"),
+        # A nested list used to reach the solver and fail there with a TypeError.
+        (([[0.0, 1.0]], (5.0,), (0.0,), (5.0,), 1.0), r"^est_theta_deg must be 1-D, got shape"),
+        (((0.0,), [[0.0, 1.0]], (0.0,), (5.0,), 1.0), r"^est_range_m must be 1-D"),
+        (((0.0,), (5.0,), [[0.0, 1.0]], (5.0,), 1.0), r"^true_theta_deg must be 1-D"),
+        (((0.0,), (5.0,), (0.0,), [[0.0, 1.0]], 1.0), r"^true_range_m must be 1-D"),
     ],
     ids=[
         "short-est-range", "short-true-range", "negative-scale", "zero-scale", "inf-scale",
         "bool-scale", "string-scale", "none-scale", "huge-int-scale",
         "est-range-without-truth", "-inf-est-theta", "nan-true-theta", "-inf-est-range",
-        "nan-true-range",
+        "nan-true-range", "2d-est-theta", "2d-est-range", "2d-true-theta", "2d-true-range",
     ],
 )
 def test_associate_rejects_bad_inputs_by_name(args, message):
     with pytest.raises(ValueError, match=message):
         associate(*args)
+
 
 
 @pytest.mark.parametrize(

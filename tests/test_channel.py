@@ -320,8 +320,8 @@ class TestHelperDraw:
         assert threading.active_count() == threads
 
     def test_a_failure_beside_the_draw_releases_the_helper(self, monkeypatch):
-        # B @ x fails while the helper fills both chunk buffers and waits
-        # for one back: the caller must release it before joining it.
+        # B @ x fails while the helper fills both chunk buffers: leaving the
+        # draw must join the helper once its two submitted draws are done.
         class Unmixable:
             def __matmul__(self, other):
                 raise ArithmeticError("no mixture")

@@ -194,6 +194,10 @@ def test_bad_geometry_is_a_usage_error(capsys, argv, message):
             ["spectrum", "--out-dir", "{tmp}/out", "--range-step", "1e-6"],
             "range_step_m=1e-06 gives 3.99.* grid points",
         ),
+        (
+            ["spectrum", "--out-dir", "{tmp}/out", "--angle-step", "100"],
+            "angle_step_deg=100.0 is above 90",
+        ),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--q", "0"], "q_trials"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--methods", "foo"], "unknown methods"),
         (["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--seed", "-1"], "base_seed"),

@@ -22,7 +22,7 @@ from canf import (
 )
 from canf.channel import steering_fresnel, steering_matrix
 from canf import covariance
-from canf._helper import beside
+from canf._helper import worker
 from canf.covariance import build_bundle, mirror_antidiagonal
 from conftest import random_fresnel_scenario
 
@@ -139,16 +139,16 @@ class TestGram:
     def test_a_helper_starts_only_past_one_block(
         self, layout911, monkeypatch, n_snapshots, helpers
     ):
-        started = []
+        made = []
 
-        def counted(work, stop=None):
-            started.append(work)
-            return beside(work, stop)
+        def counted(threaded):
+            made.append(threaded)
+            return worker(threaded)
 
-        monkeypatch.setattr(covariance, "beside", counted)
+        monkeypatch.setattr(covariance, "worker", counted)
         t = TargetSet((Target.from_degrees(5, 10),))
         covariance_ls(synthesize(layout911, t, n_snapshots, 10.0, 3))
-        assert len(started) == helpers
+        assert made == [bool(helpers)]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -176,42 +176,6 @@ class TestGram:
         np.testing.assert_array_equal(
             covariance_ls(snaps), oracles.gram_one_matmul(snaps.y / root[None, :])
         )
-
-
-class TestBeside:
-    """The helper thread: joined on every exit, its failure the caller's."""
-
-    def test_the_helpers_exception_is_raised_in_the_caller(self):
-        threads = threading.active_count()
-        with pytest.raises(KeyError, match="helper"):
-            with beside(lambda: {}["helper"]):
-                pass
-        assert threading.active_count() == threads
-
-    def test_a_failing_body_stops_and_joins_the_helper(self):
-        release, ran = threading.Event(), threading.Event()
-
-        def work():
-            if release.wait(60):
-                ran.set()
-
-        with pytest.raises(ZeroDivisionError):
-            with beside(work, stop=release.set):
-                1 / 0
-        assert ran.is_set()
-
-    def test_when_both_fail_the_helpers_exception_carries_the_bodys(self):
-        with pytest.raises(KeyError) as raised:
-            with beside(lambda: {}["helper"]):
-                1 / 0
-        assert isinstance(raised.value.__context__, ZeroDivisionError)
-
-    def test_the_helper_runs_under_the_callers_error_state(self):
-        seen = []
-        with np.errstate(over="raise", invalid="ignore"):
-            with beside(lambda: seen.append(np.geterr())):
-                pass
-        assert (seen[0]["over"], seen[0]["invalid"]) == ("raise", "ignore")
 
 
 class TestCovarianceSample:

@@ -174,10 +174,15 @@ class TestNoiseSubspace:
 
     @pytest.mark.parametrize(
         "split, k",
-        [("split", 0), ("split", 10), ("split", 11), ("split_coarray", 0), ("split_coarray", 10)],
+        [
+            ("split", 0), ("split", 10), ("split", 11), ("split_coarray", 0), ("split_coarray", 10),
+            ("split", 2.5), ("split", True), ("split_coarray", 2.5), ("split_coarray", True),
+        ],
     )
     def test_fixed_rejects_bad_rank(self, rng, split, k):
-        # Both splits of a W = 10 input need 0 < rank < W.
+        # Both splits of a W = 10 input need an integer 0 < rank < W.  A
+        # fractional rank used to fail in the range scan's slicing, and True
+        # used to run as rank 1.
         if split == "split":
             a = rng.standard_normal((10, 10))
             given = a + a.T
@@ -186,6 +191,11 @@ class TestNoiseSubspace:
             given = np.concatenate((half[::-1].conj(), [rng.standard_normal()], half))
         with pytest.raises(ValueError, match="rank"):
             getattr(Subspace, split)(given, k)
+
+    def test_an_integral_float_rank_is_kept_as_an_int(self, rng):
+        a = rng.standard_normal((10, 10))
+        rank = Subspace.split(a + a.T, 2.0).rank
+        assert rank == 2 and type(rank) is int
 
 
 class TestSpectrumGrid:
@@ -213,6 +223,15 @@ class TestSpectrumGrid:
             SpectrumGrid((0.0, 0.0), (1.0, 2.0))
         with pytest.raises(ValueError):
             SpectrumGrid((-90.0, 0.0), (1.0, 2.0))
+
+    @pytest.mark.parametrize("step", [90.0 + 1e-9, 100.0, 170.0, 200.0])
+    def test_for_layout_rejects_an_angle_step_above_90(self, layout911, step):
+        # 100 used to give the one angle 10, outside its span [-80, 80].
+        with pytest.raises(ValueError, match=f"^angle_step_deg={step!r} is above 90"):
+            SpectrumGrid.for_layout(layout911, step, 0.1)
+
+    def test_for_layout_takes_an_angle_step_of_90_as_broadside_alone(self, layout911):
+        assert SpectrumGrid.for_layout(layout911, 90.0, 0.1).angle_deg.tolist() == [0.0]
 
     def test_for_layout_is_built_once_as_read_only_arrays(self, layout911):
         grid = SpectrumGrid.for_layout(layout911, 0.05, 0.1)
