@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .bench import METHODS, MonteCarloConfig, _fmt, _write_lines, run_monte_carlo
-from .covariance import covariance_ls
 from .geometry import CoprimeParams, build_coprime_layout, difference_coarray, max_targets
 from .music import MusicConfig, localize
 from .scenario import Scenario, _spacing_and_wavelength
@@ -30,8 +29,8 @@ MAX_SNR_POINTS = 1000  # most SNR values a start:step:stop range may expand to
 
 @contextmanager
 def _usage_errors(command: str):
-    """Report a ValueError raised while checking inputs, or an OSError raised
-    while reading them, as a usage error."""
+    """Report a ValueError raised while checking inputs or localizing on
+    them, or an OSError raised while reading them, as a usage error."""
     try:
         yield
     except (ValueError, OSError) as exc:
@@ -120,13 +119,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         scenario = Scenario.load(args.scenario)
         config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
         snapshots = scenario.snapshots()
-        # The two failures the inputs can still cause: a grid too fine for
-        # its axes or its scans (localize plans the same cached grid again)
-        # and a covariance that overflows a float (an O(U^2 T) product,
-        # small beside the scans).
-        config.plan(snapshots, snapshots.layout)
-        covariance_ls(snapshots)
-    result = localize(snapshots, config)
+        config.plan(snapshots, snapshots.layout)  # a grid too fine to scan fails first
+        result = localize(snapshots, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

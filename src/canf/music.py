@@ -101,6 +101,14 @@ CHIRP_RESTART = 16  # run elements per exact cos/sin restart of a Fresnel chirp
 MAX_GRID_ENTRIES = 2**26  # most entries of a grid axis or of a scan (MusicConfig.plan)
 
 
+def _grid_step(name: str, value) -> float:
+    """``value`` as a float (``_real``) if finite and positive: the one grid-step rule."""
+    step = _real(name, value)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {step!r}")
+    return step
+
+
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a (nearly) Hermitian matrix, descending order.
 
@@ -134,12 +142,14 @@ def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumGrid:
-    """Search grids as read-only float arrays: angles in degrees, ranges in meters.
+    """Search grids as read-only float arrays: angles in degrees inside (-90,
+    90), finite positive ranges in meters.
 
     :meth:`for_layout` is cached: equal arguments return the same grid.  It
-    rejects an angle step above 90, whose span ``[-90 + step, 90 - step]``
-    holds no angle, and steps that would put more than ``MAX_GRID_ENTRIES
-    // layout.size`` points on an axis, before it allocates either one;
+    rejects by name a step that is not finite and positive (``_grid_step``),
+    an angle step above 90, whose span ``[-90 + step, 90 - step]`` holds no
+    angle, and steps that would put more than ``MAX_GRID_ENTRIES //
+    layout.size`` points on an axis, before it allocates either one;
     :meth:`MusicConfig.plan`, its one caller in the package, also bounds
     what the scans of K targets build over the axes.
     """
@@ -156,12 +166,16 @@ class SpectrumGrid:
             object.__setattr__(self, name, axis)
         if self.angle_deg[0] <= -90.0 or self.angle_deg[-1] >= 90.0:
             raise ValueError("angle grid must lie inside (-90, 90) degrees")
+        if not (self.range_m[0] > 0.0 and math.isfinite(self.range_m[-1])):
+            raise ValueError("range grid must be finite and positive")
 
     @classmethod
     @lru_cache(maxsize=16)
     def for_layout(
         cls, layout: SensorLayout, angle_step_deg: float, range_step_m: float
     ) -> "SpectrumGrid":
+        angle_step_deg = _grid_step("angle_step_deg", angle_step_deg)
+        range_step_m = _grid_step("range_step_m", range_step_m)
         if angle_step_deg > 90.0:
             raise ValueError(
                 f"angle_step_deg={angle_step_deg!r} is above 90: the grid spans "
@@ -176,7 +190,7 @@ class SpectrumGrid:
             ("angle_step_deg", angle_step_deg, n_a),
             ("range_step_m", range_step_m, n_r),
         ):
-            if not n <= limit:
+            if n > limit:
                 raise ValueError(
                     f"{name}={step!r} gives {n:.6g} grid points, more than the "
                     f"{limit} that {layout.size} sensors allow"
@@ -767,7 +781,7 @@ class MusicConfig:
     quadratic-phase range manifold and the constants
     ``PEAK_PROMINENCE_DB``, ``SIGNIFICANCE_DB`` and
     ``MIN_ANGLE_SEPARATION_DEG``.  ``k_targets`` is stored as an int
-    (:func:`canf.geometry._integer`) and the steps as floats (``_real``).
+    (:func:`canf.geometry._integer`) and the steps as floats (``_grid_step``).
     """
 
     k_targets: int | None = None
@@ -780,10 +794,7 @@ class MusicConfig:
             if self.k_targets < 1:
                 raise ValueError(f"k_targets must be None or at least 1, got {self.k_targets}")
         for name in ("angle_step_deg", "range_step_m"):
-            step = _real(name, getattr(self, name))
-            object.__setattr__(self, name, step)
-            if not (math.isfinite(step) and step > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {step!r}")
+            object.__setattr__(self, name, _grid_step(name, getattr(self, name)))
 
     def plan(self, snapshots: SnapshotSet, layout: SensorLayout) -> tuple[int, SpectrumGrid]:
         """K, the number of known waveforms (rows of ``snapshots.x``), and

@@ -1,10 +1,12 @@
 """The command-line interface: repeated runs write byte-identical files, and
 bad inputs end in a usage error, not a traceback."""
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from canf import covariance
 from canf.cli import MAX_SNR_POINTS, _fmt, _parse_snr_list, main
 from canf.covariance import mirror_antidiagonal
 from canf.music import MusicConfig, Subspace, localize
@@ -255,6 +257,22 @@ def test_spectrum_reports_a_covariance_overflow_as_a_usage_error(tmp_path):
     with pytest.raises(SystemExit, match="^spectrum: .*a covariance that overflows a float"):
         main(_scenario_argv("spectrum", scenario, tmp_path))
     assert list(tmp_path.iterdir()) == [scenario]
+
+
+def test_spectrum_computes_one_ls_covariance(tmp_path, scenario_file, monkeypatch):
+    # The spy replaces covariance_ls in every canf module that binds it, so
+    # a pre-flight copy of the chain's covariance would count too.
+    real, calls = covariance.covariance_ls, []
+
+    def spy(snapshots):
+        calls.append(snapshots)
+        return real(snapshots)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("canf") and getattr(module, "covariance_ls", None) is real:
+            monkeypatch.setattr(module, "covariance_ls", spy)
+    assert main(_scenario_argv("spectrum", scenario_file, tmp_path)) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "montecarlo"])

@@ -224,6 +224,24 @@ class TestSpectrumGrid:
         with pytest.raises(ValueError):
             SpectrumGrid((-90.0, 0.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("name", ["angle_step_deg", "range_step_m"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_for_layout_rejects_a_step_that_is_not_finite_and_positive(self, layout911, name, bad):
+        # The rule MusicConfig applies: 0 used to raise ZeroDivisionError, -1
+        # numpy's sample-count error, NaN a grid-point count and an infinite
+        # range step a RuntimeWarning (an error here).
+        steps = {"angle_step_deg": 0.05, "range_step_m": 0.1, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {bad!r}$"):
+            SpectrumGrid.for_layout(layout911, **steps)
+
+    @pytest.mark.parametrize(
+        "ranges", [(-5.0, 0.0, np.inf), (0.0, 1.0), (1.0, np.inf), (-np.inf, 1.0)]
+    )
+    def test_rejects_a_range_axis_that_is_not_finite_and_positive(self, ranges):
+        # (-5, 0, inf) used to be accepted, and its range scan divided by zero.
+        with pytest.raises(ValueError, match="^range grid must be finite and positive$"):
+            SpectrumGrid((0.0,), ranges)
+
     @pytest.mark.parametrize("step", [90.0 + 1e-9, 100.0, 170.0, 200.0])
     def test_for_layout_rejects_an_angle_step_above_90(self, layout911, step):
         # 100 used to give the one angle 10, outside its span [-80, 80].
