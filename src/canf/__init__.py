@@ -15,7 +15,15 @@ from .baselines import (
     localize_farfield_virtual,
     localize_subarray,
 )
-from .bench import MonteCarloConfig, RmseReport, associate, rmse, run_monte_carlo
+from .bench import (
+    Detections,
+    MonteCarloConfig,
+    RmseReport,
+    associate,
+    rmse,
+    run_monte_carlo,
+    score_detections,
+)
 from .channel import (
     SnapshotSet,
     Target,
@@ -66,6 +74,7 @@ __all__ = [
     "CoarrayLayout",
     "CoprimeParams",
     "CovarianceBundle",
+    "Detections",
     "LocalizationResult",
     "MonteCarloConfig",
     "MusicConfig",
@@ -98,6 +107,7 @@ __all__ = [
     "range_spectrum",
     "rmse",
     "run_monte_carlo",
+    "score_detections",
     "spatial_smooth",
     "steering_exact",
     "steering_fresnel",

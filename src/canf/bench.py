@@ -5,6 +5,11 @@ Association is a minimum-cost assignment, solved in plain Python by a
 rectangular shortest-augmenting-path solver (Jonker & Volgenant 1987; Crouse
 2016), so the harness, like the rest of ``canf``, needs numpy alone.
 
+:func:`score_detections` is the one owner of the strict-detection rule: it
+alone compares an error against the gates ``MonteCarloConfig.theta_gate_deg``
+and ``range_gate_frac``, and the harness's detection, spurious and leaked
+counts are read from its result.
+
 Trial ``q`` always uses seed ``base_seed + q``, so every (method, SNR)
 cell sees the same draws and the whole report is a pure function of the
 configuration.  A sweep draws each trial once per layout, for all its SNRs
@@ -44,6 +49,8 @@ __all__ = [
     "TrialRecord",
     "RmseReport",
     "associate",
+    "Detections",
+    "score_detections",
     "rmse",
     "run_trial",
     "run_monte_carlo",
@@ -264,8 +271,9 @@ class MonteCarloConfig:
     significant detections first, then best-effort fills -- which is what a
     fixed-K RMSE protocol needs (otherwise methods that detect nothing would
     simply drop out of the error average).  Detection rate is computed from
-    strict classification, with the gates ``theta_gate_deg`` and
-    ``range_gate_frac`` (fraction of the reference Rayleigh distance).
+    strict classification by :func:`score_detections`, with the gates
+    ``theta_gate_deg`` and ``range_gate_frac`` (fraction of the reference
+    Rayleigh distance).
     ``q_trials`` and ``base_seed`` are stored as ints if integers
     (:func:`canf.geometry._integer`), the SNRs as a tuple of floats if
     numbers (:func:`canf.geometry._real`), and ``methods``, a sequence of
@@ -307,6 +315,61 @@ class MonteCarloConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+
+
+@dataclass(frozen=True)
+class Detections:
+    """Strict detection of a set of truths by a set of estimates.
+
+    ``errors[j]`` is the ``(dtheta, dr)`` of the estimate that detects truth
+    ``j`` (``dr`` None for an angle-only method), or None if none does.
+    ``spurious`` indexes the estimates that detect no truth, ``leaked`` those
+    whose angle lies outside the angle gate of every truth.
+    """
+
+    errors: tuple[tuple[float, float | None] | None, ...]
+    spurious: tuple[int, ...]
+    leaked: tuple[int, ...]
+
+    @property
+    def all_detected(self) -> bool:
+        return all(e is not None for e in self.errors)
+
+
+def score_detections(
+    theta_deg, range_m, truth_theta_deg, truth_range_m, range_scale: float
+) -> Detections:
+    """Score estimates against truths under the harness gates.
+
+    :func:`associate` matches the estimates to the truths, and a matched
+    pair detects its truth when ``|dtheta| <= MonteCarloConfig.theta_gate_deg``
+    and, unless ``range_m`` is None (an angle-only method), ``|dr| <=
+    MonteCarloConfig.range_gate_frac * range_scale``.  An estimate leaks when
+    ``|dtheta| > theta_gate_deg`` for every truth, so one that misses only the
+    range gate is spurious but not leaked.  The inputs are checked as
+    :func:`associate` checks them.
+    """
+    matching = associate(theta_deg, range_m, truth_theta_deg, truth_range_m, range_scale)
+    theta_gate = MonteCarloConfig.theta_gate_deg
+    range_gate = MonteCarloConfig.range_gate_frac * range_scale
+
+    def differences(est, truth):  # estimate-by-truth errors; associate checked the inputs
+        return np.subtract.outer(*(np.ravel(np.asarray(v, dtype=float)) for v in (est, truth)))
+
+    d_theta = differences(theta_deg, truth_theta_deg)
+    d_r = None if range_m is None else differences(range_m, truth_range_m)
+    errors = [None] * d_theta.shape[1]
+    detecting = set()
+    for i, j in matching.pairs:
+        if abs(d_theta[i, j]) <= theta_gate and (d_r is None or abs(d_r[i, j]) <= range_gate):
+            errors[j] = (float(d_theta[i, j]), None if d_r is None else float(d_r[i, j]))
+            detecting.add(i)
+    leaked = np.all(np.abs(d_theta) > theta_gate, axis=1)
+    return Detections(
+        tuple(errors),
+        tuple(i for i in range(d_theta.shape[0]) if i not in detecting),
+        tuple(int(i) for i in np.flatnonzero(leaked)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +453,7 @@ def run_trial(
         _layout_for(method, scenario), scenario.targets, scenario.n_snapshots, snr_db,
         config.base_seed + trial, scenario.model,
     )
-    return _score_trial(method, scenario, snr_db, trial, snaps, config)
+    return _score_trial(method, scenario, snr_db, trial, snaps)
 
 
 def _score_trial(
@@ -399,14 +462,12 @@ def _score_trial(
     snr_db: float,
     trial: int,
     snaps: SnapshotSet,
-    config: MonteCarloConfig,
 ) -> TrialRecord:
     """Localize one trial's snapshots with ``method`` and score the estimates."""
     truth_theta = np.array([t.theta_deg for t in scenario.targets])
     truth_range = np.array([t.r for t in scenario.targets])
     k = truth_theta.size
     range_scale = scenario.layout().rayleigh_distance
-    range_gate = config.range_gate_frac * range_scale
 
     result = _localizers()[method](snaps)
     n_candidates = len(result.candidates)
@@ -433,21 +494,7 @@ def _score_trial(
     )
 
     # Detection bookkeeping over strictly classified entries only.
-    det_match = associate(detect_theta, detect_range, truth_theta, truth_range, range_scale)
-    hits = sum(
-        1
-        for i, j in det_match.pairs
-        if abs(detect_theta[i] - truth_theta[j]) <= config.theta_gate_deg
-        and (detect_range is None or abs(detect_range[i] - truth_range[j]) <= range_gate)
-    )
-    spurious = len(detect_theta) - hits
-    detected = hits == k
-    # A leaked cross: a true-labeled entry whose angle matches no target.
-    leaked = sum(
-        1
-        for th in detect_theta
-        if np.min(np.abs(th - truth_theta)) > config.theta_gate_deg
-    )
+    found = score_detections(detect_theta, detect_range, truth_theta, truth_range, range_scale)
 
     return TrialRecord(
         method=method,
@@ -460,9 +507,9 @@ def _score_trial(
         n_candidates=n_candidates,
         theta_errors=theta_errors,
         range_errors=range_errors,
-        detected=detected,
-        n_spurious_true=spurious,
-        n_cross_leaked=leaked,
+        detected=found.all_detected,
+        n_spurious_true=len(found.spurious),
+        n_cross_leaked=len(found.leaked),
     )
 
 
@@ -554,7 +601,7 @@ def run_monte_carlo(config: MonteCarloConfig) -> RmseReport:
                     outcome = snaps
                     if not isinstance(snaps, Exception):
                         try:
-                            outcome = _score_trial(method, scenario, snrs[i], trial, snaps, config)
+                            outcome = _score_trial(method, scenario, snrs[i], trial, snaps)
                         except Exception as exc:
                             # A held exception keeps its traceback, not the frames' arrays.
                             traceback.clear_frames(exc.__traceback__)

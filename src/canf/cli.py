@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -252,8 +253,18 @@ def _join_negative_snr(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_negative_snr(argv))
-    return args.func(args)
+    try:
+        try:
+            args = build_parser().parse_args(_join_negative_snr(argv))
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in ``canf geometry ... | head -1``.
+        # Point stdout at devnull, so the flush at exit has nothing to fail
+        # on, and exit without a traceback (the Python docs' SIGPIPE recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

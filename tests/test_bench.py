@@ -2,8 +2,9 @@
 the record it gets on its own, failed trials are counted and keep their
 error, bad association inputs are rejected by name, the assignment solver
 agrees with scipy's on hand-written cases, tied assignments are decided the
-same way whatever the roundoff, and an association takes one solver call,
-tied or not."""
+same way whatever the roundoff, an association takes one solver call, tied
+or not, and the strict-detection scorer applies its gates exactly on
+hand-made estimates."""
 import json
 import logging
 import math
@@ -13,7 +14,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from canf import bench
-from canf.bench import METHODS, MonteCarloConfig, associate, run_monte_carlo
+from canf.bench import METHODS, MonteCarloConfig, associate, run_monte_carlo, score_detections
 from canf.scenario import default_benchmark_scenario
 
 import oracles
@@ -309,6 +310,44 @@ def test_associate_rejects_a_cost_that_overflows(recwarn):
     with pytest.raises(ValueError, match="overflows"):
         associate((0.0, 1.0), (1e308, 2.0), (0.0, 1.0), (-1e308, 2.0), 1.0)
     assert [str(w.message) for w in recwarn] == []
+
+
+# Truths at (-35 deg, 25 m) and (10 deg, 30 m); a range scale of 40 m puts
+# the range gate at 0.125 * 40 = 5 m, and the angle gate is 2 degrees.
+TRUTH_THETA, TRUTH_RANGE, SCALE = (-35.0, 10.0), (25.0, 30.0), 40.0
+
+
+@pytest.mark.parametrize(
+    "theta, ranges, truth_range, errors, spurious, leaked",
+    [
+        ((-35.0, 12.0), (20.0, 30.0), TRUTH_RANGE, ((0.0, -5.0), (2.0, 0.0)), (), ()),
+        (
+            (-35.0, np.nextafter(12.0, np.inf)), (25.0, 30.0), TRUTH_RANGE,
+            ((0.0, 0.0), None), (1,), (1,),
+        ),
+        ((-35.0, 10.5), (25.0, 35.5), TRUTH_RANGE, ((0.0, 0.0), None), (1,), ()),
+        ((-34.0, 11.5), None, TRUTH_RANGE, ((1.0, None), (1.5, None)), (), ()),
+        ((-34.0, 11.5), None, None, ((1.0, None), (1.5, None)), (), ()),
+        # The unmatched 10.5 lies inside the angle gate of 10: spurious, not leaked.
+        ((-35.0, 10.0, 10.5), (25.0, 30.0, 30.5), TRUTH_RANGE, ((0.0, 0.0),) * 2, (2,), ()),
+        ((60.0, -35.0, 10.0), None, None, ((0.0, None),) * 2, (0,), (0,)),
+    ],
+    ids=[
+        "hit-at-both-gates", "just-past-angle-gate", "range-gate-only", "angle-only",
+        "angle-only-without-truth-ranges", "surplus-inside-angle-gate", "surplus-far-away",
+    ],
+)
+def test_scorer_applies_the_gates_exactly(theta, ranges, truth_range, errors, spurious, leaked):
+    found = score_detections(theta, ranges, TRUTH_THETA, truth_range, SCALE)
+    assert (found.errors, found.spurious, found.leaked) == (errors, spurious, leaked)
+    assert found.all_detected == (None not in errors)
+
+
+def test_scorer_checks_its_inputs_as_associate_does():
+    with pytest.raises(ValueError, match="est_theta_deg"):
+        score_detections((np.nan, 10.0), None, TRUTH_THETA, None, SCALE)
+    with pytest.raises(ValueError, match="range_scale"):
+        score_detections((10.0,), (30.0,), (10.0,), (30.0,), 0.0)
 
 
 def _sweep_config(**kwargs):

@@ -1,11 +1,15 @@
 """The command-line interface: repeated runs write byte-identical files, and
-bad inputs end in a usage error, not a traceback."""
+bad inputs and a closed stdout pipe end without a traceback."""
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import canf
 from canf import covariance
 from canf.cli import MAX_SNR_POINTS, _fmt, _parse_snr_list, main
 from canf.covariance import mirror_antidiagonal
@@ -67,6 +71,31 @@ def test_dumped_r_tilde_reproduces_the_virtual_eigenvalues(tmp_path, scenario_fi
     eigvals = Subspace.split_coarray(r_tilde, 1).eigvals
     result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
     np.testing.assert_allclose(eigvals, result["virtual_eigvals"], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["geometry", "--m", "9", "--n", "11", "--freq-ghz", "30"], 1),
+        (["geometry", "--m", "9", "--n", "11", "--freq-ghz", "30", "--format", "table"], 1),
+        (["--help"], 0),
+    ],
+    ids=["geometry-json", "geometry-table", "help"],
+)
+def test_a_closed_stdout_pipe_ends_without_a_traceback(argv, status):
+    src = str(Path(canf.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "canf.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (status, "")
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -44,15 +44,14 @@ import numpy as np
 import pytest
 
 from canf import (
-    MonteCarloConfig,
     MusicConfig,
     TargetSet,
-    associate,
     build_bundle,
     localize,
     localize_dense,
     localize_farfield_virtual,
     localize_subarray,
+    score_detections,
     synthesize,
 )
 from canf import baselines, music
@@ -161,28 +160,22 @@ def test_high_snr_outputs_match_golden():
 
 
 def test_unknown_k_finds_the_gap_ranks_and_every_target():
-    # No golden covers this path: the angle rule must find rank 6 (3 targets
-    # plus 3 pairwise cross components), the range rule rank 3, and every
-    # target must pass the Monte Carlo harness's detection gates.
+    # No golden covers this path.  K = 3 is read from the snapshots'
+    # waveforms, so the angle stage keeps K (K + 1) / 2 = 6 components (the
+    # 3 targets plus 3 pairwise cross terms) and the range stage K = 3, and
+    # every target must pass the Monte Carlo harness's strict detection.
     scenario = default_benchmark_scenario()
     truth = tuple(scenario.targets)[:3]
     theta = [t.theta_deg for t in truth]
     rng = [t.r for t in truth]
     z_r = scenario.layout().rayleigh_distance
-    range_gate = MonteCarloConfig.range_gate_frac * z_r
     for key, res in unknown_k_results().items():
         assert (res.angle_signal_rank, res.range_signal_rank) == (6, 3), key
         trues = res.true_targets
-        match = associate(
+        found = score_detections(
             [c.theta_deg for c in trues], [c.range_m for c in trues], theta, rng, z_r
         )
-        hits = [
-            j
-            for i, j in match.pairs
-            if abs(trues[i].theta_deg - theta[j]) <= MonteCarloConfig.theta_gate_deg
-            and abs(trues[i].range_m - rng[j]) <= range_gate
-        ]
-        assert sorted(hits) == [0, 1, 2], key
+        assert found.all_detected, key
 
 
 LOCALIZERS = [localize, localize_dense, localize_farfield_virtual, localize_subarray]
