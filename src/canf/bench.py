@@ -38,7 +38,7 @@ import numpy as np
 
 from .baselines import localize_dense, localize_farfield_virtual, localize_subarray
 from .channel import SnapshotSet, noise_power, synthesize, synthesize_sweep
-from .geometry import _integer, _real
+from .geometry import _integer, _positive, _real
 from .music import localize
 from .scenario import Scenario
 
@@ -95,14 +95,12 @@ def associate(
 
     Raises ValueError, naming the argument, for a non-finite value, range
     arrays whose lengths differ from their angle arrays, ``est_range_m``
-    without ``true_range_m``, or a ``range_scale`` that is not a real number
-    (:func:`canf.geometry._real`: a bool, a string) or not positive and
-    finite; and for finite inputs whose cost overflows a float, since an
+    without ``true_range_m``, or a ``range_scale`` that is not finite and
+    positive (:func:`canf.geometry._positive`: a bool or a string is not a
+    number); and for finite inputs whose cost overflows a float, since an
     ``inf`` cost would tie every assignment.
     """
-    range_scale = _real("range_scale", range_scale)
-    if not (math.isfinite(range_scale) and range_scale > 0):
-        raise ValueError(f"range_scale must be positive and finite, got {range_scale}")
+    range_scale = _positive("range_scale", range_scale)
     est_theta = _finite_vector("est_theta_deg", est_theta_deg)
     true_theta = _finite_vector("true_theta_deg", true_theta_deg)
     n_e, n_t = est_theta.size, true_theta.size
@@ -289,12 +287,8 @@ class MonteCarloConfig:
     range_gate_frac: ClassVar[float] = 0.125
 
     def __post_init__(self) -> None:
-        for name in ("q_trials", "base_seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.q_trials < 1:
-            raise ValueError("q_trials must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
+        object.__setattr__(self, "q_trials", _integer("q_trials", self.q_trials, least=1))
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed, least=0))
         snrs = tuple(_real("snr_db", s) for s in self.snr_db_list)
         object.__setattr__(self, "snr_db_list", snrs)
         if not self.snr_db_list:

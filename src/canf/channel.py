@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._helper import worker
-from .geometry import SensorLayout, _integer, _real
+from .geometry import SensorLayout, _integer, _positive, _real
 
 __all__ = [
     "Target",
@@ -44,11 +44,9 @@ class Target:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", _real("theta", self.theta))
-        object.__setattr__(self, "r", _real("r", self.r))
+        object.__setattr__(self, "r", _positive("r", self.r))
         if not (-math.pi / 2 < self.theta < math.pi / 2):
             raise ValueError("theta must lie in (-pi/2, pi/2)")
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(f"range must be finite and positive, got {self.r!r}")
 
     @classmethod
     def from_degrees(cls, theta_deg: float, r: float) -> "Target":
@@ -261,11 +259,8 @@ def synthesize_sweep(
     (:func:`noise_power`).  All are checked before anything is drawn, and
     each set records its seed as an int and its SNR as a float.
     """
-    n_snapshots, seed = _integer("n_snapshots", n_snapshots), _integer("seed", seed)
-    if n_snapshots < 1:
-        raise ValueError("need at least one snapshot")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    n_snapshots = _integer("n_snapshots", n_snapshots, least=1)
+    seed = _integer("seed", seed, least=0)
     sigma2s = [noise_power(snr) for snr in snr_db_list]
     if not sigma2s:
         raise ValueError("snr_db_list must hold at least one SNR")

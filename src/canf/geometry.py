@@ -27,11 +27,8 @@ __all__ = [
 
 
 def _check_spacing(d: float, wavelength: float, stacklevel: int) -> None:
-    """Reject a spacing or wavelength that is not finite and positive, and
-    warn when the spacing exceeds lambda/4, at ``stacklevel`` (this function
-    is level 1), which each constructor sets to its caller's line."""
-    if not (0.0 < d < math.inf and 0.0 < wavelength < math.inf):
-        raise ValueError("spacing and wavelength must be finite and positive")
+    """Warn when the spacing exceeds lambda/4, at ``stacklevel`` (this
+    function is level 1), which each constructor sets to its caller's line."""
     # Spacing above lambda/4 aliases the doubled-position (self-spectrum)
     # steering; kept as a warning so the ambiguity can be studied on purpose.
     if d > wavelength / 4.0 * (1.0 + 1e-12):
@@ -48,7 +45,8 @@ class CoprimeParams:
 
     ``m`` and ``n`` are normalized so that ``m < n``.  ``d`` is the minimum
     inter-sensor spacing in meters; ``wavelength`` is the carrier wavelength
-    in meters.  A spacing above lambda/4 warns; it does not raise.
+    in meters, both finite and positive (:func:`_positive`).  A spacing
+    above lambda/4 warns; it does not raise.
     """
 
     m: int
@@ -60,22 +58,25 @@ class CoprimeParams:
         m, n = sorted(_coprime_pair(self.m, self.n))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", _real("d", self.d))
-        object.__setattr__(self, "wavelength", _real("wavelength", self.wavelength))
+        object.__setattr__(self, "d", _positive("d", self.d))
+        object.__setattr__(self, "wavelength", _positive("wavelength", self.wavelength))
         # Level 3 is the dataclass-generated __init__, level 4 its caller.
         _check_spacing(self.d, self.wavelength, stacklevel=4)
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, least: int | None = None) -> int:
     """``value`` as an int if it is an int or an integral float (numpy's
-    included), not a bool: the one integer rule of every config field and
-    scenario file key.  A real too large for a float is rejected by name,
-    without its digits, as :func:`_real` does."""
+    included), not a bool, and at least ``least`` if that is given: the one
+    integer rule of every config field and scenario file key.  A real too
+    large for a float is rejected by name, without its digits, as
+    :func:`_real` does."""
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and _real(name, value).is_integer())
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return int(value)
 
 
@@ -92,13 +93,19 @@ def _real(name: str, value) -> float:
         raise ValueError(f"{name} is too large for a float") from None
 
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float (:func:`_real`) if it is finite and above 0: the
+    one rule of every spacing, wavelength, carrier, range, step and scale."""
+    number = _real(name, value)
+    if not 0.0 < number < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
 def _coprime_pair(m, n) -> tuple[int, int]:
     """``(m, n)`` as ints if both are integers (:func:`_integer`) of at
     least 1, distinct and coprime."""
-    for name, value in (("m", m), ("n", n)):
-        if _integer(name, value) < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
-    m, n = int(m), int(n)
+    m, n = _integer("m", m, least=1), _integer("n", n, least=1)
     if m == n:
         raise ValueError("coprime pair must be two distinct integers")
     if math.gcd(m, n) != 1:
@@ -186,8 +193,9 @@ def build_coprime_layout(params: CoprimeParams) -> SensorLayout:
 
 
 def build_dense_layout(u: int, d: float, wavelength: float) -> SensorLayout:
-    """Uniform symmetric array with an odd number ``u`` of sensors."""
-    d, wavelength = _real("d", d), _real("wavelength", wavelength)
+    """Uniform symmetric array with an odd number ``u`` of sensors, at a
+    finite and positive spacing and wavelength (:func:`_positive`)."""
+    d, wavelength = _positive("d", d), _positive("wavelength", wavelength)
     layout = _dense_layout(_integer("u", u), d, wavelength)
     _check_spacing(d, wavelength, stacklevel=3)
     return layout

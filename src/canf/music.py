@@ -72,7 +72,7 @@ import numpy as np
 
 from .channel import SnapshotSet, fresnel_phase_terms
 from .covariance import CovarianceBundle, build_bundle
-from .geometry import SensorLayout, _integer, _real, difference_coarray
+from .geometry import SensorLayout, _integer, _positive, difference_coarray
 
 __all__ = [
     "Subspace",
@@ -99,14 +99,6 @@ MIN_ANGLE_SEPARATION_DEG = 0.5  # closer angle peaks ride on one lobe
 CANCELLATION_FLOOR = 1e-3  # least noise power trusted from the signal basis
 CHIRP_RESTART = 16  # run elements per exact cos/sin restart of a Fresnel chirp
 MAX_GRID_ENTRIES = 2**26  # most entries of a grid axis or of a scan (MusicConfig.plan)
-
-
-def _grid_step(name: str, value) -> float:
-    """``value`` as a float (``_real``) if finite and positive: the one grid-step rule."""
-    step = _real(name, value)
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {step!r}")
-    return step
 
 
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +138,7 @@ class SpectrumGrid:
     90), finite positive ranges in meters.
 
     :meth:`for_layout` is cached: equal arguments return the same grid.  It
-    rejects by name a step that is not finite and positive (``_grid_step``),
+    rejects by name a step that is not finite and positive (``_positive``),
     an angle step above 90, whose span ``[-90 + step, 90 - step]`` holds no
     angle, and steps that would put more than ``MAX_GRID_ENTRIES //
     layout.size`` points on an axis, before it allocates either one;
@@ -174,8 +166,8 @@ class SpectrumGrid:
     def for_layout(
         cls, layout: SensorLayout, angle_step_deg: float, range_step_m: float
     ) -> "SpectrumGrid":
-        angle_step_deg = _grid_step("angle_step_deg", angle_step_deg)
-        range_step_m = _grid_step("range_step_m", range_step_m)
+        angle_step_deg = _positive("angle_step_deg", angle_step_deg)
+        range_step_m = _positive("range_step_m", range_step_m)
         if angle_step_deg > 90.0:
             raise ValueError(
                 f"angle_step_deg={angle_step_deg!r} is above 90: the grid spans "
@@ -614,8 +606,8 @@ def detect_peaks(spectrum: PseudoSpectrum, max_count: int | None = None) -> list
     broken by ascending axis location.  ``max_count``, if given, must be an
     integer (:func:`canf.geometry._integer`) of at least 0.
     """
-    if max_count is not None and _integer("max_count", max_count) < 0:
-        raise ValueError(f"max_count must be None or at least 0, got {max_count!r}")
+    if max_count is not None:
+        max_count = _integer("max_count", max_count, least=0)
     y = spectrum.db
     if y.ndim != 1:
         raise ValueError("detect_peaks takes one 1-D spectrum")
@@ -781,7 +773,7 @@ class MusicConfig:
     quadratic-phase range manifold and the constants
     ``PEAK_PROMINENCE_DB``, ``SIGNIFICANCE_DB`` and
     ``MIN_ANGLE_SEPARATION_DEG``.  ``k_targets`` is stored as an int
-    (:func:`canf.geometry._integer`) and the steps as floats (``_grid_step``).
+    (:func:`canf.geometry._integer`) and the steps as floats (``_positive``).
     """
 
     k_targets: int | None = None
@@ -790,11 +782,9 @@ class MusicConfig:
 
     def __post_init__(self) -> None:
         if self.k_targets is not None:
-            object.__setattr__(self, "k_targets", _integer("k_targets", self.k_targets))
-            if self.k_targets < 1:
-                raise ValueError(f"k_targets must be None or at least 1, got {self.k_targets}")
+            object.__setattr__(self, "k_targets", _integer("k_targets", self.k_targets, least=1))
         for name in ("angle_step_deg", "range_step_m"):
-            object.__setattr__(self, name, _grid_step(name, getattr(self, name)))
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
     def plan(self, snapshots: SnapshotSet, layout: SensorLayout) -> tuple[int, SpectrumGrid]:
         """K, the number of known waveforms (rows of ``snapshots.x``), and

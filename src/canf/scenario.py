@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import _MODELS, SnapshotSet, Target, TargetSet, noise_power, synthesize
 from .geometry import CoprimeParams, SensorLayout, build_coprime_layout, max_targets
-from .geometry import _dense_layout, _integer, _real
+from .geometry import _dense_layout, _integer, _positive, _real
 
 __all__ = ["SPEED_OF_LIGHT", "Scenario", "default_benchmark_scenario"]
 
@@ -47,15 +46,11 @@ class Scenario:
     def __post_init__(self) -> None:
         # Checked here so that a bad file or call fails when it is built, not
         # later inside synthesis or in every Monte Carlo trial.
-        object.__setattr__(self, "n_snapshots", _integer("T", self.n_snapshots))
-        if self.n_snapshots < 1:
-            raise ValueError(f"T must be at least 1, got {self.n_snapshots}")
+        object.__setattr__(self, "n_snapshots", _integer("T", self.n_snapshots, least=1))
         if self.snr_db is not None:
             object.__setattr__(self, "snr_db", _real("snr_db", self.snr_db))
         noise_power(self.snr_db)  # the SNR rule: no NaN, -inf or overflowing noise
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, least=0))
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
 
@@ -87,11 +82,12 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         """Load a scenario, rejecting data that is not an object, a missing
         key, ``targets`` that are not a list of objects, an ``M`` or ``N``
-        that is not an integer (checked here to name the keys), a ``d_mm``,
-        ``freq_ghz``, ``theta_deg`` or ``range_m`` that is not a number, or a
-        value the constructors reject, and warning when the targets exceed
-        the decoupled capacity ``max_targets(M, N)[0]``.  ``T``, ``snr_db``,
-        ``seed`` and ``model`` are only mapped to the fields that check them."""
+        that is not an integer, a ``theta_deg`` that is not a number, a
+        ``d_mm``, ``freq_ghz`` or ``range_m`` that is not finite and positive
+        (each by its key's name), or a value the constructors reject, and
+        warning when the targets exceed the decoupled capacity
+        ``max_targets(M, N)[0]``.  ``T``, ``snr_db``, ``seed`` and ``model``
+        are only mapped to the fields that check them."""
         if not isinstance(data, dict):
             raise ValueError(f"scenario must be an object, got {data!r}")
         _require(data, ("M", "N", "targets"), "scenario")
@@ -106,7 +102,7 @@ class Scenario:
         d, wavelength = _spacing_and_wavelength(d_mm, freq_ghz)
         targets = TargetSet(
             tuple(
-                Target.from_degrees(*(_real(key, t[key]) for key in ("theta_deg", "range_m")))
+                Target.from_degrees(t["theta_deg"], _positive("range_m", t["range_m"]))
                 for t in entries
             )
         )
@@ -154,16 +150,15 @@ class Scenario:
 
 
 def _spacing_and_wavelength(d_mm, freq_ghz) -> tuple[float, float]:
-    """Spacing and wavelength in meters, from numbers (:func:`canf.geometry._real`)
-    or None: the wavelength from the carrier, else four spacings; the spacing
-    from ``d_mm``, else a quarter wavelength."""
-    d_mm = None if d_mm is None else _real("d_mm", d_mm)
+    """Spacing and wavelength in meters, from finite and positive numbers
+    (:func:`canf.geometry._positive`) or None: the wavelength from the
+    carrier, else four spacings; the spacing from ``d_mm``, else a quarter
+    wavelength."""
+    d_mm = None if d_mm is None else _positive("d_mm", d_mm)
     if freq_ghz is None:
         wavelength = 4.0 * d_mm * 1e-3
-    elif 0.0 < _real("freq_ghz", freq_ghz) < math.inf:
-        wavelength = SPEED_OF_LIGHT / (float(freq_ghz) * 1e9)
     else:
-        raise ValueError(f"freq_ghz must be positive and finite, got {freq_ghz!r}")
+        wavelength = SPEED_OF_LIGHT / (_positive("freq_ghz", freq_ghz) * 1e9)
     d = wavelength / 4.0 if d_mm is None else d_mm * 1e-3
     return d, wavelength
 

@@ -14,8 +14,12 @@ the angle stage forms straight from the coarray vector (whose closed form
 :func:`real_toeplitz_closed_form` evaluates entry by entry), and
 :func:`linear_sum_assignment` is the package's own solver in the interface
 of ``scipy.optimize.linear_sum_assignment``, which it must agree with.
+The scalar checks at the end are the hand-written range checks that
+``geometry._positive`` and the bound of ``geometry._integer`` replaced, kept
+as they were.
 """
 import math
+import numbers
 from itertools import permutations
 
 import numpy as np
@@ -518,3 +522,52 @@ def association_bruteforce(est_theta, est_range, true_theta, true_range, range_s
         limit = min(totals) + rtol * max(1.0, max(max(row) for row in table))
         candidates = [p for p, total in zip(candidates, totals) if total <= limit]
     return min(candidates)
+
+
+def number_reference(value) -> float:
+    """The number rule, ``geometry._real``: a real number that is not a
+    bool, as a float; ValueError for anything else or for one too large for
+    a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("too large for a float") from None
+
+
+def integer_reference(value) -> int:
+    """The integer rule, ``geometry._integer`` without a bound: an int or an
+    integral real that is not a bool, as an int."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and number_reference(value).is_integer())
+    ):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def step_check_reference(value) -> float:
+    """The hand-written check of the grid steps, ``Target.r`` and
+    ``associate``'s ``range_scale``: a number that is finite and above 0."""
+    step = number_reference(value)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("not finite and positive")
+    return step
+
+
+def spacing_check_reference(value) -> float:
+    """The hand-written check of a spacing, a wavelength and a scenario's
+    ``freq_ghz``: a number strictly between 0 and inf."""
+    number = number_reference(value)
+    if not 0.0 < number < math.inf:
+        raise ValueError("not finite and positive")
+    return number
+
+
+def at_least_check_reference(value, least: int) -> int:
+    """The hand-written lower bound of a pair member, T, a seed, a trial
+    count, ``k_targets`` and ``max_count``: an integer not below ``least``."""
+    if integer_reference(value) < least:
+        raise ValueError(f"not at least {least}")
+    return int(value)

@@ -193,7 +193,7 @@ class TestSynthesizeSweep:
             ("8", (10.0,), 0, "n_snapshots must be an integer"),
             (8, (10.0,), True, "seed must be an integer, got True"),
             (8, (10.0,), 1.5, "seed must be an integer, got 1.5"),
-            (8, (10.0,), -1, "seed must be non-negative, got -1"),
+            (8, (10.0,), -1, "seed must be at least 0, got -1"),
             (8, (10.0, True), 0, "snr_db must be a number, got True"),
             (8, ("10",), 0, "snr_db must be a number"),
         ],
@@ -411,7 +411,8 @@ class TestSynthesize:
     @pytest.mark.parametrize("n_snapshots", [0, -1])
     def test_fewer_than_one_snapshot_rejected(self, layout23, n_snapshots):
         targets = TargetSet((Target.from_degrees(12, 1.0),))
-        with pytest.raises(ValueError, match="at least one snapshot"):
+        message = f"^n_snapshots must be at least 1, got {n_snapshots}$"
+        with pytest.raises(ValueError, match=message):
             synthesize(layout23, targets, n_snapshots, 10.0, 0)
 
     @pytest.mark.parametrize("snr_db", [-3100.0, -1e6, np.float64(-3100.0)])

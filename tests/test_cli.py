@@ -198,11 +198,11 @@ def test_parse_snr_list_rejects(text):
     "argv, message",
     [
         ([], "provide --freq-ghz and/or --d-mm$"),
-        (["--freq-ghz", "0"], "freq_ghz must be positive"),
-        (["--freq-ghz", "-30"], "freq_ghz must be positive"),
-        (["--freq-ghz", "nan"], "freq_ghz must be positive"),
-        (["--d-mm", "0"], "spacing and wavelength must be finite and positive"),
-        (["--d-mm", "-2.5"], "spacing and wavelength must be finite and positive"),
+        (["--freq-ghz", "0"], "freq_ghz must be finite and positive, got 0.0$"),
+        (["--freq-ghz", "-30"], "freq_ghz must be finite and positive, got -30.0$"),
+        (["--freq-ghz", "nan"], "freq_ghz must be finite and positive, got nan$"),
+        (["--d-mm", "0"], "d_mm must be finite and positive, got 0.0$"),
+        (["--d-mm", "-2.5"], "d_mm must be finite and positive, got -2.5$"),
         (["--m", "4", "--n", "6", "--freq-ghz", "30"], "m=4 and n=6 are not coprime"),
     ],
 )
@@ -309,11 +309,11 @@ def test_spectrum_computes_one_ls_covariance(tmp_path, scenario_file, monkeypatc
     "key, value, message",
     [
         ("T", 0, "T must be at least 1"),
-        ("d_mm", -2.5, "spacing and wavelength must be finite and positive"),
-        ("d_mm", float("inf"), "spacing and wavelength must be finite and positive"),
-        ("freq_ghz", 0, "freq_ghz must be positive"),
-        ("seed", -1, "seed must be non-negative"),
-        ("range_m", float("nan"), "range must be finite and positive"),
+        ("d_mm", -2.5, "d_mm must be finite and positive, got -2.5$"),
+        ("d_mm", float("inf"), "d_mm must be finite and positive, got inf$"),
+        ("freq_ghz", 0, "freq_ghz must be finite and positive, got 0$"),
+        ("seed", -1, "seed must be at least 0, got -1$"),
+        ("range_m", float("nan"), "range_m must be finite and positive, got nan$"),
         ("T", 50.7, "T must be an integer, got 50.7"),
         ("T", True, "T must be an integer, got True"),
         ("seed", 1.9, "seed must be an integer, got 1.9"),

@@ -1,7 +1,8 @@
-"""Geometry: layouts, coarrays, target-capacity arithmetic, and the one
-integer rule and one number rule that every config applies to its fields."""
+"""Geometry: layouts, coarrays, target-capacity arithmetic, and the integer,
+number and finite-and-positive rules that every config applies to its fields."""
 import dataclasses
 import fractions
+import functools
 import math
 
 import numpy as np
@@ -10,14 +11,20 @@ import pytest
 from canf import (
     CoprimeParams,
     MusicConfig,
+    PseudoSpectrum,
+    Scenario,
     SensorLayout,
+    SpectrumGrid,
     Target,
     TargetSet,
+    associate,
     build_coprime_layout,
     build_dense_layout,
     build_subarrays,
+    detect_peaks,
     difference_coarray,
     max_targets,
+    synthesize_sweep,
 )
 from canf.bench import MonteCarloConfig
 from canf.geometry import _integer, _real
@@ -251,6 +258,61 @@ def _sweep(**kwargs):
     return MonteCarloConfig(**fields)
 
 
+def _loaded(key, value):
+    """The default scenario read from its dict with one key changed."""
+    data = default_benchmark_scenario().to_dict()
+    (data["targets"][0] if key == "range_m" else data)[key] = value
+    return Scenario.from_dict(data)
+
+
+LAYOUT23 = build_coprime_layout(CoprimeParams(2, 3, LAM / 4.0, LAM))
+ONE_TARGET = TargetSet((Target.from_degrees(12, 1.0),))
+# Every scalar boundary: the name it rejects by, the least integer it takes
+# (None for a finite and positive number), and a call that applies it.
+BOUNDARIES = [
+    ("angle_step_deg", None, lambda v: MusicConfig(angle_step_deg=v)),
+    ("range_step_m", None, lambda v: MusicConfig(range_step_m=v)),
+    ("angle_step_deg", None, lambda v: SpectrumGrid.for_layout(LAYOUT23, v, 0.1)),
+    ("range_step_m", None, lambda v: SpectrumGrid.for_layout(LAYOUT23, 1.0, v)),
+    ("r", None, lambda v: Target(0.1, v)),
+    ("d", None, lambda v: CoprimeParams(9, 11, v, LAM)),
+    ("wavelength", None, lambda v: CoprimeParams(9, 11, 2.5e-3, v)),
+    ("d", None, lambda v: build_dense_layout(3, v, LAM)),
+    ("wavelength", None, lambda v: build_dense_layout(3, 2.5e-3, v)),
+    ("range_scale", None, lambda v: associate([0.0], None, [0.0], None, v)),
+    ("d_mm", None, lambda v: _loaded("d_mm", v)),
+    ("freq_ghz", None, lambda v: _loaded("freq_ghz", v)),
+    ("range_m", None, lambda v: _loaded("range_m", v)),
+    ("m", 1, lambda v: CoprimeParams(v, 11, 2.5e-3, LAM)),
+    ("n", 1, lambda v: max_targets(9, v)),
+    ("n_snapshots", 1, lambda v: synthesize_sweep(LAYOUT23, ONE_TARGET, v, (10.0,), 0)),
+    ("seed", 0, lambda v: synthesize_sweep(LAYOUT23, ONE_TARGET, 8, (10.0,), v)),
+    ("T", 1, lambda v: _scenario(n_snapshots=v)),
+    ("seed", 0, lambda v: _scenario(seed=v)),
+    ("q_trials", 1, lambda v: _sweep(q_trials=v)),
+    ("base_seed", 0, lambda v: _sweep(base_seed=v)),
+    ("k_targets", 1, lambda v: MusicConfig(k_targets=v)),
+    ("max_count", 0, lambda v: detect_peaks(PseudoSpectrum(np.arange(3.0), np.ones(3)), v)),
+]
+
+
+def _boundary_message(name, least, value):
+    if least is None:
+        return f"{name} must be finite and positive, got {value!r}"
+    if math.isfinite(value):
+        return f"{name} must be at least {least}, got {value!r}"
+    return f"{name} must be an integer, got {value!r}"
+
+
+# 0, -1, NaN and inf at each boundary, but for a 0 that it takes.
+BOUNDARY_ROWS = [
+    (functools.partial(build, value), _boundary_message(name, least, value))
+    for name, least, build in BOUNDARIES
+    for value in (0, -1, math.nan, math.inf)
+    if (least, value) != (0, 0)
+]
+
+
 class TestNumberRules:
     @pytest.mark.parametrize(
         "build, message",
@@ -295,7 +357,8 @@ class TestNumberRules:
                 lambda: MusicConfig(k_targets=fractions.Fraction(10**400)),
                 "k_targets is too large for a float",
             ),
-        ],
+        ]
+        + BOUNDARY_ROWS,
     )
     def test_every_entry_point_rejects_by_the_shared_rules(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -7,9 +7,10 @@ the Toeplitz split of the coarray against the split of its smoothed matrix
 (its real matrix against ``Q^H T Q`` and, byte for byte, against its closed
 form, and its input checks),
 estimate-to-truth association (also against a brute-force oracle of its rule),
-the assignment solver against scipy's and its dual's bounds, and the row-wise
+the assignment solver against scipy's and its dual's bounds, the row-wise
 peak finder against one peak search per spectrum, on drawn rows and
-on the pipeline's own spectra."""
+on the pipeline's own spectra, and the scalar input rules against the
+hand-written checks they replaced."""
 import math
 from unittest import mock
 
@@ -35,6 +36,7 @@ from canf import (
 from canf import bench, music
 from canf.baselines import localize_subarray
 from canf.channel import steering_matrix
+from canf.geometry import _integer, _positive
 from canf.music import (
     CANCELLATION_FLOOR,
     MIN_ANGLE_SEPARATION_DEG,
@@ -715,3 +717,39 @@ def test_row_peaks_match_one_search_per_row_on_pipeline_spectra(scheme, snr_db):
             got = _as_peaks(index[mine], location[mine], height[mine], prominence[mine])
             expected = oracles.detect_peaks(PseudoSpectrum(spec_r.axis, row_values), None, True)
             assert _bits(got) == _bits(expected)
+
+
+# Every kind of scalar a config field or a file key may hold: floats with
+# their edges (NaN, +-inf, +-0.0, subnormals), ints past a float's range,
+# numpy scalars, bools and strings.
+scalars = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.0]),
+    st.integers(-(10**400), 10**400),
+    st.integers(-3, 3),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=3),
+)
+
+
+def _outcome(rule, *args):
+    """None for a rejected value, else the stored value with its type."""
+    try:
+        stored = rule(*args)
+    except ValueError:
+        return None
+    return type(stored), stored
+
+
+@settings(PROPERTY, max_examples=500)
+@given(value=scalars, least=st.sampled_from([0, 1]))
+def test_scalar_rules_accept_what_the_replaced_checks_accepted(value, least):
+    positive = _outcome(_positive, "x", value)
+    assert positive == _outcome(oracles.step_check_reference, value)
+    assert positive == _outcome(oracles.spacing_check_reference, value)
+    bounded = _outcome(_integer, "x", value, least)
+    assert bounded == _outcome(oracles.at_least_check_reference, value, least)
