@@ -120,7 +120,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         scenario = Scenario.load(args.scenario)
         config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
         snapshots = scenario.snapshots()
-        config.plan(snapshots, snapshots.layout)  # a grid too fine to scan fails first
         result = localize(snapshots, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

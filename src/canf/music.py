@@ -34,15 +34,17 @@ Both scans use the mirror symmetry of the symmetric array:
   the reference it is checked on.
 - In the range manifold ``exp(1j * (p + q))`` the linear phase ``p`` is odd
   and the Fresnel phase ``q`` even in the sensor position, so a mirror pair
-  shares one ``exp(1j * q)``.  The range stage folds the signal basis per
-  candidate angle onto the ``F`` distinct ``|g|`` (19 of the 37 sensors of
-  the (9, 11) array) and never builds the full manifold.  ``q`` grows as
-  ``g^2``, so along each arithmetic run ``|g| = s * m`` of the folded
-  sensors (``9 * (1..10)`` and ``11 * (1..8)`` for the (9, 11) array, one
-  run ``1 * m`` for a uniform array) ``exp(1j * q)`` is the discrete chirp
-  ``w^(m^2)`` of Bluestein's chirp-z transform (Rabiner, Schafer & Rader
-  1969).  The range stage fills it by two complex products per element, with
-  one exact cos/sin per run and range instead of one per folded sensor.
+  shares one ``exp(1j * q)``.  The range stage folds the signal basis by
+  index onto the ``F`` distinct ``|g|`` (19 of the 37 sensors of the (9,
+  11) array), adding each sensor's row, weighted by ``exp(1j * p)`` of a
+  candidate angle, into its fold, and never builds the full manifold.
+  ``q`` grows as ``g^2``, so along each arithmetic run ``|g| = s * m`` of
+  the folded sensors (``9 * (1..10)`` and ``11 * (1..8)`` for the (9, 11)
+  array, one run ``1 * m`` for a uniform array) ``exp(1j * q)`` is the
+  discrete chirp ``w^(m^2)`` of Bluestein's chirp-z transform (Rabiner,
+  Schafer & Rader 1969).  The range stage fills it by two complex products
+  per element, with one exact cos/sin per run and range instead of one per
+  folded sensor.
 
 Each scan measures the noise-subspace power of steering vectors of norm
 ``sqrt(W)`` by projecting them onto the signal subspace alone, as
@@ -50,8 +52,8 @@ Each scan measures the noise-subspace power of steering vectors of norm
 roundoff, so each stage recomputes its rows below
 :data:`CANCELLATION_FLOOR` as the norm of the residual ``a - U_s U_s^H
 a``: :func:`angle_spectrum` on its real rows, a mirrored row rebuilt from
-its upper-half twin, and :func:`range_spectrum` per candidate on the
-unfolded rows.  The noise basis is never read.
+its upper-half twin, and :func:`range_spectrum` on the near rows of all
+candidates, unfolded in one gather.  The noise basis is never read.
 
 Each phase finds its peaks in one pass of the row-wise peak finder
 (:func:`_row_peaks`): the angle stage on its one spectrum
@@ -728,33 +730,34 @@ def range_spectrum(
     ``exp(1j * (p + q))`` the range stage is derived on; snapshots
     synthesized with exact spherical wavefronts are scanned with that
     approximation's model error.  ``p`` is odd and ``q`` even in the sensor
-    position, so each basis is folded per angle onto the ``F`` distinct
-    ``|g|`` (a mirror pair's rows weighted by ``exp(+-1j * p)``), and only
-    the ``(C, R, F)`` factor ``exp(1j * q)`` is built.  It is filled as a
-    chirp along each arithmetic run of ``|g|`` (cached per layout grid), so
-    cos/sin are evaluated once per (candidate, range, run) and restart,
-    not once per folded sensor; the chirp is within 1e-13 of the direct
-    ``exp(1j * q)``.  The rows are projected onto the folded signal basis,
-    and this stage holds the range scan's cancellation guard (see the
-    module docstring), which unfolds each near row of a candidate.
+    position, so the basis is folded by index onto the ``F`` distinct
+    ``|g|``: per candidate angle, ``np.add.at`` adds each sensor's row
+    ``exp(1j * p_u) * conj(U_s[u])`` into its fold.  Only the ``(C, R,
+    F)`` factor ``exp(1j * q)`` is built.  It is filled as a chirp along
+    each arithmetic run of ``|g|`` (cached per layout grid), so cos/sin are
+    evaluated once per (candidate, range, run) and restart, not once per
+    folded sensor; the chirp is within 1e-13 of the direct ``exp(1j * q)``.
+    The rows are projected onto the folded signal basis, and this stage
+    holds the range scan's cancellation guard (see the module docstring),
+    which unfolds the near rows of all candidates in one gather, each
+    weighted by its own candidate's ``exp(1j * p)``.
     """
     grid = np.asarray(range_grid_m, dtype=float)
     theta = np.deg2rad(np.asarray(theta_deg, dtype=float))
     plan = _chirp_plan(layout.grid)
     # q scales as 1 / r: evaluate both terms at r = 1, then q per range.
     p, q_unit = fresnel_phase_terms(layout, theta[..., None], 1.0)
-    fold = np.zeros(theta.shape + (plan.first.size, layout.size), dtype=complex)
-    fold[..., plan.unfold, np.arange(layout.size)] = np.exp(1j * p)
-    manifold = _fresnel_chirp(plan, q_unit[..., plan.first], grid)
+    phase = np.exp(1j * p)
     signal = initial.eigvecs[:, : initial.rank]
-    proj = manifold @ (fold @ signal.conj())
+    folded = np.zeros(theta.shape + (plan.first.size, initial.rank), dtype=complex)
+    np.add.at(folded, (..., plan.unfold, slice(None)), phase[..., None] * signal.conj())
+    manifold = _fresnel_chirp(plan, q_unit[..., plan.first], grid)
+    proj = manifold @ folded
     denom = 1.0 - _row_power(proj) / layout.size
-    near = denom < CANCELLATION_FLOOR
-    for c in np.ndindex(near.shape[:-1]):
-        rows = near[c]
-        if rows.any():
-            a = manifold[c][rows] @ fold[c]
-            denom[c][rows] = _row_power(a - proj[c][rows] @ signal.T) / layout.size
+    # (candidate, range) of each near row; a scalar angle has no candidate axis.
+    near = np.nonzero(denom < CANCELLATION_FLOOR)
+    a = manifold[near][..., plan.unfold] * phase[near[:-1]]
+    denom[near] = _row_power(a - proj[near] @ signal.T) / layout.size
     return PseudoSpectrum(grid, 1.0 / np.maximum(denom, _DENOM_FLOOR))
 
 

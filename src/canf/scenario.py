@@ -83,11 +83,13 @@ class Scenario:
         """Load a scenario, rejecting data that is not an object, a missing
         key, ``targets`` that are not a list of objects, an ``M`` or ``N``
         that is not an integer, a ``theta_deg`` that is not a number, a
-        ``d_mm``, ``freq_ghz`` or ``range_m`` that is not finite and positive
-        (each by its key's name), or a value the constructors reject, and
-        warning when the targets exceed the decoupled capacity
-        ``max_targets(M, N)[0]``.  ``T``, ``snr_db``, ``seed`` and ``model``
-        are only mapped to the fields that check them."""
+        ``d_mm``, ``freq_ghz`` or ``range_m`` that is not finite and
+        positive, or a ``d_mm`` or ``freq_ghz`` that gives a spacing or
+        wavelength that is not (each by its key's name), or a value the
+        constructors reject, and warning when the targets exceed the
+        decoupled capacity ``max_targets(M, N)[0]``.  ``T``, ``snr_db``,
+        ``seed`` and ``model`` are only mapped to the fields that check
+        them."""
         if not isinstance(data, dict):
             raise ValueError(f"scenario must be an object, got {data!r}")
         _require(data, ("M", "N", "targets"), "scenario")
@@ -153,13 +155,18 @@ def _spacing_and_wavelength(d_mm, freq_ghz) -> tuple[float, float]:
     """Spacing and wavelength in meters, from finite and positive numbers
     (:func:`canf.geometry._positive`) or None: the wavelength from the
     carrier, else four spacings; the spacing from ``d_mm``, else a quarter
-    wavelength."""
-    d_mm = None if d_mm is None else _positive("d_mm", d_mm)
+    wavelength.  A spacing or wavelength that underflows to 0 or overflows
+    is rejected by the same rule, under the key it came from."""
+    if d_mm is not None:
+        mm = _positive("d_mm", d_mm)
+        d = _positive(f"the spacing from d_mm={d_mm!r}", mm * 1e-3)
     if freq_ghz is None:
-        wavelength = 4.0 * d_mm * 1e-3
+        wavelength = _positive(f"the wavelength from d_mm={d_mm!r}", 4.0 * mm * 1e-3)
     else:
-        wavelength = SPEED_OF_LIGHT / (_positive("freq_ghz", freq_ghz) * 1e9)
-    d = wavelength / 4.0 if d_mm is None else d_mm * 1e-3
+        hz = _positive("freq_ghz", freq_ghz) * 1e9
+        wavelength = _positive(f"the wavelength from freq_ghz={freq_ghz!r}", SPEED_OF_LIGHT / hz)
+    if d_mm is None:
+        d = wavelength / 4.0
     return d, wavelength
 
 

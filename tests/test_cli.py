@@ -203,6 +203,18 @@ def test_parse_snr_list_rejects(text):
         (["--freq-ghz", "nan"], "freq_ghz must be finite and positive, got nan$"),
         (["--d-mm", "0"], "d_mm must be finite and positive, got 0.0$"),
         (["--d-mm", "-2.5"], "d_mm must be finite and positive, got -2.5$"),
+        (
+            ["--freq-ghz", "1e300"],
+            "the wavelength from freq_ghz=1e\\+300 must be finite and positive, got 0.0$",
+        ),
+        (
+            ["--freq-ghz", "1e-320"],
+            "the wavelength from freq_ghz=1e-320 must be finite and positive, got inf$",
+        ),
+        (
+            ["--d-mm", "5e-324"],
+            "the spacing from d_mm=5e-324 must be finite and positive, got 0.0$",
+        ),
         (["--m", "4", "--n", "6", "--freq-ghz", "30"], "m=4 and n=6 are not coprime"),
     ],
 )
@@ -254,11 +266,12 @@ def test_spectrum_rejects_a_grid_too_large_to_scan_before_any_scan(
     tmp_path, scenario_file, monkeypatch, steps, name
 ):
     # Each axis passes the per-axis cap, but its scan of the 4 targets would
-    # hold over a billion bytes.
-    def no_scan(*args, **kwargs):
-        raise AssertionError("localize ran")
+    # hold over a billion bytes.  localize plans the grid before its first stage.
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
 
-    monkeypatch.setattr("canf.cli.localize", no_scan)
+    for stage in ("build_bundle", "angle_spectrum", "range_spectrum"):
+        monkeypatch.setattr(f"canf.music.{stage}", no_stage)
     out = ["--out-dir", str(tmp_path / "out")]
     with pytest.raises(SystemExit, match=f"^spectrum: the .* scan of 4 targets .* raise {name}$"):
         main(["spectrum", "--scenario", str(scenario_file), *out, *steps])

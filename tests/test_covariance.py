@@ -122,22 +122,27 @@ class TestGram:
             assert np.max(np.abs(gram - expected)) <= 1e-14 * np.max(np.abs(expected))
             np.testing.assert_array_equal(gram, gram.conj().T)
 
-    @pytest.mark.parametrize("n_snapshots", [1024, 1280, 20_000])
-    def test_blocks_are_summed_in_order_bitwise(self, layout911, n_snapshots):
-        # 2, 2.5 and about 39 blocks: the helper thread makes the second
-        # half's products, and the sum must still be one loop's, in order.
+    @pytest.mark.parametrize("estimate", [covariance_ls, covariance_sample])
+    @pytest.mark.parametrize("n_snapshots", [1024, 1280, 1536, 1537, 2048, 20_000])
+    def test_blocks_are_summed_in_order_bitwise(self, layout911, n_snapshots, estimate):
+        # 2, 2.5 and 3 blocks run on the caller alone; from 4 blocks on
+        # (1537, 2048 and about 39) the helper thread makes the second
+        # half's products.  Either way the sum must be one loop's, in order.
         t = TargetSet((Target.from_degrees(5, 10), Target.from_degrees(-25, 20)))
         snaps = synthesize(layout911, t, n_snapshots, 10.0, 3)
-        weight = 1.0 / np.sqrt(np.sum(np.abs(snaps.x) ** 2, axis=0))
-        for w in (None, weight):
-            np.testing.assert_array_equal(
-                covariance._gram(snaps.y, w),
-                oracles.gram_blocks_in_order(snaps.y, w, covariance._GRAM_BLOCK),
-            )
+        weight = None
+        if estimate is covariance_ls:
+            weight = 1.0 / np.sqrt(np.einsum("kt,kt->t", snaps.x.conj(), snaps.x).real)
+        np.testing.assert_array_equal(
+            estimate(snaps), oracles.gram_blocks_in_order(snaps.y, weight, covariance._GRAM_BLOCK)
+        )
 
-    @pytest.mark.parametrize("n_snapshots, helpers", [(100, 0), (512, 0), (513, 1), (20_000, 1)])
-    def test_a_helper_starts_only_past_one_block(
-        self, layout911, monkeypatch, n_snapshots, helpers
+    @pytest.mark.parametrize("estimate", [covariance_ls, covariance_sample])
+    @pytest.mark.parametrize(
+        "n_snapshots, helpers", [(100, 0), (512, 0), (1536, 0), (1537, 1), (2048, 1), (20_000, 1)]
+    )
+    def test_a_helper_starts_only_from_four_blocks(
+        self, layout911, monkeypatch, n_snapshots, helpers, estimate
     ):
         made = []
 
@@ -147,7 +152,7 @@ class TestGram:
 
         monkeypatch.setattr(covariance, "worker", counted)
         t = TargetSet((Target.from_degrees(5, 10),))
-        covariance_ls(synthesize(layout911, t, n_snapshots, 10.0, 3))
+        estimate(synthesize(layout911, t, n_snapshots, 10.0, 3))
         assert made == [bool(helpers)]
 
     @pytest.mark.filterwarnings("error")

@@ -1,9 +1,9 @@
 """Property checks on generated inputs: coarray vectorization against its loop
 oracle, the angle scan of a coarray split and of a real form, and the range
-scan at one angle and folded over several, against a noise-basis oracle on
-the complex manifolds, the real form of a
-centro-Hermitian matrix, range-free decoupling, spatial smoothing output,
-the Toeplitz split of the coarray against the split of its smoothed matrix
+scan at one angle, folded over several and guarded on the near rows of
+several, against a noise-basis oracle on the complex manifolds, the real
+form of a centro-Hermitian matrix, range-free decoupling, spatial smoothing
+output, the Toeplitz split of the coarray against the split of its smoothed matrix
 (its real matrix against ``Q^H T Q`` and, byte for byte, against its closed
 form, and its input checks),
 estimate-to-truth association (also against a brute-force oracle of its rule),
@@ -162,6 +162,34 @@ def test_range_scan_at_one_angle_matches_noise_basis_reference(layout, seed, dat
     if sigma2 == 0.0 and nudge == 0.0 and rank >= k:
         assert np.any(values < CANCELLATION_FLOOR)
     np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-20)
+
+
+@PROPERTY
+@given(
+    layout=st.one_of(free_layouts.filter(lambda lay: lay.size > 2), coprime_layouts),
+    seed=seeds,
+    data=st.data(),
+)
+def test_range_scan_guard_unfolds_the_near_rows_of_every_candidate(layout, seed, data):
+    # Noise-free sources on the range grid at the first k >= 2 of the
+    # candidate angles put rows of each of those candidates in the signal
+    # span.  The guard recomputes all of them in one gather, and each row
+    # must be unfolded with its own candidate's linear phase.
+    u = layout.size
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.05, 1.0, 12)
+    thetas = rng.uniform(-70.0, 70.0, data.draw(st.integers(2, 4), label="candidates"))
+    k = data.draw(st.integers(2, min(thetas.size, u - 1)), label="sources")
+    rank = data.draw(st.integers(k, u - 1), label="rank")
+    columns = [
+        oracles.range_steering_matrix(layout, theta, [rng.choice(grid)])[0] for theta in thetas[:k]
+    ]
+    sub = Subspace.split(_sources_matrix(np.array(columns).T, rng, 0.0), rank)
+    manifold = oracles.range_steering_matrix(layout, thetas, grid).reshape(-1, u)
+    expected = oracles.noise_power_reference(sub.eigvecs[:, rank:], manifold)
+    values = 1.0 / range_spectrum(sub, layout, thetas, grid).values
+    assert np.all(np.any(values[:k] < CANCELLATION_FLOOR, axis=1))
+    np.testing.assert_allclose(values.ravel(), expected, rtol=1e-9, atol=1e-20)
 
 
 def _centro_hermitian(rng, w):

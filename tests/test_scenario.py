@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -68,6 +69,26 @@ def test_an_integer_too_large_for_a_float_rejected_at_load(key):
     data = default_benchmark_scenario().to_dict()
     (data["targets"][0] if key in ("theta_deg", "range_m") else data)[key] = 10**400
     with pytest.raises(ValueError, match=f"^{key} is too large for a float$"):
+        Scenario.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key, value, derived, got",
+    [
+        ("freq_ghz", 1e300, "wavelength", 0.0),
+        ("freq_ghz", 1e-320, "wavelength", math.inf),
+        ("d_mm", 5e-324, "spacing", 0.0),
+    ],
+)
+def test_a_spacing_or_wavelength_out_of_float_range_names_its_key(key, value, derived, got):
+    # Each value is finite and positive, but the spacing or wavelength it
+    # gives underflows to 0 or overflows; the message used to name the
+    # derived d or wavelength, which the file does not have.
+    message = f"the {derived} from {key}={value!r} must be finite and positive, got {got!r}"
+    data = default_benchmark_scenario().to_dict()
+    del data["d_mm" if key == "freq_ghz" else "freq_ghz"]
+    data[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Scenario.from_dict(data)
 
 
