@@ -11,11 +11,10 @@ place of its smoothed square (:func:`spatial_smooth`, which no stage calls;
 the tests compare against it).
 
 Both initial estimates are one Gram product summed over blocks of
-snapshots (:func:`_gram`).  From :data:`_HELPER_BLOCKS` blocks on, a
-helper thread makes the products of the second half of the blocks while
-the caller makes the first half; fewer blocks run faster on the caller
-alone.  The caller adds every product in block order, so the estimate is
-bitwise the one-thread sum.  The helper lives for one call, never in a
+snapshots (:func:`_gram`).  Past one block, a helper thread makes the
+products of the second half of the blocks while the caller makes the
+first half; the caller adds every product in block order, so the estimate
+is bitwise the one-thread sum.  The helper lives for one call, never in a
 pool, so a process that forks workers has no pool thread to lose.
 """
 from __future__ import annotations
@@ -67,7 +66,6 @@ def covariance_sample(snapshots: SnapshotSet) -> np.ndarray:
 
 
 _GRAM_BLOCK = 512  # snapshots per Gram product: fastest of 256 .. 2048 at T = 20000
-_HELPER_BLOCKS = 4  # least block count whose Gram a helper thread speeds up
 
 
 def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
@@ -81,21 +79,16 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     one by multiplying with its reciprocal, so ``y * weight`` is bitwise
     ``y / sqrt(x^H x)`` at half the cost.
 
-    One task (:func:`canf._helper.worker`) makes and returns the products
-    of the second half of the blocks, ``len(blocks) // 2`` on, while the
-    caller makes and sums the first half.  From :data:`_HELPER_BLOCKS`
-    blocks (``T > 1536``) on, the task runs on a helper thread, and as BLAS
-    runs without the GIL the halves run on two cores; with fewer blocks it
-    runs on the caller, since starting the thread costs about what it
-    saves.  With one BLAS thread on a 2-core host, the helper made this
-    function take 1.12-1.20 times as long at T = 1536 (3 blocks; faster in
-    0 of 15 interleaved rounds) and 0.92-0.96 times at T = 2048 (faster in
-    12-15 of 15).  The caller then adds the task's products one by one in
-    block order: a float sum depends on its order, and this is the order of
-    one loop that adds each block's product to the sum of the blocks before
-    it, so the result is bitwise that loop's whichever thread made a
-    product.  With ``T <= _GRAM_BLOCK`` there is one block, and the result
-    is bitwise the single product ``c @ c.conj().T``.
+    With two or more blocks, one task on a helper thread
+    (:func:`canf._helper.worker`) makes and returns the products of the
+    second half of the blocks, ``len(blocks) // 2`` on, while the caller
+    makes and sums the first half; BLAS runs without the GIL, so the halves
+    run on two cores.  The caller then adds the task's products one by one
+    in block order: a float sum depends on its order, and this is the order
+    of one loop that adds each block's product to the sum of the blocks
+    before it, so the result is bitwise that loop's whichever thread made a
+    product.  With ``T <= _GRAM_BLOCK`` there is one block, no helper, and
+    the result is bitwise the single product ``c @ c.conj().T``.
 
     A non-finite entry of ``c`` makes its row's diagonal entry
     ``sum |c|^2`` non-finite, so the U-entry diagonal stands in for an
@@ -107,7 +100,6 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
     n = y.shape[1]
     starts = range(0, n, _GRAM_BLOCK)
     split = max(len(starts) // 2, 1)  # the caller makes the blocks before it
-    threaded = len(starts) >= _HELPER_BLOCKS
 
     def block_gram(start: int) -> np.ndarray:
         c = y[:, start : start + _GRAM_BLOCK]
@@ -115,7 +107,7 @@ def _gram(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
             c = c * weight[start : start + _GRAM_BLOCK]
         return c @ c.conj().T
 
-    with np.errstate(invalid="ignore", over="ignore"), worker(threaded) as helper:
+    with np.errstate(invalid="ignore", over="ignore"), worker(split < len(starts)) as helper:
         later = helper.submit(list, map(block_gram, starts[split:]))
         gram = block_gram(0)
         for start in starts[1:split]:
