@@ -1,6 +1,10 @@
 """Command-line interface: geometry inspection, snapshot simulation,
 spectrum dumps and Monte Carlo sweeps.
 
+:func:`main` is the one usage-error boundary: a ``ValueError`` or
+``OSError`` that a command raises, on a bad input or an output it cannot
+write, ends as one ``<command>: <message>`` line, not a traceback.
+
 All outputs are deterministic for a fixed seed: repeated invocations write
 byte-identical files.
 """
@@ -12,7 +16,6 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation, Overflow
 from pathlib import Path
 
@@ -26,16 +29,6 @@ from .scenario import Scenario, _spacing_and_wavelength
 __all__ = ["main"]
 
 MAX_SNR_POINTS = 1000  # most SNR values a start:step:stop range may expand to
-
-
-@contextmanager
-def _usage_errors(command: str):
-    """Report a ValueError raised while checking inputs or localizing on
-    them, or an OSError raised while reading them, as a usage error."""
-    try:
-        yield
-    except (ValueError, OSError) as exc:
-        raise SystemExit(f"{command}: {exc}") from None
 
 
 def _geometry_summary(params: CoprimeParams) -> dict:
@@ -67,11 +60,8 @@ def _geometry_summary(params: CoprimeParams) -> dict:
 
 
 def _cmd_geometry(args: argparse.Namespace) -> int:
-    if args.freq_ghz is None and args.d_mm is None:
-        raise SystemExit("geometry: provide --freq-ghz and/or --d-mm")
-    with _usage_errors("geometry"):
-        d, wavelength = _spacing_and_wavelength(args.d_mm, args.freq_ghz)
-        info = _geometry_summary(CoprimeParams(args.m, args.n, d, wavelength))
+    d, wavelength = _spacing_and_wavelength(args.d_mm, args.freq_ghz)
+    info = _geometry_summary(CoprimeParams(args.m, args.n, d, wavelength))
     if args.format == "json":
         print(json.dumps(info, indent=2, sort_keys=True))
     else:
@@ -84,9 +74,7 @@ def _cmd_geometry(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    with _usage_errors("simulate"):
-        scenario = Scenario.load(args.scenario)
-    snaps = scenario.snapshots()
+    snaps = Scenario.load(args.scenario).snapshots()
     out = Path(args.out)
     if args.format == "npz":
         with open(out, "wb") as fh:  # given a path, np.savez may append ".npz"
@@ -116,11 +104,9 @@ def _write_spectrum_csv(path: Path, header: str, axis, values_db) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    with _usage_errors("spectrum"):
-        scenario = Scenario.load(args.scenario)
-        config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
-        snapshots = scenario.snapshots()
-        result = localize(snapshots, config)
+    scenario = Scenario.load(args.scenario)
+    config = MusicConfig(angle_step_deg=args.angle_step, range_step_m=args.range_step)
+    result = localize(scenario.snapshots(), config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -151,37 +137,36 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     try:
         parts = [Decimal(p) for p in text.split(":" if ":" in text else ",")]
     except InvalidOperation:
-        raise SystemExit(f"snr list {text!r} holds a value that is not a number") from None
+        raise ValueError(f"snr list {text!r} holds a value that is not a number") from None
     if ":" not in text:
         values = [float(p) for p in parts]
     else:
         if len(parts) != 3 or not all(p.is_finite() for p in parts):
-            raise SystemExit("snr range must be start:step:stop with finite numbers")
+            raise ValueError("snr range must be start:step:stop with finite numbers")
         start, step, stop = parts
         if not (step > 0 and stop >= start):
-            raise SystemExit("snr range needs a positive step and stop >= start")
+            raise ValueError("snr range needs a positive step and stop >= start")
         try:
             count = int((stop - start) / step) + 1
         except Overflow:  # more points than Decimal can count
             count = MAX_SNR_POINTS + 1
         if count > MAX_SNR_POINTS:
-            raise SystemExit(f"snr range {text!r} holds more than {MAX_SNR_POINTS} points")
+            raise ValueError(f"snr range {text!r} holds more than {MAX_SNR_POINTS} points")
         values = [float(start + i * step) for i in range(count)]
     if not all(math.isfinite(v) for v in values):
-        raise SystemExit(f"snr list {text!r} holds a value that is not a finite float")
+        raise ValueError(f"snr list {text!r} holds a value that is not a finite float")
     return tuple(values)
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    with _usage_errors("montecarlo"):
-        scenario = Scenario.load(args.scenario)
-        config = MonteCarloConfig(
-            scenario=scenario,
-            snr_db_list=_parse_snr_list(args.snr),
-            q_trials=args.q,
-            methods=tuple(m.strip() for m in args.methods.split(",")),
-            base_seed=args.seed if args.seed is not None else scenario.seed,
-        )
+    scenario = Scenario.load(args.scenario)
+    config = MonteCarloConfig(
+        scenario=scenario,
+        snr_db_list=_parse_snr_list(args.snr),
+        q_trials=args.q,
+        methods=tuple(m.strip() for m in args.methods.split(",")),
+        base_seed=args.seed if args.seed is not None else scenario.seed,
+    )
     report = run_monte_carlo(config)
     report.write_csv(args.out)
     if args.raw is not None:
@@ -264,6 +249,8 @@ def main(argv=None) -> int:
         # on, and exit without a traceback (the Python docs' SIGPIPE recipe).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (ValueError, OSError) as exc:  # a bad input, or an output it cannot write
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -82,9 +82,9 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         """Load a scenario, rejecting data that is not an object, a missing
         key, ``targets`` that are not a list of objects, an ``M`` or ``N``
-        that is not an integer, a ``theta_deg`` that is not a number, a
-        ``d_mm``, ``freq_ghz`` or ``range_m`` that is not finite and
-        positive, or a ``d_mm`` or ``freq_ghz`` that gives a spacing or
+        that is not an integer of at least 1, a ``theta_deg`` that is not a
+        number, a ``d_mm``, ``freq_ghz`` or ``range_m`` that is not finite
+        and positive, or a ``d_mm`` or ``freq_ghz`` that gives a spacing or
         wavelength that is not (each by its key's name), or a value the
         constructors reject, and warning when the targets exceed the
         decoupled capacity ``max_targets(M, N)[0]``.  ``T``, ``snr_db``,
@@ -98,17 +98,15 @@ class Scenario:
             raise ValueError(f"targets must be a list of objects, got {entries!r}")
         for i, t in enumerate(entries):
             _require(t, ("theta_deg", "range_m"), f"scenario target {i}")
-        d_mm, freq_ghz = data.get("d_mm"), data.get("freq_ghz")
-        if d_mm is None and freq_ghz is None:
-            raise ValueError("scenario needs d_mm and/or freq_ghz")
-        d, wavelength = _spacing_and_wavelength(d_mm, freq_ghz)
+        d, wavelength = _spacing_and_wavelength(data.get("d_mm"), data.get("freq_ghz"))
         targets = TargetSet(
             tuple(
                 Target.from_degrees(t["theta_deg"], _positive("range_m", t["range_m"]))
                 for t in entries
             )
         )
-        params = CoprimeParams(_integer("M", data["M"]), _integer("N", data["N"]), d, wavelength)
+        m, n = _integer("M", data["M"], least=1), _integer("N", data["N"], least=1)
+        params = CoprimeParams(m, n, d, wavelength)
         k_max = max_targets(params.m, params.n)[0]
         if len(targets) > k_max:
             msg = (
@@ -153,10 +151,12 @@ class Scenario:
 
 def _spacing_and_wavelength(d_mm, freq_ghz) -> tuple[float, float]:
     """Spacing and wavelength in meters, from finite and positive numbers
-    (:func:`canf.geometry._positive`) or None: the wavelength from the
-    carrier, else four spacings; the spacing from ``d_mm``, else a quarter
-    wavelength.  A spacing or wavelength that underflows to 0 or overflows
-    is rejected by the same rule, under the key it came from."""
+    (:func:`canf.geometry._positive`) or None, not both None: the wavelength
+    from the carrier, else four spacings; the spacing from ``d_mm``, else a
+    quarter wavelength.  A spacing or wavelength that underflows to 0 or
+    overflows is rejected by the same rule, under the key it came from."""
+    if d_mm is None and freq_ghz is None:
+        raise ValueError("give d_mm and/or freq_ghz")
     if d_mm is not None:
         mm = _positive("d_mm", d_mm)
         d = _positive(f"the spacing from d_mm={d_mm!r}", mm * 1e-3)

@@ -190,14 +190,14 @@ def test_parse_snr_list(text, expected):
      "0:1e-30:1", "0:1e-999999:1e999999", f"1:1:{MAX_SNR_POINTS + 1}"],
 )
 def test_parse_snr_list_rejects(text):
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="^snr (list|range) "):
         _parse_snr_list(text)
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ([], "provide --freq-ghz and/or --d-mm$"),
+        ([], "give d_mm and/or freq_ghz$"),
         (["--freq-ghz", "0"], "freq_ghz must be finite and positive, got 0.0$"),
         (["--freq-ghz", "-30"], "freq_ghz must be finite and positive, got -30.0$"),
         (["--freq-ghz", "nan"], "freq_ghz must be finite and positive, got nan$"),
@@ -216,12 +216,22 @@ def test_parse_snr_list_rejects(text):
             "the spacing from d_mm=5e-324 must be finite and positive, got 0.0$",
         ),
         (["--m", "4", "--n", "6", "--freq-ghz", "30"], "m=4 and n=6 are not coprime"),
+        (
+            ["--d-mm", "1e308"],
+            "the wavelength from d_mm=1e\\+308 must be finite and positive, got inf$",
+        ),
     ],
 )
 def test_bad_geometry_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit, match=f"^geometry: {message}"):
         main(["geometry", "--m", "9", "--n", "11"] + argv)
     assert capsys.readouterr().out == ""
+
+
+def test_geometry_from_the_spacing_alone_takes_four_spacings_per_wavelength(capsys):
+    assert main(["geometry", "--m", "9", "--n", "11", "--d-mm", "2.5"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert (info["d_mm"], info["wavelength_mm"]) == (2.5, 10.0)
 
 
 @pytest.mark.parametrize(
@@ -249,6 +259,7 @@ def test_bad_geometry_is_a_usage_error(capsys, argv, message):
             ["montecarlo", "--snr", "10", "--out", "{tmp}/rmse.csv", "--methods", "dense,dense"],
             "repeats a method",
         ),
+        (["montecarlo", "--snr", "ten", "--out", "{tmp}/rmse.csv"], "snr list 'ten' holds"),
     ],
 )
 def test_bad_config_is_a_usage_error(tmp_path, scenario_file, argv, message):
@@ -288,8 +299,27 @@ def _scenario_argv(command, scenario, tmp_path):
 def test_bad_scenario_is_a_usage_error(tmp_path, command):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"M": 9, "N": 11, "targets": []}), encoding="utf-8")
-    with pytest.raises(SystemExit, match=f"^{command}: scenario needs d_mm"):
+    with pytest.raises(SystemExit, match=f"^{command}: give d_mm and/or freq_ghz$"):
         main(_scenario_argv(command, scenario, tmp_path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--out", "{tmp}/absent/snaps.csv"],
+        ["spectrum", "--out-dir", "{tmp}/scenario.json"],
+        ["montecarlo", "--out", "{tmp}/absent/rmse.csv"],
+        ["montecarlo", "--out", "{tmp}/rmse.csv", "--raw", "{tmp}/absent/raw.jsonl"],
+    ],
+    ids=["simulate-out", "spectrum-out-dir", "montecarlo-out", "montecarlo-raw"],
+)
+def test_an_unwritable_output_is_a_usage_error(tmp_path, scenario_file, argv):
+    # A missing parent directory, or an --out-dir that is a file.
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--scenario", str(scenario_file)]
+    if argv[0] == "montecarlo":
+        argv += ["--snr", "10", "--q", "1", "--methods", "farfield"]
+    with pytest.raises(SystemExit, match=f"^{argv[0]}: .*(No such file|File exists)"):
+        main(argv)
 
 
 def test_spectrum_reports_a_covariance_overflow_as_a_usage_error(tmp_path):
@@ -339,6 +369,8 @@ def test_spectrum_computes_one_ls_covariance(tmp_path, scenario_file, monkeypatc
         ("range_m", None, "range_m must be a number, got None"),
         ("targets", None, "targets must be a list of objects, got None"),
         ("targets", [5], "targets must be a list of objects"),
+        ("M", 0, "M must be at least 1, got 0$"),
+        ("N", -3, "N must be at least 1, got -3$"),
     ],
 )
 def test_bad_scenario_value_is_a_usage_error(tmp_path, command, key, value, message):

@@ -293,6 +293,8 @@ BOUNDARIES = [
     ("base_seed", 0, lambda v: _sweep(base_seed=v)),
     ("k_targets", 1, lambda v: MusicConfig(k_targets=v)),
     ("max_count", 0, lambda v: detect_peaks(PseudoSpectrum(np.arange(3.0), np.ones(3)), v)),
+    ("M", 1, lambda v: _loaded("M", v)),
+    ("N", 1, lambda v: _loaded("N", v)),
 ]
 
 

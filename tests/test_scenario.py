@@ -78,6 +78,8 @@ def test_an_integer_too_large_for_a_float_rejected_at_load(key):
         ("freq_ghz", 1e300, "wavelength", 0.0),
         ("freq_ghz", 1e-320, "wavelength", math.inf),
         ("d_mm", 5e-324, "spacing", 0.0),
+        # 4.0 * d_mm overflows before it is scaled to meters.
+        ("d_mm", 1e308, "wavelength", math.inf),
     ],
 )
 def test_a_spacing_or_wavelength_out_of_float_range_names_its_key(key, value, derived, got):
@@ -90,6 +92,32 @@ def test_a_spacing_or_wavelength_out_of_float_range_names_its_key(key, value, de
     data[key] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Scenario.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "d_mm",
+    [
+        2.5,
+        pytest.param(
+            3.7,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="to_dict writes d * 1e3 and c / wavelength / 1e9, and reading them"
+                " back rounds again: a wavelength of 0.0148 reloads as 0.014799999999999999",
+            ),
+        ),
+    ],
+)
+def test_a_spacing_alone_gives_four_spacings_per_wavelength(tmp_path, d_mm):
+    data = default_benchmark_scenario().to_dict()
+    del data["freq_ghz"]
+    data["d_mm"] = d_mm
+    scenario = Scenario.from_dict(data)
+    assert scenario.params.d == d_mm * 1e-3
+    assert scenario.params.wavelength == 4 * scenario.params.d
+    path = tmp_path / "scenario.json"
+    scenario.save(path)
+    assert Scenario.load(path) == scenario
 
 
 def test_missing_target_key_rejected_at_load():
