@@ -3,7 +3,7 @@
 Dense near-field is the primary pipeline on a dense uniform layout.
 Far-field virtual-array is the sample covariance on the coarray with no
 decoupling, one :meth:`canf.music.Subspace.split_coarray` of its coarray
-vector, a ``position_scale=1`` angle scan and peak detection, with no range
+vector, an angle scan at the sensor spacing and peak detection, with no range
 stage.  Subarray near-field is :func:`canf.music.two_phase` on the two
 uniform subarrays, fusing their angle and range scans pairwise.  All three
 consume the same snapshot sets and grids as the primary method, so swapping
@@ -92,7 +92,7 @@ def localize_farfield_virtual(
     k, grid = config.plan(snapshots, layout)
     r_tilde = vectorize_to_coarray(covariance_sample(snapshots), layout)
     virtual = Subspace.split_coarray(r_tilde, min(k, (r_tilde.size - 1) // 2))
-    spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid.angle_deg, position_scale=1.0)
+    spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid.angle_deg)
     peaks = detect_peaks(spec, k)
     return AngleOnlyResult(tuple(peaks), spec, virtual.eigvals, virtual.rank)
 

@@ -31,8 +31,7 @@ import logging
 import math
 import traceback
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, TextIO
 
 import numpy as np
 
@@ -67,8 +66,6 @@ class Matching:
     """One-to-one assignment between estimates and ground truth."""
 
     pairs: tuple[tuple[int, int], ...]
-    unmatched_estimates: tuple[int, ...]
-    unmatched_truths: tuple[int, ...]
 
 
 TIE_RTOL = 1e-9  # assignment costs this close, relative to the largest pair cost, tie
@@ -110,7 +107,7 @@ def associate(
         est_r = _finite_vector("est_range_m", est_range_m, n_e)
         true_r = _finite_vector("true_range_m", true_range_m, n_t)
     if n_e == 0 or n_t == 0:
-        return Matching((), tuple(range(n_e)), tuple(range(n_t)))
+        return Matching(())
     with np.errstate(over="ignore"):
         terms = [np.abs(est_theta[:, None] - true_theta[None, :])]
         if est_range_m is not None:
@@ -124,14 +121,7 @@ def associate(
         totals = [sum(squared[i][j] for i, j in pairs) for pairs in tied]
         limit = min(totals) + TIE_RTOL * max(1.0, max(map(max, squared)))
         tied = [pairs for pairs, total in zip(tied, totals) if total <= limit]
-    pairs = min(tied)
-    matched_e = {i for i, _ in pairs}
-    matched_t = {j for _, j in pairs}
-    return Matching(
-        pairs,
-        tuple(i for i in range(n_e) if i not in matched_e),
-        tuple(j for j in range(n_t) if j not in matched_t),
-    )
+    return Matching(min(tied))
 
 
 def _finite_vector(name: str, values, size: int | None = None) -> np.ndarray:
@@ -526,25 +516,17 @@ class RmseReport:
     rows: list[RmseRow] = field(default_factory=list)
     records: list[TrialRecord] = field(default_factory=list)
 
-    @property
-    def n_failed(self) -> int:
-        return sum(rec.failed for rec in self.records)
-
-    def row(self, method: str, snr_db: float) -> RmseRow:
-        for r in self.rows:
-            if r.method == method and r.snr_db == snr_db:
-                return r
-        raise KeyError((method, snr_db))
-
-    def write_csv(self, path: str | Path) -> None:
+    def write_csv(self, fh: TextIO) -> None:
+        """One CSV line per row, after the header, to an open text file."""
         names = [f.name for f in fields(RmseRow)]
-        rows = (",".join(_fmt(getattr(r, name)) for name in names) for r in self.rows)
-        _write_lines(path, ",".join(names), rows)
+        fh.write(",".join(names) + "\n")
+        for r in self.rows:
+            fh.write(",".join(_fmt(getattr(r, name)) for name in names) + "\n")
 
-    def write_raw_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(rec.to_json() + "\n")
+    def write_raw_jsonl(self, fh: TextIO) -> None:
+        """One JSON line per trial record to an open text file."""
+        for rec in self.records:
+            fh.write(rec.to_json() + "\n")
 
 
 def _fmt(value: str | float | None) -> str:
@@ -553,10 +535,6 @@ def _fmt(value: str | float | None) -> str:
     if isinstance(value, str):
         return value
     return f"{float(value):.10g}"
-
-
-def _write_lines(path: str | Path, header: str, lines) -> None:
-    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
 def run_monte_carlo(config: MonteCarloConfig) -> RmseReport:

@@ -46,11 +46,14 @@ class Target:
         object.__setattr__(self, "theta", _real("theta", self.theta))
         object.__setattr__(self, "r", _positive("r", self.r))
         if not (-math.pi / 2 < self.theta < math.pi / 2):
-            raise ValueError("theta must lie in (-pi/2, pi/2)")
+            raise ValueError(f"theta must lie in (-pi/2, pi/2), got {self.theta!r}")
 
     @classmethod
     def from_degrees(cls, theta_deg: float, r: float) -> "Target":
-        return cls(math.radians(_real("theta_deg", theta_deg)), r)
+        degrees = _real("theta_deg", theta_deg)
+        if not -90.0 < degrees < 90.0:
+            raise ValueError(f"theta_deg must lie in (-90, 90), got {theta_deg!r}")
+        return cls(math.radians(degrees), r)
 
     @property
     def theta_deg(self) -> float:
@@ -76,14 +79,6 @@ class TargetSet:
 
     def __iter__(self):
         return iter(self.targets)
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([t.theta for t in self.targets])
-
-    @property
-    def ranges(self) -> np.ndarray:
-        return np.array([t.r for t in self.targets])
 
 
 def fresnel_phase_terms(
@@ -153,10 +148,6 @@ class SnapshotSet:
     snr_db: float | None
     seed: int
     model: str
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.y.shape[1]
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # one ulp below math.sqrt(0.5); see synthesize

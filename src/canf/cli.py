@@ -16,12 +16,13 @@ import math
 import os
 import re
 import sys
+from contextlib import ExitStack
 from decimal import Decimal, InvalidOperation, Overflow
 from pathlib import Path
 
 import numpy as np
 
-from .bench import METHODS, MonteCarloConfig, _fmt, _write_lines, run_monte_carlo
+from .bench import METHODS, MonteCarloConfig, _fmt, run_monte_carlo
 from .geometry import CoprimeParams, build_coprime_layout, difference_coarray, max_targets
 from .music import MusicConfig, localize
 from .scenario import Scenario, _spacing_and_wavelength
@@ -82,6 +83,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         _write_matrix_csv(out, "sensor,t,re,im", snaps.y)
     return 0
+
+
+def _write_lines(path: Path, header: str, lines) -> None:
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
 def _write_matrix_csv(path: Path, header: str, matrix: np.ndarray) -> None:
@@ -167,10 +172,16 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         methods=tuple(m.strip() for m in args.methods.split(",")),
         base_seed=args.seed if args.seed is not None else scenario.seed,
     )
-    report = run_monte_carlo(config)
-    report.write_csv(args.out)
-    if args.raw is not None:
-        report.write_raw_jsonl(args.raw)
+    # Both outputs are opened before the sweep: one that cannot be written
+    # fails before any trial runs.
+    with ExitStack() as files:
+        out = files.enter_context(open(args.out, "w", encoding="utf-8"))
+        if args.raw is not None:
+            raw = files.enter_context(open(args.raw, "w", encoding="utf-8"))
+        report = run_monte_carlo(config)
+        report.write_csv(out)
+        if args.raw is not None:
+            report.write_raw_jsonl(raw)
     # A completed sweep exits 0 even when individual trials failed.
     return 0
 

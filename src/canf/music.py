@@ -334,7 +334,7 @@ def _row_power(proj: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _real_angle_manifold(
-    w: int, unit: float, wavelength: float, position_scale: float, grid_bytes: bytes
+    w: int, spacing: float, wavelength: float, grid_bytes: bytes
 ) -> np.ndarray:
     """``Q^H a`` of the centred W-element ULA manifold, one row per angle:
     ``[sqrt(2) cos(psi), 1 (odd W only), sqrt(2) sin(psi)]`` with ``psi`` the
@@ -345,7 +345,7 @@ def _real_angle_manifold(
     """
     grid_deg = np.frombuffer(grid_bytes, dtype=float)
     n = w // 2
-    centred = position_scale * unit * (np.arange(n) - 0.5 * (w - 1))
+    centred = spacing * (np.arange(n) - 0.5 * (w - 1))
     psi = -2.0 * np.pi / wavelength * np.outer(centred, np.sin(np.deg2rad(grid_deg)))
     manifold = np.empty((w, grid_deg.size))
     cos, middle, sin = manifold[:n], manifold[n : w - n], manifold[w - n :]
@@ -359,25 +359,19 @@ def _real_angle_manifold(
 
 
 def angle_spectrum(
-    virtual: Subspace,
-    unit: float,
-    wavelength: float,
-    angle_grid_deg,
-    position_scale: float = 2.0,
+    virtual: Subspace, spacing: float, wavelength: float, angle_grid_deg
 ) -> PseudoSpectrum:
     """Angle-domain MUSIC scan of a split virtual covariance.
 
     ``virtual`` must be real, as :meth:`Subspace.split_coarray` gives it.
     The scan is of the W-element virtual ULA ``exp(-2j pi / wavelength *
-    position_scale * unit * k * sin(theta))``, ``k = 0 .. W-1``:
-    ``position_scale=2`` gives the doubled-position manifold the decoupled
-    covariance lives on, ``position_scale=1`` the plain physical-lag
-    manifold of far-field coarray processing.  Centring the positions on the
-    array changes each row by a unit phase only, and ``Q^H`` maps the
-    centred row to the real row ``[sqrt(2) cos(psi), 1 (odd W only),
-    sqrt(2) sin(psi)]`` the scan uses, so the scan is real matrix
-    arithmetic: the unitary-transformation method of Huarng & Yeh (IEEE
-    Trans. ASSP 1991).  On a grid that is exactly antisymmetric, as
+    spacing * k * sin(theta))``, ``k = 0 .. W-1``, with ``spacing`` its
+    element spacing in meters.  Centring the positions on the array changes
+    each row by a unit phase only, and ``Q^H`` maps the centred row to the
+    real row ``[sqrt(2) cos(psi), 1 (odd W only), sqrt(2) sin(psi)]`` the
+    scan uses, so the scan is real matrix arithmetic: the
+    unitary-transformation method of Huarng & Yeh (IEEE Trans. ASSP 1991).
+    On a grid that is exactly antisymmetric, as
     :meth:`SpectrumGrid.for_layout` builds it, only the rows of the upper
     half are built and projected: ``sin`` is odd, so the row of ``-theta``
     is the row of ``theta`` with its sine block negated.  This stage holds
@@ -386,9 +380,8 @@ def angle_spectrum(
     manifold is built sensor-major, as a ``(W, A')`` array over the ``A'``
     angles it holds, cached per grid if it holds at most
     ``MAX_GRID_ENTRIES // 16`` entries, and projected as ``(r, W) x (W,
-    A')``, which reads it along its rows.  ``unit`` is the coarray lag step
-    in meters.  Peak locations are invariant to any positive scaling of the
-    coarray vector.
+    A')``, which reads it along its rows.  Peak locations are invariant to
+    any positive scaling of the coarray vector.
     """
     if np.iscomplexobj(virtual.eigvecs):
         raise ValueError("angle_spectrum scans a real subspace (Subspace.split_coarray)")
@@ -401,7 +394,7 @@ def angle_spectrum(
     # The cache keeps 16 manifolds, so together they hold at most one scan cap.
     cached = w * built.size <= MAX_GRID_ENTRIES // 16
     build = _real_angle_manifold if cached else _real_angle_manifold.__wrapped__
-    manifold = build(w, float(unit), float(wavelength), float(position_scale), built.tobytes())
+    manifold = build(w, float(spacing), float(wavelength), built.tobytes())
     # Each projection sums two products, over the first W - W // 2 entries
     # and over the sine block; a mirrored row's is their difference.  A
     # full-grid scan costs 6-7% more, per localize op and per sweep trial.
@@ -955,8 +948,11 @@ def two_phase(
         for b in bundles
     ]
     initial = [Subspace.split(b.r_hat, min(k, b.r_hat.shape[0] - 1)) for b in bundles]
+    # The decoupled covariance carries each lag's phase twice: its virtual
+    # array has twice the sensor spacing.
     scans = [
-        angle_spectrum(v, s.layout.d, layout.wavelength, axis) for v, s in zip(virtual, inputs)
+        angle_spectrum(v, 2.0 * s.layout.d, layout.wavelength, axis)
+        for v, s in zip(virtual, inputs)
     ]
     spec_a = PseudoSpectrum(axis, reduce(np.minimum, [scan.values for scan in scans]))
     peaks = detect_peaks(spec_a, pairs)

@@ -218,18 +218,13 @@ def noise_power_reference(noise_basis, manifold):
     return np.array(out)
 
 
-def virtual_steering_matrix(w, unit, wavelength, angle_grid_deg, position_scale=2.0):
+def virtual_steering_matrix(w, spacing, wavelength, angle_grid_deg):
     """Complex W-element virtual ULA manifold, one row per angle, element by
-    element: ``exp(-2j pi / wavelength * position_scale * unit * k * sin(theta))``."""
+    element: ``exp(-2j pi / wavelength * spacing * k * sin(theta))``."""
     rows = []
     for theta_deg in np.atleast_1d(angle_grid_deg):
         s = np.sin(np.deg2rad(theta_deg))
-        rows.append(
-            [
-                np.exp(-2j * np.pi / wavelength * position_scale * unit * k * s)
-                for k in range(w)
-            ]
-        )
+        rows.append([np.exp(-2j * np.pi / wavelength * spacing * k * s) for k in range(w)])
     return np.array(rows)
 
 

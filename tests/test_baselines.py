@@ -166,7 +166,7 @@ class TestSubarrayBaseline:
         bundle = build_bundle(sub_snaps)
         spec = angle_spectrum(
             Subspace.split(real_form(spatial_smooth(bundle.r_tilde)), 1),
-            sub1.d,
+            2.0 * sub1.d,
             sub1.wavelength,
             np.linspace(-89.95, 89.95, 3599),
         )

@@ -380,8 +380,8 @@ class TestSynthesize:
         b = steering_matrix(layout23, targets, "exact")
         noise = snaps.y - b @ snaps.x
         sigma2 = 10 ** (-3.0 / 10.0)
-        cov = noise @ noise.conj().T / snaps.n_snapshots
-        tol = 3.0 / np.sqrt(snaps.n_snapshots)
+        cov = noise @ noise.conj().T / snaps.y.shape[1]
+        tol = 3.0 / np.sqrt(snaps.y.shape[1])
         np.testing.assert_allclose(cov, sigma2 * np.eye(layout23.size), atol=tol)
 
     def test_source_power_near_unity(self, layout23):
@@ -493,3 +493,16 @@ class TestTargetValidation:
         # NaN fails no ordering test, so "r <= 0" alone would let it through.
         with pytest.raises(ValueError, match="finite and positive"):
             Target(0.0, r)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Target(2.0, 1.0), "theta must lie in (-pi/2, pi/2), got 2.0"),
+            (lambda: Target(np.nan, 1.0), "theta must lie in (-pi/2, pi/2), got nan"),
+            (lambda: Target.from_degrees(95, 1.0), "theta_deg must lie in (-90, 90), got 95"),
+            (lambda: Target.from_degrees(-90.0, 1.0), "theta_deg must lie in (-90, 90), got -90.0"),
+        ],
+    )
+    def test_an_angle_out_of_range_is_named_with_its_value(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

@@ -322,6 +322,26 @@ def test_an_unwritable_output_is_a_usage_error(tmp_path, scenario_file, argv):
         main(argv)
 
 
+@pytest.mark.parametrize(
+    "out, raw", [("nodir/r.csv", "r.jsonl"), ("r.csv", "nodir/r.jsonl")], ids=["out", "raw"]
+)
+def test_montecarlo_opens_its_outputs_before_the_sweep(
+    tmp_path, scenario_file, monkeypatch, out, raw
+):
+    # An unwritable --raw used to be found only after every trial had run,
+    # with --out already holding the CSV.
+    def no_sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("canf.cli.run_monte_carlo", no_sweep)
+    argv = ["montecarlo", "--scenario", str(scenario_file), "--snr", "10", "--q", "1"]
+    argv += ["--out", str(tmp_path / out), "--raw", str(tmp_path / raw)]
+    with pytest.raises(SystemExit, match=r"^montecarlo: \[Errno 2\] No such file"):
+        main(argv)
+    for name in ("r.csv", "r.jsonl"):
+        assert not (tmp_path / name).exists() or (tmp_path / name).read_text() == ""
+
+
 def test_spectrum_reports_a_covariance_overflow_as_a_usage_error(tmp_path):
     # The file loads and its snapshots are finite, but their Gram overflows.
     scenario = tmp_path / "scenario.json"
@@ -371,6 +391,9 @@ def test_spectrum_computes_one_ls_covariance(tmp_path, scenario_file, monkeypatc
         ("targets", [5], "targets must be a list of objects"),
         ("M", 0, "M must be at least 1, got 0$"),
         ("N", -3, "N must be at least 1, got -3$"),
+        ("theta_deg", 95, r"theta_deg must lie in \(-90, 90\), got 95$"),
+        ("theta_deg", -90, r"theta_deg must lie in \(-90, 90\), got -90$"),
+        ("theta_deg", float("nan"), r"theta_deg must lie in \(-90, 90\), got nan$"),
     ],
 )
 def test_bad_scenario_value_is_a_usage_error(tmp_path, command, key, value, message):

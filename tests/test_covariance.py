@@ -36,6 +36,11 @@ def ideal_covariance(layout, targets):
     return b @ b.conj().T
 
 
+def _polar(targets):
+    """The targets' angles (rad) and ranges (m), as two arrays."""
+    return np.array([(t.theta, t.r) for t in targets]).T
+
+
 class TestCovarianceLS:
     def test_single_target_noise_free_rank_one(self, layout911):
         t = TargetSet((Target.from_degrees(17.0, 12.0),))
@@ -114,7 +119,7 @@ class TestGram:
     def test_many_blocks_match_the_single_product(self, layout911):
         t = TargetSet((Target.from_degrees(5, 10), Target.from_degrees(-25, 20)))
         snaps = synthesize(layout911, t, 20_000, 10.0, 3)
-        assert snaps.n_snapshots > 2 * covariance._GRAM_BLOCK
+        assert snaps.y.shape[1] > 2 * covariance._GRAM_BLOCK
         weight = 1.0 / np.sqrt(np.sum(np.abs(snaps.x) ** 2, axis=0))
         for w in (None, weight):
             expected = oracles.gram_one_matmul(snaps.y, w)
@@ -201,7 +206,7 @@ class TestCovarianceSample:
         snaps = synthesize(layout23, t, 50_000, None, 1)
         r = covariance_sample(snaps)
         b = steering_matrix(layout23, t, "exact")[:, 0]
-        tol = 3.0 / np.sqrt(snaps.n_snapshots)
+        tol = 3.0 / np.sqrt(snaps.y.shape[1])
         np.testing.assert_allclose(r, np.outer(b, b.conj()), atol=tol)
 
     def test_noise_only_gives_scaled_identity(self, layout23):
@@ -212,7 +217,7 @@ class TestCovarianceSample:
         r = covariance_sample(snaps)
         sigma2 = 10.0 ** 4.0
         np.testing.assert_allclose(
-            r / sigma2, np.eye(layout23.size), atol=3.0 / np.sqrt(snaps.n_snapshots)
+            r / sigma2, np.eye(layout23.size), atol=3.0 / np.sqrt(snaps.y.shape[1])
         )
 
 
@@ -256,9 +261,7 @@ class TestDecouple:
         targets = random_fresnel_scenario(layout911, rng, k_max=3)
         r_hat = ideal_covariance(layout911, targets)
         r_d = decouple(r_hat, layout911)
-        s_ref, c_ref = oracles.self_cross_reference(
-            layout911.positions, LAM, targets.thetas, targets.ranges
-        )
+        s_ref, c_ref = oracles.self_cross_reference(layout911.positions, LAM, *_polar(targets))
         np.testing.assert_allclose(r_d, s_ref + c_ref, atol=1e-9)
 
     def test_mirror_identity_random_scenarios(self, layout911, rng):
@@ -266,9 +269,7 @@ class TestDecouple:
             targets = random_fresnel_scenario(layout911, rng)
             r_hat = ideal_covariance(layout911, targets)
             r_a = mirror_antidiagonal(r_hat)
-            ref = oracles.mirror_reference(
-                layout911.positions, LAM, targets.thetas, targets.ranges
-            )
+            ref = oracles.mirror_reference(layout911.positions, LAM, *_polar(targets))
             np.testing.assert_allclose(r_a, ref, atol=1e-9)
 
     def test_antidiagonal_invariant_to_ranges(self, layout911, rng):
@@ -319,9 +320,7 @@ class TestVectorizeToCoarray:
         mid = len(ca.smoothing_segment) // 2
         assert r_t[mid] == pytest.approx(np.mean(np.diag(r_d)))
         # noise-free the lag-0 sample equals the defining element sums
-        s_ref, c_ref = oracles.self_cross_reference(
-            layout911.positions, LAM, targets.thetas, targets.ranges
-        )
+        s_ref, c_ref = oracles.self_cross_reference(layout911.positions, LAM, *_polar(targets))
         assert r_t[mid] == pytest.approx(np.mean(np.diag(s_ref + c_ref)), abs=1e-9)
 
 

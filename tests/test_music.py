@@ -327,7 +327,7 @@ class TestSpectrumGrid:
         # (W, A), the bound the plan counts (the scan caches its upper half),
         # and the range chirp (C, R, F) over the layout's 2 chirp runs.
         grid = SpectrumGrid.for_layout(layout911, *STEPS)
-        manifold = _real_angle_manifold(100, layout911.d, LAM, 2.0, grid.angle_deg.tobytes())
+        manifold = _real_angle_manifold(100, 2.0 * layout911.d, LAM, grid.angle_deg.tobytes())
         assert manifold.T.shape == (100, grid.angle_deg.size)
         plan = _chirp_plan(layout911.grid)
         thetas = np.linspace(-30.0, 30.0, 10)
@@ -458,7 +458,7 @@ class TestAngleSpectrum:
         _, r_v = ideal_bundle(layout911, targets)
         grid = np.linspace(-89.95, 89.95, 3599)
         spec = angle_spectrum(
-            Subspace.split(oracles.real_form(r_v), 1), layout911.d, LAM, grid
+            Subspace.split(oracles.real_form(r_v), 1), 2.0 * layout911.d, LAM, grid
         )
         peaks = detect_peaks(spec, max_count=1)
         assert peaks[0].location == pytest.approx(10.0, abs=0.05)
@@ -469,7 +469,7 @@ class TestAngleSpectrum:
         bundle = build_bundle(snaps)
         spec = angle_spectrum(
             Subspace.split(oracles.real_form(spatial_smooth(bundle.r_tilde)), 1),
-            layout911.d, LAM, np.linspace(-89.95, 89.95, 720),
+            2.0 * layout911.d, LAM, np.linspace(-89.95, 89.95, 720),
         )
         assert np.all(np.isfinite(spec.values)) and np.all(spec.values > 0)
 
@@ -478,10 +478,10 @@ class TestAngleSpectrum:
         _, r_v = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.linspace(-89.95, 89.95, 3599)
         rank = 10
-        lam = layout.wavelength
+        spacing, lam = 2.0 * layout.d, layout.wavelength
         p1, p2 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(oracles.real_form(r), rank), layout.d, lam, grid),
+                angle_spectrum(Subspace.split(oracles.real_form(r), rank), spacing, lam, grid),
                 10,
             )
             for r in (r_v, 4.0 * r_v)
@@ -493,10 +493,10 @@ class TestAngleSpectrum:
         _, r_v = ideal_bundle(layout, benchmark_scenario.targets)
         grid = np.linspace(-89.95, 89.95, 3599)
         rank = 10
-        lam = layout.wavelength
+        spacing, lam = 2.0 * layout.d, layout.wavelength
         p1, p3 = (
             detect_peaks(
-                angle_spectrum(Subspace.split(oracles.real_form(r), rank), layout.d, lam, grid),
+                angle_spectrum(Subspace.split(oracles.real_form(r), rank), spacing, lam, grid),
                 10,
             )
             for r in (r_v, 3.7 * r_v)
@@ -512,7 +512,7 @@ class TestAngleSpectrum:
         grid = np.array([20.0])
         phase = -1j * 2 * np.pi / LAM * 1e-3 * np.sin(np.deg2rad(20.0))
         for w in (4, 5):
-            man = _real_angle_manifold(w, 1e-3, LAM, 1.0, grid.tobytes())
+            man = _real_angle_manifold(w, 1e-3, LAM, grid.tobytes())
             centred = np.exp(phase * np.arange(w)) * np.exp(-phase * 0.5 * (w - 1))
             rotated = oracles.unitary_q(w).conj().T @ centred
             np.testing.assert_allclose(rotated.imag, 0.0, atol=1e-12)
@@ -532,13 +532,14 @@ class TestAngleSpectrum:
         w = virtual.eigvals.size
         grid = np.linspace(-89.95, 89.95, size)
         grid[: size // 2] = -grid[::-1][: size // 2]
-        spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid)
+        spacing = 2.0 * layout.d
+        spec = angle_spectrum(virtual, spacing, layout.wavelength, grid)
         before = _real_angle_manifold.cache_info()
         upper_bytes = grid[size // 2 :].tobytes()
-        upper = _real_angle_manifold(w, layout.d, layout.wavelength, 2.0, upper_bytes)
+        upper = _real_angle_manifold(w, spacing, layout.wavelength, upper_bytes)
         assert _real_angle_manifold.cache_info().hits == before.hits + 1
         assert upper.shape == (size - size // 2, w)
-        man = _real_angle_manifold.__wrapped__(w, layout.d, layout.wavelength, 2.0, grid.tobytes())
+        man = _real_angle_manifold.__wrapped__(w, spacing, layout.wavelength, grid.tobytes())
         signal = virtual.eigvecs[:, : virtual.rank]
         proj = man @ signal
         denom = 1.0 - np.sum(proj**2, axis=1) / w
@@ -549,10 +550,10 @@ class TestAngleSpectrum:
 
     def test_manifold_is_cached_sensor_major_and_read_only(self):
         grid = np.linspace(-89.95, 89.95, 3599)
-        man = _real_angle_manifold(100, 1e-3, LAM, 2.0, grid.tobytes())
+        man = _real_angle_manifold(100, 2e-3, LAM, grid.tobytes())
         assert man.shape == (3599, 100)
         assert man.T.flags.c_contiguous and not man.flags.writeable
-        assert _real_angle_manifold(100, 1e-3, LAM, 2.0, grid.tobytes()) is man
+        assert _real_angle_manifold(100, 2e-3, LAM, grid.tobytes()) is man
 
     def test_a_manifold_too_large_for_the_cache_is_built_per_call(self, benchmark_scenario):
         # 16 cached manifolds of at most MAX_GRID_ENTRIES // 16 entries each.
@@ -561,7 +562,7 @@ class TestAngleSpectrum:
         grid = np.linspace(-80.0, 80.0, 50001)
         assert virtual.eigvals.size * grid.size > MAX_GRID_ENTRIES // 16
         before = _real_angle_manifold.cache_info()
-        spec = angle_spectrum(virtual, snaps.layout.d, snaps.layout.wavelength, grid)
+        spec = angle_spectrum(virtual, 2.0 * snaps.layout.d, snaps.layout.wavelength, grid)
         assert _real_angle_manifold.cache_info() == before
         assert spec.values.shape == grid.shape
 
@@ -581,9 +582,10 @@ class TestAngleSpectrum:
         virtual = Subspace.split_coarray(bundle.r_tilde, 10)
         layout = snaps.layout
         grid = SpectrumGrid.for_layout(layout, *STEPS).angle_deg
-        spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid)
+        spacing = 2.0 * layout.d
+        spec = angle_spectrum(virtual, spacing, layout.wavelength, grid)
         man = np.ascontiguousarray(
-            _real_angle_manifold(w, layout.d, layout.wavelength, 2.0, grid.tobytes())
+            _real_angle_manifold(w, spacing, layout.wavelength, grid.tobytes())
         )
         signal = virtual.eigvecs[:, : virtual.rank]
         proj = man @ signal
@@ -756,7 +758,7 @@ def test_scans_never_read_the_noise_columns(benchmark_scenario, case):
         sub = Subspace.split(oracles.real_form(r_v), 10)
 
         def scan(s):
-            return angle_spectrum(s, snaps.layout.d, layout.wavelength, grid.angle_deg).values
+            return angle_spectrum(s, 2.0 * snaps.layout.d, layout.wavelength, grid.angle_deg).values
 
     expected = scan(sub)
     if case == "subarray-1 angle":
@@ -776,7 +778,7 @@ class TestClassification:
         r_hat, r_v = ideal_bundle(layout, benchmark_scenario.targets)
         grid = SpectrumGrid.for_layout(layout, *STEPS)
         virtual = Subspace.split(oracles.real_form(r_v), 10)
-        spec = angle_spectrum(virtual, layout.d, layout.wavelength, grid.angle_deg)
+        spec = angle_spectrum(virtual, 2.0 * layout.d, layout.wavelength, grid.angle_deg)
         peaks = detect_peaks(spec, 10)
         found = sorted(p.location for p in peaks[:6])
         for truth in (-35.0, 10.0, 30.0):
@@ -916,7 +918,7 @@ class TestLocalize:
         sub1 = Subspace.split(r_v1, 1)
         un1 = sub1.eigvecs[:, sub1.rank :]
         row = oracles.virtual_steering_matrix(
-            r_v1.shape[0], layout.d, layout.wavelength, np.array([10.0])
+            r_v1.shape[0], 2.0 * layout.d, layout.wavelength, np.array([10.0])
         )[0]
         assert np.linalg.norm(row.conj() @ un1) ** 2 / r_v1.shape[0] <= 1e-6
 
